@@ -150,12 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// errors, -list and -dry-run leave no run record) and closes on every
 	// path through Finish, so failed runs are recorded as failed.
 	lcli := ledger.StartCLI("odrl-run", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = lcli.WrapObserver(prevObs)
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
 	runErr := func() error {
-		engine := &scenario.Engine{}
+		// The flight recorder observes every run the engine executes.
+		engine := &scenario.Engine{Stack: sim.Stack{Observer: lcli.WrapObserver(nil), SpanSink: lcli.SpanSink()}}
 		if *cacheDir != "" {
 			cache, err := scenario.NewCache(*cacheDir)
 			if err != nil {

@@ -17,10 +17,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/obs"
-	"repro/internal/obs/learn"
-	"repro/internal/obs/ledger"
-	"repro/internal/obs/monitor"
+	"repro/internal/obs/session"
 	"repro/internal/par"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -36,29 +33,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		controller  = fs.String("controller", "od-rl", "controller name")
-		param       = fs.String("param", "budget", "swept parameter: budget | cores | epoch | seed")
-		values      = fs.String("values", "40,55,70,90", "comma-separated sweep values")
-		cores       = fs.Int("cores", 64, "core count (fixed unless swept)")
-		budget      = fs.Float64("budget", 55, "budget in W (fixed unless swept)")
-		workloadF   = fs.String("workload", "mix", "workload preset or 'mix'")
-		warmup      = fs.Float64("warmup", 2, "warmup seconds")
-		measure     = fs.Float64("measure", 4, "measurement seconds")
-		seed        = fs.Uint64("seed", 1, "seed (fixed unless swept)")
-		writeSpec   = fs.Bool("write-spec", false, "print the canonical scenario spec equivalent to this invocation (runnable with odrl-run) and exit")
-		workers     = fs.Int("j", 0, "worker goroutines fanning sweep points out and sharding large chips (0 = one per CPU, 1 = sequential); rows are identical for any value")
-		traceEvents = fs.String("trace-events", "", "write structured JSONL epoch events to this file")
-		traceEvery  = fs.Int("trace-every", 10, "sample every Nth epoch in -trace-events output")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address")
-		monitorOn   = fs.Bool("monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
-		alertRules  = fs.String("alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
-		perfetto    = fs.String("perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-		learnOn     = fs.Bool("learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
-		snapEvery   = fs.Int("snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
-		artifacts   = fs.String("artifacts", "", "record every sweep point into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
-		ledgerDir   = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger    = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
+		controller = fs.String("controller", "od-rl", "controller name")
+		param      = fs.String("param", "budget", "swept parameter: budget | cores | epoch | seed")
+		values     = fs.String("values", "40,55,70,90", "comma-separated sweep values")
+		cores      = fs.Int("cores", 64, "core count (fixed unless swept)")
+		budget     = fs.Float64("budget", 55, "budget in W (fixed unless swept)")
+		workloadF  = fs.String("workload", "mix", "workload preset or 'mix'")
+		warmup     = fs.Float64("warmup", 2, "warmup seconds")
+		measure    = fs.Float64("measure", 4, "measurement seconds")
+		seed       = fs.Uint64("seed", 1, "seed (fixed unless swept)")
+		writeSpec  = fs.Bool("write-spec", false, "print the canonical scenario spec equivalent to this invocation (runnable with odrl-run) and exit")
+		workers    = fs.Int("j", 0, "worker goroutines fanning sweep points out and sharding large chips (0 = one per CPU, 1 = sequential); rows are identical for any value")
 	)
+	obsFlags := session.Register(fs, 10)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -113,42 +100,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	tracePath, traceStride, err := learn.ResolveTrace(*traceEvents, *traceEvery, *artifacts)
-	if err != nil {
+	if err := obsFlags.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-sweep:", err)
 		return 2
 	}
-	ocli, err := obs.StartCLI(tracePath, traceStride, *debugAddr)
+	sess, err := obsFlags.Start("odrl-sweep", args, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl-sweep:", err)
 		return 1
 	}
-	defer ocli.Close()
-	mcli, err := monitor.StartCLI(ocli, *monitorOn, *alertRules, *perfetto)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-sweep:", err)
-		return 1
-	}
-	defer mcli.Close(os.Stderr)
-	if mcli != nil {
-		sim.DefaultMonitor = mcli.Monitor
-	}
-	lrncli, err := learn.StartCLI(ocli, *learnOn, *snapEvery, *artifacts)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-sweep:", err)
-		return 2
-	}
-	defer lrncli.Close(os.Stderr)
-	if lrncli != nil {
-		sim.DefaultLearn = lrncli.Layer
-	}
-	lcli := ledger.StartCLI("odrl-sweep", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	// Sweep points pass opts.Observer explicitly (the fan-out never touches
-	// the harness default), so the flight recorder wraps that chain here.
-	observer := lcli.WrapObserver(ocli.Observer())
-	prevSpan := sim.DefaultSpanSink
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultSpanSink = prevSpan }()
 
 	// Sweep points are independent runs: fan them out across -j workers,
 	// then print rows in sweep order from index-addressed results so the
@@ -164,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.MeasureS = *measure
 		opts.Seed = *seed
 		opts.Workers = *workers
-		opts.Observer = observer
+		opts.Stack = sess.Stack
 		switch *param {
 		case "budget":
 			opts.BudgetW = v
@@ -176,9 +136,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts.Seed = uint64(v)
 		}
 
-		env := sim.DefaultEnv(opts.Cores)
-		env.Seed = opts.Seed
-		env.Workers = *workers
+		// EnvFor derives the decision cadence from the point's epoch length,
+		// exactly as odrl-run does for the spec -write-spec prints.
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return "", err
+		}
 		c, err := sim.NewController(*controller, env)
 		if err != nil {
 			return "", err
@@ -193,7 +156,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			s.OverJ, s.OverTimeFrac(), s.EnergyEff(), s.CtrlTimeS,
 			s.CtrlLocalTimeS, s.CtrlGlobalTimeS), nil
 	})
-	lcli.Finish(err)
+	if cerr := sess.Close(stderr); err == nil {
+		err = cerr
+	}
+	sess.Ledger.Finish(err)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl-sweep:", err)
 		return 1

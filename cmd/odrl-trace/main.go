@@ -16,10 +16,7 @@ import (
 	"os"
 
 	"repro/internal/obs"
-	"repro/internal/obs/learn"
 	"repro/internal/obs/ledger"
-	"repro/internal/obs/monitor"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -41,13 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dur       = fs.Float64("dur", 5, "trace duration in seconds")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		out       = fs.String("o", "", "output file (default stdout)")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address")
-		monitorOn = fs.Bool("monitor", false, "enable the run-health monitor (only meaningful with a mode that runs simulation epochs)")
-		alertRule = fs.String("alert-rules", "", "alert rules JSON file (implies -monitor)")
-		perfetto  = fs.String("perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-		learnOn   = fs.Bool("learn", false, "enable learning introspection (only meaningful with a mode that runs simulation epochs)")
-		snapEvery = fs.Int("snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (requires -artifacts)")
-		artifacts = fs.String("artifacts", "", "record simulation runs into this directory: full JSONL trace plus policy snapshots (implies -learn)")
 		ledgerDir = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
 		noLedger  = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
 	)
@@ -80,49 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	tracePath, traceStride, err := learn.ResolveTrace("", 1, *artifacts)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-trace:", err)
-		return 2
-	}
-	ocli, err := obs.StartCLI(tracePath, traceStride, *debugAddr)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-trace:", err)
-		return 1
-	}
-	defer ocli.Close()
-	// Trace recording itself runs no simulation epochs, but the monitor and
-	// learn flags are accepted everywhere for a uniform CLI surface: rules
-	// files are validated, the debug server gains /metrics, /debug/live,
-	// /debug/timeline and /debug/learn, and any future sim-running mode picks
-	// both layers up through sim.DefaultMonitor / sim.DefaultLearn.
-	mcli, err := monitor.StartCLI(ocli, *monitorOn, *alertRule, *perfetto)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-trace:", err)
-		return 1
-	}
-	defer mcli.Close(stderr)
-	if mcli != nil {
-		sim.DefaultMonitor = mcli.Monitor
-	}
-	lcli, err := learn.StartCLI(ocli, *learnOn, *snapEvery, *artifacts)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-trace:", err)
-		return 2
-	}
-	defer lcli.Close(stderr)
-	if lcli != nil {
-		sim.DefaultLearn = lcli.Layer
-	}
 	// The ledger records trace work like any other run (tool, args, wall
-	// time); the flight recorder arms through the default observer for any
-	// future sim-running mode.
-	ledcli := ledger.StartCLI("odrl-trace", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = ledcli.WrapObserver(ocli.Observer())
-	sim.DefaultSpanSink = ledcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
-
+	// time). Recording and inspecting traces run no simulation epochs, so
+	// there is no observability stack to attach.
+	lcli := ledger.StartCLI("odrl-trace", args, ledger.ResolveDir(*ledgerDir), *noLedger)
 	runErr := func() error {
 		switch {
 		case *list:
@@ -184,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return nil
 	}()
-	ledcli.Finish(runErr)
+	lcli.Finish(runErr)
 	if runErr != nil {
 		fmt.Fprintln(stderr, "odrl-trace:", runErr)
 		return 1

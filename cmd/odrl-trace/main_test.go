@@ -31,6 +31,9 @@ func TestRunRejectsMalformedInvocations(t *testing.T) {
 		{"NaN dur", []string{"-record", "-dur", "NaN"}, "-dur must be positive"},
 		{"output without record", []string{"-list", "-o", "x.json"}, "-o only applies"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		// No mode runs simulation epochs, so the tool takes no
+		// observability flags beyond the ledger's.
+		{"monitor flag", []string{"-list", "-monitor"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

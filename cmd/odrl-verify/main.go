@@ -13,11 +13,7 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/internal/obs/learn"
-	"repro/internal/obs/ledger"
-	"repro/internal/obs/monitor"
-	"repro/internal/sim"
+	"repro/internal/obs/session"
 )
 
 func main() {
@@ -30,72 +26,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick       = fs.Bool("quick", false, "small/short runs with relaxed thresholds")
-		seed        = fs.Uint64("seed", 0, "override random seed")
-		traceEvents = fs.String("trace-events", "", "write structured JSONL epoch events for every run to this file")
-		traceEvery  = fs.Int("trace-every", 100, "sample every Nth epoch in -trace-events output")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address")
-		monitorOn   = fs.Bool("monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
-		alertRules  = fs.String("alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
-		perfetto    = fs.String("perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-		learnOn     = fs.Bool("learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
-		snapEvery   = fs.Int("snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
-		artifacts   = fs.String("artifacts", "", "record every run into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
-		ledgerDir   = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger    = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
+		quick = fs.Bool("quick", false, "small/short runs with relaxed thresholds")
+		seed  = fs.Uint64("seed", 0, "override random seed")
 	)
+	obsFlags := session.Register(fs, 100)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	tracePath, traceStride, err := learn.ResolveTrace(*traceEvents, *traceEvery, *artifacts)
-	if err != nil {
+	if err := obsFlags.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-verify:", err)
 		return 2
 	}
-	ocli, err := obs.StartCLI(tracePath, traceStride, *debugAddr)
+	sess, err := obsFlags.Start("odrl-verify", args, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl-verify:", err)
 		return 1
 	}
-	defer ocli.Close()
-	mcli, err := monitor.StartCLI(ocli, *monitorOn, *alertRules, *perfetto)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-verify:", err)
-		return 1
-	}
-	defer mcli.Close(os.Stderr)
-	if mcli != nil {
-		sim.DefaultMonitor = mcli.Monitor
-	}
-	lrncli, err := learn.StartCLI(ocli, *learnOn, *snapEvery, *artifacts)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl-verify:", err)
-		return 2
-	}
-	defer lrncli.Close(os.Stderr)
-	if lrncli != nil {
-		sim.DefaultLearn = lrncli.Layer
-	}
-	lcli := ledger.StartCLI("odrl-verify", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = lcli.WrapObserver(ocli.Observer())
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
 
 	cfg := experiments.Default()
 	cfg.Quick = *quick
+	cfg.Stack = sess.Stack
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-
-	results, err := experiments.VerifyClaims(cfg)
-	if err != nil {
-		lcli.Finish(err)
-		fmt.Fprintln(stderr, "odrl-verify:", err)
+	runErr := verify(stdout, cfg)
+	if err := sess.Close(stderr); runErr == nil {
+		runErr = err
+	}
+	// A failed claim is a failed run record: the flight recorder dumps its
+	// post-mortem bundle so the regression is diagnosable after the fact.
+	sess.Ledger.Finish(runErr)
+	if runErr != nil {
+		fmt.Fprintln(stderr, "odrl-verify:", runErr)
 		return 1
 	}
+	return 0
+}
 
+// verify re-measures the claims and prints one verdict each. It fails when
+// a run errors or any claim does not reproduce.
+func verify(stdout io.Writer, cfg experiments.Config) error {
+	results, err := experiments.VerifyClaims(cfg)
+	if err != nil {
+		return err
+	}
 	failed := 0
 	for _, r := range results {
 		verdict := "PASS"
@@ -106,14 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "[%s] %s — %s\n      measured: %s\n", verdict, r.ID, r.Claim, r.Measured)
 	}
 	if failed > 0 {
-		// A failed claim is a failed run record: the flight recorder dumps
-		// its post-mortem bundle so the regression is diagnosable after the
-		// fact.
-		lcli.Finish(fmt.Errorf("%d of %d claims failed to reproduce", failed, len(results)))
 		fmt.Fprintf(stdout, "\n%d of %d claims failed to reproduce\n", failed, len(results))
-		return 1
+		return fmt.Errorf("%d of %d claims failed to reproduce", failed, len(results))
 	}
-	lcli.Finish(nil)
 	fmt.Fprintf(stdout, "\nall %d claims reproduced\n", len(results))
-	return 0
+	return nil
 }

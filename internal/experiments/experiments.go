@@ -45,6 +45,10 @@ type Config struct {
 	// into every run (see package fault). F18 sweeps its own plans and
 	// ignores this field.
 	FaultPlan *fault.Plan
+	// Stack is the observability every run of the experiment reports to
+	// (see sim.Stack). Experiments that attach their own monitor or learn
+	// layer to a run keep the rest of the stack on it.
+	Stack sim.Stack
 }
 
 // Default returns the evaluation configuration used in EXPERIMENTS.md.
@@ -103,9 +107,9 @@ func (c Config) normalized() Config {
 }
 
 // runOpts returns the harness options every experiment run starts from:
-// the shared axes (platform size, budget, windows, seed, workers) filled
-// from the experiment config. Individual experiments override fields from
-// there.
+// the shared axes (platform size, budget, windows, seed, workers) and the
+// observability stack filled from the experiment config. Individual
+// experiments override fields from there.
 func (c Config) runOpts() sim.Options {
 	opts := sim.DefaultOptions()
 	opts.Cores = c.Cores
@@ -115,6 +119,7 @@ func (c Config) runOpts() sim.Options {
 	opts.Seed = c.Seed
 	opts.Workers = c.Workers
 	opts.FaultPlan = c.FaultPlan
+	opts.Stack = c.Stack
 	return opts
 }
 

@@ -55,6 +55,11 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 		mon := monitor.New(monitor.Options{
 			Rules: monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS),
 		})
+		if session := opts.Monitor; session != nil {
+			// The figure's monitor takes the run's monitor slot; a session
+			// monitor chains in as a plain observer so it still sees the run.
+			opts.Observer = session.Wrap(opts.Observer)
+		}
 		opts.Monitor = mon
 		env, err := sim.EnvFor(opts)
 		if err != nil {

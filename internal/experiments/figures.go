@@ -94,6 +94,10 @@ type sweepKey struct {
 	// plan is the dereferenced fault plan (zero value when none): faulted
 	// and clean sweeps must never share an entry.
 	plan fault.Plan
+	// stack keeps observed sweeps per session: a sweep is shared only
+	// by callers reporting to the same layers, so every stack sees the
+	// runs behind the tables it is asked about.
+	stack sim.Stack
 }
 
 // sweepEntry is one memoised sweep. The per-entry Once guarantees exactly
@@ -125,7 +129,7 @@ func resetSweepCache() {
 // call can retry after a transient error, rather than replaying the cached
 // failure for the process lifetime.
 func benchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error) {
-	key := sweepKey{cores: cfg.Cores, budgetW: cfg.BudgetW, seed: cfg.Seed, quick: cfg.Quick, measureS: cfg.MeasureS}
+	key := sweepKey{cores: cfg.Cores, budgetW: cfg.BudgetW, seed: cfg.Seed, quick: cfg.Quick, measureS: cfg.MeasureS, stack: cfg.Stack}
 	if cfg.FaultPlan != nil {
 		key.plan = *cfg.FaultPlan
 	}

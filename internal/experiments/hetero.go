@@ -37,6 +37,7 @@ func F17Hetero(cfg Config) (Table, error) {
 		opts.WarmupS = cfg.WarmupS
 		opts.MeasureS = cfg.MeasureS
 		opts.Seed = cfg.Seed
+		opts.Stack = cfg.Stack
 		opts.BigLittle = true
 		env, err := sim.EnvFor(opts)
 		if err != nil {

@@ -66,6 +66,7 @@ func F13Islands(cfg Config) (Table, error) {
 			opts.WarmupS = cfg.WarmupS
 			opts.MeasureS = cfg.MeasureS
 			opts.Seed = cfg.Seed
+			opts.Stack = cfg.Stack
 			opts.IslandW, opts.IslandH = g.iw, g.ih
 			var c ctrl.Controller
 			if name == "od-rl-island" {

@@ -1,58 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"strconv"
 	"testing"
-
-	"repro/internal/obs/learn"
-	"repro/internal/sim"
 )
-
-// TestTablesByteIdenticalWithLearn is the figure-level read-only gate for
-// learning introspection: F1 and F18 must render byte-identical tables with
-// the learn layer off and on (as a CLI would attach it, via
-// sim.DefaultLearn), sequential and parallel.
-func TestTablesByteIdenticalWithLearn(t *testing.T) {
-	if sim.DefaultLearn != nil {
-		t.Fatal("test requires a clean sim.DefaultLearn")
-	}
-	cases := []struct {
-		id  string
-		run Runner
-	}{
-		{"F1", F1PowerTrace},
-		{"F18", F18FaultIntensity},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{Quick: true, Workers: workers}
-				resetSweepCache()
-				sim.DefaultLearn = nil
-				off, err := tc.run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resetSweepCache()
-				sim.DefaultLearn = learn.New(learn.Options{})
-				on, err := tc.run(cfg)
-				sim.DefaultLearn = nil
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(off, on) {
-					t.Fatalf("%s diverges with learning introspection on at workers=%d", tc.id, workers)
-				}
-				if !bytes.Equal(renderTable(t, off), renderTable(t, on)) {
-					t.Fatalf("%s rendered bytes diverge with learning introspection on at workers=%d", tc.id, workers)
-				}
-			}
-		})
-	}
-}
 
 func TestF19LearningDynamics(t *testing.T) {
 	tbl := mustRun(t, "F19")
@@ -77,42 +28,5 @@ func TestF19LearningDynamics(t *testing.T) {
 				t.Fatalf("%s: bad conv-epochs cell %q", r[0], r[3])
 			}
 		}
-	}
-}
-
-// TestBenchLearnReport smoke-checks the overhead report: it must measure
-// both legs of every case and produce valid JSON. It runs a cheap spec (2
-// reps, short legs) so the check stays fast under the race detector; the
-// <3% assertion and the full 15-rep protocol live in the bench-learn make
-// target, not here — wall-clock thresholds are too flaky for CI unit tests.
-func TestBenchLearnReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	rep, err := benchLearn(2, []benchLearnSpec{
-		{"epoch-loop-odrl-64c", 64, 1},
-		{"epoch-loop-odrl-16c", 16, 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Cases) != 2 {
-		t.Fatalf("got %d cases", len(rep.Cases))
-	}
-	for _, c := range rep.Cases {
-		if c.OffS <= 0 || c.OnS <= 0 || c.Epochs <= 0 {
-			t.Fatalf("unmeasured case %+v", c)
-		}
-	}
-	if rep.GoVersion == "" || rep.HostCPUs <= 0 {
-		t.Fatalf("missing host stamp: %+v", rep.HostInfo)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("overhead_frac")) ||
-		!bytes.Contains(buf.Bytes(), []byte("go_version")) {
-		t.Fatalf("report JSON missing fields:\n%s", buf.String())
 	}
 }

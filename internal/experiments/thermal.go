@@ -44,6 +44,7 @@ func F10Thermal(cfg Config) (Table, error) {
 			opts.WarmupS = cfg.WarmupS
 			opts.MeasureS = cfg.MeasureS
 			opts.Seed = cfg.Seed
+			opts.Stack = cfg.Stack
 			env := sim.DefaultEnv(cfg.Cores)
 			env.Seed = cfg.Seed
 			c, err := sim.NewController(name, env)

@@ -48,6 +48,7 @@ func F11Variation(cfg Config) (Table, error) {
 			opts.WarmupS = cfg.WarmupS
 			opts.MeasureS = cfg.MeasureS
 			opts.Seed = cfg.Seed
+			opts.Stack = cfg.Stack
 			if sigma > 0 {
 				vp := variation.Default()
 				vp.LeakSigma = sigma

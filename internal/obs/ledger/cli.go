@@ -13,10 +13,12 @@ import (
 // CLI is one command's ledger session: it owns the run record being
 // accumulated, the flight recorder whose bundles land in the run's
 // artifact directory, and the final append. Every cmd/ binary builds one
-// at startup (StartCLI) and finishes it on every exit path (Finish).
+// at startup — directly (StartCLI) when it only records, or inside its
+// observability session (internal/obs/session) — and finishes it on every
+// exit path (Finish).
 //
-// A nil *CLI is valid and inert — the -no-ledger path costs a handful of
-// nil checks, mirroring the monitor/learn CLI glue idiom.
+// A nil *CLI is valid and inert: the -no-ledger path costs a handful of
+// nil checks.
 type CLI struct {
 	led   *Ledger
 	rec   *flight.Recorder

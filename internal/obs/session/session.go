@@ -1,0 +1,243 @@
+// Package session is the one observability bootstrap every sim-running
+// command shares. A command registers the shared flags on its flag set
+// (Register), opens a Session after parsing (Flags.Start), hands
+// Session.Stack to every run it builds, and closes the session on exit.
+// The session owns the JSONL tracer, the debug HTTP server, the run-health
+// monitor, the learning-introspection layer and the run ledger with its
+// flight recorder.
+package session
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+
+	"repro/internal/obs"
+	"repro/internal/obs/learn"
+	"repro/internal/obs/ledger"
+	"repro/internal/obs/monitor"
+	"repro/internal/sim"
+)
+
+// Flags holds the shared observability flags of one command.
+type Flags struct {
+	traceEvents   string
+	traceEvery    int
+	debugAddr     string
+	monitor       bool
+	alertRules    string
+	perfetto      string
+	learn         bool
+	snapshotEvery int
+	artifacts     string
+	ledgerDir     string
+	noLedger      bool
+}
+
+// Register adds the shared observability flags to fs. traceEvery is the
+// command's default -trace-every stride.
+func Register(fs *flag.FlagSet, traceEvery int) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.traceEvents, "trace-events", "", "write structured JSONL epoch events for every run to this file ('-' for stdout)")
+	fs.IntVar(&f.traceEvery, "trace-every", traceEvery, "sample every Nth epoch in -trace-events output")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.BoolVar(&f.monitor, "monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
+	fs.StringVar(&f.alertRules, "alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
+	fs.StringVar(&f.perfetto, "perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
+	fs.BoolVar(&f.learn, "learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
+	fs.IntVar(&f.snapshotEvery, "snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
+	fs.StringVar(&f.artifacts, "artifacts", "", "record every run into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
+	fs.StringVar(&f.ledgerDir, "ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
+	fs.BoolVar(&f.noLedger, "no-ledger", false, "disable the run ledger and flight recorder")
+	return f
+}
+
+// Validate reports a malformed flag combination, before Start has any side
+// effect; commands exit 2 on it.
+func (f *Flags) Validate() error {
+	switch {
+	case f.snapshotEvery < 0:
+		return fmt.Errorf("negative -snapshot-every %d", f.snapshotEvery)
+	case f.snapshotEvery > 0 && f.artifacts == "":
+		return errors.New("-snapshot-every needs -artifacts (snapshots are files)")
+	case f.artifacts != "" && f.traceEvents != "":
+		// -artifacts records the complete trace itself; a second
+		// destination would silently split the record.
+		return fmt.Errorf("-artifacts records its own trace (%s); drop -trace-events",
+			filepath.Join(f.artifacts, "trace.jsonl"))
+	}
+	return nil
+}
+
+// Session is one command's observability: the layers every run reports to,
+// plus the resources behind them.
+type Session struct {
+	// Stack is what every run the command builds carries: the flight
+	// recorder chained in front of the tracer, the monitor, the learn layer
+	// and the recorder's span ring. Layers the flags left off are nil.
+	Stack sim.Stack
+	// Ledger is the run-record session (nil with -no-ledger). The command
+	// finishes it with the run's outcome.
+	Ledger *ledger.CLI
+
+	registry *obs.Registry
+	tracer   *obs.Tracer
+	debug    *obs.DebugServer
+	perfetto string
+}
+
+// Start opens the session for one invocation of tool with args. The trace
+// file "-" streams to stdout. Start fails only on setup errors (an
+// unwritable trace file, a busy debug address, an unreadable rules file);
+// it then releases everything it had opened. The ledger opens last, so a
+// failed start leaves no run record.
+func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, error) {
+	s := &Session{registry: obs.NewRegistry(), perfetto: f.perfetto}
+	tracePath, traceEvery := f.traceEvents, f.traceEvery
+	if f.artifacts != "" {
+		// The complete-run layout odrl-inspect consumes: every epoch traced
+		// inside the artifact directory.
+		if err := os.MkdirAll(f.artifacts, 0o755); err != nil {
+			return nil, fmt.Errorf("artifacts: %w", err)
+		}
+		tracePath, traceEvery = filepath.Join(f.artifacts, "trace.jsonl"), 1
+	}
+	var traceOut io.Writer
+	switch tracePath {
+	case "":
+		if f.debugAddr != "" {
+			// A debug endpoint without a trace file still wants live
+			// counters and the decide-latency histogram in /debug/obs.
+			traceOut = io.Discard
+		}
+	case "-":
+		// Hide stdout's Closer so Close never shuts the process stream.
+		traceOut = struct{ io.Writer }{stdout}
+	default:
+		file, err := os.Create(tracePath)
+		if err != nil {
+			return nil, fmt.Errorf("trace file: %w", err)
+		}
+		traceOut = file
+	}
+	if traceOut != nil {
+		s.tracer = obs.NewTracer(obs.NewWriterSink(traceOut), obs.TracerOptions{Every: traceEvery, Registry: s.registry})
+		s.Stack.Observer = s.tracer
+	}
+	if f.debugAddr != "" {
+		d, err := obs.StartDebug(f.debugAddr, s.registry)
+		if err != nil {
+			s.Close(nil) //nolint:errcheck // already failing
+			return nil, err
+		}
+		s.debug = d
+	}
+	if f.monitor || f.alertRules != "" || f.perfetto != "" {
+		var rules []monitor.Rule
+		if f.alertRules != "" {
+			file, err := os.Open(f.alertRules)
+			if err == nil {
+				rules, err = monitor.LoadRules(file)
+				file.Close() //nolint:errcheck // read-only
+			}
+			if err != nil {
+				s.Close(nil) //nolint:errcheck // already failing
+				return nil, fmt.Errorf("alert rules: %w", err)
+			}
+		}
+		s.Stack.Monitor = monitor.New(monitor.Options{Rules: rules, Registry: s.registry})
+		if s.debug != nil {
+			s.debug.Handle("/debug/live", s.Stack.Monitor.LiveHandler())
+			s.debug.Handle("/debug/timeline", s.Stack.Monitor.TimelineHandler())
+			s.debug.Handle("/debug/health", s.Stack.Monitor.HealthHandler())
+		}
+	}
+	if f.learn || f.artifacts != "" {
+		s.Stack.Learn = learn.New(learn.Options{
+			SnapshotEvery: f.snapshotEvery,
+			ArtifactDir:   f.artifacts,
+			Registry:      s.registry,
+		})
+		if s.debug != nil {
+			s.debug.Handle("/debug/learn", learn.DebugHandler(s.Stack.Learn))
+		}
+	}
+	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger)
+	s.Stack.Observer = s.Ledger.WrapObserver(s.Stack.Observer)
+	s.Stack.SpanSink = s.Ledger.SpanSink()
+	return s, nil
+}
+
+// WriteDecideQuantiles renders the decide-latency distribution the tracer
+// collected in its obs.trace.decide_ns histogram: p50/p95/p99 next to the
+// mean, since tail latency is what the real-time feasibility claim is
+// about. Writes nothing when no samples were traced.
+func (s *Session) WriteDecideQuantiles(w io.Writer) error {
+	h, ok := s.registry.Snapshot().Histograms["obs.trace.decide_ns"]
+	if !ok || h.Count == 0 {
+		return nil
+	}
+	_, err := fmt.Fprintf(w, "\ndecide latency (us): p50 %.1f  p95 %.1f  p99 %.1f  mean %.1f  (n=%d)\n",
+		h.Quantile(0.50)/1e3, h.Quantile(0.95)/1e3, h.Quantile(0.99)/1e3, h.Mean()/1e3, h.Count)
+	return err
+}
+
+// Close writes the Perfetto file when one was requested, renders the
+// run-health and learning summaries to stderr (nil skips them), flushes the
+// tracer and stops the debug server. It returns every failure joined,
+// including any artifact-writing error of the learn layer. The ledger is not
+// touched: the command finishes it with the run's outcome.
+func (s *Session) Close(stderr io.Writer) error {
+	var errs []error
+	if mon := s.Stack.Monitor; mon != nil {
+		if s.perfetto != "" {
+			errs = append(errs, writePerfetto(s.perfetto, mon.Timeline()))
+		}
+		if stderr != nil {
+			errs = append(errs, mon.WriteAlertSummary(stderr))
+		}
+	}
+	if lrn := s.Stack.Learn; lrn != nil {
+		for _, r := range lrn.Runs() {
+			if sum := r.Summarize(false); sum.Epochs > 0 && stderr != nil {
+				writeLearnSummary(stderr, sum)
+			}
+			errs = append(errs, r.Err())
+		}
+	}
+	if s.tracer != nil {
+		errs = append(errs, s.tracer.Close())
+	}
+	if s.debug != nil {
+		errs = append(errs, s.debug.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// writePerfetto exports the monitor's phase-span timeline as Chrome
+// trace-event JSON.
+func writePerfetto(path string, tl *monitor.Timeline) error {
+	f, err := os.Create(path)
+	if err == nil {
+		err = tl.WriteTraceJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("perfetto trace: %w", err)
+	}
+	return nil
+}
+
+// writeLearnSummary renders one run's end-of-run convergence line.
+func writeLearnSummary(w io.Writer, s learn.Summary) {
+	fmt.Fprintf(w, "learn: run %d (%s): %d/%d agents converged", s.Run, s.Meta.Controller, s.Converged, s.LiveAgents)
+	if s.Converged > 0 {
+		fmt.Fprintf(w, " (median %d epochs)", s.EpochsToConvergeP50)
+	}
+	fmt.Fprintf(w, ", td_ema %.4f, churn %.4f, coverage %.2f\n", s.TDErrEMA, s.Churn, s.Coverage)
+}

@@ -14,11 +14,17 @@ import (
 )
 
 // Engine interprets specs into tables through the same execution path the
-// canned experiments use. The zero value runs without caching.
+// canned experiments use. The zero value runs without caching or
+// observability.
 type Engine struct {
 	// Cache, when set, memoises successful runs under the spec's content
 	// hash. Failed runs are never stored (see Run).
 	Cache *Cache
+	// Stack is the observability every run the engine executes reports to
+	// (see sim.Stack). A monitored spec's per-run monitor replaces
+	// Stack.Monitor on its runs. Cache hits run nothing and so report
+	// nothing.
+	Stack sim.Stack
 }
 
 // RunInfo reports how a spec was satisfied.
@@ -68,11 +74,13 @@ func (e *Engine) execute(spec Spec) (experiments.Table, error) {
 		if err != nil {
 			return experiments.Table{}, err
 		}
-		return runner(spec.experimentConfig())
+		cfg := spec.experimentConfig()
+		cfg.Stack = e.Stack
+		return runner(cfg)
 	case spec.Sweep != nil:
-		return sweepTable(spec)
+		return e.sweepTable(spec)
 	default:
-		return comparisonTable(spec)
+		return e.comparisonTable(spec)
 	}
 }
 
@@ -123,9 +131,11 @@ func (s Spec) runAxes() (seeds []uint64, workloads, controllers []string) {
 	return seeds, workloads, controllers
 }
 
-// options assembles the sim options for one run of the spec.
-func (s Spec) options(seed uint64, workloadName string) (sim.Options, error) {
+// options assembles the sim options for one run of the spec, reporting to
+// stack.
+func (s Spec) options(seed uint64, workloadName string, stack sim.Stack) (sim.Options, error) {
 	opts := sim.DefaultOptions()
+	opts.Stack = stack
 	opts.Workload = workloadName
 	opts.Seed = seed
 	opts.Workers = s.Workers
@@ -283,7 +293,7 @@ func (s Spec) title(kind string) string {
 // comparisonTable runs every (seed × workload × controller) combination and
 // emits one row per run. Rows land in index-addressed slots, so the table
 // is identical for any worker count.
-func comparisonTable(spec Spec) (experiments.Table, error) {
+func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
 	seeds, workloads, controllers := spec.runAxes()
 	type job struct {
 		seed       uint64
@@ -300,7 +310,7 @@ func comparisonTable(spec Spec) (experiments.Table, error) {
 	}
 	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
 		j := jobs[i]
-		opts, err := spec.options(j.seed, j.workload)
+		opts, err := spec.options(j.seed, j.workload, e.Stack)
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -354,7 +364,7 @@ func applySweep(opts *sim.Options, param string, v float64) {
 }
 
 // sweepTable runs every (value × controller) pair of the sweep axis.
-func sweepTable(spec Spec) (experiments.Table, error) {
+func (e *Engine) sweepTable(spec Spec) (experiments.Table, error) {
 	seeds, workloads, controllers := spec.runAxes()
 	sw := spec.Sweep
 	type job struct {
@@ -369,7 +379,7 @@ func sweepTable(spec Spec) (experiments.Table, error) {
 	}
 	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
 		j := jobs[i]
-		opts, err := spec.options(seeds[0], workloads[0])
+		opts, err := spec.options(seeds[0], workloads[0], e.Stack)
 		if err != nil {
 			return runOutcome{}, err
 		}

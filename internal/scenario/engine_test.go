@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/obs/monitor"
+	"repro/internal/sim"
 )
 
 // TestComparisonTable pins the comparison run kind: one row per
@@ -184,5 +186,37 @@ func TestEngineRejectsInvalidSpec(t *testing.T) {
 	}
 	if cache.Len() != 0 {
 		t.Errorf("invalid spec left %d cache entries", cache.Len())
+	}
+}
+
+// TestEngineStack: every run kind reports to the engine's stack, except
+// that a monitored spec's per-run monitor takes the monitor slot.
+func TestEngineStack(t *testing.T) {
+	sweep := tinySpec()
+	sweep.Sweep = &Sweep{Param: "budget", Values: []float64{6, 8}}
+	monitored := tinySpec()
+	p := fault.Scaled(0.5)
+	monitored.FaultPlan = &p
+	cases := []struct {
+		name string
+		spec Spec
+		want int
+	}{
+		{"comparison", tinySpec(), 1},
+		{"sweep", sweep, 2},
+		{"experiment", Spec{Experiment: "F17", Quick: true}, 2},
+		{"monitored", monitored, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := monitor.New(monitor.Options{})
+			eng := &Engine{Stack: sim.Stack{Monitor: mon}}
+			if _, _, err := eng.Run(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(mon.Runs()); got != tc.want {
+				t.Fatalf("stack monitor saw %d runs, want %d", got, tc.want)
+			}
+		})
 	}
 }

@@ -150,16 +150,3 @@ func TestLearnSnapshotArtifacts(t *testing.T) {
 		t.Fatalf("final snapshot at epoch %d, want %d", last.Epoch, warm+measure)
 	}
 }
-
-// TestDefaultLearnFallback mirrors the DefaultObserver contract.
-func TestDefaultLearnFallback(t *testing.T) {
-	lrn := learn.New(learn.Options{})
-	DefaultLearn = lrn
-	defer func() { DefaultLearn = nil }()
-	opts := monitorTestOpts()
-	opts.MeasureS = 0.1
-	runWith(t, opts, "od-rl")
-	if runs := lrn.Runs(); len(runs) != 1 || runs[0].Summarize(false).Epochs == 0 {
-		t.Fatalf("DefaultLearn saw %d runs", len(lrn.Runs()))
-	}
-}

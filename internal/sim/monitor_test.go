@@ -177,17 +177,3 @@ func TestFaultedRunFiresAlerts(t *testing.T) {
 		t.Fatalf("summary missing fired rule %q:\n%s", h.Alerts[0].Rule, sum.String())
 	}
 }
-
-// TestDefaultMonitorFallback mirrors the DefaultObserver contract: runs
-// with a nil Options.Monitor attach to DefaultMonitor.
-func TestDefaultMonitorFallback(t *testing.T) {
-	mon := monitor.New(monitor.Options{})
-	DefaultMonitor = mon
-	defer func() { DefaultMonitor = nil }()
-	opts := monitorTestOpts()
-	opts.MeasureS = 0.1
-	runWith(t, opts, "pid")
-	if runs := mon.Runs(); len(runs) != 1 || runs[0].Meta.Controller != "pid" {
-		t.Fatalf("DefaultMonitor saw %+v", mon.Runs())
-	}
-}

@@ -7,29 +7,31 @@ import (
 	"repro/internal/obs/monitor"
 )
 
-// DefaultObserver, when non-nil, observes every run whose Options.Observer
-// is nil. It exists so CLIs can watch runs that deeper layers (package
-// experiments) assemble internally without threading an observer through
-// every experiment signature. Set it once at process startup; changing it
-// while simulations run is racy.
-var DefaultObserver obs.Observer
-
-// DefaultMonitor, when non-nil, monitors every run whose Options.Monitor
-// is nil — the run-health counterpart of DefaultObserver, and wired the
-// same way: set once at process startup by CLIs.
-var DefaultMonitor *monitor.Monitor
-
-// DefaultLearn, when non-nil, attaches learning introspection to every run
-// whose Options.Learn is nil — wired the same way as DefaultObserver: set
-// once at process startup by CLIs.
-var DefaultLearn *learn.Layer
-
-// DefaultSpanSink, when non-nil, additionally receives controller phase
-// spans from every run whose Options.SpanSink is nil — teed with the
-// monitor's timeline, so the flight recorder's post-mortem bundles carry
-// the same spans the live Perfetto export shows. Set once at process
-// startup by CLIs, like DefaultObserver.
-var DefaultSpanSink obs.SpanSink
+// Stack is one session's observability layers. Every run built with it
+// reports to the same layers, and nothing else does: sessions never share
+// a stack unless they pass the same one. The zero value observes nothing
+// and costs one branch per epoch. Every layer is strictly read-only:
+// simulation results are bit-identical with any of them on or off.
+type Stack struct {
+	// Observer receives structured epoch events for the measurement window
+	// (see package obs).
+	Observer obs.Observer
+	// Monitor wraps the run's observer chain with the run-health layer
+	// (time series, quantile sketches, alert rules, live HTTP views; see
+	// package obs/monitor) and streams controller phase spans into its
+	// timeline.
+	Monitor *monitor.Monitor
+	// Learn attaches the learning-introspection layer (see package
+	// obs/learn) to controllers that stream learning samples
+	// (ctrl.LearnStreamer): per-agent TD-error/churn/coverage telemetry,
+	// online convergence detection and optional policy snapshots.
+	// Controllers without learning stream nothing.
+	Learn *learn.Layer
+	// SpanSink additionally receives the controller's phase spans (teed
+	// with the monitor's timeline when both are present); the flight
+	// recorder's post-mortem ring attaches here.
+	SpanSink obs.SpanSink
+}
 
 // eventScratch holds the reusable per-sample aggregation buffers for one
 // run's epoch events, so sampling allocates nothing after the first epoch.

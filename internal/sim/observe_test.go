@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/learn"
+	"repro/internal/obs/monitor"
 )
 
 // quickOpts is a small, fast run shared by the observability tests.
@@ -191,16 +193,19 @@ func TestRunPhaseSplit(t *testing.T) {
 	}
 }
 
-// TestDefaultObserverFallback proves the package-level observer hook sees
-// runs whose Options carry no observer.
-func TestDefaultObserverFallback(t *testing.T) {
+// TestRunUsesStack proves every layer of Options.Stack sees the run: the
+// observer gets its records, the monitor and learn layer register the run,
+// and the extra span sink receives the controller's phase spans.
+func TestRunUsesStack(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(obs.NewWriterSink(&buf), obs.TracerOptions{Every: 50})
-	DefaultObserver = tracer
-	defer func() { DefaultObserver = nil }()
+	mon := monitor.New(monitor.Options{})
+	lrn := learn.New(learn.Options{})
+	spans := monitor.NewTimeline(64)
 
 	opts := quickOpts()
-	c, err := NewController("greedy", EnvFor64(t, opts))
+	opts.Stack = Stack{Observer: tracer, Monitor: mon, Learn: lrn, SpanSink: spans}
+	c, err := NewController("od-rl", EnvFor64(t, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +219,17 @@ func TestDefaultObserverFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) < 3 {
-		t.Fatalf("default observer saw %d records, want at least start+sample+end", len(recs))
+	if len(recs) < 3 || recs[0].Meta.Controller != "od-rl" {
+		t.Fatalf("observer saw %d records (first %+v), want start+sample+end of od-rl", len(recs), recs[0])
 	}
-	if recs[0].Meta.Controller != "greedy" {
-		t.Errorf("controller = %q, want greedy", recs[0].Meta.Controller)
+	if runs := mon.Runs(); len(runs) != 1 || runs[0].Epochs == 0 {
+		t.Fatalf("monitor saw %+v", runs)
+	}
+	if runs := lrn.Runs(); len(runs) != 1 || runs[0].Summarize(false).Epochs == 0 {
+		t.Fatalf("learn layer saw %d runs", len(runs))
+	}
+	if spans.Total() == 0 {
+		t.Fatal("span sink received no phase spans")
 	}
 }
 

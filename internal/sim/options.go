@@ -9,9 +9,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/obs"
-	"repro/internal/obs/learn"
-	"repro/internal/obs/monitor"
 	"repro/internal/variation"
 	"repro/internal/workload"
 )
@@ -72,29 +69,9 @@ type Options struct {
 	// uses big (wide, power-hungry) cores and the right half little
 	// (efficient) ones. Controllers are not told which is which.
 	BigLittle bool
-	// Observer, when set, receives structured epoch events for the
-	// measurement window (see package obs). Nil (the default) costs one
-	// branch per epoch. Falls back to DefaultObserver when nil.
-	Observer obs.Observer
-	// Monitor, when set, wraps the run's observer chain with the
-	// run-health layer (time series, quantile sketches, alert rules, live
-	// HTTP views; see package obs/monitor) and streams controller phase
-	// spans into its timeline. Monitoring is strictly read-only:
-	// simulation results are bit-identical with it on or off. Falls back
-	// to DefaultMonitor when nil.
-	Monitor *monitor.Monitor
-	// Learn, when set, attaches the learning-introspection layer (see
-	// package obs/learn) to controllers that stream learning samples
-	// (ctrl.LearnStreamer): per-agent TD-error/churn/coverage telemetry,
-	// online convergence detection and optional policy snapshots. Strictly
-	// read-only — results are bit-identical with it on or off. Falls back
-	// to DefaultLearn when nil; controllers without learning stream nothing.
-	Learn *learn.Layer
-	// SpanSink, when set, additionally receives the controller's phase
-	// spans (teed with the monitor's timeline when both are present) —
-	// the flight recorder's post-mortem ring attaches here. Falls back to
-	// DefaultSpanSink when nil.
-	SpanSink obs.SpanSink
+	// Stack is the observability the run reports to; the zero value
+	// observes nothing.
+	Stack
 	// Workers bounds the goroutines sharding the per-core simulation and
 	// control loops (the `-j` knob): 0 uses one worker per CPU, 1 forces
 	// fully sequential execution. Results are bit-identical for any

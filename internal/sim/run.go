@@ -211,19 +211,8 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	}
 
 	observer := opts.Observer
-	if observer == nil {
-		observer = DefaultObserver
-	}
-	mon := opts.Monitor
-	if mon == nil {
-		mon = DefaultMonitor
-	}
-	extraSink := opts.SpanSink
-	if extraSink == nil {
-		extraSink = DefaultSpanSink
-	}
 	var spanSink obs.SpanSink
-	if mon != nil {
+	if mon := opts.Monitor; mon != nil {
 		// The monitor wraps the chain so it sees every epoch while a
 		// chained tracer keeps its own stride; it also collects the
 		// controller's phase spans for the Perfetto timeline.
@@ -232,7 +221,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	}
 	// An extra sink (the flight recorder's post-mortem ring) tees with the
 	// monitor's timeline: one controller sink slot, both consumers.
-	spanSink = obs.TeeSpans(spanSink, extraSink)
+	spanSink = obs.TeeSpans(spanSink, opts.SpanSink)
 	if spanSink != nil {
 		if ss, ok := c.(ctrl.SpanStreamer); ok {
 			ss.SetSpanSink(spanSink)
@@ -266,16 +255,12 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	// stream learning samples. Everything here is read-only over the
 	// decision stream (the byte-identical golden tests pin that), so runs
 	// are unchanged with the layer on or off.
-	lrn := opts.Learn
-	if lrn == nil {
-		lrn = DefaultLearn
-	}
 	var (
 		runLearn  *learn.Run
 		learnObs  obs.LearnObserver
 		policySrc ctrl.PolicySnapshotter
 	)
-	if lrn != nil {
+	if lrn := opts.Learn; lrn != nil {
 		if ls, ok := c.(ctrl.LearnStreamer); ok {
 			lscratch := scratch
 			if lscratch == nil {
@@ -537,8 +522,8 @@ func RunAll(opts Options, names []string) ([]Result, error) {
 }
 
 // RunExperiment executes a config.Experiment: one run per controller on the
-// experiment's platform and scenario.
-func RunExperiment(exp config.Experiment) ([]Result, error) {
+// experiment's platform and scenario, each reporting to stack.
+func RunExperiment(exp config.Experiment, stack Stack) ([]Result, error) {
 	if err := exp.Validate(); err != nil {
 		return nil, err
 	}
@@ -552,6 +537,7 @@ func RunExperiment(exp config.Experiment) ([]Result, error) {
 	opts.Seed = exp.Seed
 	opts.SensorNoise = exp.SensorNoise
 	opts.ThermalOff = exp.ThermalOff
+	opts.Stack = stack
 	plat := exp.Platform
 	opts.Platform = &plat
 	for _, s := range exp.BudgetSchedule {

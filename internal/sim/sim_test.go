@@ -341,7 +341,7 @@ func TestRunExperiment(t *testing.T) {
 	exp.MeasureS = 0.05
 	exp.Controllers = []string{"pid", "static"}
 	exp.BudgetSchedule = []config.BudgetStep{{AtS: 0.03, BudgetW: 20}}
-	results, err := RunExperiment(exp)
+	results, err := RunExperiment(exp, Stack{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestRunExperiment(t *testing.T) {
 	}
 	bad := exp
 	bad.Cores = 0
-	if _, err := RunExperiment(bad); err == nil {
+	if _, err := RunExperiment(bad, Stack{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
