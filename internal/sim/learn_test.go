@@ -150,3 +150,22 @@ func TestLearnSnapshotArtifacts(t *testing.T) {
 		t.Fatalf("final snapshot at epoch %d, want %d", last.Epoch, warm+measure)
 	}
 }
+
+// TestDefaultLearnFallback mirrors the observer contract: a run with no
+// Stack.Learn falls back to no learn layer, so a layer attached to one run
+// never sees the next.
+func TestDefaultLearnFallback(t *testing.T) {
+	lrn := learn.New(learn.Options{})
+	opts := monitorTestOpts()
+	opts.MeasureS = 0.1
+	opts.Learn = lrn
+	introspected := stripWallClock(runWith(t, opts, "od-rl"))
+	opts.Learn = nil
+	plain := stripWallClock(runWith(t, opts, "od-rl"))
+	if runs := lrn.Runs(); len(runs) != 1 || runs[0].Summarize(false).Epochs == 0 {
+		t.Fatalf("learn layer saw %d runs, want only the one it was attached to", len(lrn.Runs()))
+	}
+	if !reflect.DeepEqual(introspected, plain) {
+		t.Fatal("run without a learn layer diverges from the introspected run")
+	}
+}

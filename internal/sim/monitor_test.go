@@ -177,3 +177,22 @@ func TestFaultedRunFiresAlerts(t *testing.T) {
 		t.Fatalf("summary missing fired rule %q:\n%s", h.Alerts[0].Rule, sum.String())
 	}
 }
+
+// TestDefaultMonitorFallback mirrors the observer contract: a run with no
+// Stack.Monitor falls back to no monitor, so a monitor attached to one run
+// never sees the next.
+func TestDefaultMonitorFallback(t *testing.T) {
+	mon := monitor.New(monitor.Options{})
+	opts := monitorTestOpts()
+	opts.MeasureS = 0.1
+	opts.Monitor = mon
+	monitored := stripWallClock(runWith(t, opts, "pid"))
+	opts.Monitor = nil
+	plain := stripWallClock(runWith(t, opts, "pid"))
+	if runs := mon.Runs(); len(runs) != 1 || runs[0].Meta.Controller != "pid" {
+		t.Fatalf("monitor saw %+v, want only the pid run it was attached to", mon.Runs())
+	}
+	if !reflect.DeepEqual(monitored, plain) {
+		t.Fatal("run without a monitor diverges from the monitored run")
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -230,6 +231,43 @@ func TestRunUsesStack(t *testing.T) {
 	}
 	if spans.Total() == 0 {
 		t.Fatal("span sink received no phase spans")
+	}
+}
+
+// TestDefaultObserverFallback pins what a run with no Stack.Observer falls
+// back to: nothing. An observer attached to one run must not see a later
+// run built from default Options, and that run's results must equal the
+// observed one's.
+func TestDefaultObserverFallback(t *testing.T) {
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(obs.NewWriterSink(&buf), obs.TracerOptions{Every: 50})
+	opts := monitorTestOpts()
+	opts.MeasureS = 0.1
+	opts.Observer = tracer
+	observed := stripWallClock(runWith(t, opts, "greedy"))
+	opts.Observer = nil
+	plain := stripWallClock(runWith(t, opts, "greedy"))
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := 0
+	for _, r := range recs {
+		if r.Type == "run_start" {
+			starts++
+			if r.Meta.Controller != "greedy" {
+				t.Errorf("controller = %q, want greedy", r.Meta.Controller)
+			}
+		}
+	}
+	if starts != 1 {
+		t.Fatalf("observer saw %d runs, want only the one it was attached to", starts)
+	}
+	if !reflect.DeepEqual(observed, plain) {
+		t.Fatal("run without an observer diverges from the observed run")
 	}
 }
 
