@@ -125,11 +125,11 @@ func BenchmarkChipEpoch64(b *testing.B) {
 	}
 }
 
-// buildKernelChip builds the chip shape the BENCH_step gate measures: a
-// preset-mix workload (one preset per core, round-robin) at the given
-// core count. raw strips sensor noise and the thermal loop, isolating the
-// epoch kernel itself from the irreducible per-core RNG draws and the
-// Euler integrator.
+// buildKernelChip builds the epoch-kernel benchmark chip: a preset-mix
+// workload (one preset per core, round-robin) at the given core count,
+// stepping sequentially. raw strips sensor noise and the thermal loop,
+// isolating the epoch kernel itself from the irreducible per-core RNG
+// draws and the Euler integrator.
 func buildKernelChip(b *testing.B, cores int, raw bool) *manycore.Chip {
 	b.Helper()
 	w, h, err := sim.GridFor(cores)
@@ -160,14 +160,13 @@ func buildKernelChip(b *testing.B, cores int, raw bool) *manycore.Chip {
 	return chip
 }
 
-// benchStepKernel is the single-thread epoch-throughput measurement
-// behind BENCH_step.json: the struct-of-arrays kernel vs the retained
-// pre-optimization reference. churn, when set, retargets one core in
-// eight per epoch so transition stalls and memo refills are represented
-// the way an exploring controller produces them; the steady variant
-// holds levels fixed and measures the kernel alone, which is the
-// throughput-gate case (phases still evolve underneath either way).
-func benchStepKernel(b *testing.B, cores int, raw, reference, churn bool) {
+// benchStepKernel measures single-thread epoch throughput of the
+// struct-of-arrays kernel. churn, when set, retargets one core in eight
+// per epoch so transition stalls and memo refills are represented the way
+// an exploring controller produces them; the steady variant holds levels
+// fixed and measures the kernel alone (phases still evolve underneath
+// either way).
+func benchStepKernel(b *testing.B, cores int, raw, churn bool) {
 	b.Helper()
 	chip := buildKernelChip(b, cores, raw)
 	defer chip.Close()
@@ -175,11 +174,7 @@ func benchStepKernel(b *testing.B, cores int, raw, reference, churn bool) {
 	var tel manycore.Telemetry
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reference {
-			chip.ReferenceStepInto(1e-3, &tel)
-		} else {
-			chip.StepInto(1e-3, &tel)
-		}
+		chip.StepInto(1e-3, &tel)
 		if churn {
 			for c := i % 8; c < cores; c += 8 {
 				chip.SetLevel(c, (chip.Level(c)+1)%levels)
@@ -188,20 +183,11 @@ func benchStepKernel(b *testing.B, cores int, raw, reference, churn bool) {
 	}
 }
 
-func BenchmarkStepKernel64(b *testing.B)     { benchStepKernel(b, 64, false, false, true) }
-func BenchmarkStepKernel256(b *testing.B)    { benchStepKernel(b, 256, false, false, true) }
-func BenchmarkStepKernel1024(b *testing.B)   { benchStepKernel(b, 1024, false, false, true) }
-func BenchmarkStepKernelRef256(b *testing.B) { benchStepKernel(b, 256, false, true, true) }
-func BenchmarkStepKernelRaw256(b *testing.B) { benchStepKernel(b, 256, true, false, true) }
-func BenchmarkStepKernelRawRef256(b *testing.B) {
-	benchStepKernel(b, 256, true, true, true)
-}
-func BenchmarkStepKernelRawSteady256(b *testing.B) {
-	benchStepKernel(b, 256, true, false, false)
-}
-func BenchmarkStepKernelRawRefSteady256(b *testing.B) {
-	benchStepKernel(b, 256, true, true, false)
-}
+func BenchmarkStepKernel64(b *testing.B)           { benchStepKernel(b, 64, false, true) }
+func BenchmarkStepKernel256(b *testing.B)          { benchStepKernel(b, 256, false, true) }
+func BenchmarkStepKernel1024(b *testing.B)         { benchStepKernel(b, 1024, false, true) }
+func BenchmarkStepKernelRaw256(b *testing.B)       { benchStepKernel(b, 256, true, true) }
+func BenchmarkStepKernelRawSteady256(b *testing.B) { benchStepKernel(b, 256, true, false) }
 
 // benchStepParallel measures chip stepping throughput at a core count and
 // worker count. Results are bit-identical across worker counts, so the

@@ -49,13 +49,13 @@ const (
 
 // benchFlags carries the non-observability flags into the dispatch body.
 type benchFlags struct {
-	experiment, cacheDir, faultSpec                        string
-	benchPar, benchMon, benchLearn, benchStep, benchFlight string
-	outDir, reportFile                                     string
-	quick                                                  bool
-	cores, workers                                         int
-	budget                                                 float64
-	seed                                                   uint64
+	experiment, cacheDir, faultSpec   string
+	benchMon, benchLearn, benchFlight string
+	outDir, reportFile                string
+	quick                             bool
+	cores, workers                    int
+	budget                            float64
+	seed                              uint64
 }
 
 // run is the whole CLI behind a testable seam. Exit code 2 means the
@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment  = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F10) or 'all'")
+		experiment  = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F19) or 'all'")
 		cacheDir    = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); only table runs are cached, never bench or report modes")
 		quick       = fs.Bool("quick", false, "shrink runs for a fast smoke pass")
 		cores       = fs.Int("cores", 0, "override platform core count")
@@ -72,10 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Uint64("seed", 0, "override random seed")
 		workers     = fs.Int("j", 0, "worker goroutines for run fan-out and chip sharding (0 = one per CPU, 1 = sequential); results are identical for any value")
 		faultSpec   = fs.String("fault-plan", "", "inject faults into every run: an intensity in [0,1] for the canonical plan, or a plan JSON file path (F18 sweeps its own plans)")
-		benchPar    = fs.String("bench-par", "", "measure sequential-vs-parallel wall clock and write a JSON report (e.g. BENCH_par.json) to this file, then exit")
 		benchMon    = fs.String("bench-monitor", "", "measure the run-health monitor's epoch-loop overhead, write a JSON report (e.g. BENCH_monitor.json) to this file, then exit non-zero if it exceeds its ceiling")
 		benchLearn  = fs.String("bench-learn", "", "measure learning introspection's epoch-loop overhead, write a JSON report (e.g. BENCH_learn.json) to this file, then exit non-zero if it exceeds its ceiling")
-		benchStep   = fs.String("bench-step", "", "measure single-thread epoch-kernel throughput (struct-of-arrays vs reference) and write a JSON report (e.g. BENCH_step.json) to this file, then exit non-zero if the speedup gate fails")
 		benchFlight = fs.String("bench-flight", "", "measure the flight recorder's epoch-loop overhead, write a JSON report (e.g. BENCH_flight.json) to this file, then exit non-zero if it exceeds its ceiling")
 		outDir      = fs.String("o", "", "also write one CSV per experiment into this directory")
 		reportFile  = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file and exit")
@@ -89,6 +87,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := obsFlags.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-bench:", err)
 		return 2
+	}
+	if *experiment != "all" {
+		if _, err := experiments.ByID(*experiment); err != nil {
+			fmt.Fprintln(stderr, "odrl-bench:", err)
+			return 2
+		}
 	}
 
 	if *cpuProfile != "" {
@@ -131,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	code, runErr := benchMain(stdout, stderr, sess, benchFlags{
 		experiment: *experiment, cacheDir: *cacheDir, faultSpec: *faultSpec,
-		benchPar: *benchPar, benchMon: *benchMon, benchLearn: *benchLearn,
-		benchStep: *benchStep, benchFlight: *benchFlight,
+		benchMon: *benchMon, benchLearn: *benchLearn, benchFlight: *benchFlight,
 		outDir: *outDir, reportFile: *reportFile, quick: *quick,
 		cores: *cores, workers: *workers, budget: *budget, seed: *seed,
 	})
@@ -172,50 +175,6 @@ func emitBench(lcli *ledger.CLI, path, kind string, rep benchReport, points []le
 // against itself.
 func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (int, error) {
 	lcli := sess.Ledger
-	if f.benchPar != "" {
-		rep, err := experiments.BenchPar(f.workers)
-		if err != nil {
-			return 1, err
-		}
-		var pts []ledger.BenchPoint
-		for _, c := range rep.Cases {
-			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "speedup", Value: c.Speedup})
-		}
-		if err := emitBench(lcli, f.benchPar, "par", rep, pts); err != nil {
-			return 1, err
-		}
-		for _, c := range rep.Cases {
-			fmt.Fprintf(stdout, "%-32s workers=%d  seq %.2fs  par %.2fs  speedup %.2fx\n",
-				c.Name, c.Workers, c.SequentialS, c.ParallelS, c.Speedup)
-		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchPar, rep.HostCPUs)
-		return 0, nil
-	}
-
-	if f.benchStep != "" {
-		rep, err := experiments.BenchStep(experiments.Config{Quick: f.quick})
-		if err != nil {
-			return 1, err
-		}
-		var pts []ledger.BenchPoint
-		for _, c := range rep.Cases {
-			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "speedup", Value: c.Speedup})
-		}
-		if err := emitBench(lcli, f.benchStep, "step", rep, pts); err != nil {
-			return 1, err
-		}
-		for _, c := range rep.Cases {
-			fmt.Fprintf(stdout, "%-24s cores=%-5d soa %10.0f ep/s  ref %9.0f ep/s  speedup %.2fx\n",
-				c.Name, c.Cores, c.EpochsPerSec, c.ReferenceEpochsPerSec, c.Speedup)
-		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchStep, rep.HostCPUs)
-		if !f.quick && !rep.Gate.Pass {
-			return 1, fmt.Errorf("throughput gate FAILED: %s speedup %.2fx < %.1fx",
-				rep.Gate.Case, rep.Gate.Speedup, rep.Gate.MinSpeedup)
-		}
-		return 0, nil
-	}
-
 	overheads := []struct {
 		layer, path string
 		max         float64
@@ -376,9 +335,6 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 			}
 		}
 		return 0, nil
-	}
-	if _, err := experiments.ByID(f.experiment); err != nil {
-		return 1, err
 	}
 	if err := runOne(f.experiment); err != nil {
 		return 1, err

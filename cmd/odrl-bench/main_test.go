@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,6 +18,19 @@ func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
 	code, _, stderr := runCLI("-experiment", "F7", "-quick", "-snapshot-every", "5", "-no-ledger")
 	if code != 2 || !strings.Contains(stderr, "-snapshot-every needs -artifacts") {
 		t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr)
+	}
+}
+
+// TestUnknownExperimentIsUsageError: an unknown -experiment ID is rejected
+// as malformed input before the session starts, so no run record is left.
+func TestUnknownExperimentIsUsageError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	code, _, stderr := runCLI("-experiment", "F99", "-ledger", dir)
+	if code != 2 || !strings.Contains(stderr, "unknown experiment") {
+		t.Fatalf("exit %d, want 2 with an unknown-experiment error\nstderr: %s", code, stderr)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected invocation touched the ledger directory (stat err %v)", err)
 	}
 }
 

@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		RNGDiscipline,
 		WallClock,
 		HotpathAlloc,
-		KernelParity,
 	}
 }
 

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -182,92 +180,8 @@ func TestHotpathAllocFixture(t *testing.T) {
 	checkWants(t, "testdata/hotpathalloc/src.go", res)
 }
 
-func fixtureKernelConfig(t *testing.T) KernelParityConfig {
-	t.Helper()
-	data, err := os.ReadFile("testdata/kernelparity/kern.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	return KernelParityConfig{
-		PkgPath:        "repro/fixture/kernels",
-		ReceiverType:   "Chip",
-		FastRoots:      []string{"Chip.Fast"},
-		RefRoots:       []string{"Chip.Ref"},
-		WatchedPkgPath: "repro/fixture/kernels",
-		WatchedType:    "LUT",
-		FastOnly:       map[string]bool{"audited": true},
-		RefOnly:        map[string]bool{},
-		RefFile:        "kern.go",
-		RefSHA256:      hex.EncodeToString(sum[:]),
-	}
-}
-
-func TestKernelParityFixture(t *testing.T) {
-	cfg := fixtureKernelConfig(t)
-	res := vetFixture(t, "testdata/kernelparity", cfg.PkgPath, []*Analyzer{NewKernelParity(cfg)})
-
-	// fastOnly and LUT.FastOnly are read by Fast alone; refOnly by Ref
-	// alone; audited is baselined; both/lut/LUT.Shared are shared.
-	wantFrags := []string{
-		"Chip field fastOnly is read by StepInto (fast kernel)",
-		"LUT member FastOnly is read by StepInto (fast kernel)",
-		"Chip field refOnly is read by ReferenceStepInto (reference kernel)",
-	}
-	if len(res.Diagnostics) != len(wantFrags) {
-		t.Fatalf("want %d diagnostics, got %d: %v", len(wantFrags), len(res.Diagnostics), res.Diagnostics)
-	}
-	for _, frag := range wantFrags {
-		found := false
-		for _, d := range res.Diagnostics {
-			if strings.Contains(d.Message, frag) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic contains %q; got %v", frag, res.Diagnostics)
-		}
-	}
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d.Message, "audited") || strings.Contains(d.Message, "field both") {
-			t.Errorf("baselined or shared member flagged: %v", d)
-		}
-	}
-}
-
-func TestKernelParityHashPin(t *testing.T) {
-	cfg := fixtureKernelConfig(t)
-	cfg.RefSHA256 = strings.Repeat("0", 64)
-	res := vetFixture(t, "testdata/kernelparity", cfg.PkgPath, []*Analyzer{NewKernelParity(cfg)})
-	found := false
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d.Message, "kern.go has been edited") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("stale pinned hash not reported: %v", res.Diagnostics)
-	}
-}
-
-func TestKernelParityMissingRefFile(t *testing.T) {
-	cfg := fixtureKernelConfig(t)
-	cfg.RefFile = "gone.go"
-	res := vetFixture(t, "testdata/kernelparity", cfg.PkgPath, []*Analyzer{NewKernelParity(cfg)})
-	found := false
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d.Message, "gone.go is missing") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing reference file not reported: %v", res.Diagnostics)
-	}
-}
-
 // TestRepoClean runs the full suite over the real module: the tree must
-// stay lint-clean, and the repo kernel-parity baseline must stay exact
-// (no stale entries hiding future drift is checked by TestBaselineExact).
+// stay lint-clean and every suppression must carry a reason.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check")
@@ -289,56 +203,6 @@ func TestRepoClean(t *testing.T) {
 	for _, a := range res.Allows {
 		if a.Reason == "" {
 			t.Errorf("ledger entry without reason: %+v", a)
-		}
-	}
-}
-
-// TestBaselineExact re-runs kernelparity with an empty baseline and checks
-// the one-sided set equals the audited FastOnly/RefOnly lists exactly —
-// a stale baseline entry would silently stop guarding that member.
-func TestBaselineExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-package type-check")
-	}
-	cfg := repoKernelParity
-	cfg.FastOnly = map[string]bool{}
-	cfg.RefOnly = map[string]bool{}
-	pkgs, err := testLoader().Load("./internal/manycore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Vet(pkgs, []*Analyzer{NewKernelParity(cfg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneSided := map[string]bool{}
-	memberRe := regexp.MustCompile(`Chip field (\S+) is|LUT member (\S+) is`)
-	for _, d := range res.Diagnostics {
-		m := memberRe.FindStringSubmatch(d.Message)
-		if m == nil {
-			t.Fatalf("unrecognised kernelparity diagnostic: %s", d)
-		}
-		if m[1] != "" {
-			oneSided[m[1]] = true
-		} else {
-			oneSided["lut:"+m[2]] = true
-		}
-	}
-	audited := map[string]bool{}
-	for k := range repoKernelParity.FastOnly {
-		audited[k] = true
-	}
-	for k := range repoKernelParity.RefOnly {
-		audited[k] = true
-	}
-	for k := range audited {
-		if !oneSided[k] {
-			t.Errorf("baseline entry %q is stale: no longer one-sided", k)
-		}
-	}
-	for k := range oneSided {
-		if !audited[k] {
-			t.Errorf("one-sided member %q missing from the audited baseline", k)
 		}
 	}
 }

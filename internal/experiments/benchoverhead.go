@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"time"
 
 	"repro/internal/obs/flight"
 	"repro/internal/obs/learn"
@@ -188,6 +189,21 @@ func overheadCase(name, controller string, opts sim.Options, attach func(*sim.Op
 		c.OffCPUS, c.OnCPUS, c.OverheadFrac = m.off, m.on, m.on/m.off-1
 	}
 	return c, nil
+}
+
+// timeRunBoth reports wall-clock and process-CPU seconds of one invocation
+// of fn; cpuS is zero when the platform cannot measure CPU time. The
+// overhead gates ratio CPU time where available because it is immune to the
+// scheduler noise that dominates wall clock on shared hosts.
+func timeRunBoth(fn func() error) (wallS, cpuS float64, err error) {
+	c0 := cpuSeconds()
+	start := time.Now() //odrl:allow wallclock bench harness measures host wall-clock by design
+	err = fn()
+	wallS = time.Since(start).Seconds() //odrl:allow wallclock bench harness measures host wall-clock by design
+	if c1 := cpuSeconds(); c1 > c0 {
+		cpuS = c1 - c0
+	}
+	return wallS, cpuS, err
 }
 
 // WriteJSON renders the report as indented JSON.

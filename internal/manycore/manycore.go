@@ -336,19 +336,16 @@ type Chip struct {
 	// phase change. phCache/phVer additionally cache the scaled (and
 	// heterogeneity-adjusted) Phase value itself per core, so a memo miss
 	// for a new level re-derives only the level-dependent physics, not
-	// the interface call and scale multiplies. Cached values are produced
+	// the interface call and core-type adjustment. Cached values are produced
 	// by the exact instruction sequence the reference kernel runs, so a
-	// hit replays identical bits. ReferenceStepInto advances sources
-	// without maintaining phaseVer and therefore sets memoPoisoned;
-	// StepInto then rebuilds.
-	phaseVer     []uint32
-	memoVer      []uint32
-	memoIPS      []float64
-	memoDyn      []float64
-	memoMemB     []float64
-	phCache      []workload.Phase
-	phVer        []uint32
-	memoPoisoned bool
+	// hit replays identical bits.
+	phaseVer []uint32
+	memoVer  []uint32
+	memoIPS  []float64
+	memoDyn  []float64
+	memoMemB []float64
+	phCache  []workload.Phase
+	phVer    []uint32
 	// islandsTrivial marks 1×1 islands (per-core DVFS), enabling the
 	// branch-light request-latch loop in resolveIslands.
 	islandsTrivial bool
@@ -638,12 +635,7 @@ func (c *Chip) stepWorkers() int {
 //odrl:hotpath
 func (c *Chip) scaledPhase(i int) workload.Phase {
 	if c.phVer[i] != c.phaseVer[i] {
-		var ph workload.Phase
-		if p := c.procSrcs[i]; p != nil {
-			ph = p.ScaledPhase()
-		} else {
-			ph = c.sources[i].Phase()
-		}
+		ph := c.sources[i].Phase()
 		if c.hetero {
 			ph.BaseCPI /= c.ipcMult[i]
 		}
@@ -910,16 +902,14 @@ func (c *Chip) Step(dt float64) Telemetry {
 // identical stream the inline draws consumed), per-core physics reads
 // level-indexed lookup tables and the phase memo instead of re-deriving
 // transcendentals, and parallel dispatch goes to the chip's persistent
-// shard workers. Results are bit-identical to ReferenceStepInto for every
-// worker count — the regression tests compare the two field by field.
+// shard workers. Results are bit-identical to the pre-optimization kernel
+// kept in reference_test.go for every worker count — the oracle tests
+// compare the two field by field.
 //
 //odrl:hotpath
 func (c *Chip) StepInto(dt float64, tel *Telemetry) {
 	if dt <= 0 {
 		panic(fmt.Sprintf("manycore: non-positive epoch %g", dt))
-	}
-	if c.memoPoisoned {
-		c.resetMemo()
 	}
 	c.resolveIslands()
 	n := c.NumCores()
@@ -993,21 +983,6 @@ func (c *Chip) StepInto(dt float64, tel *Telemetry) {
 	if c.telFilter != nil {
 		c.telFilter.FilterTelemetry(tel)
 	}
-}
-
-// resetMemo invalidates every phase-memo slot; called when the reference
-// kernel advanced sources without maintaining phase versions.
-func (c *Chip) resetMemo() {
-	for i := range c.memoVer {
-		c.memoVer[i] = 0
-	}
-	for i := range c.phVer {
-		c.phVer[i] = 0
-	}
-	for i := range c.phaseVer {
-		c.phaseVer[i] = 1
-	}
-	c.memoPoisoned = false
 }
 
 // Close releases the chip's persistent shard workers. It is safe to call

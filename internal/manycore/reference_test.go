@@ -1,12 +1,188 @@
 package manycore
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/variation"
 	"repro/internal/workload"
 )
+
+// referenceStepInto is the pre-optimization epoch kernel, kept as the
+// oracle the struct-of-arrays kernel is compared against: per-core
+// vf.Point calls, math.Pow leakage, per-epoch Phase() sampling, inline
+// sensor-noise draws on the sequential path and fork/join dispatch on the
+// parallel one. StepInto is bit-identical to it by construction (not the
+// other way around), which the tests below enforce. It maintains none of
+// the fast kernel's memo state, so a chip it steps must never be stepped
+// by StepInto.
+func referenceStepInto(c *Chip, dt float64, tel *Telemetry) {
+	if dt <= 0 {
+		panic(fmt.Sprintf("manycore: non-positive epoch %g", dt))
+	}
+	c.resolveIslands()
+	n := c.NumCores()
+	cores := tel.Cores
+	if cap(cores) < n {
+		cores = make([]CoreTelemetry, n)
+	}
+	*tel = Telemetry{EpochS: dt, Cores: cores[:n]}
+
+	if workers := c.stepWorkers(); workers > 1 {
+		if c.cfg.SensorNoise != 0 {
+			if c.noiseBuf == nil {
+				c.noiseBuf = make([]float64, 3*n)
+			}
+			for i := range c.noiseBuf {
+				c.noiseBuf[i] = c.noise.NormFloat64()
+			}
+			par.ForEachChunk(workers, n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					referenceStepCore(c, i, dt, tel, c.noiseBuf[3*i:3*i+3])
+				}
+			})
+		} else {
+			par.ForEachChunk(workers, n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					referenceStepCore(c, i, dt, tel, nil)
+				}
+			})
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			referenceStepCore(c, i, dt, tel, nil)
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		c.instrByCore[i] += c.instrDelta[i]
+		c.instrTotal += c.instrDelta[i]
+	}
+
+	truePower := c.cfg.Power.ChipW(c.corePowerW)
+	c.energyJ += truePower * dt
+	c.timeS += dt
+
+	if c.therm != nil {
+		c.therm.Step(c.corePowerW, dt)
+		c.temps = c.therm.Temps(c.temps)
+	}
+
+	tel.TimeS = c.timeS
+	tel.TruePowerW = truePower
+	tel.ChipPowerW = c.observed(truePower)
+	if c.telFilter != nil {
+		c.telFilter.FilterTelemetry(tel)
+	}
+}
+
+// referenceStepCore is the pre-optimization per-core epoch body: it walks
+// pointer-rich structs behind interfaces (vf.Point copy, Phase() call,
+// transcendental leakage) every epoch. noise, when non-nil, holds the
+// core's three pre-drawn standard-normal sensor variates in draw order
+// (IPS, power, memory-boundedness); nil draws them inline from the shared
+// chip stream, which is only legal on the sequential path.
+func referenceStepCore(c *Chip, i int, dt float64, tel *Telemetry, noise []float64) {
+	observe := func(k int, v float64) float64 {
+		if c.cfg.SensorNoise == 0 {
+			return v
+		}
+		var z float64
+		if noise != nil {
+			z = noise[k]
+		} else {
+			z = c.noise.NormFloat64()
+		}
+		o := v * (1 + c.cfg.SensorNoise*z)
+		if o < 0 {
+			o = 0
+		}
+		return o
+	}
+
+	if c.dead != nil && c.dead[i] {
+		// Powered-off core: retires nothing, burns nothing, workload
+		// frozen. The three observe calls still run (on zero, which they
+		// return unchanged) so the sensor-noise stream advances exactly as
+		// for a live core — dead cores must not shift the draws of their
+		// neighbours, or sequential and parallel stepping would diverge.
+		observe(0, 0)
+		observe(1, 0)
+		observe(2, 0)
+		c.corePowerW[i] = 0
+		c.instrDelta[i] = 0
+		tel.Cores[i] = CoreTelemetry{Dead: true}
+		return
+	}
+
+	ph := c.sources[i].Phase()
+	op := c.cfg.VF.Point(c.levels[i])
+	temp := c.temps[i]
+
+	stall := 0.0
+	if c.transitioned[i] {
+		stall = c.cfg.TransitionPenaltyS
+		if stall > dt {
+			stall = dt
+		}
+		c.transitioned[i] = false
+	}
+	active := dt - stall
+
+	// Process variation scales this core's achievable frequency
+	// (critical-path spread) and its two power components.
+	leakMult, dynMult, freqMult := 1.0, 1.0, 1.0
+	if v := c.cfg.Variation; v != nil {
+		leakMult, dynMult, freqMult = v.LeakMult[i], v.DynMult[i], v.FreqMult[i]
+	}
+	// Heterogeneous chips compose core-type multipliers on top:
+	// a big core retires more per cycle and burns more per switch.
+	if len(c.cfg.CoreTypes) > 0 {
+		ct := c.cfg.CoreTypes[c.cfg.TypeOf[i]]
+		ph.BaseCPI /= ct.IPCMult
+		dynMult *= ct.CeffMult
+		leakMult *= ct.LeakMult
+	}
+	freq := op.FreqHz * freqMult
+
+	ips := ph.IPSAt(freq)
+	instr := ips * active
+
+	// Power: full during the active window, leakage-only during the
+	// stall (clocks gated while the PLL relocks).
+	pDyn := c.cfg.Power.DynamicW(op.VoltageV, freq, ph.Activity) * dynMult
+	pLeak := c.cfg.Power.LeakageW(op.VoltageV, temp) * leakMult
+	pActive := pDyn + pLeak
+	pStall := pLeak
+	avgP := (pActive*active + pStall*stall) / dt
+	c.corePowerW[i] = avgP
+
+	// Work-coupled sources (barrier apps) progress by retired
+	// instructions, so a throttled core genuinely takes longer to
+	// reach its barrier.
+	var changed bool
+	if ws, ok := c.sources[i].(workload.WorkSource); ok {
+		changed = ws.AdvanceWork(dt, instr) > 0
+	} else {
+		changed = c.sources[i].Advance(dt) > 0
+	}
+
+	c.instrDelta[i] = instr
+
+	tel.Cores[i] = CoreTelemetry{
+		Level:          c.levels[i],
+		FreqHz:         freq,
+		VoltageV:       op.VoltageV,
+		IPS:            observe(0, instr/dt),
+		PowerW:         observe(1, avgP),
+		TempK:          temp,
+		MemBoundedness: clamp01(observe(2, ph.MemBoundednessAt(freq))),
+		Instructions:   instr,
+		PhaseChanged:   changed,
+	}
+}
 
 // buildHeteroChip builds a chip exercising every physics feature the
 // kernels touch: sensor noise, process variation, big.LITTLE core types,
@@ -57,7 +233,7 @@ func stepKernels(t *testing.T, fast, ref *Chip, epochs int) {
 	var ftel, rtel Telemetry
 	for e := 0; e < epochs; e++ {
 		fast.StepInto(1e-3, &ftel)
-		ref.ReferenceStepInto(1e-3, &rtel)
+		referenceStepInto(ref, 1e-3, &rtel)
 		if ftel.TimeS != rtel.TimeS || ftel.ChipPowerW != rtel.ChipPowerW || ftel.TruePowerW != rtel.TruePowerW {
 			t.Fatalf("epoch %d: chip telemetry diverged: fast {t=%v p=%v tp=%v} ref {t=%v p=%v tp=%v}",
 				e, ftel.TimeS, ftel.ChipPowerW, ftel.TruePowerW, rtel.TimeS, rtel.ChipPowerW, rtel.TruePowerW)
@@ -121,14 +297,26 @@ func TestReferenceKernelBitEqual(t *testing.T) {
 
 // TestReferenceKernelBitEqualHomogeneous covers the no-variation,
 // no-hetero, no-island fast paths (the default platform shape) plus the
-// noise-free configuration, where the kernels must also agree.
+// noise-free configuration, where the kernels must also agree. The raw
+// inputs (noise and thermal loop both off) isolate the kernel itself,
+// sequentially and sharded.
 func TestReferenceKernelBitEqualHomogeneous(t *testing.T) {
-	for _, noise := range []float64{0, 0.02} {
+	for _, tc := range []struct {
+		noise   float64
+		thermal bool
+		workers int
+	}{
+		{0, true, 4},
+		{0.02, true, 4},
+		{0, false, 1},
+		{0, false, 4},
+	} {
 		cfgMod := func(workers int) *Chip {
 			cfg := DefaultConfig()
 			cfg.Width, cfg.Height = 16, 16
 			cfg.Workers = workers
-			cfg.SensorNoise = noise
+			cfg.SensorNoise = tc.noise
+			cfg.ThermalEnabled = tc.thermal
 			base := rng.New(41)
 			sources := make([]workload.Source, 256)
 			names := workload.PresetNames()
@@ -145,7 +333,7 @@ func TestReferenceKernelBitEqualHomogeneous(t *testing.T) {
 			}
 			return chip
 		}
-		fast, ref := cfgMod(4), cfgMod(4)
+		fast, ref := cfgMod(tc.workers), cfgMod(tc.workers)
 		defer fast.Close()
 		defer ref.Close()
 		stepKernels(t, fast, ref, 60)
@@ -182,31 +370,4 @@ func TestReferenceKernelBitEqualBarrier(t *testing.T) {
 	defer fast.Close()
 	defer ref.Close()
 	stepKernels(t, fast, ref, 120)
-}
-
-// TestKernelSwitchRebuildsMemo: a chip driven through the reference kernel
-// mid-run must not serve stale memo entries when the fast kernel resumes —
-// ReferenceStepInto advances phases without maintaining versions, so it
-// poisons the memo.
-func TestKernelSwitchRebuildsMemo(t *testing.T) {
-	mixed := buildHeteroChip(t, 8, 8, 1, true)
-	pure := buildHeteroChip(t, 8, 8, 1, true)
-	defer mixed.Close()
-	defer pure.Close()
-	var mtel, ptel Telemetry
-	for e := 0; e < 90; e++ {
-		// Both kernels are bit-equal, so alternating them on one chip
-		// must match a pure fast-kernel chip exactly.
-		if e%3 == 2 {
-			mixed.ReferenceStepInto(1e-3, &mtel)
-		} else {
-			mixed.StepInto(1e-3, &mtel)
-		}
-		pure.StepInto(1e-3, &ptel)
-		for i := range ptel.Cores {
-			if mtel.Cores[i] != ptel.Cores[i] {
-				t.Fatalf("epoch %d core %d: mixed-kernel chip diverged:\nmixed %+v\npure  %+v", e, i, mtel.Cores[i], ptel.Cores[i])
-			}
-		}
-	}
 }

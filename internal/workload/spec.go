@@ -111,11 +111,10 @@ type Process struct {
 	r          *rng.RNG
 	current    int
 	remainingS float64
-	scale      float64
 	// scaled[i] is spec.Phases[i].Phase.Scale(scale), precomputed once at
 	// construction: the spec and scale are immutable for the process's
-	// lifetime, so Phase() can return the table entry — the identical
-	// bits the per-call Scale produced, minus the per-call multiplies.
+	// lifetime, so Phase() returns the table entry without per-call
+	// multiplies.
 	scaled []Phase
 }
 
@@ -133,7 +132,7 @@ func NewScaledProcess(spec Spec, r *rng.RNG, scale float64) (*Process, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("workload: non-positive scale %g", scale)
 	}
-	p := &Process{spec: spec, r: r, current: spec.Start, scale: scale}
+	p := &Process{spec: spec, r: r, current: spec.Start}
 	p.scaled = make([]Phase, len(spec.Phases))
 	for i := range spec.Phases {
 		p.scaled[i] = spec.Phases[i].Phase.Scale(scale)
@@ -153,16 +152,6 @@ func (p *Process) drawDuration(idx int) float64 {
 
 // Phase returns the active phase with the process's scale applied.
 func (p *Process) Phase() Phase {
-	return p.spec.Phases[p.current].Phase.Scale(p.scale)
-}
-
-// ScaledPhase is Phase through the precomputed table: identical bits
-// (the table entries are the same Scale(scale) results, computed once at
-// construction) without the per-call multiplies. Hot callers that have
-// already type-asserted to *Process use this; Phase stays the plain
-// recompute so the retained reference kernel keeps its pre-optimization
-// cost profile.
-func (p *Process) ScaledPhase() Phase {
 	return p.scaled[p.current]
 }
 
