@@ -39,10 +39,11 @@ build:
 	$(GO) build ./...
 
 # The benchmark harness (benchmark/) is a nested module that root
-# `go build/test ./...` skips; build and vet it so a change to the sim or
-# obs API it calls fails CI instead of the next benchmark run.
+# `go build/test ./...` skips; build, vet and test it so a change to the
+# sim or obs API it calls, or to what its fidelity and self-time tests
+# check, fails CI instead of the next benchmark run.
 bench-compile:
-	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test -race ./...
@@ -139,8 +140,9 @@ obs-smoke:
 	rm -rf .odrl-smoke
 
 # Compile-and-run smoke of the kernel benchmarks for CI: one iteration of
-# every struct-of-arrays StepKernel case, so the profiling harness can't
-# rot. Kernel throughput itself is measured by the repo benchmark
-# (benchmark/, workload kernel-1024).
+# every struct-of-arrays StepKernel case and of the Gaussian sampler, so
+# the profiling harness can't rot. Kernel throughput itself is measured by
+# the repo benchmark (benchmark/, workload kernel-1024).
 bench-step-smoke:
 	$(GO) test -run=- -bench='BenchmarkStepKernel' -benchtime=1x .
+	$(GO) test -run=- -bench='BenchmarkNormFloat64' -benchtime=1x ./internal/rng/

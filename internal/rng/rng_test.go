@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -88,39 +89,154 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
+// TestNormFloat64Moments is the sampler's statistical oracle. Over 1e6
+// draws for each of a few seeds it checks the Kolmogorov–Smirnov distance to
+// the analytic CDF (D < 1.95/√n, the 0.1% critical value); the mean,
+// variance, skewness and excess kurtosis, each within 5 standard errors; the
+// count beyond the base-strip edge zigR, which only the tail path produces,
+// within 5σ of n·erfc(zigR/√2); and the Uint64s consumed per variate, at
+// most 1.05, which pins the one-Uint64-per-try mechanism.
 func TestNormFloat64Moments(t *testing.T) {
-	r := New(11)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
+	const n = 1_000_000
+	for _, seed := range []uint64{11, 12, 13} {
+		r := New(seed)
+		shadow := *r
+		xs := make([]float64, n)
+		uses, tail := 0, 0
+		for i := range xs {
+			xs[i] = r.NormFloat64()
+			if math.Abs(xs[i]) > zigR {
+				tail++
+			}
+			// Step a copy of the generator until it catches up.
+			for k := 0; shadow != *r; k++ {
+				if k == 100 {
+					t.Fatalf("seed %d: draw %d took over 100 Uint64s", seed, i)
+				}
+				shadow.Uint64()
+				uses++
+			}
+		}
+
+		mean, m2, m3, m4 := centralMoments(xs)
+		skew, kurt := m3/math.Pow(m2, 1.5), m4/(m2*m2)-3
+		for _, c := range []struct {
+			name      string
+			got, want float64
+			se        float64
+		}{
+			{"mean", mean, 0, 1},
+			{"variance", m2, 1, math.Sqrt2},
+			{"skewness", skew, 0, math.Sqrt(6)},
+			{"excess kurtosis", kurt, 0, math.Sqrt(24)},
+		} {
+			if se := c.se / math.Sqrt(n); math.Abs(c.got-c.want) > 5*se {
+				t.Errorf("seed %d: %s = %.5f, want %v ± %.5f (5 SE)", seed, c.name, c.got, c.want, 5*se)
+			}
+		}
+
+		p := math.Erfc(zigR / math.Sqrt2)
+		if sd := math.Sqrt(n * p * (1 - p)); math.Abs(float64(tail)-n*p) > 5*sd {
+			t.Errorf("seed %d: %d draws beyond ±%v, want %.0f ± %.0f (5σ)", seed, tail, zigR, n*p, 5*sd)
+		}
+		if d := ksDistance(xs, func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }); d >= 1.95/math.Sqrt(n) {
+			t.Errorf("seed %d: KS distance to the normal CDF %.5f ≥ %.5f", seed, d, 1.95/math.Sqrt(n))
+		}
+		if per := float64(uses) / n; per > 1.05 {
+			t.Errorf("seed %d: %.4f Uint64s per NormFloat64, want ≤ 1.05", seed, per)
+		}
 	}
 }
 
+// centralMoments returns the mean and the second to fourth central moments
+// of xs.
+func centralMoments(xs []float64) (mean, m2, m3, m4 float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		d := x - mean
+		m2 += d * d
+		m3 += d * d * d
+		m4 += d * d * d * d
+	}
+	n := float64(len(xs))
+	return mean, m2 / n, m3 / n, m4 / n
+}
+
+// ksDistance returns the Kolmogorov–Smirnov distance between the empirical
+// distribution of xs, which it sorts, and cdf.
+func ksDistance(xs []float64, cdf func(float64) float64) float64 {
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	d := 0.0
+	for i, x := range xs {
+		f := cdf(x)
+		d = math.Max(d, math.Max(f-float64(i)/n, float64(i+1)/n-f))
+	}
+	return d
+}
+
+// TestZigguratTables recomputes the literal layer tables from the
+// Marsaglia–Tsang recurrence and requires every entry within 4 ulps (zigK
+// within 4 units), so a mistyped entry or a zigR/zigV pair that does not
+// close the top layer fails here rather than as a slightly wrong normal.
+func TestZigguratTables(t *testing.T) {
+	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
+	const scale = 1 << 53
+	// x[i] is layer i's right edge; x[0] = 0 is the top of the curve.
+	x := make([]float64, len(zigK))
+	x[len(x)-1] = zigR
+	for i := len(x) - 2; i >= 1; i-- {
+		x[i] = math.Sqrt(-2 * math.Log(zigV/x[i+1]+f(x[i+1])))
+	}
+	if top := zigV/x[1] + f(x[1]); math.Abs(top-1) > 1e-9 {
+		t.Fatalf("recurrence does not close the top layer: f(x_0) = %.12f, want 1", top)
+	}
+	ulps := func(a, b float64) int64 { return int64(math.Float64bits(a) - math.Float64bits(b)) }
+	near := func(d int64) bool { return -4 <= d && d <= 4 }
+	for i := range x {
+		// Layer 0 is the base strip with its tail folded in; its inner
+		// edge is zigR.
+		width, inner := zigV/f(zigR), zigR
+		if i > 0 {
+			width, inner = x[i], x[i-1]
+		}
+		if k := uint64(inner / width * scale); !near(int64(zigK[i] - k)) {
+			t.Errorf("zigK[%d] = %#x, recurrence gives %#x", i, zigK[i], k)
+		}
+		if !near(ulps(zigW[i], width/scale)) {
+			t.Errorf("zigW[%d] = %v, recurrence gives %v", i, zigW[i], width/scale)
+		}
+		if !near(ulps(zigF[i], f(x[i]))) {
+			t.Errorf("zigF[%d] = %v, recurrence gives %v", i, zigF[i], f(x[i]))
+		}
+	}
+}
+
+// TestExpFloat64Mean checks ExpFloat64's mean and, by the same
+// Kolmogorov–Smirnov bound as the normal sampler, its distribution against
+// the analytic CDF 1−e^(−x).
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(13)
-	const n = 200000
+	const n = 1_000_000
+	xs := make([]float64, n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		v := r.ExpFloat64()
 		if v < 0 {
 			t.Fatalf("ExpFloat64 returned negative value %v", v)
 		}
+		xs[i] = v
 		sum += v
 	}
 	mean := sum / n
 	if math.Abs(mean-1) > 0.03 {
 		t.Fatalf("exponential mean = %v, want ~1", mean)
+	}
+	if d := ksDistance(xs, func(x float64) float64 { return -math.Expm1(-x) }); d >= 1.95/math.Sqrt(n) {
+		t.Fatalf("KS distance to the exponential CDF %.5f ≥ %.5f", d, 1.95/math.Sqrt(n))
 	}
 }
 
@@ -221,5 +337,15 @@ func BenchmarkFloat64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Float64()
+	}
+}
+
+// normSink keeps BenchmarkNormFloat64's draws live.
+var normSink float64
+
+func BenchmarkNormFloat64(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		normSink += r.NormFloat64()
 	}
 }

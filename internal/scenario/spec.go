@@ -32,10 +32,11 @@ import (
 
 // EngineVersion stamps every canonical-spec hash. Bump it whenever engine
 // semantics change in a way that invalidates cached tables (new columns,
-// different run assembly, changed defaults): old cache entries then miss
-// instead of replaying stale results. The run ledger records it alongside
-// each spec hash, so old run records state which engine produced them.
-const EngineVersion = "odrl-scenario-v1"
+// different run assembly, changed defaults, any change to a random stream):
+// old cache entries then miss instead of replaying stale results. The run
+// ledger records it alongside each spec hash, so old run records state
+// which engine produced them. v2: NormFloat64 became a ziggurat.
+const EngineVersion = "odrl-scenario-v2"
 
 // BudgetStep re-caps the chip mid-run (mirrors sim.BudgetStep).
 type BudgetStep struct {
