@@ -117,3 +117,27 @@ func TestGoldenF5(t *testing.T) {
 		"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup")
 	checkGolden(t, "f5", tbl)
 }
+
+// TestGoldenF14 pins the barrier table: every core runs a shared-state
+// BarrierApp lane, so it covers the kernel's WorkSource path (work-coupled
+// advance, barrier release, the lane phase memo) that F1–F5's independent
+// Markov sources never reach.
+func TestGoldenF14(t *testing.T) {
+	tbl, err := F14Barrier(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "f14", tbl)
+}
+
+// TestGoldenF18 pins the fault-intensity table: stuck sensors, telemetry
+// blackouts, dropped and clamped actuation, dead cores and cap transients,
+// with the OD-RL stale-telemetry watchdog armed — the fault path, including
+// dead-core retirement and agents held out of lockstep by the watchdog.
+func TestGoldenF18(t *testing.T) {
+	tbl, err := F18FaultIntensity(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "f18", tbl)
+}
