@@ -61,6 +61,28 @@ func TestZero(t *testing.T) {
 	}
 }
 
+// TestPlanID: the plan identity the run ledger keys on is empty exactly
+// for plans that inject nothing, stable for equal plans, and distinct for
+// any field change, the fault seed included.
+func TestPlanID(t *testing.T) {
+	if id := (Plan{}).ID(); id != "" {
+		t.Fatalf("zero plan ID = %q, want empty", id)
+	}
+	if id := Scaled(0).ID(); id != "" {
+		t.Fatalf("Scaled(0) ID = %q, want empty", id)
+	}
+	half, full := Scaled(0.5), Scaled(1)
+	if half.ID() == "" || half.ID() != Scaled(0.5).ID() {
+		t.Fatalf("Scaled(0.5) ID unstable or empty: %q", half.ID())
+	}
+	seeded := half
+	seeded.Seed = 9
+	ids := map[string]bool{half.ID(): true, full.ID(): true, seeded.ID(): true}
+	if len(ids) != 3 {
+		t.Fatalf("distinct plans share an ID: %v", ids)
+	}
+}
+
 func TestParseSpec(t *testing.T) {
 	if p, err := ParseSpec(""); err != nil || p != nil {
 		t.Fatalf("empty spec: got %v, %v", p, err)

@@ -162,6 +162,7 @@ func (c *CLI) onRunEnd(_ int, s flight.Summary) {
 		Seed:       s.Meta.Seed,
 		Cores:      s.Meta.Cores,
 		BudgetW:    s.Meta.BudgetW,
+		FaultPlan:  s.Meta.FaultPlan,
 		Epochs:     s.Epochs,
 		Alerts:     s.Alerts,
 		Faults:     s.Faults,

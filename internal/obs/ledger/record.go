@@ -57,6 +57,9 @@ type RunSummary struct {
 	Seed       uint64  `json:"seed,omitempty"`
 	Cores      int     `json:"cores,omitempty"`
 	BudgetW    float64 `json:"budget_w,omitempty"`
+	// FaultPlan is the run's fault-plan identity (fault.Plan.ID); empty
+	// for a fault-free run.
+	FaultPlan string `json:"fault_plan,omitempty"`
 	// Epochs is the observed measurement-epoch count.
 	Epochs int `json:"epochs"`
 	// Alerts and Faults count fired run-health alerts and injected faults.
@@ -67,9 +70,18 @@ type RunSummary struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Key identifies the run within its record for cross-record matching.
+// Key identifies the run within its record for cross-record matching:
+// controller|workload|seed|cores|budget, plus |plan for a faulted run.
+// Budget and plan separate the runs of a budget sweep (F7) or a fault
+// intensity sweep (F18), which share everything else. A fault-free run's
+// key has no plan part, so it still matches records written before the
+// plan was recorded.
 func (s RunSummary) Key() string {
-	return fmt.Sprintf("%s|%s|%d|%d", s.Controller, s.Workload, s.Seed, s.Cores)
+	k := fmt.Sprintf("%s|%s|%d|%d|%g", s.Controller, s.Workload, s.Seed, s.Cores, s.BudgetW)
+	if s.FaultPlan != "" {
+		k += "|" + s.FaultPlan
+	}
+	return k
 }
 
 // BenchPoint is one benchmark-gate number (BENCH_*.json flattened), so the

@@ -17,6 +17,9 @@ type RunMeta struct {
 	BudgetW    float64 `json:"budget_w,omitempty"`
 	EpochS     float64 `json:"epoch_s,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
+	// FaultPlan is the run's fault-plan identity (fault.Plan.ID); empty
+	// for a fault-free run.
+	FaultPlan string `json:"fault_plan,omitempty"`
 }
 
 // EpochEvent is one sampled measurement epoch. Epoch counts from zero at
