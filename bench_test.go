@@ -170,6 +170,13 @@ func benchStepKernel(b *testing.B, cores int, raw, churn bool) {
 	b.Helper()
 	chip := buildKernelChip(b, cores, raw)
 	defer chip.Close()
+	stepChip(b, chip, churn)
+}
+
+// stepChip is the timed loop of the StepKernel benchmarks.
+func stepChip(b *testing.B, chip *manycore.Chip, churn bool) {
+	b.Helper()
+	cores := chip.NumCores()
 	levels := chip.Config().VF.Levels()
 	var tel manycore.Telemetry
 	b.ResetTimer()
@@ -188,6 +195,41 @@ func BenchmarkStepKernel256(b *testing.B)          { benchStepKernel(b, 256, fal
 func BenchmarkStepKernel1024(b *testing.B)         { benchStepKernel(b, 1024, false, true) }
 func BenchmarkStepKernelRaw256(b *testing.B)       { benchStepKernel(b, 256, true, true) }
 func BenchmarkStepKernelRawSteady256(b *testing.B) { benchStepKernel(b, 256, true, false) }
+
+// BenchmarkStepKernelBarrier256 measures the shared-state lane path: 256
+// lanes of one barrier app (the sim "barrier" workload) under level churn,
+// with one core failed before the timed loop. Its lane never arrives, so
+// the barrier stalls and the other lanes settle into waiting: the shape a
+// dead core leaves behind in the benchmark's barrier-256-faults workload.
+func BenchmarkStepKernelBarrier256(b *testing.B) {
+	const cores = 256
+	w, h, err := sim.GridFor(cores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := manycore.DefaultConfig()
+	cfg.Width, cfg.Height = w, h
+	cfg.Workers = 1
+	work := workload.Phase{
+		Class: workload.Compute, BaseCPI: 0.85, MPKI: 2.0,
+		MemLatencyNs: 75, Activity: 0.9,
+	}
+	app, err := workload.NewBarrierApp(cores, work, 30e6, 0.2, rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sources := make([]workload.Source, cores)
+	for i := range sources {
+		sources[i] = app.Lane(i)
+	}
+	chip, err := manycore.New(cfg, sources, rng.New(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer chip.Close()
+	chip.FailCore(cores / 2)
+	stepChip(b, chip, true)
+}
 
 // benchStepParallel measures chip stepping throughput at a core count and
 // worker count. Results are bit-identical across worker counts, so the

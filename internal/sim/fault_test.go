@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs/monitor"
 )
 
 // faultOpts returns short options with the canonical fault plan armed.
@@ -92,6 +93,33 @@ func TestFaultPlanChangesRun(t *testing.T) {
 	_, faulted := runFingerprint(t, faultOpts(1), "od-rl")
 	if reflect.DeepEqual(clean, faulted) {
 		t.Fatal("canonical plan at intensity 1 left the run untouched")
+	}
+}
+
+// TestFaultRunMetaNamesPlan: an observed run's metadata carries the fault
+// plan's identity, which the run ledger keys on, and a run with no plan or
+// a zero plan carries none, so its ledger key matches older records.
+func TestFaultRunMetaNamesPlan(t *testing.T) {
+	half := fault.Scaled(0.5)
+	for _, tc := range []struct {
+		plan *fault.Plan
+		want string
+	}{
+		{nil, ""},
+		{&fault.Plan{}, ""},
+		{&half, half.ID()},
+	} {
+		opts := faultOpts(0)
+		opts.FaultPlan = tc.plan
+		mon := monitor.New(monitor.Options{})
+		opts.Monitor = mon
+		runFingerprint(t, opts, "pid")
+		if got := mon.Runs()[0].Meta.FaultPlan; got != tc.want {
+			t.Fatalf("plan %+v: run meta names plan %q, want %q", tc.plan, got, tc.want)
+		}
+	}
+	if half.ID() == "" {
+		t.Fatal("a faulted plan has an empty ID")
 	}
 }
 

@@ -144,3 +144,75 @@ func TestBarrierAdvanceWorkPanicsOnNegative(t *testing.T) {
 	}()
 	app.Lane(0).AdvanceWork(-1, 0)
 }
+
+// TestBarrierReleaseMatchesScan drives random AdvanceWork sequences and
+// checks the arrival counter against a full scan of the lanes' waiting
+// flags: a call releases the barrier exactly when every other lane was
+// waiting and the advanced lane arrives, and the counter always equals
+// the number of waiting lanes. One lane stops being advanced at a random
+// step, standing in for a dead core: from then on the barrier can release
+// at most once more (if the lane died waiting) and then stalls for good.
+func TestBarrierReleaseMatchesScan(t *testing.T) {
+	r := rng.New(17)
+	releasingTrials := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(11)
+		app, err := NewBarrierApp(n, workPhase(), 1000, 0.3, rng.New(uint64(trial+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, dieAt := r.Intn(n), r.Intn(800)
+		releases, afterDeath := 0, 0
+		for step := 0; step < 1000; step++ {
+			i := r.Intn(n)
+			if i == dead && step >= dieAt {
+				continue
+			}
+			l := app.lanes[i]
+			instr := 600 * r.Float64()
+			othersWaiting := true
+			for j, o := range app.lanes {
+				if j != i && !o.waiting {
+					othersWaiting = false
+					break
+				}
+			}
+			arrives := l.waiting || l.remaining-instr <= 0
+			before := app.Supersteps()
+			app.Lane(i).AdvanceWork(1e-3, instr)
+
+			released := app.Supersteps() - before
+			if want := othersWaiting && arrives; released != 0 && !want || released != 1 && want {
+				t.Fatalf("trial %d step %d lane %d: released %d, scan says release=%v",
+					trial, step, i, released, want)
+			}
+			releases += released
+			if step >= dieAt {
+				afterDeath += released
+			}
+			waiting := 0
+			for _, o := range app.lanes {
+				if o.waiting {
+					waiting++
+				} else if released == 1 && o.remaining != o.quota {
+					t.Fatalf("trial %d step %d: released lane not reset to its quota", trial, step)
+				}
+			}
+			if waiting != app.arrived {
+				t.Fatalf("trial %d step %d: %d lanes waiting, arrival count %d", trial, step, waiting, app.arrived)
+			}
+		}
+		if app.Supersteps() != releases {
+			t.Fatalf("trial %d: Supersteps() = %d, scan counted %d releases", trial, app.Supersteps(), releases)
+		}
+		if afterDeath > 1 {
+			t.Fatalf("trial %d: %d releases after lane %d died", trial, afterDeath, dead)
+		}
+		if releases > 0 {
+			releasingTrials++
+		}
+	}
+	if releasingTrials < 150 {
+		t.Fatalf("only %d of 200 trials released the barrier; the sequences exercise too little", releasingTrials)
+	}
+}
