@@ -58,10 +58,11 @@ test-determinism:
 # Scenario contract gate: the spec-parity harness (engine tables from
 # checked-in JSON specs byte-identical to the experiments goldens at -j1
 # and -j4), the cache properties (hit-is-byte-identical, one-field
-# mutations change the hash, failures never memoised) and the odrl-run
-# CLI surface.
+# mutations change the hash, failures never memoised) and every CLI path
+# that reaches the engine: odrl-run's specs and sweeps, odrl-bench's
+# table and report modes, and odrl's -write-spec round trip.
 test-scenarios:
-	$(GO) test -count=1 ./internal/scenario/ ./cmd/odrl-run/
+	$(GO) test -count=1 ./internal/scenario/ ./cmd/odrl-run/ ./cmd/odrl-bench/ ./cmd/odrl/
 
 # Race hammer on the monitor's time-series store: concurrent HTTP-style
 # readers snapshotting while the epoch loop appends and decimates.

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		experiment  = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F19) or 'all'")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); only table runs are cached, never bench or report modes")
+		cacheDir    = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); experiment tables are cached in table and report modes, bench modes never")
 		quick       = fs.Bool("quick", false, "shrink runs for a fast smoke pass")
 		cores       = fs.Int("cores", 0, "override platform core count")
 		budget      = fs.Float64("budget", 0, "override chip budget (W)")
@@ -224,49 +224,37 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		}
 	}
 
-	cfg := experiments.Default()
-	cfg.Quick = f.quick
-	cfg.Workers = f.workers
 	plan, err := fault.ParseSpec(f.faultSpec)
 	if err != nil {
 		return 1, err
 	}
-	cfg.FaultPlan = plan
-	cfg.Stack = sess.Stack
-	if f.cores > 0 {
-		cfg.Cores = f.cores
-	}
-	if f.budget > 0 {
-		cfg.BudgetW = f.budget
-	}
-	if f.seed > 0 {
-		cfg.Seed = f.seed
-	}
 
+	// Table and report runs go through the scenario engine: each
+	// experiment's checked-in spec, with the CLI flags folded in as spec
+	// overrides, so odrl-bench and odrl-run share one execution path and one
+	// cache. Tables print to stdout, or to the report file as markdown after
+	// its header and claim verdicts.
+	out, render := stdout, func(t experiments.Table, w io.Writer) error {
+		_, err := t.WriteTo(w)
+		return err
+	}
+	var report *os.File
 	if f.reportFile != "" {
-		rf, err := os.Create(f.reportFile)
-		if err != nil {
+		if report, err = os.Create(f.reportFile); err != nil {
 			return 1, err
 		}
-		ropts := experiments.ReportOptions{Config: cfg}
-		if f.experiment != "all" {
-			ropts.IDs = []string{f.experiment}
+		defer report.Close()
+		// The claims are measured at the axes the spec overrides below set;
+		// zero fields take the experiments' defaults.
+		cfg := experiments.Config{
+			Cores: f.cores, BudgetW: f.budget, Seed: f.seed,
+			Quick: f.quick, Workers: f.workers, FaultPlan: plan, Stack: sess.Stack,
 		}
-		ropts.Elapsed = func(id string, d time.Duration) {
-			fmt.Fprintf(stdout, "(%s finished in %.1fs)\n", id, d.Seconds())
+		if err := experiments.WriteReportHead(report, cfg); err != nil {
+			return 1, fmt.Errorf("report: %w", err)
 		}
-		werr := experiments.WriteReport(rf, ropts)
-		cerr := rf.Close()
-		if werr != nil || cerr != nil {
-			return 1, fmt.Errorf("report: %v %v", werr, cerr)
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", f.reportFile)
-		return 0, nil
+		out, render = report, experiments.Table.WriteMarkdown
 	}
-
-	// Table runs go through the scenario engine: each experiment's
-	// checked-in spec, with the CLI flags folded in as spec overrides, so
-	// odrl-bench and odrl-run share one execution path and one cache.
 	engine := &scenario.Engine{Stack: sess.Stack}
 	if f.cacheDir != "" {
 		cache, err := scenario.NewCache(f.cacheDir)
@@ -309,7 +297,7 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		if info.CacheHit {
 			fmt.Fprintf(stderr, "odrl-bench: %s: cache hit %s\n", id, info.Hash)
 		}
-		if _, err := tbl.WriteTo(stdout); err != nil {
+		if err := render(tbl, out); err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		if f.outDir != "" {
@@ -328,16 +316,23 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		return nil
 	}
 
+	ids := []string{f.experiment}
 	if f.experiment == "all" {
+		ids = ids[:0]
 		for _, e := range experiments.All() {
-			if err := runOne(e.ID); err != nil {
-				return 1, err
-			}
+			ids = append(ids, e.ID)
 		}
-		return 0, nil
 	}
-	if err := runOne(f.experiment); err != nil {
-		return 1, err
+	for _, id := range ids {
+		if err := runOne(id); err != nil {
+			return 1, err
+		}
+	}
+	if report != nil {
+		if err := report.Close(); err != nil {
+			return 1, fmt.Errorf("report: %w", err)
+		}
+		fmt.Fprintf(stdout, "report written to %s\n", f.reportFile)
 	}
 	return 0, nil
 }

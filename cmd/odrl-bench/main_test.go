@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/ledger"
+	"repro/internal/scenario"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -45,5 +48,57 @@ func TestSummariesReachInjectedStderr(t *testing.T) {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)
 		}
+	}
+}
+
+// TestReportThroughEngine: -report renders the header, the claim verdicts
+// and each experiment's engine table as markdown, and the ledger record
+// carries the table's spec hash like a table-mode run.
+func TestReportThroughEngine(t *testing.T) {
+	dir := t.TempDir()
+	reportPath, ldir := filepath.Join(dir, "report.md"), filepath.Join(dir, "ledger")
+	code, stdout, stderr := runCLI("-quick", "-experiment", "T1", "-report", reportPath, "-ledger", ldir)
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	b, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(b)
+
+	spec, err := scenario.Builtin("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Quick = true
+	tbl, info, err := (&scenario.Engine{}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var t1 strings.Builder
+	if err := tbl.WriteMarkdown(&t1); err != nil {
+		t.Fatal(err)
+	}
+	head := "# OD-RL reproduction report\n\nConfiguration: 16 cores, 55 W budget, seed 1 (quick mode).\n\n" +
+		"## Claim verification\n\n| claim | paper | measured | verdict |\n| --- | --- | --- | --- |\n"
+	if !strings.HasPrefix(report, head) {
+		t.Errorf("report does not open with the header and claim table:\n%s", report)
+	}
+	for _, claim := range []string{"C1", "C2", "C3", "C4"} {
+		if !strings.Contains(report, "\n| "+claim+" | ") {
+			t.Errorf("report has no %s verdict row", claim)
+		}
+	}
+	if !strings.HasSuffix(report, "## Experiments\n\n"+t1.String()) {
+		t.Errorf("report does not end with the engine's T1 table:\n%s", report)
+	}
+
+	recs, errs := ledger.Read(ldir)
+	if len(errs) > 0 || len(recs) != 1 {
+		t.Fatalf("records=%d errs=%v", len(recs), errs)
+	}
+	if sc := recs[0].Scenarios; len(sc) != 1 || sc[0].Experiment != "T1" || sc[0].SpecHash != info.Hash {
+		t.Errorf("ledger scenarios %+v, want T1 with spec hash %s", sc, info.Hash)
 	}
 }

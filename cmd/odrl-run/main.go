@@ -11,6 +11,11 @@
 //	odrl-run -dry-run spec.json        # print canonical spec + hash, no runs
 //	odrl-run -cache .odrl-cache spec.json
 //	odrl-run -list                     # list checked-in specs
+//
+// A parameter sweep is a spec with a "sweep" axis (see
+// examples/specs/budget-sweep.json). The shared observability flags
+// (-monitor, -learn, -trace-events, -debug-addr, -artifacts, -ledger, …)
+// attach to every run the engine executes.
 package main
 
 import (
@@ -19,9 +24,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/obs/ledger"
+	"repro/internal/obs/session"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -39,18 +43,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	var (
-		builtin   = fs.String("builtin", "", "run the checked-in spec for an experiment ID (T1, T2, F1..F19) instead of a file")
-		list      = fs.Bool("list", false, "list the checked-in experiment specs and exit")
-		dryRun    = fs.Bool("dry-run", false, "validate, print the canonical spec and its content hash, and exit without running")
-		cacheDir  = fs.String("cache", "", "content-addressed result cache directory: identical specs re-use stored tables ('' = no cache)")
-		csvOut    = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		outFile   = fs.String("o", "", "write the table to this file instead of stdout")
-		quick     = fs.Bool("quick", false, "shrink runs for a fast smoke pass (overrides the spec's quick field)")
-		workers   = fs.Int("j", -1, "override the spec's worker count (0 = one per CPU, 1 = sequential); results and cache keys are identical for any value")
-		ledgerDir = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger  = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
+		builtin  = fs.String("builtin", "", "run the checked-in spec for an experiment ID (T1, T2, F1..F19) instead of a file")
+		list     = fs.Bool("list", false, "list the checked-in experiment specs and exit")
+		dryRun   = fs.Bool("dry-run", false, "validate, print the canonical spec and its content hash, and exit without running")
+		cacheDir = fs.String("cache", "", "content-addressed result cache directory: identical specs re-use stored tables ('' = no cache)")
+		csvOut   = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		outFile  = fs.String("o", "", "write the table to this file instead of stdout")
+		quick    = fs.Bool("quick", false, "shrink runs for a fast smoke pass (overrides the spec's quick field)")
+		workers  = fs.Int("j", -1, "override the spec's worker count (0 = one per CPU, 1 = sequential); results and cache keys are identical for any value")
 	)
+	obsFlags := session.Register(fs, 10)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := obsFlags.Validate(); err != nil {
+		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 2
 	}
 
@@ -146,13 +153,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// The ledger session starts only once a real execution begins (usage
-	// errors, -list and -dry-run leave no run record) and closes on every
-	// path through Finish, so failed runs are recorded as failed.
-	lcli := ledger.StartCLI("odrl-run", args, ledger.ResolveDir(*ledgerDir), *noLedger)
+	// The observability session starts only once a real execution begins
+	// (usage errors, -list and -dry-run leave no run record) and its ledger
+	// closes on every path through Finish, so failed runs are recorded as
+	// failed.
+	sess, err := obsFlags.Start("odrl-run", args, stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "odrl-run:", err)
+		return 1
+	}
 	runErr := func() error {
-		// The flight recorder observes every run the engine executes.
-		engine := &scenario.Engine{Stack: sim.Stack{Observer: lcli.WrapObserver(nil), SpanSink: lcli.SpanSink()}}
+		engine := &scenario.Engine{Stack: sess.Stack}
 		if *cacheDir != "" {
 			cache, err := scenario.NewCache(*cacheDir)
 			if err != nil {
@@ -164,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		lcli.RecordScenario(spec.Experiment, info.Hash, scenario.EngineVersion, info.CacheHit)
+		sess.Ledger.RecordScenario(spec.Experiment, info.Hash, scenario.EngineVersion, info.CacheHit)
 		if info.CacheHit {
 			fmt.Fprintf(stderr, "odrl-run: cache hit %s\n", info.Hash)
 		}
@@ -184,7 +195,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_, err = tbl.WriteTo(w)
 		return err
 	}()
-	lcli.Finish(runErr)
+	if err := sess.Close(stderr); runErr == nil {
+		runErr = err
+	}
+	sess.Ledger.Finish(runErr)
 	if runErr != nil {
 		fmt.Fprintln(stderr, "odrl-run:", runErr)
 		return 1

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -357,5 +359,75 @@ func TestRunCSVAndOutputFile(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(b), "seed,workload,controller") {
 		t.Errorf("CSV header = %q", strings.SplitN(string(b), "\n", 2)[0])
+	}
+}
+
+func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-snapshot-every", "5", "-no-ledger"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "-snapshot-every needs -artifacts") {
+		t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr.String())
+	}
+}
+
+// TestSummariesReachInjectedStderr: the run-health and learning summaries
+// of a sweep spec are written to the stderr the run seam is given, not the
+// process's.
+func TestSummariesReachInjectedStderr(t *testing.T) {
+	path := writeSpec(t, "sweep.json", `{
+	  "controllers": ["od-rl"],
+	  "cores": 16,
+	  "warmup_s": 0.05,
+	  "measure_s": 0.2,
+	  "sweep": {"param": "budget", "values": [20, 30]}
+	}`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-monitor", "-learn", "-no-ledger", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	for _, want := range []string{"run-health summary:", "learn: run"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+// TestMonitorSeesFaultedSpecRuns: a faulted spec carries a per-run monitor
+// of its own for the faults/alerts columns; -monitor must still see every
+// run of it, so the run-health summary lists one row per table row.
+func TestMonitorSeesFaultedSpecRuns(t *testing.T) {
+	path := writeSpec(t, "faulty.json", `{
+	  "workload": "canneal",
+	  "controllers": ["pid", "greedy"],
+	  "cores": 4,
+	  "budget_w": 8,
+	  "warmup_s": 0.05,
+	  "measure_s": 0.1,
+	  "seeds": [3],
+	  "fault_plan": {"seed": 11, "dead_core_frac": 0.25}
+	}`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-monitor", "-no-ledger", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	_, summary, ok := strings.Cut(stderr.String(), "run-health summary:\n")
+	if !ok {
+		t.Fatalf("no run-health summary on stderr:\n%s", stderr.String())
+	}
+	// One row per run, in the order the runs began; the header and the
+	// fired-alert lines do not start with a run number.
+	var controllers []string
+	for _, line := range strings.Split(summary, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			continue
+		}
+		if _, err := strconv.Atoi(fields[0]); err == nil {
+			controllers = append(controllers, fields[1])
+		}
+	}
+	slices.Sort(controllers)
+	if !slices.Equal(controllers, []string{"greedy", "pid"}) {
+		t.Errorf("run-health summary rows name %v, want the spec's runs greedy and pid:\n%s", controllers, summary)
 	}
 }

@@ -1,7 +1,7 @@
 // Command odrl-vet runs the repo's custom invariant analyzers — the
-// determinism, RNG, wall-clock, hot-path-allocation, and kernel-parity
-// contracts that plain go vet cannot see — over the module and exits
-// non-zero when any unsuppressed diagnostic remains.
+// determinism, RNG, wall-clock and hot-path-allocation contracts that plain
+// go vet cannot see — over the module and exits non-zero when any
+// unsuppressed diagnostic remains.
 //
 // Usage:
 //

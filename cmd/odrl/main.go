@@ -7,7 +7,8 @@
 //
 // Pass -controllers all for every registered controller. Add -csv to emit
 // machine-readable output and -trace FILE to dump the power trace of the
-// first controller.
+// first controller. -write-spec prints the scenario spec equivalent to the
+// flags, which odrl-run runs, caches and sweeps.
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/session"
@@ -47,8 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		thermalOff  = fs.Bool("thermal-off", false, "disable the leakage-temperature loop")
 		csvOut      = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		traceFile   = fs.String("trace", "", "write the first controller's power trace CSV to this file")
-		configFile  = fs.String("config", "", "run a config.Experiment JSON file instead of flags")
-		writeConfig = fs.Bool("write-config", false, "print the default experiment JSON and exit")
 		writeSpec   = fs.Bool("write-spec", false, "print the canonical scenario spec equivalent to this invocation (runnable with odrl-run) and exit")
 		plotTrace   = fs.Bool("plot", false, "render each controller's power trace as an ASCII chart")
 		faultSpec   = fs.String("fault-plan", "", "inject faults: an intensity in [0,1] for the canonical plan, or a plan JSON file path (see internal/fault)")
@@ -94,21 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout.Write(canon)
 		return 0
 	}
-	if *writeConfig {
-		if err := config.DefaultExperiment().Save(stdout); err != nil {
-			fmt.Fprintln(stderr, "odrl:", err)
-			return 1
-		}
-		return 0
-	}
 
 	if err := obsFlags.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl:", err)
 		return 2
 	}
-	// Every run below (flag path and -config path alike) reports to the
-	// session's stack: monitor -> flight recorder -> tracer, with phase
-	// spans teed into the recorder's post-mortem ring.
+	// Every run reports to the session's stack: monitor -> flight recorder
+	// -> tracer, with phase spans teed into the recorder's post-mortem ring.
 	sess, err := obsFlags.Start("odrl", args, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl:", err)
@@ -118,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		controllers: *controllers, cores: *cores, workload: *workloadF,
 		budget: *budget, warmup: *warmup, measure: *measure, seed: *seed,
 		noise: *noise, thermalOff: *thermalOff, csvOut: *csvOut,
-		traceFile: *traceFile, configFile: *configFile, plotTrace: *plotTrace,
+		traceFile: *traceFile, plotTrace: *plotTrace,
 		faultSpec: *faultSpec,
 	})
 	if err := sess.Close(stderr); runErr == nil {
@@ -134,34 +124,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // mainFlags carries the simulation flags into the run body.
 type mainFlags struct {
-	controllers, workload, traceFile, configFile, faultSpec string
-	cores                                                   int
-	budget, warmup, measure, noise                          float64
-	seed                                                    uint64
-	thermalOff, csvOut, plotTrace                           bool
+	controllers, workload, traceFile, faultSpec string
+	cores                                       int
+	budget, warmup, measure, noise              float64
+	seed                                        uint64
+	thermalOff, csvOut, plotTrace               bool
 }
 
 func runMain(stdout, stderr io.Writer, sess *session.Session, f mainFlags) error {
-	if f.configFile != "" {
-		cf, err := os.Open(f.configFile)
-		if err != nil {
-			return err
-		}
-		exp, err := config.Load(cf)
-		cf.Close()
-		if err != nil {
-			return err
-		}
-		results, err := sim.RunExperiment(exp, sess.Stack)
-		if err != nil {
-			return err
-		}
-		if err := sim.WriteSummaryTable(stdout, results); err != nil {
-			return err
-		}
-		return sim.WritePhaseTable(stdout, results)
-	}
-
 	opts := sim.DefaultOptions()
 	opts.Stack = sess.Stack
 	opts.Cores = f.cores

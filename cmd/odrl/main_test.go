@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -29,6 +35,58 @@ func TestSummariesReachInjectedStderr(t *testing.T) {
 	for _, want := range []string{"run-health summary:", "learn: run"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestWriteSpecRoundTrip: the spec -write-spec prints, run through the
+// scenario engine, reproduces the BIPS that -csv prints for the same flags,
+// so `odrl -write-spec` followed by `odrl-run` is the file path for a flag
+// invocation.
+func TestWriteSpecRoundTrip(t *testing.T) {
+	args := []string{"-controllers", "pid,od-rl", "-cores", "16", "-budget", "20", "-warmup", "0.1", "-measure", "0.3", "-no-ledger"}
+	code, csvOut, stderr := runCLI(append(args, "-csv")...)
+	if code != 0 {
+		t.Fatalf("-csv exit %d\nstderr: %s", code, stderr)
+	}
+	rows, err := csv.NewReader(strings.NewReader(csvOut)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bipsCol := slices.Index(rows[0], "bips")
+	want := map[string]float64{}
+	for _, row := range rows[1:] {
+		v, err := strconv.ParseFloat(row[bipsCol], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[row[0]] = v
+	}
+
+	code, specJSON, stderr := runCLI(append(args, "-write-spec")...)
+	if code != 0 {
+		t.Fatalf("-write-spec exit %d\nstderr: %s", code, stderr)
+	}
+	spec, err := scenario.LoadBytes([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _, err := (&scenario.Engine{}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrlCol, cellCol := slices.Index(tbl.Header, "controller"), slices.Index(tbl.Header, "BIPS")
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("engine table has %d rows, -csv has %d", len(tbl.Rows), len(want))
+	}
+	for _, row := range tbl.Rows {
+		got, err := strconv.ParseFloat(row[cellCol], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The engine cell carries three decimals.
+		if w, ok := want[row[ctrlCol]]; !ok || math.Abs(got-w) > 5e-4 {
+			t.Errorf("%s: engine BIPS %s, -csv BIPS %g", row[ctrlCol], row[cellCol], w)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 // Package config defines the typed, JSON-serialisable description of a
-// platform (device-level constants) and an experiment (a scenario run on a
-// platform), plus the named platform presets the evaluation uses. It lets
-// whole experiments be stored, diffed and replayed as files.
+// platform (device-level constants) and the named platform presets the
+// evaluation uses. An experiment is a scenario spec (internal/scenario),
+// which names a preset; Go callers can pass any Platform through
+// sim.Options.Platform.
 package config
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/noc"
@@ -17,7 +16,7 @@ import (
 )
 
 // Platform bundles the device-level constants of one chip family. The
-// runtime core count lives in Experiment, not here: the same device
+// runtime core count lives in the run options, not here: the same device
 // constants serve 16 through 1024 cores.
 type Platform struct {
 	Name     string  `json:"name"`
@@ -123,95 +122,4 @@ func PlatformPreset(name string) (Platform, error) {
 		return Platform{}, fmt.Errorf("config: unknown platform %q (have %v)", name, PlatformNames())
 	}
 	return f(), nil
-}
-
-// BudgetStep re-caps the chip mid-run.
-type BudgetStep struct {
-	AtS     float64 `json:"at_s"`
-	BudgetW float64 `json:"budget_w"`
-}
-
-// Experiment is one complete, replayable scenario.
-type Experiment struct {
-	Platform Platform `json:"platform"`
-	Cores    int      `json:"cores"`
-	// Workload is a preset name or "mix".
-	Workload       string       `json:"workload"`
-	BudgetW        float64      `json:"budget_w"`
-	BudgetSchedule []BudgetStep `json:"budget_schedule,omitempty"`
-	EpochS         float64      `json:"epoch_s"`
-	WarmupS        float64      `json:"warmup_s"`
-	MeasureS       float64      `json:"measure_s"`
-	Seed           uint64       `json:"seed"`
-	SensorNoise    float64      `json:"sensor_noise"`
-	ThermalOff     bool         `json:"thermal_off,omitempty"`
-	Controllers    []string     `json:"controllers"`
-}
-
-// DefaultExperiment returns the standard 64-core comparison scenario.
-func DefaultExperiment() Experiment {
-	return Experiment{
-		Platform:    Default(),
-		Cores:       64,
-		Workload:    "mix",
-		BudgetW:     55,
-		EpochS:      1e-3,
-		WarmupS:     2,
-		MeasureS:    4,
-		Seed:        1,
-		SensorNoise: 0.02,
-		Controllers: []string{"od-rl", "maxbips", "steepest-drop", "pid", "greedy", "static"},
-	}
-}
-
-// Validate reports the first invalid field.
-func (e Experiment) Validate() error {
-	if err := e.Platform.Validate(); err != nil {
-		return err
-	}
-	switch {
-	case e.Cores <= 0:
-		return fmt.Errorf("config: invalid core count %d", e.Cores)
-	case e.Workload == "":
-		return fmt.Errorf("config: empty workload")
-	case e.BudgetW <= 0:
-		return fmt.Errorf("config: invalid budget %g", e.BudgetW)
-	case e.EpochS <= 0:
-		return fmt.Errorf("config: invalid epoch %g", e.EpochS)
-	case e.WarmupS < 0:
-		return fmt.Errorf("config: negative warmup %g", e.WarmupS)
-	case e.MeasureS <= 0:
-		return fmt.Errorf("config: invalid measurement window %g", e.MeasureS)
-	case e.SensorNoise < 0:
-		return fmt.Errorf("config: negative sensor noise %g", e.SensorNoise)
-	case len(e.Controllers) == 0:
-		return fmt.Errorf("config: no controllers")
-	}
-	prev := -1.0
-	for i, s := range e.BudgetSchedule {
-		if s.AtS < 0 || s.BudgetW <= 0 || s.AtS <= prev {
-			return fmt.Errorf("config: invalid budget step %d: %+v", i, s)
-		}
-		prev = s.AtS
-	}
-	return nil
-}
-
-// Save serialises the experiment as indented JSON.
-func (e Experiment) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
-}
-
-// Load deserialises and validates an experiment.
-func Load(r io.Reader) (Experiment, error) {
-	var e Experiment
-	if err := json.NewDecoder(r).Decode(&e); err != nil {
-		return Experiment{}, fmt.Errorf("config: decoding experiment: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return Experiment{}, err
-	}
-	return e, nil
 }

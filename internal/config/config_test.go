@@ -1,10 +1,6 @@
 package config
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDefaultPlatformValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -62,66 +58,6 @@ func TestPlatformValidateBad(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
-	}
-}
-
-func TestDefaultExperimentValid(t *testing.T) {
-	if err := DefaultExperiment().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExperimentValidateBad(t *testing.T) {
-	mutations := []func(*Experiment){
-		func(e *Experiment) { e.Cores = 0 },
-		func(e *Experiment) { e.Workload = "" },
-		func(e *Experiment) { e.BudgetW = 0 },
-		func(e *Experiment) { e.EpochS = 0 },
-		func(e *Experiment) { e.WarmupS = -1 },
-		func(e *Experiment) { e.MeasureS = 0 },
-		func(e *Experiment) { e.SensorNoise = -1 },
-		func(e *Experiment) { e.Controllers = nil },
-		func(e *Experiment) { e.Platform.Name = "" },
-		func(e *Experiment) { e.BudgetSchedule = []BudgetStep{{AtS: -1, BudgetW: 10}} },
-		func(e *Experiment) {
-			e.BudgetSchedule = []BudgetStep{{AtS: 2, BudgetW: 10}, {AtS: 1, BudgetW: 10}}
-		},
-	}
-	for i, m := range mutations {
-		e := DefaultExperiment()
-		m(&e)
-		if err := e.Validate(); err == nil {
-			t.Errorf("mutation %d: expected error", i)
-		}
-	}
-}
-
-func TestExperimentJSONRoundTrip(t *testing.T) {
-	e := DefaultExperiment()
-	e.BudgetSchedule = []BudgetStep{{AtS: 1.5, BudgetW: 40}}
-	e.Cores = 16
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cores != 16 || back.BudgetW != e.BudgetW || len(back.BudgetSchedule) != 1 {
-		t.Fatalf("round trip lost fields: %+v", back)
-	}
-	if back.Platform.Name != e.Platform.Name || back.Platform.VFLevels != e.Platform.VFLevels {
-		t.Fatal("round trip lost platform")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("{")); err == nil {
-		t.Fatal("expected decode error")
-	}
-	if _, err := Load(strings.NewReader("{}")); err == nil {
-		t.Fatal("expected validation error")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rl"
 	"repro/internal/sim"
-	"repro/internal/vf"
 )
 
 // F9Ablation exercises the design choices DESIGN.md calls out: the global
@@ -16,21 +15,23 @@ import (
 // should buy throughput on imbalanced (mix) workloads; λ trades throughput
 // against compliance.
 func F9Ablation(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	t := Table{
 		ID:     "F9",
 		Title:  fmt.Sprintf("OD-RL ablations at %.0f W (mix workload)", cfg.BudgetW),
 		Header: []string{"variant", "BIPS", "mean(W)", "over(J)", "over-time(%)", "BIPS/W"},
 	}
 
-	// odrlVariant builds an OD-RL controller from a tweaked core config.
-	odrlVariant := func(tweak func(*core.Config)) func() (ctrl.Controller, error) {
-		return func() (ctrl.Controller, error) {
+	// odrlVariant builds an OD-RL controller from a tweaked core config,
+	// seeded, sharded and watchdog-armed as the factory's od-rl is.
+	odrlVariant := func(tweak func(*core.Config)) func(sim.Env) (ctrl.Controller, error) {
+		return func(env sim.Env) (ctrl.Controller, error) {
 			c := core.DefaultConfig()
-			c.Seed = cfg.Seed
-			c.Workers = cfg.Workers
+			c.Seed = env.Seed
+			c.Workers = env.Workers
+			c.WatchdogEpochs = env.WatchdogEpochs
 			tweak(&c)
-			return core.New(cfg.Cores, vf.Default(), sim.DefaultEnv(cfg.Cores).Power, c)
+			return core.New(env.Cores, env.VF, env.Power, c)
 		}
 	}
 
@@ -40,15 +41,15 @@ func F9Ablation(cfg Config) (Table, error) {
 	// worker count.
 	type variant struct {
 		label string
-		build func() (ctrl.Controller, error)
+		build func(sim.Env) (ctrl.Controller, error)
 	}
 	var variants []variant
 
 	// Baseline and no-reallocation variants via the factory.
 	for _, name := range []string{"od-rl", "od-rl-norealloc"} {
 		name := name
-		variants = append(variants, variant{name, func() (ctrl.Controller, error) {
-			return sim.NewController(name, cfg.env(cfg.Cores))
+		variants = append(variants, variant{name, func(env sim.Env) (ctrl.Controller, error) {
+			return sim.NewController(name, env)
 		}})
 	}
 
@@ -88,11 +89,16 @@ func F9Ablation(cfg Config) (Table, error) {
 
 	rows, err := par.MapErr(cfg.Workers, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
-		c, err := v.build()
+		opts := cfg.runOpts()
+		env, err := sim.EnvFor(opts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(cfg.runOpts(), c)
+		c, err := v.build(env)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.Run(opts, c)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ import (
 // the OD-RL budget-reallocation layer exploits: budget moved to laggards
 // buys whole-app progress that equal shares cannot.
 func F14Barrier(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "od-rl-norealloc", "od-rl-ema", "pid", "greedy", "static"}
 	if cfg.Quick {
 		names = []string{"od-rl", "pid"}

@@ -69,8 +69,9 @@ func Default() Config {
 	}
 }
 
-// normalized applies Quick scaling and fills empty axes.
-func (c Config) normalized() Config {
+// Normalized applies Quick scaling and fills empty axes: the configuration
+// every experiment runs at.
+func (c Config) Normalized() Config {
 	d := Default()
 	if c.Cores == 0 {
 		c.Cores = d.Cores
@@ -107,9 +108,11 @@ func (c Config) normalized() Config {
 }
 
 // runOpts returns the harness options every experiment run starts from:
-// the shared axes (platform size, budget, windows, seed, workers) and the
-// observability stack filled from the experiment config. Individual
-// experiments override fields from there.
+// the shared axes (platform size, budget, windows, seed, workers, fault
+// plan) and the observability stack filled from the experiment config.
+// Individual experiments override fields from there and build each run's
+// controller from the final options with sim.EnvFor, as every other run
+// path does.
 func (c Config) runOpts() sim.Options {
 	opts := sim.DefaultOptions()
 	opts.Cores = c.Cores
@@ -121,15 +124,6 @@ func (c Config) runOpts() sim.Options {
 	opts.FaultPlan = c.FaultPlan
 	opts.Stack = c.Stack
 	return opts
-}
-
-// env returns the controller environment matching runOpts for the given
-// core count.
-func (c Config) env(cores int) sim.Env {
-	env := sim.DefaultEnv(cores)
-	env.Seed = c.Seed
-	env.Workers = c.Workers
-	return env
 }
 
 // Table is one rendered experiment result. The JSON form is a stable

@@ -143,7 +143,7 @@ func TestF2F3F4ShareSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	benches := len(cfg.normalized().Benchmarks)
+	benches := len(cfg.Normalized().Benchmarks)
 	if len(f2.Rows) != benches+1 { // per-benchmark rows + TOTAL
 		t.Fatalf("F2 rows = %d, want %d", len(f2.Rows), benches+1)
 	}
@@ -375,40 +375,53 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
+// TestWriteReport: a report opens with its title and the normalised axes
+// every experiment runs at, and the head ends with the Experiments heading
+// that the tables' markdown follows.
 func TestWriteReport(t *testing.T) {
 	var buf bytes.Buffer
-	var ran []string
-	err := WriteReport(&buf, ReportOptions{
-		Config:     quickCfg(),
-		IDs:        []string{"T1", "T2"},
-		SkipVerify: true,
-		Elapsed:    func(id string, _ time.Duration) { ran = append(ran, id) },
-	})
-	if err != nil {
+	if err := WriteReportHead(&buf, Config{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"# OD-RL reproduction report", "### T1", "### T2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
-		}
+	const top = "# OD-RL reproduction report\n\nConfiguration: 16 cores, 55 W budget, seed 1 (quick mode).\n\n## Claim verification\n\n"
+	if !strings.HasPrefix(out, top) {
+		t.Errorf("report head does not open with the title and axes:\n%s", out)
 	}
-	if strings.Contains(out, "Claim verification") {
-		t.Fatal("verification section present despite SkipVerify")
-	}
-	if len(ran) != 2 {
-		t.Fatalf("Elapsed called %d times, want 2", len(ran))
+	if !strings.HasSuffix(out, "|\n\n## Experiments\n\n") {
+		t.Errorf("report head does not end with the Experiments heading after the claim table:\n%s", out)
 	}
 }
 
+// TestWriteReportWithVerification: the claim section is a markdown table
+// with one row per verified claim, in order, each with a verdict.
 func TestWriteReportWithVerification(t *testing.T) {
+	cfg := quickCfg()
 	var buf bytes.Buffer
-	err := WriteReport(&buf, ReportOptions{Config: quickCfg(), IDs: []string{"T1"}})
+	if err := WriteReportHead(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	results, err := VerifyClaims(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Claim verification") {
-		t.Fatal("verification section missing")
+	_, section, ok := strings.Cut(buf.String(), "## Claim verification\n\n| claim | paper | measured | verdict |\n| --- | --- | --- | --- |\n")
+	if !ok {
+		t.Fatalf("claim table missing:\n%s", buf.String())
+	}
+	section, _, _ = strings.Cut(section, "\n\n")
+	rows := strings.Split(section, "\n")
+	if len(rows) != len(results) || len(results) != 4 {
+		t.Fatalf("%d claim rows for %d claims, want 4:\n%s", len(rows), len(results), section)
+	}
+	for i, r := range results {
+		row := rows[i]
+		if !strings.HasPrefix(row, "| "+r.ID+" | "+r.Claim+" | ") {
+			t.Errorf("row %d = %q, want claim %s", i, row, r.ID)
+		}
+		if !strings.HasSuffix(row, " | PASS |") && !strings.HasSuffix(row, " | **FAIL** |") {
+			t.Errorf("row %d = %q has no verdict", i, row)
+		}
 	}
 }
 

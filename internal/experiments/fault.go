@@ -24,7 +24,7 @@ import (
 // was already taken by the server-consolidation extension, so it lands as
 // F18.
 func F18FaultIntensity(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "maxbips", "pid", "greedy"}
 	intensities := []float64{0, 0.25, 0.5, 1.0}
 	if cfg.Quick {

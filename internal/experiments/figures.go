@@ -17,7 +17,7 @@ import (
 // the drop, time to settle back under the cap, and the overshoot integral.
 // Controller runs are independent and fan out across cfg.Workers.
 func F1PowerTrace(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	dropAt := cfg.WarmupS + cfg.MeasureS/3
 
 	t := Table{
@@ -37,7 +37,11 @@ func F1PowerTrace(cfg Config) (Table, error) {
 		opts.BudgetW = 90
 		opts.BudgetSchedule = []sim.BudgetStep{{AtS: dropAt, BudgetW: 60}}
 		opts.TracePoints = 2000
-		c, err := sim.NewController(name, cfg.env(cfg.Cores))
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return nil, err
+		}
+		c, err := sim.NewController(name, env)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +172,11 @@ func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error
 		j := jobs[i]
 		opts := cfg.runOpts()
 		opts.Workload = j.bench
-		c, err := sim.NewController(j.name, cfg.env(cfg.Cores))
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		c, err := sim.NewController(j.name, env)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
@@ -198,7 +206,7 @@ func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error
 // benchmark and controller, plus OD-RL's reduction versus the worst
 // prediction-based baseline.
 func F2Overshoot(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	sweep, err := benchmarkSweep(cfg)
 	if err != nil {
 		return Table{}, err
@@ -257,7 +265,7 @@ func F2Overshoot(cfg Config) (Table, error) {
 // over-the-budget energy, floored at 1 mJ (one epoch at 1 W), plus OD-RL's
 // best ratio over the best baseline.
 func F3ThroughputPerOverEnergy(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	sweep, err := benchmarkSweep(cfg)
 	if err != nil {
 		return Table{}, err
@@ -300,7 +308,7 @@ func F3ThroughputPerOverEnergy(cfg Config) (Table, error) {
 // F4EnergyEfficiency reproduces claim C3: BIPS/W per benchmark and
 // controller, plus OD-RL's gain over the best prediction-based baseline.
 func F4EnergyEfficiency(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	sweep, err := benchmarkSweep(cfg)
 	if err != nil {
 		return Table{}, err

@@ -14,7 +14,7 @@ import (
 // ones — this is the thread-mapping-free slice of the Procrustes-style
 // heterogeneous power-allocation problem.
 func F17Hetero(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "maxbips", "steepest-drop", "pid", "greedy", "static"}
 	if cfg.Quick {
 		names = []string{"od-rl", "pid"}
@@ -31,13 +31,7 @@ func F17Hetero(cfg Config) (Table, error) {
 	}
 
 	for _, name := range names {
-		opts := sim.DefaultOptions()
-		opts.Cores = cfg.Cores
-		opts.BudgetW = cfg.BudgetW
-		opts.WarmupS = cfg.WarmupS
-		opts.MeasureS = cfg.MeasureS
-		opts.Seed = cfg.Seed
-		opts.Stack = cfg.Stack
+		opts := cfg.runOpts()
 		opts.BigLittle = true
 		env, err := sim.EnvFor(opts)
 		if err != nil {

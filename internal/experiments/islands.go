@@ -18,7 +18,7 @@ import (
 // throughput-per-watt should degrade monotonically with island size,
 // quantifying what per-core control (the paper's setting) is worth.
 func F13Islands(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	type gran struct {
 		label  string
 		iw, ih int
@@ -60,13 +60,7 @@ func F13Islands(cfg Config) (Table, error) {
 		}
 		row := []string{g.label}
 		for _, name := range names {
-			opts := sim.DefaultOptions()
-			opts.Cores = cfg.Cores
-			opts.BudgetW = cfg.BudgetW
-			opts.WarmupS = cfg.WarmupS
-			opts.MeasureS = cfg.MeasureS
-			opts.Seed = cfg.Seed
-			opts.Stack = cfg.Stack
+			opts := cfg.runOpts()
 			opts.IslandW, opts.IslandH = g.iw, g.ih
 			var c ctrl.Controller
 			if name == "od-rl-island" {

@@ -13,7 +13,7 @@ import (
 // stable and TD-error EMA settled — alongside the throughput and overshoot
 // the same run delivers, tying policy stability to control quality.
 func F19LearningDynamics(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "od-rl-norealloc"}
 	det := learn.DefaultDetector()
 
@@ -38,7 +38,11 @@ func F19LearningDynamics(cfg Config) (Table, error) {
 		opts.WarmupS = 0
 		lrn := learn.New(learn.Options{Detector: det})
 		opts.Learn = lrn
-		c, err := sim.NewController(name, cfg.env(cfg.Cores))
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return Table{}, err
+		}
+		c, err := sim.NewController(name, env)
 		if err != nil {
 			return Table{}, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // WriteMarkdown renders a table as GitHub-flavoured markdown.
@@ -27,75 +26,30 @@ func (t Table) WriteMarkdown(w io.Writer) error {
 	return err
 }
 
-// ReportOptions scope a full report run.
-type ReportOptions struct {
-	Config Config
-	// IDs selects which experiments to include; empty means all.
-	IDs []string
-	// SkipVerify omits the claim-verification section.
-	SkipVerify bool
-	// Elapsed, when non-nil, is called with each experiment's runtime
-	// (used for progress output by the CLI).
-	Elapsed func(id string, d time.Duration)
-}
-
-// WriteReport runs the selected experiments and emits a complete markdown
-// report: claim verdicts first, then every table. This is the one-command
-// path from a clean checkout to a reviewable reproduction record.
-func WriteReport(w io.Writer, opts ReportOptions) error {
-	cfg := opts.Config.normalized()
-
+// WriteReportHead writes a markdown report's title, the axes every
+// experiment runs at, and the verdicts on the paper's claims. It ends with
+// the Experiments heading, so the tables' markdown follows directly.
+func WriteReportHead(w io.Writer, cfg Config) error {
+	n := cfg.Normalized()
 	fmt.Fprintf(w, "# OD-RL reproduction report\n\n")
-	fmt.Fprintf(w, "Configuration: %d cores, %.0f W budget, seed %d", cfg.Cores, cfg.BudgetW, cfg.Seed)
-	if cfg.Quick {
+	fmt.Fprintf(w, "Configuration: %d cores, %.0f W budget, seed %d", n.Cores, n.BudgetW, n.Seed)
+	if n.Quick {
 		fmt.Fprintf(w, " (quick mode)")
 	}
-	fmt.Fprintf(w, ".\n\n")
-
-	if !opts.SkipVerify {
-		fmt.Fprintf(w, "## Claim verification\n\n")
-		results, err := VerifyClaims(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "| claim | paper | measured | verdict |")
-		fmt.Fprintln(w, "| --- | --- | --- | --- |")
-		for _, r := range results {
-			verdict := "PASS"
-			if !r.Pass {
-				verdict = "**FAIL**"
-			}
-			fmt.Fprintf(w, "| %s | %s | %s | %s |\n", r.ID, r.Claim, r.Measured, verdict)
-		}
-		fmt.Fprintln(w)
+	fmt.Fprintf(w, ".\n\n## Claim verification\n\n")
+	results, err := VerifyClaims(cfg)
+	if err != nil {
+		return err
 	}
-
-	fmt.Fprintf(w, "## Experiments\n\n")
-	want := opts.IDs
-	for _, e := range All() {
-		if len(want) > 0 {
-			found := false
-			for _, id := range want {
-				if id == e.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
+	fmt.Fprintln(w, "| claim | paper | measured | verdict |")
+	fmt.Fprintln(w, "| --- | --- | --- | --- |")
+	for _, r := range results {
+		verdict := "PASS"
+		if !r.Pass {
+			verdict = "**FAIL**"
 		}
-		start := time.Now() //odrl:allow wallclock progress reporting only; simulated results never read it
-		tbl, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		if opts.Elapsed != nil {
-			opts.Elapsed(e.ID, time.Since(start)) //odrl:allow wallclock progress reporting only; simulated results never read it
-		}
-		if err := tbl.WriteMarkdown(w); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "| %s | %s | %s | %s |\n", r.ID, r.Claim, r.Measured, verdict)
 	}
-	return nil
+	_, err = fmt.Fprintf(w, "\n## Experiments\n\n")
+	return err
 }

@@ -70,7 +70,7 @@ func timeDecide(c ctrl.Controller, tel *manycore.Telemetry, budgetW float64) tim
 // latency reflects the single-threaded decision path the paper's claim is
 // about, not the host's parallelism.
 func F5ControllerScaling(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	coreCounts := []int{16, 64, 256, 1024}
 	if cfg.Quick {
 		coreCounts = []int{16, 64}

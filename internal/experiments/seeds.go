@@ -16,7 +16,7 @@ import (
 // reports mean ± 95% confidence interval, demonstrating the orderings are
 // not artifacts of one lucky seed.
 func F15Seeds(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	nSeeds := 5
 	names := []string{"od-rl", "maxbips", "pid"}
 	if cfg.Quick {
@@ -46,8 +46,6 @@ func F15Seeds(cfg Config) (Table, error) {
 		if err != nil {
 			return metrics.Summary{}, err
 		}
-		env.Seed = opts.Seed
-		env.Workers = cfg.Workers
 		c, err := sim.NewController(name, env)
 		if err != nil {
 			return metrics.Summary{}, err

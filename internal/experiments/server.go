@@ -19,7 +19,7 @@ import (
 // reports job throughput, mean job latency and queue depth per controller
 // — the metrics a datacentre operator actually caps against.
 func F16Server(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "maxbips", "pid", "greedy", "static"}
 	if cfg.Quick {
 		names = []string{"od-rl", "pid"}

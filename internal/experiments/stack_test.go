@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/learn"
@@ -79,23 +80,37 @@ func TestTablesByteIdenticalWithMonitoring(t *testing.T) {
 // TestStackSeesEveryExperiment proves the wiring is complete: every
 // experiment that runs through sim.Run reports to the Config's stack,
 // including F18 and F19, which attach a monitor or learn layer of their
-// own to each run.
+// own to each run. Under a fault plan every run carries the plan, except
+// F18's, which sweeps its own.
 func TestStackSeesEveryExperiment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fifteen experiments")
+		t.Skip("runs fifteen experiments twice")
 	}
+	plan := fault.Scaled(0.5)
 	for _, id := range []string{"F1", "F2", "F3", "F4", "F7", "F8", "F9", "F10", "F11", "F13", "F15", "F17", "F18", "F19"} {
 		t.Run(id, func(t *testing.T) {
 			run, err := ByID(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon := monitor.New(monitor.Options{})
-			if _, err := run(Config{Quick: true, Stack: sim.Stack{Monitor: mon}}); err != nil {
-				t.Fatal(err)
-			}
-			if len(mon.Runs()) == 0 {
-				t.Fatalf("%s recorded no monitored runs", id)
+			for _, p := range []*fault.Plan{nil, &plan} {
+				mon := monitor.New(monitor.Options{})
+				if _, err := run(Config{Quick: true, FaultPlan: p, Stack: sim.Stack{Monitor: mon}}); err != nil {
+					t.Fatal(err)
+				}
+				runs := mon.Runs()
+				if len(runs) == 0 {
+					t.Fatalf("%s recorded no monitored runs (fault plan %v)", id, p != nil)
+				}
+				if p == nil || id == "F18" {
+					continue
+				}
+				for _, h := range runs {
+					if h.Meta.FaultPlan != plan.ID() {
+						t.Fatalf("%s run %d (%s) carries fault plan %q, want %q",
+							id, h.ID, h.Meta.Controller, h.Meta.FaultPlan, plan.ID())
+					}
+				}
 			}
 		})
 	}

@@ -81,7 +81,7 @@ func windowedRun(cfg Config, c ctrl.Controller, lr *learn.Run, totalS, windowS f
 // mean power and throughput of OD-RL from a cold start. Overshoot should
 // decay toward zero as exploration anneals while throughput holds.
 func F6Convergence(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	totalS := 10.0
 	windowS := 1.0
 	if cfg.Quick {
@@ -135,7 +135,7 @@ func F6Convergence(cfg Config) (Table, error) {
 // Gaps between controllers are largest at tight caps and vanish as the cap
 // approaches the chip's unconstrained draw.
 func F7BudgetSweep(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	budgets := []float64{35, 45, 55, 70, 85, 100, 120}
 	if cfg.Quick {
 		budgets = []float64{45, 85}
@@ -161,7 +161,11 @@ func F7BudgetSweep(cfg Config) (Table, error) {
 		b, name := budgets[i/nn], names[i%nn]
 		opts := cfg.runOpts()
 		opts.BudgetW = b
-		c, err := sim.NewController(name, cfg.env(cfg.Cores))
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		c, err := sim.NewController(name, env)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
@@ -189,7 +193,7 @@ func F7BudgetSweep(cfg Config) (Table, error) {
 // chip grows under a fixed per-core budget. The MaxBIPS knapsack is omitted
 // above 256 cores — its decision latency there is the point of F5, not F8.
 func F8CoreScaling(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	coreCounts := []int{16, 64, 144, 256}
 	if cfg.Quick {
 		coreCounts = []int{16, 36}
@@ -217,7 +221,11 @@ func F8CoreScaling(cfg Config) (Table, error) {
 		opts := cfg.runOpts()
 		opts.Cores = n
 		opts.BudgetW = perCoreW*float64(n) + power.Default().UncoreW
-		c, err := sim.NewController(name, cfg.env(n))
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		c, err := sim.NewController(name, env)
 		if err != nil {
 			return metrics.Summary{}, err
 		}

@@ -13,7 +13,7 @@ import (
 // T1Platform renders the system configuration table: core grid, VF levels,
 // power and thermal constants — the fixed context of every experiment.
 func T1Platform(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	w, h, err := sim.GridFor(cfg.Cores)
 	if err != nil {
 		return Table{}, err
@@ -47,7 +47,7 @@ func T1Platform(cfg Config) (Table, error) {
 // T2Workloads characterises every benchmark preset at the mid VF level:
 // CPI, MPKI, memory-boundedness, activity and phase volatility.
 func T2Workloads(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	mid := vf.Default().Point(vf.Default().Levels() / 2)
 	t := Table{
 		ID:    "T2",

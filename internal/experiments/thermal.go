@@ -12,7 +12,7 @@ import (
 // Capping the chip's power must cap its temperature; the static design
 // point gives the conservative reference.
 func F10Thermal(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	budgets := []float64{40, 55, 70, 90, 120}
 	if cfg.Quick {
 		budgets = []float64{40, 90}
@@ -38,15 +38,12 @@ func F10Thermal(cfg Config) (Table, error) {
 	for _, b := range budgets {
 		row := []string{cell(b)}
 		for _, name := range names {
-			opts := sim.DefaultOptions()
-			opts.Cores = cfg.Cores
+			opts := cfg.runOpts()
 			opts.BudgetW = b
-			opts.WarmupS = cfg.WarmupS
-			opts.MeasureS = cfg.MeasureS
-			opts.Seed = cfg.Seed
-			opts.Stack = cfg.Stack
-			env := sim.DefaultEnv(cfg.Cores)
-			env.Seed = cfg.Seed
+			env, err := sim.EnvFor(opts)
+			if err != nil {
+				return Table{}, err
+			}
 			c, err := sim.NewController(name, env)
 			if err != nil {
 				return Table{}, err

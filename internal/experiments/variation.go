@@ -15,7 +15,7 @@ import (
 // die it systematically under-predicts and overshoots; OD-RL's per-core
 // agents learn their own silicon and never had a model to invalidate.
 func F11Variation(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	names := []string{"od-rl", "maxbips", "steepest-drop", "greedy"}
 	if cfg.Quick {
 		names = []string{"od-rl", "maxbips"}
@@ -42,13 +42,7 @@ func F11Variation(cfg Config) (Table, error) {
 	for _, sigma := range sigmas {
 		row := []string{cell(sigma)}
 		for _, name := range names {
-			opts := sim.DefaultOptions()
-			opts.Cores = cfg.Cores
-			opts.BudgetW = cfg.BudgetW
-			opts.WarmupS = cfg.WarmupS
-			opts.MeasureS = cfg.MeasureS
-			opts.Seed = cfg.Seed
-			opts.Stack = cfg.Stack
+			opts := cfg.runOpts()
 			if sigma > 0 {
 				vp := variation.Default()
 				vp.LeakSigma = sigma

@@ -21,7 +21,7 @@ type ClaimResult struct {
 // factor), per the reproduction contract in DESIGN.md — not that absolute
 // numbers match a testbed we do not have.
 func VerifyClaims(cfg Config) ([]ClaimResult, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	sweep, err := benchmarkSweep(cfg)
 	if err != nil {
 		return nil, err

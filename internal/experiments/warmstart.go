@@ -18,7 +18,7 @@ import (
 // overshoot and throughput ramp — the deployment story for "on-line" RL
 // control surviving reboots.
 func F12WarmStart(cfg Config) (Table, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	trainS := 8.0
 	totalS := 3.0
 	windowS := 0.5

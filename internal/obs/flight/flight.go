@@ -49,8 +49,9 @@ type Summary struct {
 	Alerts int
 	Faults int
 	// Metrics: bips, mean_w, peak_w, over_j, over_time_frac, max_temp_k
-	// are derived from the deterministic epoch stream; decide_p50_ns and
-	// decide_p99_ns are wall-clock host telemetry.
+	// and bips_per_w (omitted when no power was drawn) are derived from the
+	// deterministic epoch stream; decide_p50_ns and decide_p99_ns are
+	// wall-clock host telemetry.
 	Metrics map[string]float64
 }
 
@@ -385,6 +386,9 @@ func (f *flightRun) summaryLocked() Summary {
 		"over_time_frac": float64(f.overEpochs) / n,
 		"decide_p50_ns":  f.decide.Quantile(0.5),
 		"decide_p99_ns":  f.decide.Quantile(0.99),
+	}
+	if f.sumPowerW > 0 {
+		s.Metrics["bips_per_w"] = f.sumIPS / 1e9 / f.sumPowerW
 	}
 	return s
 }

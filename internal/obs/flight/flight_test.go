@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +224,9 @@ func TestSummaryMetrics(t *testing.T) {
 	}
 	if m["peak_w"] != 99 || m["max_temp_k"] != 336 {
 		t.Fatalf("peak_w %g max_temp_k %g", m["peak_w"], m["max_temp_k"])
+	}
+	if want := m["bips"] / m["mean_w"]; math.Abs(m["bips_per_w"]-want) > 1e-12*want {
+		t.Fatalf("bips_per_w %g, want bips/mean_w = %g", m["bips_per_w"], want)
 	}
 	if m["decide_p50_ns"] <= 0 || m["decide_p99_ns"] < m["decide_p50_ns"] {
 		t.Fatalf("decide quantiles: p50 %g p99 %g", m["decide_p50_ns"], m["decide_p99_ns"])

@@ -88,7 +88,7 @@ func (s RunSummary) Key() string {
 // perf trajectory is queryable across the ledger without re-parsing report
 // files.
 type BenchPoint struct {
-	// Kind is the gate family: "par", "monitor", "learn", "step", "flight".
+	// Kind is the gate family: "monitor", "learn", "flight".
 	Kind string `json:"kind"`
 	// Case is the report's case name, Metric the field within it.
 	Case   string  `json:"case"`

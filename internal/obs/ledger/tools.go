@@ -11,7 +11,6 @@ func RegisteredTools() []string {
 		"odrl-bench",
 		"odrl-inspect",
 		"odrl-run",
-		"odrl-sweep",
 		"odrl-trace",
 		"odrl-verify",
 		"odrl-vet",

@@ -106,16 +106,6 @@ func ForEachChunk(workers, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Map runs fn(i) for every i in [0, n) across at most workers goroutines
-// and returns the results in index order.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(workers, n, func(i int) {
-		out[i] = fn(i)
-	})
-	return out
-}
-
 // MapErr runs fn(i) for every i in [0, n) across at most workers
 // goroutines. All items run regardless of failures elsewhere (no
 // cancellation — work items are short and side-effect free under the

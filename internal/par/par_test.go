@@ -68,19 +68,6 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	fn := func(i int) float64 { return float64(i*i) * 1.25 }
-	want := Map(1, 512, fn)
-	for _, workers := range []int{2, 5, 16} {
-		got := Map(workers, 512, fn)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")

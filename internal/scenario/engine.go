@@ -21,9 +21,9 @@ type Engine struct {
 	// hash. Failed runs are never stored (see Run).
 	Cache *Cache
 	// Stack is the observability every run the engine executes reports to
-	// (see sim.Stack). A monitored spec's per-run monitor replaces
-	// Stack.Monitor on its runs. Cache hits run nothing and so report
-	// nothing.
+	// (see sim.Stack). A monitored spec's per-run monitor takes the monitor
+	// slot on its runs, and Stack.Monitor chains in as an observer, so it
+	// still sees them. Cache hits run nothing and so report nothing.
 	Stack sim.Stack
 }
 
@@ -126,7 +126,7 @@ func (s Spec) runAxes() (seeds []uint64, workloads, controllers []string) {
 	}
 	controllers = s.Controllers
 	if len(controllers) == 0 {
-		controllers = config.DefaultExperiment().Controllers
+		controllers = experiments.Default().Controllers
 	}
 	return seeds, workloads, controllers
 }
@@ -209,6 +209,9 @@ func runOne(spec Spec, opts sim.Options, controller string) (runOutcome, error) 
 	var mon *monitor.Monitor
 	if spec.monitored() {
 		mon = monitor.New(monitor.Options{Rules: spec.rules(opts.BudgetW, opts.EpochS)})
+		if stack := opts.Monitor; stack != nil {
+			opts.Observer = stack.Wrap(opts.Observer)
+		}
 		opts.Monitor = mon
 	}
 	env, err := sim.EnvFor(opts)

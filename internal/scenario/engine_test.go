@@ -84,40 +84,81 @@ func TestComparisonDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepTable pins the sweep run kind: values outermost, controllers
-// inner, sweep values rendered in shortest round-trippable form.
+// inner, sweep values rendered in shortest round-trippable form, and each
+// point run as a direct sim.Run built with sim.EnvFor, so an epoch point
+// decides at the cadence its epoch length implies.
 func TestSweepTable(t *testing.T) {
-	spec := Spec{
-		Workload:    "canneal",
-		Controllers: []string{"pid"},
-		Cores:       4,
-		WarmupS:     0.05,
-		MeasureS:    0.1,
-		Workers:     1,
-		Sweep:       &Sweep{Param: "budget", Values: []float64{6, 8.5}},
-	}
-	tbl, _, err := (&Engine{}).Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "SWEEP" {
-		t.Errorf("table ID = %q", tbl.ID)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("row count = %d, want 2", len(tbl.Rows))
-	}
-	if tbl.Header[0] != "budget" {
-		t.Errorf("sweep column header = %q", tbl.Header[0])
-	}
-	if tbl.Rows[0][0] != "6" || tbl.Rows[1][0] != "8.5" {
-		t.Errorf("sweep value cells = %q, %q", tbl.Rows[0][0], tbl.Rows[1][0])
-	}
-	// The swept budget must actually reach the runs.
-	if tbl.Rows[0][3] != "6.000" || tbl.Rows[1][3] != "8.500" {
-		t.Errorf("budget cells = %q, %q", tbl.Rows[0][3], tbl.Rows[1][3])
-	}
-	if !slices.Contains(tbl.Notes, "workload canneal") {
-		t.Errorf("notes missing workload: %v", tbl.Notes)
-	}
+	t.Run("budget", func(t *testing.T) {
+		spec := Spec{
+			Workload:    "canneal",
+			Controllers: []string{"pid"},
+			Cores:       4,
+			WarmupS:     0.05,
+			MeasureS:    0.1,
+			Workers:     1,
+			Sweep:       &Sweep{Param: "budget", Values: []float64{6, 8.5}},
+		}
+		tbl, _, err := (&Engine{}).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.ID != "SWEEP" {
+			t.Errorf("table ID = %q", tbl.ID)
+		}
+		if len(tbl.Rows) != 2 {
+			t.Fatalf("row count = %d, want 2", len(tbl.Rows))
+		}
+		if tbl.Header[0] != "budget" {
+			t.Errorf("sweep column header = %q", tbl.Header[0])
+		}
+		if tbl.Rows[0][0] != "6" || tbl.Rows[1][0] != "8.5" {
+			t.Errorf("sweep value cells = %q, %q", tbl.Rows[0][0], tbl.Rows[1][0])
+		}
+		// The swept budget must actually reach the runs.
+		if tbl.Rows[0][3] != "6.000" || tbl.Rows[1][3] != "8.500" {
+			t.Errorf("budget cells = %q, %q", tbl.Rows[0][3], tbl.Rows[1][3])
+		}
+		if !slices.Contains(tbl.Notes, "workload canneal") {
+			t.Errorf("notes missing workload: %v", tbl.Notes)
+		}
+	})
+	t.Run("epoch", func(t *testing.T) {
+		spec := Spec{
+			Workload:    "mix",
+			Controllers: []string{"od-rl"},
+			Cores:       16,
+			BudgetW:     20,
+			WarmupS:     0.2,
+			MeasureS:    0.4,
+			Seeds:       []uint64{1},
+			Workers:     1,
+			Sweep:       &Sweep{Param: "epoch", Values: []float64{0.002}},
+		}
+		tbl, _, err := (&Engine{}).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := sim.DefaultOptions()
+		opts.Workload, opts.Cores, opts.BudgetW = spec.Workload, spec.Cores, spec.BudgetW
+		opts.WarmupS, opts.MeasureS, opts.Seed, opts.Workers = spec.WarmupS, spec.MeasureS, 1, 1
+		opts.EpochS = 0.002
+		env, err := sim.EnvFor(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sim.NewController("od-rl", env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(opts, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := summaryCells(res.Summary)
+		if got := tbl.Rows[0][len(tbl.Rows[0])-len(want):]; !slices.Equal(got, want) {
+			t.Errorf("SWEEP row %v, direct run %v", got, want)
+		}
+	})
 }
 
 // TestMonitoredColumns: fault plans and alert rules add the faults/alerts
@@ -189,8 +230,9 @@ func TestEngineRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// TestEngineStack: every run kind reports to the engine's stack, except
-// that a monitored spec's per-run monitor takes the monitor slot.
+// TestEngineStack: every run kind reports to the engine's stack, including
+// a monitored spec, whose per-run monitor takes the monitor slot while the
+// stack's monitor chains in as an observer.
 func TestEngineStack(t *testing.T) {
 	sweep := tinySpec()
 	sweep.Sweep = &Sweep{Param: "budget", Values: []float64{6, 8}}
@@ -205,7 +247,7 @@ func TestEngineStack(t *testing.T) {
 		{"comparison", tinySpec(), 1},
 		{"sweep", sweep, 2},
 		{"experiment", Spec{Experiment: "F17", Quick: true}, 2},
-		{"monitored", monitored, 0},
+		{"monitored", monitored, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,5 +260,37 @@ func TestEngineStack(t *testing.T) {
 				t.Fatalf("stack monitor saw %d runs, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFaultedF4MatchesComparison: a faulted experiment builds its
+// controllers the way the engine's comparison runs do (sim.EnvFor arms
+// OD-RL's stale-telemetry watchdog), so F4's od-rl BIPS/W cells equal the
+// comparison table's for the same runs.
+func TestFaultedF4MatchesComparison(t *testing.T) {
+	plan := fault.Scaled(1)
+	cfg := experiments.Config{Quick: true, FaultPlan: &plan}
+	f4, err := experiments.F4EnergyEfficiency(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.Normalized()
+	grid, _, err := (&Engine{}).Run(Spec{
+		Benchmarks:  n.Benchmarks,
+		Controllers: []string{"od-rl"},
+		BudgetW:     n.BudgetW,
+		Seeds:       []uint64{n.Seed},
+		Quick:       true,
+		FaultPlan:   &plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odrl := slices.Index(f4.Header, "od-rl")
+	eff := slices.Index(grid.Header, "BIPS/W")
+	for i, bench := range n.Benchmarks {
+		if got, want := f4.Rows[i][odrl], grid.Rows[i][eff]; f4.Rows[i][0] != bench || got != want {
+			t.Errorf("%s: F4 od-rl BIPS/W %s (row %v), comparison table %s", bench, got, f4.Rows[i][0], want)
+		}
 	}
 }

@@ -68,6 +68,8 @@ func TestSpecGoldenParity(t *testing.T) {
 		{"F3", nil},
 		{"F4", nil},
 		{"F5", []string{"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup"}},
+		{"F14", nil},
+		{"F18", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.id, func(t *testing.T) {

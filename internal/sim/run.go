@@ -524,31 +524,6 @@ func RunAll(opts Options, names []string) ([]Result, error) {
 	return results, nil
 }
 
-// RunExperiment executes a config.Experiment: one run per controller on the
-// experiment's platform and scenario, each reporting to stack.
-func RunExperiment(exp config.Experiment, stack Stack) ([]Result, error) {
-	if err := exp.Validate(); err != nil {
-		return nil, err
-	}
-	opts := DefaultOptions()
-	opts.Cores = exp.Cores
-	opts.Workload = exp.Workload
-	opts.BudgetW = exp.BudgetW
-	opts.EpochS = exp.EpochS
-	opts.WarmupS = exp.WarmupS
-	opts.MeasureS = exp.MeasureS
-	opts.Seed = exp.Seed
-	opts.SensorNoise = exp.SensorNoise
-	opts.ThermalOff = exp.ThermalOff
-	opts.Stack = stack
-	plat := exp.Platform
-	opts.Platform = &plat
-	for _, s := range exp.BudgetSchedule {
-		opts.BudgetSchedule = append(opts.BudgetSchedule, BudgetStep{AtS: s.AtS, BudgetW: s.BudgetW})
-	}
-	return RunAll(opts, exp.Controllers)
-}
-
 // SortByName orders results alphabetically by controller, for stable table
 // output when callers assemble results from concurrent runs.
 func SortByName(rs []Result) {

@@ -334,32 +334,6 @@ func TestRunWithWorkloadTrace(t *testing.T) {
 	}
 }
 
-func TestRunExperiment(t *testing.T) {
-	exp := config.DefaultExperiment()
-	exp.Cores = 9
-	exp.WarmupS = 0.02
-	exp.MeasureS = 0.05
-	exp.Controllers = []string{"pid", "static"}
-	exp.BudgetSchedule = []config.BudgetStep{{AtS: 0.03, BudgetW: 20}}
-	results, err := RunExperiment(exp, Stack{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, name := range exp.Controllers {
-		if results[i].Summary.Controller != name {
-			t.Fatalf("result %d labelled %q", i, results[i].Summary.Controller)
-		}
-	}
-	bad := exp
-	bad.Cores = 0
-	if _, err := RunExperiment(bad, Stack{}); err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
 func TestRunWithCustomPlatform(t *testing.T) {
 	plat, err := config.PlatformPreset("manycore-4pstate")
 	if err != nil {
