@@ -96,13 +96,14 @@ bench:
 	$(GO) test -run=- -bench=. -benchtime=1s ./internal/obs/
 
 # Short fuzz pass over every decoder that accepts external bytes: workload
-# traces, obs JSONL records, fault plans. Go runs one fuzz target per
-# invocation, so each gets its own anchored pattern.
+# traces, obs JSONL records, fault plans, saved OD-RL policies. Go runs one
+# fuzz target per invocation, so each gets its own anchored pattern.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs/monitor/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs/learn/
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) ./internal/analysis/

@@ -94,6 +94,64 @@ func benchDecide(b *testing.B, name string, cores int) {
 	}
 }
 
+// recordTelemetry steps a chip built from opts under OD-RL for the given
+// number of epochs and returns a copy of every epoch's telemetry.
+func recordTelemetry(b *testing.B, opts sim.Options, epochs int) []manycore.Telemetry {
+	b.Helper()
+	chip, _, err := sim.NewChip(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer chip.Close()
+	env, err := sim.EnvFor(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := sim.NewController("od-rl", env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]int, opts.Cores)
+	frames := make([]manycore.Telemetry, epochs)
+	for e := range frames {
+		tel := chip.Step(opts.EpochS)
+		frames[e] = tel
+		frames[e].Cores = append([]manycore.CoreTelemetry(nil), tel.Cores...)
+		c.Decide(&tel, opts.BudgetW, out)
+		for i, l := range out {
+			chip.SetLevel(i, l)
+		}
+	}
+	return frames
+}
+
+// BenchmarkDecideODRL256Stream times OD-RL's Decide on a recorded telemetry
+// stream instead of one frozen frame. Set-up runs a seeded 256-core mix
+// chip under OD-RL for one simulated second and copies each epoch's
+// telemetry; the timed loop replays those frames in order, wrapping, into
+// a fresh sequential controller. Its agents then read the Q rows of the
+// states a real run visits, which replaying one frame cannot show.
+func BenchmarkDecideODRL256Stream(b *testing.B) {
+	opts := sim.DefaultOptions()
+	opts.Cores = 256
+	opts.BudgetW = 0.9*256 + power.Default().UncoreW
+	opts.Workers = 1
+	frames := recordTelemetry(b, opts, 1000)
+	env, err := sim.EnvFor(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := sim.NewController("od-rl", env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]int, opts.Cores)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Decide(&frames[i%len(frames)], opts.BudgetW, out)
+	}
+}
+
 func BenchmarkDecideODRL64(b *testing.B)      { benchDecide(b, "od-rl", 64) }
 func BenchmarkDecideODRL256(b *testing.B)     { benchDecide(b, "od-rl", 256) }
 func BenchmarkDecideODRL1024(b *testing.B)    { benchDecide(b, "od-rl", 1024) }

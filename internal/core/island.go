@@ -82,6 +82,9 @@ func NewIslands(chipW, chipH, islandW, islandH int, table *vf.Table, pwr power.P
 // Name implements ctrl.Controller.
 func (ic *IslandController) Name() string { return "od-rl-island" }
 
+// Close releases the inner controller's worker pool, if it started one.
+func (ic *IslandController) Close() error { return ic.inner.Close() }
+
 // Islands returns the number of control domains.
 func (ic *IslandController) Islands() int { return len(ic.islands) }
 

@@ -89,8 +89,7 @@ func (c *Controller) PolicyShape() (cores, states, actions int) {
 }
 
 // CopyPolicy implements ctrl.PolicySnapshotter: per-agent Q-tables
-// concatenated core-major (for double Q-learning, the first estimator —
-// matching what SavePolicy persists).
+// concatenated core-major, the values SavePolicy persists.
 func (c *Controller) CopyPolicy(dst []float64) error {
 	cores, states, actions := c.PolicyShape()
 	if cores == 0 {

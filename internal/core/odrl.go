@@ -77,19 +77,13 @@ type Config struct {
 	EpsilonStart float64
 	EpsilonEnd   float64
 	EpsilonDecay float64
-	// Algorithm selects Q-learning (default), SARSA or double Q-learning.
+	// Algorithm selects Q-learning (default) or SARSA for the tabular
+	// agents (ablated in F9).
 	Algorithm rl.Algorithm
-	// TraceLambda, when positive, enables Watkins Q(λ) eligibility traces
-	// in every per-core agent (QLearning only).
+	// TraceLambda is the eligibility-trace decay λ of the
+	// function-approximation agents' SARSA(λ). It needs FunctionApprox:
+	// New rejects a nonzero value for tabular agents.
 	TraceLambda float64
-	// ThermalLambda, when positive, adds a thermal term to the reward:
-	// −ThermalLambda·(T−ThermalRefK)/50 for cores above ThermalRefK. It
-	// teaches hot cores to back off even when their power share permits
-	// more — a thermal-aware extension beyond the paper.
-	ThermalLambda float64
-	// ThermalRefK is the temperature at which the penalty starts;
-	// defaults to 350 K when ThermalLambda is set.
-	ThermalRefK float64
 	// DisableRealloc turns the coarse-grain layer off (ablation F9).
 	DisableRealloc bool
 	// ReallocEMA, when positive, makes the reallocation pass act on an
@@ -116,9 +110,10 @@ type Config struct {
 	// harness arms it automatically when a fault plan is active.
 	WatchdogEpochs int
 	// FunctionApprox replaces the tabular per-core agents with tile-coded
-	// linear SARSA(λ) over the continuous state ⟨headroom,
-	// memory-boundedness, level⟩ — no discretisation cliffs, smooth
-	// generalisation between neighbouring states. Policy persistence
+	// linear SARSA(λ), λ = TraceLambda, over the continuous state
+	// ⟨headroom, memory-boundedness, level⟩ — no discretisation cliffs,
+	// smooth generalisation between neighbouring states (ablated in F9).
+	// Algorithm does not apply, and policy persistence
 	// (SavePolicy/LoadPolicy) is tabular-only.
 	FunctionApprox bool
 	// Seed drives exploration.
@@ -187,9 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
-	}
-	if c.ThermalLambda > 0 && c.ThermalRefK == 0 {
-		c.ThermalRefK = 350
 	}
 	return c
 }
@@ -301,6 +293,9 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 	if cfg.WatchdogEpochs < 0 {
 		return nil, fmt.Errorf("core: negative WatchdogEpochs %d", cfg.WatchdogEpochs)
 	}
+	if cfg.TraceLambda != 0 && !cfg.FunctionApprox {
+		return nil, fmt.Errorf("core: TraceLambda %g needs FunctionApprox (tabular agents have no traces)", cfg.TraceLambda)
+	}
 
 	codec := rl.MustCodec(cfg.HeadroomBuckets, cfg.MemBuckets, table.Levels())
 	rlCfg := rl.Config{
@@ -309,11 +304,9 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 		Alpha:        cfg.Alpha,
 		Gamma:        cfg.Gamma,
 		Algorithm:    cfg.Algorithm,
-		Policy:       rl.EpsilonGreedy,
 		EpsilonStart: cfg.EpsilonStart,
 		EpsilonEnd:   cfg.EpsilonEnd,
 		EpsilonDecay: cfg.EpsilonDecay,
-		TraceLambda:  cfg.TraceLambda,
 		// Optimistic initialisation: the best sustained reward is roughly
 		// perf_max/(1−γ); starting near it makes every agent try each
 		// action in the states it actually visits before settling.
@@ -742,11 +735,7 @@ func (c *Controller) rewardOf(ct *manycore.CoreTelemetry, budget float64) float6
 	if budget > 0 && ct.PowerW > budget {
 		overshoot = finiteOr((ct.PowerW-budget)/budget, 0)
 	}
-	r := perf - c.cfg.Lambda*overshoot
-	if c.cfg.ThermalLambda > 0 && ct.TempK > c.cfg.ThermalRefK {
-		r -= c.cfg.ThermalLambda * (ct.TempK - c.cfg.ThermalRefK) / 50
-	}
-	return r
+	return perf - c.cfg.Lambda*overshoot
 }
 
 // reallocate is the coarse-grain O(n) budget redistribution pass. Dead

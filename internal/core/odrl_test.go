@@ -309,30 +309,6 @@ func TestLearnsToAvoidOvershootInStaticEnvironment(t *testing.T) {
 	}
 }
 
-func TestThermalPenaltyShapesReward(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ThermalLambda = 2
-	c, err := New(1, vf.Default(), power.Default(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cool := &manycore.CoreTelemetry{IPS: 1e9, PowerW: 0.5, TempK: 340}
-	hot := &manycore.CoreTelemetry{IPS: 1e9, PowerW: 0.5, TempK: 370}
-	if c.rewardOf(hot, 2) >= c.rewardOf(cool, 2) {
-		t.Fatal("hot core not penalised")
-	}
-	// Exactly at the reference there is no penalty.
-	at := &manycore.CoreTelemetry{IPS: 1e9, PowerW: 0.5, TempK: 350}
-	if c.rewardOf(at, 2) != c.rewardOf(cool, 2) {
-		t.Fatal("penalty applied at or below the reference temperature")
-	}
-	// Disabled by default.
-	cOff, _ := New(1, vf.Default(), power.Default(), DefaultConfig())
-	if cOff.rewardOf(hot, 2) != cOff.rewardOf(cool, 2) {
-		t.Fatal("thermal penalty active without ThermalLambda")
-	}
-}
-
 func TestReallocEMASmoothsPowerView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReallocEMA = 0.1

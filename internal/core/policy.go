@@ -45,7 +45,8 @@ func (c *Controller) SavePolicy(w io.Writer) error {
 // LoadPolicy warm-starts the controller from a policy saved by SavePolicy.
 // The policy must match this controller's core count and state/action
 // shape exactly; refusing near-misses is deliberate, as a policy learned
-// for a different discretisation is silently wrong.
+// for a different discretisation is silently wrong. A refused policy
+// changes no agent.
 func (c *Controller) LoadPolicy(r io.Reader) error {
 	if c.linAgents != nil {
 		return fmt.Errorf("core: policy persistence is tabular-only")
@@ -67,10 +68,18 @@ func (c *Controller) LoadPolicy(r io.Reader) error {
 	if len(pf.Tables) != pf.Cores {
 		return fmt.Errorf("core: policy has %d tables for %d cores", len(pf.Tables), pf.Cores)
 	}
+	// Check every table before copying any, so a refused policy leaves
+	// the controller untouched.
 	for i, tbl := range pf.Tables {
 		if tbl == nil {
 			return fmt.Errorf("core: policy table %d missing", i)
 		}
+		if tbl.States() != pf.States || tbl.Actions() != pf.Actions {
+			return fmt.Errorf("core: policy table %d is %dx%d, policy is %dx%d",
+				i, tbl.States(), tbl.Actions(), pf.States, pf.Actions)
+		}
+	}
+	for i, tbl := range pf.Tables {
 		if err := c.agents[i].Table().CopyFrom(tbl); err != nil {
 			return fmt.Errorf("core: policy table %d: %w", i, err)
 		}

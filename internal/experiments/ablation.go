@@ -99,6 +99,7 @@ func F9Ablation(cfg Config) (Table, error) {
 			return nil, err
 		}
 		res, err := sim.Run(opts, c)
+		release(c)
 		if err != nil {
 			return nil, err
 		}

@@ -114,6 +114,8 @@ func F14Barrier(cfg Config) (Table, error) {
 				}
 			}
 		}
+		chip.Close()
+		release(c)
 		steps := float64(app.Supersteps() - stepsStart)
 		rate := steps / cfg.MeasureS
 		perJ := 0.0

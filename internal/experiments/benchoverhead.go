@@ -148,6 +148,7 @@ func overheadCase(name, controller string, opts sim.Options, attach func(*sim.Op
 		if err != nil {
 			return 0, 0, err
 		}
+		defer release(c)
 		// Collect before the timed region so GC debt from construction (or
 		// from the previous leg) is never swept inside it.
 		runtime.GC()

@@ -12,6 +12,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/ctrl"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -124,6 +125,15 @@ func (c Config) runOpts() sim.Options {
 	opts.FaultPlan = c.FaultPlan
 	opts.Stack = c.Stack
 	return opts
+}
+
+// release closes a controller a runner built itself once its runs are
+// done: an OD-RL controller on a large chip parks a worker pool between
+// epochs. Runs through sim.RunNamed need no call.
+func release(c ctrl.Controller) {
+	if cl, ok := c.(io.Closer); ok {
+		cl.Close()
+	}
 }
 
 // Table is one rendered experiment result. The JSON form is a stable

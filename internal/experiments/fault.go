@@ -61,15 +61,7 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 			opts.Observer = session.Wrap(opts.Observer)
 		}
 		opts.Monitor = mon
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return faultRun{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return faultRun{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return faultRun{}, err
 		}

@@ -37,15 +37,7 @@ func F1PowerTrace(cfg Config) (Table, error) {
 		opts.BudgetW = 90
 		opts.BudgetSchedule = []sim.BudgetStep{{AtS: dropAt, BudgetW: 60}}
 		opts.TracePoints = 2000
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return nil, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return nil, err
 		}
@@ -172,15 +164,7 @@ func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error
 		j := jobs[i]
 		opts := cfg.runOpts()
 		opts.Workload = j.bench
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		c, err := sim.NewController(j.name, env)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, j.name)
 		if err != nil {
 			return metrics.Summary{}, fmt.Errorf("experiments: %s on %s: %w", j.name, j.bench, err)
 		}

@@ -33,15 +33,7 @@ func F17Hetero(cfg Config) (Table, error) {
 	for _, name := range names {
 		opts := cfg.runOpts()
 		opts.BigLittle = true
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return Table{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return Table{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return Table{}, err
 		}

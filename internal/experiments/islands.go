@@ -82,6 +82,7 @@ func F13Islands(cfg Config) (Table, error) {
 				}
 			}
 			res, err := sim.Run(opts, c)
+			release(c)
 			if err != nil {
 				return Table{}, err
 			}

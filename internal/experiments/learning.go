@@ -38,15 +38,7 @@ func F19LearningDynamics(cfg Config) (Table, error) {
 		opts.WarmupS = 0
 		lrn := learn.New(learn.Options{Detector: det})
 		opts.Learn = lrn
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return Table{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return Table{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return Table{}, err
 		}

@@ -106,6 +106,7 @@ func F5ControllerScaling(cfg Config) (Table, error) {
 				return Table{}, err
 			}
 			us := float64(timeDecide(c, tel, budget)) / 1e3
+			release(c)
 			row = append(row, cell(us))
 			switch name {
 			case "od-rl":

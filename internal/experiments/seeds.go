@@ -42,15 +42,7 @@ func F15Seeds(cfg Config) (Table, error) {
 		name, s := names[i/nSeeds], i%nSeeds
 		opts := cfg.runOpts()
 		opts.Seed = cfg.Seed + uint64(s)*1000
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return metrics.Summary{}, err
 		}

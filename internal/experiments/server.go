@@ -100,6 +100,8 @@ func F16Server(cfg Config) (Table, error) {
 				}
 			}
 		}
+		chip.Close()
+		release(c)
 		t.Rows = append(t.Rows, []string{
 			name,
 			cell(float64(sys.Completed()) / cfg.MeasureS),

@@ -39,6 +39,7 @@ func windowedRun(cfg Config, c ctrl.Controller, lr *learn.Run, totalS, windowS f
 	if err != nil {
 		return nil, err
 	}
+	defer chip.Close()
 
 	out := make([]int, cfg.Cores)
 	epochs := int(totalS / opts.EpochS)
@@ -93,6 +94,7 @@ func F6Convergence(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	defer release(c)
 	// Attach learning introspection so each window also reports how much of
 	// the policy has converged — the "why" behind the decaying overshoot.
 	lrn := learn.New(learn.Options{})
@@ -161,15 +163,7 @@ func F7BudgetSweep(cfg Config) (Table, error) {
 		b, name := budgets[i/nn], names[i%nn]
 		opts := cfg.runOpts()
 		opts.BudgetW = b
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
@@ -221,15 +215,7 @@ func F8CoreScaling(cfg Config) (Table, error) {
 		opts := cfg.runOpts()
 		opts.Cores = n
 		opts.BudgetW = perCoreW*float64(n) + power.Default().UncoreW
-		env, err := sim.EnvFor(opts)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		c, err := sim.NewController(name, env)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		res, err := sim.Run(opts, c)
+		res, err := sim.RunNamed(opts, name)
 		if err != nil {
 			return metrics.Summary{}, err
 		}

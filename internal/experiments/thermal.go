@@ -40,15 +40,7 @@ func F10Thermal(cfg Config) (Table, error) {
 		for _, name := range names {
 			opts := cfg.runOpts()
 			opts.BudgetW = b
-			env, err := sim.EnvFor(opts)
-			if err != nil {
-				return Table{}, err
-			}
-			c, err := sim.NewController(name, env)
-			if err != nil {
-				return Table{}, err
-			}
-			res, err := sim.Run(opts, c)
+			res, err := sim.RunNamed(opts, name)
 			if err != nil {
 				return Table{}, err
 			}

@@ -49,15 +49,7 @@ func F11Variation(cfg Config) (Table, error) {
 				vp.Seed = cfg.Seed
 				opts.Variation = &vp
 			}
-			env, err := sim.EnvFor(opts)
-			if err != nil {
-				return Table{}, err
-			}
-			c, err := sim.NewController(name, env)
-			if err != nil {
-				return Table{}, err
-			}
-			res, err := sim.Run(opts, c)
+			res, err := sim.RunNamed(opts, name)
 			if err != nil {
 				return Table{}, err
 			}

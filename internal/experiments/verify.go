@@ -122,10 +122,12 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer release(odrl)
 	maxbips, err := sim.NewController("maxbips", env)
 	if err != nil {
 		return nil, err
 	}
+	defer release(maxbips)
 	odrlLat := timeDecide(odrl, tel, budget)
 	maxbipsLat := timeDecide(maxbips, tel, budget)
 	speedup := float64(maxbipsLat) / float64(odrlLat)

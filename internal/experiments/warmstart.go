@@ -37,6 +37,7 @@ func F12WarmStart(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	defer trained.Close()
 	if _, err := windowedRun(cfg, trained, nil, trainS, trainS); err != nil {
 		return Table{}, err
 	}
@@ -56,6 +57,7 @@ func F12WarmStart(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	defer cold.Close()
 	coldLR := lrn.BeginRun(meta, nil, 0)
 	cold.SetLearnSink(coldLR)
 	coldRows, err := windowedRun(cfg, cold, coldLR, totalS, windowS)
@@ -69,6 +71,7 @@ func F12WarmStart(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	defer warm.Close()
 	if err := warm.LoadPolicy(&policy); err != nil {
 		return Table{}, err
 	}

@@ -1,22 +1,17 @@
 package rl
 
-import "fmt"
-
 // This file holds the learning-introspection hooks: a per-step Probe the
-// observability layer (internal/obs/learn) reads after every update, plus
-// the incrementally-maintained greedy-action cache that keeps the probes
-// O(1) per step. The probes are pure observation — they never draw from the
-// agent's RNG or change update order, so decision streams are bit-identical
-// with introspection on or off. With it off, the cost is a handful of
-// untaken branches per step.
+// observability layer (internal/obs/learn) reads after every update. The
+// agent's greedy index keeps the probes O(1) per step. The probes are pure
+// observation — they never draw from the agent's RNG or change update
+// order, so decision streams are bit-identical with introspection on or
+// off. With it off, the cost is one untaken branch per step.
 
 // Probe is the snapshot of one learning step, refreshed by every Step call
 // once EnableIntrospection has been called.
 type Probe struct {
 	// TDError is the raw temporal-difference error δ of the step's update
-	// (before the learning-rate scaling). For Watkins Q(λ) it is the single
-	// broadcast δ; for double Q-learning, the δ of whichever estimator was
-	// updated.
+	// (before the learning-rate scaling).
 	TDError float64
 	// QSpread is max−min over the action values of the most recently
 	// updated state — collapses toward the action gap as the policy
@@ -31,9 +26,9 @@ type Probe struct {
 	ActedGreedy bool
 }
 
-// EnableIntrospection turns on per-step probes, visit tracking and the
-// greedy-action cache. Idempotent; there is deliberately no way to turn it
-// off, so observers never race a disable.
+// EnableIntrospection turns on per-step probes and visit tracking.
+// Idempotent; there is deliberately no way to turn it off, so observers
+// never race a disable.
 func (a *Agent) EnableIntrospection() {
 	if a.visited == nil {
 		a.visited = make([]bool, a.cfg.States)
@@ -41,12 +36,6 @@ func (a *Agent) EnableIntrospection() {
 			a.visited[a.lastState] = true
 			a.visitedCount = 1
 		}
-	}
-	// Eligibility traces update many state-action pairs per step, which
-	// would invalidate the whole cache every step; that variant keeps the
-	// scan-based probe path instead.
-	if !a.introspect && !a.cfg.tracesEnabled() {
-		a.buildGreedyCache()
 	}
 	a.introspect = true
 }
@@ -74,99 +63,16 @@ func (a *Agent) TakeFlips() int {
 	return f
 }
 
-// noteTD records the step's TD error when introspection is on. Each update
-// branch calls it with its own δ.
-func (a *Agent) noteTD(delta float64) {
-	if a.introspect {
-		a.probe.TDError = delta
-	}
-}
-
-// buildGreedyCache (re)computes the greedy action and value of every state
-// under the selection values. Called once at EnableIntrospection and again
-// whenever a table was mutated behind the agent's back (Set/CopyFrom mark
-// the table dirty).
-func (a *Agent) buildGreedyCache() {
-	if a.greedyAct == nil {
-		a.greedyAct = make([]int32, a.cfg.States)
-		a.greedyVal = make([]float64, a.cfg.States)
-	}
-	for s := 0; s < a.cfg.States; s++ {
-		act, val := a.bestWithValue(s)
-		a.greedyAct[s], a.greedyVal[s] = int32(act), val
-	}
-	a.table.dirty = false
-	if a.table2 != nil {
-		a.table2.dirty = false
-	}
-	a.cacheOK = true
-}
-
-// guardCache rebuilds the greedy cache after an external table mutation.
-// One branch on the hot path; rebuilds are rare (warm-start loads, tests).
-func (a *Agent) guardCache() {
-	if a.cacheOK && (a.table.dirty || (a.table2 != nil && a.table2.dirty)) {
-		a.buildGreedyCache()
-	}
-}
-
-// bestWithValue is Best under the selection values (combined estimators for
-// double Q-learning).
-func (a *Agent) bestWithValue(s int) (int, float64) {
-	if a.table2 != nil {
-		return a.bestCombined(s)
-	}
-	return a.table.Best(s)
-}
-
-// noteUpdate maintains the greedy cache after the step's single-entry
-// update changed (s, act)'s selection value to v, and records policy churn.
-// The incremental cases reproduce Table.Best's lowest-index tie-breaking
-// exactly; only a fallen cached maximum forces a row rescan.
-func (a *Agent) noteUpdate(s, act int, v float64) {
-	if !a.cacheOK {
-		return
-	}
-	flipped := false
-	cur := int(a.greedyAct[s])
-	switch {
-	case act == cur:
-		if v >= a.greedyVal[s] {
-			// The maximum rose (or held): no lower-index action can have
-			// caught up, so the greedy action is unchanged.
-			a.greedyVal[s] = v
-		} else {
-			na, nv := a.bestWithValue(s)
-			a.greedyAct[s], a.greedyVal[s] = int32(na), nv
-			flipped = na != cur
-		}
-	case v > a.greedyVal[s], v == a.greedyVal[s] && act < cur:
-		a.greedyAct[s], a.greedyVal[s] = int32(act), v
-		flipped = true
-	}
-	if a.introspect {
-		a.probe.GreedyChanged = flipped
-	}
+// finishProbe fills the probe after Step's update of (lastState, lastAct):
+// its TD error δ, whether it flipped that state's greedy action, and
+// whether nextAct is greedy at next. Called only with introspection on.
+func (a *Agent) finishProbe(delta float64, flipped bool, next, nextAct int) {
+	a.probe.TDError = delta
+	a.probe.GreedyChanged = flipped
 	if flipped {
 		a.flips++
 	}
-}
-
-// finishProbe fills the remaining probe fields after the update. Called
-// from Step only when introspection is on, with lastState/lastAct still
-// pointing at the updated pair. With the cache active GreedyChanged was
-// already recorded by noteUpdate and ActedGreedy is a single lookup; the
-// traces variant falls back to row scans.
-func (a *Agent) finishProbe(prevBest, next, nextAct int) {
-	if a.cacheOK {
-		a.probe.ActedGreedy = nextAct == int(a.greedyAct[next])
-	} else {
-		a.probe.GreedyChanged = a.bestAction(a.lastState) != prevBest
-		if a.probe.GreedyChanged {
-			a.flips++
-		}
-		a.probe.ActedGreedy = nextAct == a.bestAction(next)
-	}
+	a.probe.ActedGreedy = nextAct == int(a.greedy[next])
 	a.lastUpd = a.lastState
 	a.markVisited(next)
 }
@@ -179,12 +85,12 @@ func (a *Agent) markVisited(s int) {
 	}
 }
 
-// spreadAt is max−min over the selection values of state s.
+// spreadAt is max−min over the action values of state s.
 func (a *Agent) spreadAt(s int) float64 {
-	lo := a.valueOf(s, 0)
-	hi := lo
-	for i := 1; i < a.cfg.Actions; i++ {
-		v := a.valueOf(s, i)
+	base := s * a.cfg.Actions
+	row := a.table.q[base : base+a.cfg.Actions]
+	lo, hi := row[0], row[0]
+	for _, v := range row[1:] {
 		if v > hi {
 			hi = v
 		}
@@ -193,15 +99,4 @@ func (a *Agent) spreadAt(s int) float64 {
 		}
 	}
 	return hi - lo
-}
-
-// CopyTo copies the table's values into dst, which must have exactly
-// states×actions capacity — the zero-allocation export the policy-snapshot
-// layer builds on.
-func (t *Table) CopyTo(dst []float64) error {
-	if len(dst) != len(t.q) {
-		return fmt.Errorf("rl: CopyTo dst has %d values, table has %d", len(dst), len(t.q))
-	}
-	copy(dst, t.q)
-	return nil
 }

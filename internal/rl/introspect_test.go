@@ -7,14 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
-func introCfg(alg Algorithm, lambda float64) Config {
+func introCfg(alg Algorithm) Config {
 	return Config{
 		States: 6, Actions: 3,
 		Alpha: 0.5, Gamma: 0.9,
 		Algorithm:    alg,
 		EpsilonStart: 0.3, EpsilonEnd: 0.05, EpsilonDecay: 0.99,
-		InitialQ:    1.0,
-		TraceLambda: lambda,
+		InitialQ: 1.0,
 	}
 }
 
@@ -32,16 +31,14 @@ func driveAgent(t *testing.T, a *Agent, steps int) []int {
 
 // TestIntrospectionIsReadOnly is the bit-identity contract: the same seeded
 // agent must choose identical actions and learn identical tables with
-// introspection on or off, for every algorithm variant.
+// introspection on or off, for both algorithms.
 func TestIntrospectionIsReadOnly(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"q-learning", introCfg(QLearning, 0)},
-		{"sarsa", introCfg(SARSA, 0)},
-		{"double-q", introCfg(DoubleQLearning, 0)},
-		{"q-lambda", introCfg(QLearning, 0.7)},
+		{"q-learning", introCfg(QLearning)},
+		{"sarsa", introCfg(SARSA)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,7 +73,7 @@ func TestIntrospectionIsReadOnly(t *testing.T) {
 // TestProbeTDError checks the probe's δ against the hand-computed
 // Q-learning TD error of a single step.
 func TestProbeTDError(t *testing.T) {
-	cfg := introCfg(QLearning, 0)
+	cfg := introCfg(QLearning)
 	cfg.EpsilonStart, cfg.EpsilonEnd = 0, 0 // fully greedy: deterministic
 	a, err := NewAgent(cfg, rng.New(1))
 	if err != nil {
@@ -108,7 +105,7 @@ func TestProbeTDError(t *testing.T) {
 // TestProbeGreedyChanged forces a large negative reward so the update flips
 // the updated state's greedy action.
 func TestProbeGreedyChanged(t *testing.T) {
-	cfg := introCfg(QLearning, 0)
+	cfg := introCfg(QLearning)
 	cfg.EpsilonStart, cfg.EpsilonEnd = 0, 0
 	cfg.Alpha = 1.0
 	a, err := NewAgent(cfg, rng.New(1))
@@ -133,7 +130,7 @@ func TestProbeGreedyChanged(t *testing.T) {
 // TestEnableIntrospectionMidRun enables probes after learning has begun:
 // the current state must count as visited.
 func TestEnableIntrospectionMidRun(t *testing.T) {
-	a, err := NewAgent(introCfg(QLearning, 0), rng.New(3))
+	a, err := NewAgent(introCfg(QLearning), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

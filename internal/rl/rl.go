@@ -1,9 +1,10 @@
 // Package rl provides the tabular reinforcement-learning machinery the
-// OD-RL controller builds on: Q-tables, Q-learning and SARSA updates,
-// ε-greedy and softmax action selection with decay schedules, and helpers
-// for discretising continuous telemetry into table states.
+// OD-RL controller builds on: Q-tables, ε-greedy Q-learning and SARSA
+// agents with a decaying exploration schedule, a tile-coded linear SARSA(λ)
+// agent for the function-approximation mode, and helpers for discretising
+// continuous telemetry into table states.
 //
-// Everything is deliberately table-based. The paper's per-core agents must
+// The per-core agents are deliberately table-based. The paper's agents must
 // run every millisecond on hundreds of cores; a handful of multiplies per
 // decision is the entire point of the approach, and the F5 scalability
 // experiment measures exactly that.
@@ -34,23 +35,14 @@ func (a Algorithm) String() string {
 		return "q-learning"
 	case SARSA:
 		return "sarsa"
-	case DoubleQLearning:
-		return "double-q-learning"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
-// PolicyKind selects the exploration policy.
-type PolicyKind int
-
-// Supported exploration policies.
-const (
-	// EpsilonGreedy explores uniformly with probability ε.
-	EpsilonGreedy PolicyKind = iota
-	// Softmax samples actions with probability ∝ exp(Q/τ).
-	Softmax
-)
+// maxActions bounds Config.Actions: the greedy index holds one byte per
+// state.
+const maxActions = 256
 
 // Config parameterises an Agent.
 type Config struct {
@@ -62,23 +54,14 @@ type Config struct {
 	Gamma float64
 	// Algorithm chooses the TD target.
 	Algorithm Algorithm
-	// Policy chooses the exploration mechanism.
-	Policy PolicyKind
-	// EpsilonStart/EpsilonEnd/EpsilonDecay give the exploration schedule
-	// ε(t) = end + (start − end)·decay^t for EpsilonGreedy, and the same
-	// schedule for temperature when Policy is Softmax.
+	// EpsilonStart/EpsilonEnd/EpsilonDecay give the ε-greedy exploration
+	// schedule ε(t) = end + (start − end)·decay^t.
 	EpsilonStart float64
 	EpsilonEnd   float64
 	EpsilonDecay float64
 	// InitialQ optimistically initialises the table to encourage early
 	// exploration of untried actions.
 	InitialQ float64
-	// TraceLambda, when positive, enables Watkins Q(λ) eligibility traces
-	// with the given decay (only with the QLearning algorithm).
-	TraceLambda float64
-	// UCBc is the UCB1 exploration constant; only used when Policy is UCB,
-	// where it must be positive.
-	UCBc float64
 }
 
 // Validate reports the first invalid hyper-parameter.
@@ -86,8 +69,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.States <= 0:
 		return fmt.Errorf("rl: States must be positive, got %d", c.States)
-	case c.Actions <= 0:
-		return fmt.Errorf("rl: Actions must be positive, got %d", c.Actions)
+	case c.Actions <= 0 || c.Actions > maxActions:
+		return fmt.Errorf("rl: Actions must be in [1,%d], got %d", maxActions, c.Actions)
 	case c.Alpha <= 0 || c.Alpha > 1:
 		return fmt.Errorf("rl: Alpha must be in (0,1], got %g", c.Alpha)
 	case c.Gamma < 0 || c.Gamma >= 1:
@@ -98,84 +81,29 @@ func (c Config) Validate() error {
 		return fmt.Errorf("rl: EpsilonEnd must be in [0, EpsilonStart], got %g", c.EpsilonEnd)
 	case c.EpsilonDecay <= 0 || c.EpsilonDecay > 1:
 		return fmt.Errorf("rl: EpsilonDecay must be in (0,1], got %g", c.EpsilonDecay)
-	case c.Algorithm != QLearning && c.Algorithm != SARSA && c.Algorithm != DoubleQLearning:
+	case c.Algorithm != QLearning && c.Algorithm != SARSA:
 		return fmt.Errorf("rl: unknown algorithm %d", c.Algorithm)
-	case c.Policy != EpsilonGreedy && c.Policy != Softmax && c.Policy != UCB:
-		return fmt.Errorf("rl: unknown policy %d", c.Policy)
-	case c.Policy == UCB && c.UCBc <= 0:
-		return fmt.Errorf("rl: UCB policy needs positive UCBc, got %g", c.UCBc)
 	}
-	return c.validateExtensions()
+	return nil
 }
 
-// Table is a dense state×action value table.
-type Table struct {
-	states, actions int
-	q               []float64
-	// dirty marks mutations made outside the agent's own update paths
-	// (Set, CopyFrom, UnmarshalJSON); the owning agent's greedy cache
-	// rebuilds before its next read.
-	dirty bool
-}
-
-// NewTable allocates a table initialised to initialQ.
-func NewTable(states, actions int, initialQ float64) *Table {
-	t := &Table{states: states, actions: actions, q: make([]float64, states*actions)}
-	if initialQ != 0 {
-		for i := range t.q {
-			t.q[i] = initialQ
-		}
-	}
-	return t
-}
-
-// Get returns Q(s, a).
-func (t *Table) Get(s, a int) float64 { return t.q[s*t.actions+a] }
-
-// Set assigns Q(s, a).
-func (t *Table) Set(s, a int, v float64) {
-	t.q[s*t.actions+a] = v
-	t.dirty = true
-}
-
-// setRaw assigns Q(s, a) from the agent's own update paths, which maintain
-// the greedy cache incrementally and so skip the dirty mark.
-func (t *Table) setRaw(s, a int, v float64) { t.q[s*t.actions+a] = v }
-
-// Best returns the greedy action and its value for state s; ties break
-// toward the lowest action index so results are deterministic.
-func (t *Table) Best(s int) (action int, value float64) {
-	base := s * t.actions
-	action, value = 0, t.q[base]
-	for a := 1; a < t.actions; a++ {
-		if v := t.q[base+a]; v > value {
-			action, value = a, v
-		}
-	}
-	return action, value
-}
-
-// States and Actions return the table dimensions.
-func (t *Table) States() int  { return t.states }
-func (t *Table) Actions() int { return t.actions }
-
-// Agent is one tabular TD learner. Use Begin once, then alternate
-// environment steps with Step.
+// Agent is one ε-greedy tabular TD learner. Use Begin once, then
+// alternate environment steps with Step.
 type Agent struct {
-	cfg    Config
-	table  *Table
-	table2 *Table    // second estimator, double Q-learning only
-	trace  []float64 // eligibility traces, Q(λ) only
-	ucb    *ucbState // visit counts, UCB policy only
-	r      *rng.RNG
+	cfg   Config
+	table *Table
+	r     *rng.RNG
 
 	steps     int
 	lastState int
 	lastAct   int
 	started   bool
 
-	// scratch for softmax
-	probs []float64
+	// greedy[s] is Table.Best(s)'s action, lowest index on ties. The
+	// agent's own updates keep it current (noteUpdate); a mutation from
+	// outside marks the table dirty and syncGreedy rebuilds it before the
+	// next read.
+	greedy []uint8
 
 	// shared exploration-schedule memo; nil means compute per call.
 	epsCache *EpsilonCache
@@ -185,15 +113,8 @@ type Agent struct {
 	probe        Probe
 	visited      []bool
 	visitedCount int
-
-	// Greedy-action cache under the selection values, maintained
-	// incrementally by noteUpdate; active only with introspection on and
-	// eligibility traces off (traces rewrite too many entries per step).
-	cacheOK   bool
-	greedyAct []int32
-	greedyVal []float64
-	flips     int // greedy flips since TakeFlips
-	lastUpd   int // most recently updated state, -1 before the first probed step
+	flips        int // greedy flips since TakeFlips
+	lastUpd      int // most recently updated state, -1 before the first probed step
 }
 
 // NewAgent creates an agent. The RNG drives exploration.
@@ -204,30 +125,20 @@ func NewAgent(cfg Config, r *rng.RNG) (*Agent, error) {
 	if r == nil {
 		return nil, fmt.Errorf("rl: nil rng")
 	}
-	a := &Agent{
+	// A fresh table is uniform at InitialQ, so action 0 wins every tie and
+	// the zeroed index is already exact.
+	return &Agent{
 		cfg:     cfg,
 		table:   NewTable(cfg.States, cfg.Actions, cfg.InitialQ),
 		r:       r,
-		probs:   make([]float64, cfg.Actions),
+		greedy:  make([]uint8, cfg.States),
 		lastUpd: -1,
-	}
-	if cfg.Algorithm == DoubleQLearning {
-		a.table2 = NewTable(cfg.States, cfg.Actions, cfg.InitialQ)
-	}
-	if cfg.tracesEnabled() {
-		a.trace = make([]float64, cfg.States*cfg.Actions)
-	}
-	if cfg.Policy == UCB {
-		a.ucb = &ucbState{
-			visits:      make([]float64, cfg.States*cfg.Actions),
-			stateVisits: make([]float64, cfg.States),
-		}
-	}
-	return a, nil
+	}, nil
 }
 
-// Table exposes the agent's Q-table (for inspection and for the OD-RL
-// global layer, which reads Q-values as marginal-utility estimates).
+// Table exposes the agent's Q-table for inspection, policy persistence and
+// warm starts. A write through it marks the table dirty, and the agent
+// rebuilds its greedy index before its next read.
 func (a *Agent) Table() *Table { return a.table }
 
 // epsilonSlots is how many distinct step counts one EpsilonCache serves.
@@ -319,91 +230,62 @@ func (a *Agent) Epsilon() float64 {
 // Steps returns the number of learning steps taken so far.
 func (a *Agent) Steps() int { return a.steps }
 
-// valueOf returns the action value used for selection: the mean of both
-// estimators under double Q-learning, the single table otherwise.
-func (a *Agent) valueOf(s, act int) float64 {
-	if a.table2 != nil {
-		return a.combinedQ(s, act)
+// syncGreedy rebuilds the greedy index if the table was mutated from
+// outside the agent. One branch on the hot path; rebuilds are rare
+// (warm-start loads, tests).
+func (a *Agent) syncGreedy() {
+	if a.table.dirty {
+		a.rebuildGreedy()
 	}
-	return a.table.Get(s, act)
 }
 
-// bestAction is the greedy action under the selection value. With the
-// introspection cache active it is a single lookup; the cache is maintained
-// to agree with a full scan exactly, ties included.
-func (a *Agent) bestAction(s int) int {
-	if a.cacheOK {
-		return int(a.greedyAct[s])
+// rebuildGreedy recomputes every state's greedy action with Table.Best.
+func (a *Agent) rebuildGreedy() {
+	for s := range a.greedy {
+		act, _ := a.table.Best(s)
+		a.greedy[s] = uint8(act)
 	}
-	if a.table2 != nil {
-		act, _ := a.bestCombined(s)
-		return act
-	}
-	act, _ := a.table.Best(s)
-	return act
+	a.table.dirty = false
 }
 
-// selectAction applies the configured exploration policy at state s.
+// noteUpdate keeps the greedy index exact after an update changed Q(s, act)
+// from old to v, and reports whether s's greedy action flipped. The
+// incremental cases reproduce Table.Best's lowest-index tie-break; only a
+// fallen greedy value forces a row rescan.
+func (a *Agent) noteUpdate(s, act int, old, v float64) bool {
+	cur := int(a.greedy[s])
+	next := cur
+	if act == cur {
+		// A greedy value that rose or held keeps its action: no
+		// lower-index action can have caught up. Anything else (a fall,
+		// or a NaN) rescans.
+		if !(v >= old) {
+			next, _ = a.table.Best(s)
+		}
+	} else if g := a.table.Get(s, cur); v > g || v == g && act < cur {
+		next = act
+	}
+	if next == cur {
+		return false
+	}
+	a.greedy[s] = uint8(next)
+	return true
+}
+
+// selectAction is ε-greedy at state s.
 func (a *Agent) selectAction(s int) int {
 	eps := a.Epsilon()
-	switch a.cfg.Policy {
-	case UCB:
-		return a.selectUCB(s)
-	case Softmax:
-		// Temperature follows the ε schedule, floored to stay numeric.
-		tau := eps
-		if tau < 1e-3 {
-			tau = 1e-3
-		}
-		// Walk the state's row(s) directly: valueOf per cell redoes the
-		// s*actions index math every call. The selection values are the
-		// same expressions ((q1+q2)/2 under double-Q), so the sampled
-		// distribution is bit-identical.
-		base := s * a.cfg.Actions
-		row := a.table.q[base : base+a.cfg.Actions]
-		var row2 []float64
-		if a.table2 != nil {
-			row2 = a.table2.q[base : base+a.cfg.Actions]
-		}
-		value := func(i int) float64 {
-			if row2 != nil {
-				return (row[i] + row2[i]) / 2
-			}
-			return row[i]
-		}
-		maxQ := value(0)
-		for i := 1; i < a.cfg.Actions; i++ {
-			if v := value(i); v > maxQ {
-				maxQ = v
-			}
-		}
-		sum := 0.0
-		for i := 0; i < a.cfg.Actions; i++ {
-			p := math.Exp((value(i) - maxQ) / tau)
-			a.probs[i] = p
-			sum += p
-		}
-		x := a.r.Float64() * sum
-		for i, p := range a.probs {
-			x -= p
-			if x < 0 {
-				return i
-			}
-		}
-		return a.cfg.Actions - 1
-	default: // EpsilonGreedy
-		if a.r.Float64() < eps {
-			return a.r.Intn(a.cfg.Actions)
-		}
-		return a.bestAction(s)
+	if a.r.Float64() < eps {
+		return a.r.Intn(a.cfg.Actions)
 	}
+	return int(a.greedy[s])
 }
 
 // Begin starts (or restarts) an episode at state s and returns the first
 // action. No learning happens.
 func (a *Agent) Begin(s int) int {
 	a.checkState(s)
-	a.guardCache()
+	a.syncGreedy()
 	act := a.selectAction(s)
 	a.lastState, a.lastAct = s, act
 	a.started = true
@@ -419,48 +301,24 @@ func (a *Agent) Step(reward float64, next int) int {
 		panic("rl: Step before Begin")
 	}
 	a.checkState(next)
-	a.guardCache()
+	a.syncGreedy()
 	nextAct := a.selectAction(next)
 
-	// prevBest is captured before the update so the scan-based probe path
-	// can report greedy churn; with the cache active, noteUpdate records
-	// churn during the update instead.
-	var prevBest int
-	if a.introspect && !a.cacheOK {
-		prevBest = a.bestAction(a.lastState)
+	// Q-learning bootstraps from the greedy next action, SARSA from the
+	// action it will take.
+	boot := nextAct
+	if a.cfg.Algorithm == QLearning {
+		boot = int(a.greedy[next])
 	}
-
-	switch {
-	case a.cfg.Algorithm == DoubleQLearning:
-		a.stepDouble(reward, next)
-	case a.cfg.tracesEnabled():
-		a.stepTraces(reward, next, nextAct)
-	case a.cfg.Algorithm == SARSA:
-		bootstrap := a.table.Get(next, nextAct)
-		old := a.table.Get(a.lastState, a.lastAct)
-		delta := reward + a.cfg.Gamma*bootstrap - old
-		nv := old + a.cfg.Alpha*delta
-		a.table.setRaw(a.lastState, a.lastAct, nv)
-		a.noteTD(delta)
-		a.noteUpdate(a.lastState, a.lastAct, nv)
-	default: // QLearning
-		var bootstrap float64
-		if a.cacheOK {
-			// The cached greedy value equals Best(next)'s value exactly.
-			bootstrap = a.greedyVal[next]
-		} else {
-			_, bootstrap = a.table.Best(next)
-		}
-		old := a.table.Get(a.lastState, a.lastAct)
-		delta := reward + a.cfg.Gamma*bootstrap - old
-		nv := old + a.cfg.Alpha*delta
-		a.table.setRaw(a.lastState, a.lastAct, nv)
-		a.noteTD(delta)
-		a.noteUpdate(a.lastState, a.lastAct, nv)
-	}
+	bootstrap := a.table.Get(next, boot)
+	old := a.table.Get(a.lastState, a.lastAct)
+	delta := reward + a.cfg.Gamma*bootstrap - old
+	nv := old + a.cfg.Alpha*delta
+	a.table.q[a.lastState*a.cfg.Actions+a.lastAct] = nv
+	flipped := a.noteUpdate(a.lastState, a.lastAct, old, nv)
 
 	if a.introspect {
-		a.finishProbe(prevBest, next, nextAct)
+		a.finishProbe(delta, flipped, next, nextAct)
 	}
 
 	a.lastState, a.lastAct = next, nextAct
@@ -471,8 +329,8 @@ func (a *Agent) Step(reward float64, next int) int {
 // Greedy returns the greedy action at state s without exploring or learning.
 func (a *Agent) Greedy(s int) int {
 	a.checkState(s)
-	a.guardCache()
-	return a.bestAction(s)
+	a.syncGreedy()
+	return int(a.greedy[s])
 }
 
 func (a *Agent) checkState(s int) {

@@ -15,7 +15,6 @@ func baseConfig() Config {
 		Alpha:        0.2,
 		Gamma:        0.9,
 		Algorithm:    QLearning,
-		Policy:       EpsilonGreedy,
 		EpsilonStart: 1.0,
 		EpsilonEnd:   0.01,
 		EpsilonDecay: 0.999,
@@ -26,9 +25,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := baseConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	widest := baseConfig()
+	widest.Actions = 256
+	if err := widest.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	mutations := []func(*Config){
 		func(c *Config) { c.States = 0 },
 		func(c *Config) { c.Actions = 0 },
+		func(c *Config) { c.Actions = 257 }, // the greedy index holds one byte per state
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Alpha = 1.5 },
 		func(c *Config) { c.Gamma = 1.0 },
@@ -37,7 +42,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.EpsilonEnd = 2.0 },
 		func(c *Config) { c.EpsilonDecay = 0 },
 		func(c *Config) { c.Algorithm = Algorithm(9) },
-		func(c *Config) { c.Policy = PolicyKind(9) },
 	}
 	for i, mutate := range mutations {
 		c := baseConfig()
@@ -132,28 +136,25 @@ func TestNilRNGRejected(t *testing.T) {
 // Any sane learner must converge to action 1 greedily.
 func TestBanditConvergence(t *testing.T) {
 	for _, alg := range []Algorithm{QLearning, SARSA} {
-		for _, pol := range []PolicyKind{EpsilonGreedy, Softmax} {
-			cfg := baseConfig()
-			cfg.States = 1
-			cfg.Actions = 2
-			cfg.Algorithm = alg
-			cfg.Policy = pol
-			cfg.EpsilonDecay = 0.995
-			a, err := NewAgent(cfg, rng.New(5))
-			if err != nil {
-				t.Fatal(err)
+		cfg := baseConfig()
+		cfg.States = 1
+		cfg.Actions = 2
+		cfg.Algorithm = alg
+		cfg.EpsilonDecay = 0.995
+		a, err := NewAgent(cfg, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := a.Begin(0)
+		for i := 0; i < 5000; i++ {
+			reward := 0.1
+			if act == 1 {
+				reward = 1.0
 			}
-			act := a.Begin(0)
-			for i := 0; i < 5000; i++ {
-				reward := 0.1
-				if act == 1 {
-					reward = 1.0
-				}
-				act = a.Step(reward, 0)
-			}
-			if a.Greedy(0) != 1 {
-				t.Errorf("%v/%v: greedy action = %d, want 1", alg, pol, a.Greedy(0))
-			}
+			act = a.Step(reward, 0)
+		}
+		if a.Greedy(0) != 1 {
+			t.Errorf("%v: greedy action = %d, want 1", alg, a.Greedy(0))
 		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// specFS holds the checked-in specs: one per registered experiment. These
-// are the declarative form of the paper evaluation — the F-series runners
-// are thin wrappers over them, and the parity tests prove the engine
-// regenerates every golden table byte-identically from these files.
+// specFS holds the checked-in specs: one per registered experiment. Each
+// names the Go runner in internal/experiments that defines the experiment
+// (the spec is a thin pointer to the runner, not the other way round), and
+// the parity tests prove the engine regenerates every golden table
+// byte-identically from these files.
 //
 //go:embed specs/*.json
 var specFS embed.FS

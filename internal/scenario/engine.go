@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/config"
@@ -214,20 +213,7 @@ func runOne(spec Spec, opts sim.Options, controller string) (runOutcome, error) 
 		}
 		opts.Monitor = mon
 	}
-	env, err := sim.EnvFor(opts)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	c, err := sim.NewController(controller, env)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	res, err := sim.Run(opts, c)
-	// Engine-built controllers are single-run; release any persistent
-	// worker pool before moving on (harmless for poolless ones).
-	if cl, ok := c.(io.Closer); ok {
-		cl.Close()
-	}
+	res, err := sim.RunNamed(opts, controller)
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("scenario: %s on %s: %w", controller, opts.Workload, err)
 	}

@@ -7,9 +7,11 @@
 //
 // Specs are the contract shared by the CLIs (cmd/odrl-run, cmd/odrl-bench)
 // and, later, the fleet service: users submit novel scenarios as files
-// without touching the repo, and every checked-in F-series experiment is a
-// spec under specs/ whose engine output is byte-identical to the hand-coded
-// runner's golden table.
+// without touching the repo. Every checked-in experiment has a spec under
+// specs/, but those specs are pointers, not definitions: each names a Go
+// runner in internal/experiments ({"experiment": "F7"}), which the engine
+// calls, and the parity tests prove the engine's table byte-identical to
+// that runner's golden.
 package scenario
 
 import (

@@ -179,7 +179,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	// The chip owns persistent shard workers that park between epochs;
 	// release them with the run. The controller is caller-owned (it may be
 	// inspected or reused after the run), so its pool is the caller's to
-	// close — RunAll closes the controllers it builds itself.
+	// close — RunNamed closes the controllers it builds itself.
 	defer chip.Close()
 	cfg := chip.Config()
 
@@ -497,25 +497,31 @@ func EnvFor(opts Options) (Env, error) {
 	return env, nil
 }
 
-// RunAll runs the same options against a list of controller names built
-// from EnvFor, returning results in the given order.
+// RunNamed builds the named controller for opts (EnvFor, then
+// NewController), runs it, and closes it. The controller is single-run, so
+// its persistent worker pool, if it started one, is released with the run.
+func RunNamed(opts Options, name string) (Result, error) {
+	env, err := EnvFor(opts)
+	if err != nil {
+		return Result{}, err
+	}
+	c, err := NewController(name, env)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := Run(opts, c)
+	if cl, ok := c.(io.Closer); ok {
+		cl.Close()
+	}
+	return res, err
+}
+
+// RunAll runs the same options against a list of controller names,
+// returning results in the given order.
 func RunAll(opts Options, names []string) ([]Result, error) {
 	results := make([]Result, 0, len(names))
 	for _, name := range names {
-		env, err := EnvFor(opts)
-		if err != nil {
-			return nil, err
-		}
-		c, err := NewController(name, env)
-		if err != nil {
-			return nil, err
-		}
-		res, err := Run(opts, c)
-		// Controllers built here are single-run; release any persistent
-		// worker pool before moving on (harmless for poolless ones).
-		if cl, ok := c.(io.Closer); ok {
-			cl.Close()
-		}
+		res, err := RunNamed(opts, name)
 		if err != nil {
 			return nil, fmt.Errorf("sim: running %s: %w", name, err)
 		}
