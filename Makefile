@@ -45,8 +45,10 @@ build:
 bench-compile:
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
+# Shuffled order, so a test whose result depends on an earlier test's
+# package state fails; Go prints the seed, and -shuffle=N replays it.
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # Determinism gate for the parallel execution layer: sequential (Workers=1)
 # and parallel (Workers=8) runs must produce byte-identical tables and
@@ -95,12 +97,10 @@ bench-obs:
 bench:
 	$(GO) test -run=- -bench=. -benchtime=1s ./internal/obs/
 
-# Short fuzz pass over every decoder that accepts external bytes: workload
-# traces, obs JSONL records, fault plans, saved OD-RL policies. Go runs one
-# fuzz target per invocation, so each gets its own anchored pattern.
+# Short fuzz pass over every decoder that accepts external bytes: obs JSONL
+# records, fault plans, saved OD-RL policies. Go runs one fuzz target per
+# invocation, so each gets its own anchored pattern.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/workload/
-	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) ./internal/core/

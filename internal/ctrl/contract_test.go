@@ -286,8 +286,7 @@ func TestContractConvergedActGreedily(t *testing.T) {
 		t.Fatal("od-rl does not implement ctrl.LearnStreamer")
 	}
 	lay := learn.New(learn.Options{
-		Detector:  learn.Detector{StableEpochs: 100, TDThreshold: 100},
-		EmitEvery: 1,
+		Detector: learn.Detector{StableEpochs: 100, TDThreshold: 100},
 	})
 	run := lay.BeginRun(obs.RunMeta{Controller: c.Name(), Cores: contractCores}, nil, 0)
 	ls.SetLearnSink(run)

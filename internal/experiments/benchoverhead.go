@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
@@ -38,7 +39,7 @@ type OverheadCase struct {
 // -bench-<layer>` (written as BENCH_<layer>.json): the epoch-loop cost of
 // one observability layer on this host.
 type OverheadReport struct {
-	HostInfo
+	obs.Host
 	Layer string         `json:"layer"`
 	Cases []OverheadCase `json:"cases"`
 }
@@ -115,7 +116,7 @@ func BenchOverhead(layer string) (OverheadReport, error) {
 // detector, while the CLI gate keeps the full protocol.
 func benchOverhead(layer string, reps int, specs []overheadSpec) (OverheadReport, error) {
 	attach := overheadLayers[layer].attach
-	rep := OverheadReport{HostInfo: hostInfo(), Layer: layer}
+	rep := OverheadReport{Host: obs.HostInfo(), Layer: layer}
 	for _, tc := range specs {
 		opts := sim.DefaultOptions()
 		opts.Workers = 1
@@ -197,11 +198,11 @@ func overheadCase(name, controller string, opts sim.Options, attach func(*sim.Op
 // overhead gates ratio CPU time where available because it is immune to the
 // scheduler noise that dominates wall clock on shared hosts.
 func timeRunBoth(fn func() error) (wallS, cpuS float64, err error) {
-	c0 := cpuSeconds()
+	c0 := obs.CPUSeconds()
 	start := time.Now() //odrl:allow wallclock bench harness measures host wall-clock by design
 	err = fn()
 	wallS = time.Since(start).Seconds() //odrl:allow wallclock bench harness measures host wall-clock by design
-	if c1 := cpuSeconds(); c1 > c0 {
+	if c1 := obs.CPUSeconds(); c1 > c0 {
 		cpuS = c1 - c0
 	}
 	return wallS, cpuS, err

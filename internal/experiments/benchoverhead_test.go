@@ -29,7 +29,7 @@ func checkOverheadReport(t *testing.T, layer string, specs []overheadSpec) {
 		}
 	}
 	if rep.GoVersion == "" || rep.HostCPUs <= 0 {
-		t.Fatalf("missing host stamp: %+v", rep.HostInfo)
+		t.Fatalf("missing host stamp: %+v", rep.Host)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -432,12 +433,59 @@ func TestBenchmarkSweepErrorNotCached(t *testing.T) {
 	if _, err := benchmarkSweep(cfg); err == nil {
 		t.Fatal("expected error for unknown controller")
 	}
-	// The failed entry must be evicted — sweepKey does not include the
-	// controller list, so a cached failure would otherwise poison this
-	// valid call sharing the same key.
-	cfg.Controllers = []string{"static"}
-	if _, err := benchmarkSweep(cfg); err != nil {
-		t.Fatalf("sweep after failed sweep with same key: %v", err)
+	// The failed entry must be evicted, so a retry recomputes instead of
+	// replaying the cached failure.
+	sweepMu.Lock()
+	entries := len(sweepCache)
+	sweepMu.Unlock()
+	if entries != 0 {
+		t.Fatalf("failed sweep left %d cache entries, want 0", entries)
+	}
+}
+
+// TestSweepMemoKeysEveryGridAxis: a sweep memoised for one configuration
+// must not serve another that differs only in an axis the grid reads.
+// Each case runs first, then second, and compares second's table with the
+// one a fresh grid gives.
+func TestSweepMemoKeysEveryGridAxis(t *testing.T) {
+	// At 8 W, pid overshoots after a 0.3 s warm-up and not after 0.1 s.
+	small := Config{
+		Cores: 4, BudgetW: 8, MeasureS: 0.1, WarmupS: 0.1,
+		Controllers: []string{"od-rl", "pid"}, Benchmarks: []string{"canneal"},
+	}
+	warm := small
+	warm.WarmupS = 0.3
+	twoCtrl := quickCfg()
+	twoCtrl.Controllers = []string{"od-rl", "pid"}
+	oneBench := quickCfg()
+	oneBench.Benchmarks = []string{"canneal"}
+	for _, tc := range []struct {
+		name          string
+		run           Runner
+		first, second Config
+	}{
+		{"controllers", F2Overshoot, twoCtrl, quickCfg()},
+		{"benchmarks", F3ThroughputPerOverEnergy, oneBench, quickCfg()},
+		{"warmup", F2Overshoot, small, warm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetSweepCache()
+			if _, err := tc.run(tc.first); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.run(tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resetSweepCache()
+			want, err := tc.run(tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("table after a memoised sweep differs from a fresh grid:\n--- fresh\n%+v\n--- memoised\n%+v", want, got)
+			}
+		})
 	}
 }
 

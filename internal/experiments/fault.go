@@ -19,10 +19,6 @@ import (
 // the same controller's fault-free run; the paper's robustness claim is
 // that the distributed learner degrades smoothly while prediction-based
 // centralised control decays faster on corrupted inputs.
-//
-// Note on numbering: ISSUE.md proposed this figure as F16, but that slot
-// was already taken by the server-consolidation extension, so it lands as
-// F18.
 func F18FaultIntensity(cfg Config) (Table, error) {
 	cfg = cfg.Normalized()
 	names := []string{"od-rl", "maxbips", "pid", "greedy"}
@@ -52,20 +48,10 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 			p := fault.Scaled(x)
 			opts.FaultPlan = &p
 		}
-		mon := monitor.New(monitor.Options{
-			Rules: monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS),
-		})
-		if session := opts.Monitor; session != nil {
-			// The figure's monitor takes the run's monitor slot; a session
-			// monitor chains in as a plain observer so it still sees the run.
-			opts.Observer = session.Wrap(opts.Observer)
-		}
-		opts.Monitor = mon
-		res, err := sim.RunNamed(opts, name)
+		res, h, err := sim.RunMonitored(opts, name, monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS))
 		if err != nil {
 			return faultRun{}, err
 		}
-		h := mon.Runs()[0]
 		return faultRun{s: res.Summary, faults: h.Faults, alerts: h.AlertCount}, nil
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/fault"
@@ -78,15 +79,18 @@ func F1PowerTrace(cfg Config) (Table, error) {
 }
 
 // sweepKey identifies one benchmark sweep for the cross-experiment cache:
-// F2, F3 and F4 all consume the same per-benchmark runs. Workers is
-// deliberately not part of the key — results are bit-identical for any
-// worker count, so callers at different -j share one sweep.
+// F2, F3 and F4 all consume the same per-benchmark runs. It holds every
+// axis runBenchmarkSweep reads except Workers — results are bit-identical
+// for any worker count, so callers at different -j share one sweep.
 type sweepKey struct {
 	cores    int
 	budgetW  float64
 	seed     uint64
-	quick    bool
+	warmupS  float64
 	measureS float64
+	// controllers and benchmarks are the grid's name lists joined with
+	// NUL, which no controller or benchmark name contains.
+	controllers, benchmarks string
 	// plan is the dereferenced fault plan (zero value when none): faulted
 	// and clean sweeps must never share an entry.
 	plan fault.Plan
@@ -125,7 +129,13 @@ func resetSweepCache() {
 // call can retry after a transient error, rather than replaying the cached
 // failure for the process lifetime.
 func benchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error) {
-	key := sweepKey{cores: cfg.Cores, budgetW: cfg.BudgetW, seed: cfg.Seed, quick: cfg.Quick, measureS: cfg.MeasureS, stack: cfg.Stack}
+	key := sweepKey{
+		cores: cfg.Cores, budgetW: cfg.BudgetW, seed: cfg.Seed,
+		warmupS: cfg.WarmupS, measureS: cfg.MeasureS,
+		controllers: strings.Join(cfg.Controllers, "\x00"),
+		benchmarks:  strings.Join(cfg.Benchmarks, "\x00"),
+		stack:       cfg.Stack,
+	}
 	if cfg.FaultPlan != nil {
 		key.plan = *cfg.FaultPlan
 	}

@@ -130,6 +130,29 @@ func TestGoldenF14(t *testing.T) {
 	checkGolden(t, "f14", tbl)
 }
 
+// TestGoldenTables pins every other deterministic table at quick fidelity,
+// so a change to a setting or a random stream that only these experiments
+// reach (the per-core workload jitter, the seed sweep, the learning
+// curves) trips a golden too.
+func TestGoldenTables(t *testing.T) {
+	for _, id := range []string{
+		"T1", "T2", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13",
+		"F15", "F16", "F17", "F19",
+	} {
+		t.Run(id, func(t *testing.T) {
+			run, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := run(goldenConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, strings.ToLower(id), tbl)
+		})
+	}
+}
+
 // TestGoldenF18 pins the fault-intensity table: stuck sensors, telemetry
 // blackouts, dropped and clamped actuation, dead cores and cap transients,
 // with the OD-RL stale-telemetry watchdog armed — the fault path, including

@@ -40,8 +40,8 @@ type LearnCoreSample struct {
 
 // LearnSink consumes the per-core learning sample stream. ObserveLearnEpoch
 // is called from the harness's sequential loop (the controller's Decide) —
-// once per control epoch, or once per EmitEvery epochs when the sink asks
-// for a stride — so implementations see samples in epoch order on one
+// once per control epoch, or once per stride when the sink is a
+// LearnStrider — so implementations see samples in epoch order on one
 // goroutine; they still guard shared state against concurrent HTTP readers.
 type LearnSink interface {
 	ObserveLearnEpoch(samples []LearnCoreSample)

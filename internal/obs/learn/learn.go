@@ -55,22 +55,19 @@ func (d Detector) withDefaults() Detector {
 	return d
 }
 
-// DefaultEmitEvery is the controller-side emit stride: agents track greedy
-// flips exactly every step (O(1) incremental cache maintenance), but the
-// aggregation — quantile sketch, EMAs, detector bookkeeping — runs once per
-// stride, keeping the layer's epoch-loop overhead within the bench-learn
-// budget. Convergence epochs are therefore resolved to this granularity.
-const DefaultEmitEvery = 16
+// EmitEvery is the controller-side emit stride in control epochs: agents
+// track greedy flips exactly every step (O(1) incremental cache
+// maintenance), but the aggregation — quantile sketch, EMAs, detector
+// bookkeeping — runs once per stride, keeping the layer's epoch-loop
+// overhead within the bench-learn budget. Convergence epochs are therefore
+// resolved to this granularity.
+const EmitEvery = 16
 
-// Options configures a Layer.
+// Options configures a Layer. The controller emit stride is fixed at
+// EmitEvery.
 type Options struct {
 	// Detector tunes the convergence criterion; zero fields take defaults.
 	Detector Detector
-	// EmitEvery is the controller emit stride in control epochs (default
-	// DefaultEmitEvery). Greedy-flip detection stays per-step exact; only
-	// the telemetry aggregation runs on the stride. 1 restores per-epoch
-	// emits.
-	EmitEvery int
 	// SnapshotEvery is the policy-snapshot cadence in learning epochs; with
 	// ArtifactDir set, 0 still writes the final snapshot at run end.
 	SnapshotEvery int
@@ -100,9 +97,6 @@ type Layer struct {
 // New builds a layer.
 func New(opt Options) *Layer {
 	opt.Detector = opt.Detector.withDefaults()
-	if opt.EmitEvery <= 0 {
-		opt.EmitEvery = DefaultEmitEvery
-	}
 	if opt.SeriesCap <= 0 {
 		opt.SeriesCap = monitor.DefaultSeriesCap
 	}
@@ -120,16 +114,15 @@ func New(opt Options) *Layer {
 // attach to the controller.
 func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 	r := &Run{
-		layer:     l,
-		id:        l.runIDs.Add(1),
-		meta:      meta,
-		det:       l.opt.Detector,
-		emitEvery: l.opt.EmitEvery,
-		islandOf:  islandOf,
-		sketch:    monitor.NewSketch(),
-		tdSeries:  monitor.NewSeries("learn.td_ema", l.opt.SeriesCap),
-		chSeries:  monitor.NewSeries("learn.churn", l.opt.SeriesCap),
-		cvSeries:  monitor.NewSeries("learn.converged_frac", l.opt.SeriesCap),
+		layer:    l,
+		id:       l.runIDs.Add(1),
+		meta:     meta,
+		det:      l.opt.Detector,
+		islandOf: islandOf,
+		sketch:   monitor.NewSketch(),
+		tdSeries: monitor.NewSeries("learn.td_ema", l.opt.SeriesCap),
+		chSeries: monitor.NewSeries("learn.churn", l.opt.SeriesCap),
+		cvSeries: monitor.NewSeries("learn.converged_frac", l.opt.SeriesCap),
 	}
 	if islands > 0 && islandOf != nil {
 		r.islandEMA = make([]float64, islands)
@@ -159,15 +152,13 @@ func (l *Layer) Runs() []*Run {
 // simulation loop (one goroutine); reads may come concurrently from HTTP
 // handlers, so all state is mutex-guarded.
 type Run struct {
-	layer     *Layer
-	id        int64
-	meta      obs.RunMeta
-	det       Detector
-	emitEvery int
+	layer *Layer
+	id    int64
+	meta  obs.RunMeta
+	det   Detector
 
 	mu     sync.Mutex
 	epochs int // learning epochs observed (controller decisions)
-	emits  int // ObserveLearnEpoch calls (== epochs when emitEvery is 1)
 	live   int // live agents at the last emit
 
 	// Per-agent detector state, lazily sized from the first sample batch.
@@ -207,9 +198,9 @@ type Run struct {
 	done         bool
 }
 
-// LearnEmitEvery implements obs.LearnStrider: the controller batches this
-// many control epochs per ObserveLearnEpoch call.
-func (r *Run) LearnEmitEvery() int { return r.emitEvery }
+// LearnEmitEvery implements obs.LearnStrider: the controller batches
+// EmitEvery control epochs per ObserveLearnEpoch call.
+func (r *Run) LearnEmitEvery() int { return EmitEvery }
 
 // ObserveLearnEpoch implements obs.LearnSink.
 //
@@ -239,7 +230,6 @@ func (r *Run) ObserveLearnEpoch(samples []obs.LearnCoreSample) {
 	}
 	first := r.epochs == 0
 	r.epochs += adv
-	r.emits++
 	a := r.det.EMAAlpha
 
 	for i := range r.islandSum {

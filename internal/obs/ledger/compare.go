@@ -39,12 +39,6 @@ var metricClasses = map[string]metricClass{
 	"decide_p99_ns":  {LowerBetter, true},
 }
 
-// MetricDirection returns the judgement direction for a metric name.
-func MetricDirection(name string) int { return metricClasses[name].direction }
-
-// MetricIsWallClock reports whether the metric is host-dependent.
-func MetricIsWallClock(name string) bool { return metricClasses[name].wallClock }
-
 // Delta is one metric comparison between a baseline and candidate run.
 type Delta struct {
 	// RunKey identifies the matched run pair (RunSummary.Key()).

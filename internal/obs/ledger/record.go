@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -65,8 +64,8 @@ type RunSummary struct {
 	// Alerts and Faults count fired run-health alerts and injected faults.
 	Alerts int `json:"alerts,omitempty"`
 	Faults int `json:"faults,omitempty"`
-	// Metrics is the open metric bag (see MetricDirections for the keys
-	// the regression gate judges).
+	// Metrics is the open metric bag (see metricClasses for the keys the
+	// regression gate judges).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -265,21 +264,4 @@ func DecodeRecord(line []byte) (Record, error) {
 		return Record{}, err
 	}
 	return r, nil
-}
-
-// SortedMetricNames returns the union of metric keys across the record's
-// run summaries, sorted — the stable iteration order every renderer uses.
-func (r Record) SortedMetricNames() []string {
-	seen := map[string]bool{}
-	for _, s := range r.Runs {
-		for k := range s.Metrics {
-			seen[k] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for k := range seen {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

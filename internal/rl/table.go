@@ -17,12 +17,15 @@ type Table struct {
 
 // NewTable allocates a table initialised to initialQ.
 func NewTable(states, actions int, initialQ float64) *Table {
-	// Fill a local slice before building the Table: filling through t.q
-	// reloads the field on every store once NewTable inlines.
+	// Fill by doubling copies: they run in the runtime's vectorised
+	// memmove, so the fill's cost does not depend on where the linker
+	// places this code. With a scalar store loop, building a 256-agent
+	// controller took 25% longer at some code alignments (x86-64 Xeon).
 	q := make([]float64, states*actions)
-	if initialQ != 0 {
-		for i := range q {
-			q[i] = initialQ
+	if initialQ != 0 && len(q) > 0 {
+		q[0] = initialQ
+		for n := 1; n < len(q); n *= 2 {
+			copy(q[n:], q[:n])
 		}
 	}
 	return &Table{states: states, actions: actions, q: q}

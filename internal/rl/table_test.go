@@ -38,6 +38,21 @@ func runChain(t *testing.T, cfg Config, steps int) *Agent {
 	return a
 }
 
+// TestNewTableFillsEveryCell: the doubling fill reaches every cell for
+// sizes that are not powers of two.
+func TestNewTableFillsEveryCell(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {3, 2}, {7, 1}, {125, 8}} {
+		tbl := NewTable(dims[0], dims[1], 2)
+		for s := 0; s < dims[0]; s++ {
+			for a := 0; a < dims[1]; a++ {
+				if v := tbl.Get(s, a); v != 2 {
+					t.Fatalf("%dx%d table: Q(%d,%d) = %v, want 2", dims[0], dims[1], s, a, v)
+				}
+			}
+		}
+	}
+}
+
 // TestTableSaveLoadRoundTrip round-trips a table through MarshalJSON and
 // UnmarshalJSON, the form policy files embed.
 func TestTableSaveLoadRoundTrip(t *testing.T) {

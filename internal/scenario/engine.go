@@ -205,24 +205,20 @@ type runOutcome struct {
 // runOne executes one (options × controller) run, with a per-run monitor
 // when the spec asks for one.
 func runOne(spec Spec, opts sim.Options, controller string) (runOutcome, error) {
-	var mon *monitor.Monitor
+	var (
+		res sim.Result
+		h   monitor.RunHealth
+		err error
+	)
 	if spec.monitored() {
-		mon = monitor.New(monitor.Options{Rules: spec.rules(opts.BudgetW, opts.EpochS)})
-		if stack := opts.Monitor; stack != nil {
-			opts.Observer = stack.Wrap(opts.Observer)
-		}
-		opts.Monitor = mon
+		res, h, err = sim.RunMonitored(opts, controller, spec.rules(opts.BudgetW, opts.EpochS))
+	} else {
+		res, err = sim.RunNamed(opts, controller)
 	}
-	res, err := sim.RunNamed(opts, controller)
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("scenario: %s on %s: %w", controller, opts.Workload, err)
 	}
-	out := runOutcome{s: res.Summary}
-	if mon != nil {
-		h := mon.Runs()[0]
-		out.faults, out.alerts = h.Faults, h.AlertCount
-	}
-	return out, nil
+	return runOutcome{s: res.Summary, faults: h.Faults, alerts: h.AlertCount}, nil
 }
 
 // cell formats a float compactly, matching experiments table cells.

@@ -65,6 +65,7 @@ func TestComparisonTable(t *testing.T) {
 func TestComparisonDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		spec := tinySpec()
+		spec.Workload = ""
 		spec.Benchmarks = []string{"canneal", "dedup"}
 		spec.Seeds = []uint64{3, 5}
 		spec.Workers = workers

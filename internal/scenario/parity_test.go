@@ -51,36 +51,29 @@ func maskColumns(t experiments.Table, cols ...string) experiments.Table {
 	return t
 }
 
-// TestSpecGoldenParity is the spec-parity harness: for every experiment
-// with a golden snapshot, the table produced by the engine from the
-// checked-in JSON spec must be byte-identical to the golden file the
-// hand-coded runner maintains (regenerate those with
+// TestSpecGoldenParity is the spec-parity harness: for every registered
+// experiment, the table produced by the engine from the checked-in JSON
+// spec must be byte-identical to the golden file the hand-coded runner
+// maintains (regenerate those with
 // `go test ./internal/experiments/ -run Golden -update`), at -j1 and -j4.
 // It also proves both worker counts share one content hash, so cached
 // sweeps are free across -j.
 func TestSpecGoldenParity(t *testing.T) {
-	cases := []struct {
-		id   string
-		mask []string // wall-clock columns, as in the experiments harness
-	}{
-		{"F1", nil},
-		{"F2", nil},
-		{"F3", nil},
-		{"F4", nil},
-		{"F5", []string{"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup"}},
-		{"F14", nil},
-		{"F18", nil},
+	// Wall-clock columns, masked as in the experiments harness.
+	masks := map[string][]string{
+		"F5": {"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.id, func(t *testing.T) {
-			goldenPath := filepath.Join("..", "experiments", "testdata", strings.ToLower(tc.id)+".golden")
+	for _, e := range experiments.All() {
+		id, mask := e.ID, masks[e.ID]
+		t.Run(id, func(t *testing.T) {
+			goldenPath := filepath.Join("..", "experiments", "testdata", strings.ToLower(id)+".golden")
 			want, err := os.ReadFile(goldenPath)
 			if err != nil {
 				t.Fatalf("missing golden file %s: %v", goldenPath, err)
 			}
 			var hashes []string
 			for _, workers := range []int{1, 4} {
-				spec := goldenSpec(t, tc.id, workers)
+				spec := goldenSpec(t, id, workers)
 				hash, err := spec.Hash()
 				if err != nil {
 					t.Fatal(err)
@@ -92,14 +85,14 @@ func TestSpecGoldenParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tbl = maskColumns(tbl, tc.mask...)
+				tbl = maskColumns(tbl, mask...)
 				var b strings.Builder
 				if _, err := tbl.WriteTo(&b); err != nil {
 					t.Fatal(err)
 				}
 				if b.String() != string(want) {
 					t.Errorf("spec-driven %s at -j%d drifted from %s.\n--- want\n%s--- got\n%s",
-						tc.id, workers, goldenPath, want, b.String())
+						id, workers, goldenPath, want, b.String())
 				}
 			}
 			if hashes[0] != hashes[1] {

@@ -81,7 +81,8 @@ type Spec struct {
 	// Workload is a preset name, "mix" or "barrier" ("" = mix).
 	Workload string `json:"workload,omitempty"`
 	// Benchmarks is the workload axis for experiment and comparison runs;
-	// empty takes the run kind's default.
+	// empty takes the run kind's default. A comparison sets Workload or
+	// Benchmarks, not both.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Controllers is the comparison axis; empty takes the default set.
 	Controllers []string `json:"controllers,omitempty"`
@@ -102,7 +103,8 @@ type Spec struct {
 	// ThermalOff disables the leakage–temperature loop.
 	ThermalOff bool `json:"thermal_off,omitempty"`
 	// Seeds lists the run seeds; empty means [1]. Comparison runs emit one
-	// row group per seed; experiment runs accept at most one.
+	// row group per seed; experiment and sweep runs accept at most one (a
+	// sweep over seeds sweeps the "seed" param instead).
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Workers bounds run fan-out and chip sharding (the -j knob). Results
 	// are bit-identical for any value, so Workers is an execution knob,
@@ -238,6 +240,11 @@ func (s Spec) Validate() error {
 		if len(s.Benchmarks) > 0 {
 			return fmt.Errorf("scenario: sweep runs use the single workload field, not benchmarks")
 		}
+		if len(s.Seeds) > 1 {
+			return fmt.Errorf("scenario: a sweep runs a single seed (got %d); sweep the \"seed\" param to run several", len(s.Seeds))
+		}
+	} else if s.Experiment == "" && s.Workload != "" && len(s.Benchmarks) > 0 {
+		return fmt.Errorf("scenario: a comparison takes workload or benchmarks, not both; list every workload in benchmarks")
 	}
 	if s.Experiment != "" {
 		if _, err := experiments.ByID(s.Experiment); err != nil {

@@ -96,6 +96,8 @@ func TestValidateRejections(t *testing.T) {
 		{"nonfinite sweep value", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{inf()}}}, "not finite"},
 		{"sweep seed vs seeds", Spec{Seeds: []uint64{1}, Sweep: &Sweep{Param: "seed", Values: []float64{1}}}, "conflicts"},
 		{"sweep vs benchmarks", Spec{Benchmarks: []string{"canneal"}, Sweep: &Sweep{Param: "budget", Values: []float64{1}}}, "not benchmarks"},
+		{"sweep with two seeds", Spec{Seeds: []uint64{1, 2}, Sweep: &Sweep{Param: "budget", Values: []float64{1}}}, `sweep the "seed" param`},
+		{"comparison with workload and benchmarks", Spec{Workload: "canneal", Benchmarks: []string{"vips"}}, "list every workload in benchmarks"},
 		{"unknown experiment", Spec{Experiment: "F99"}, "unknown experiment"},
 		{"experiment with sweep", Spec{Experiment: "F1", Sweep: &Sweep{Param: "budget", Values: []float64{1}}}, "cannot be combined"},
 		{"experiment with workload", Spec{Experiment: "F1", Workload: "canneal"}, "benchmarks, not workload"},

@@ -25,8 +25,11 @@ type Options struct {
 	// Cores is the total core count; the grid is chosen as close to square
 	// as the count allows.
 	Cores int
-	// Workload is a preset name from package workload, or "mix" to spread
-	// all presets round-robin across cores.
+	// Workload is a preset name from package workload, "mix" to spread all
+	// presets round-robin across cores, or "barrier" for one
+	// bulk-synchronous app across all cores. Preset and mix cores each
+	// scale their phases by a seeded factor in [0.9, 1.1] (workload
+	// imbalance).
 	Workload string
 	// BudgetW is the chip power budget (TDP) in watts.
 	BudgetW float64
@@ -49,8 +52,6 @@ type Options struct {
 	// TracePoints, when positive, records a decimated power trace of about
 	// that many points over the measurement window.
 	TracePoints int
-	// WorkloadScaleJitter spreads per-core workload heaviness by ±fraction.
-	WorkloadScaleJitter float64
 	// Platform overrides the device-level constants (VF table, power,
 	// thermal, NoC, transition penalty); nil uses config.Default.
 	Platform *config.Platform
@@ -61,10 +62,6 @@ type Options struct {
 	// sharing one operating point (0 = per-core DVFS). Must tile the core
 	// grid.
 	IslandW, IslandH int
-	// WorkloadTrace, when set, replays this recorded trace on every core
-	// instead of live Markov processes; cores start at staggered offsets
-	// so they are decorrelated. Overrides Workload.
-	WorkloadTrace *workload.Trace
 	// BigLittle builds a heterogeneous chip: the left half of the grid
 	// uses big (wide, power-hungry) cores and the right half little
 	// (efficient) ones. Controllers are not told which is which.
@@ -90,15 +87,14 @@ type Options struct {
 // 1 ms epochs, 2 s warmup, 8 s measurement.
 func DefaultOptions() Options {
 	return Options{
-		Cores:               64,
-		Workload:            "mix",
-		BudgetW:             90,
-		EpochS:              1e-3,
-		WarmupS:             2,
-		MeasureS:            8,
-		Seed:                1,
-		SensorNoise:         0.02,
-		WorkloadScaleJitter: 0.1,
+		Cores:       64,
+		Workload:    "mix",
+		BudgetW:     90,
+		EpochS:      1e-3,
+		WarmupS:     2,
+		MeasureS:    8,
+		Seed:        1,
+		SensorNoise: 0.02,
 	}
 }
 
@@ -117,18 +113,12 @@ func (o Options) Validate() error {
 		return fmt.Errorf("sim: invalid measurement window %g s", o.MeasureS)
 	case o.SensorNoise < 0:
 		return fmt.Errorf("sim: negative sensor noise %g", o.SensorNoise)
-	case o.WorkloadScaleJitter < 0 || o.WorkloadScaleJitter >= 1:
-		return fmt.Errorf("sim: workload jitter %g out of [0,1)", o.WorkloadScaleJitter)
 	case o.TracePoints < 0:
 		return fmt.Errorf("sim: negative trace points %d", o.TracePoints)
 	case o.Workers < 0:
 		return fmt.Errorf("sim: negative worker count %d", o.Workers)
 	}
-	if o.WorkloadTrace != nil {
-		if err := o.WorkloadTrace.Validate(); err != nil {
-			return err
-		}
-	} else if o.Workload != "mix" && o.Workload != "barrier" {
+	if o.Workload != "mix" && o.Workload != "barrier" {
 		if _, err := workload.Preset(o.Workload); err != nil {
 			return err
 		}

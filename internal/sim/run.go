@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/config"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
+	"repro/internal/obs/monitor"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/variation"
@@ -58,21 +58,6 @@ func buildSources(opts Options, r *rng.RNG) ([]workload.Source, error) {
 		}
 		return sources, nil
 	}
-	if tr := opts.WorkloadTrace; tr != nil {
-		total := tr.TotalDurS()
-		sources := make([]workload.Source, opts.Cores)
-		for i := range sources {
-			rep, err := workload.NewReplayer(*tr)
-			if err != nil {
-				return nil, err
-			}
-			// Stagger starting positions so cores are decorrelated while
-			// replaying the identical realisation.
-			rep.Advance(total * float64(i) / float64(opts.Cores))
-			sources[i] = rep
-		}
-		return sources, nil
-	}
 	var specs []workload.Spec
 	if opts.Workload == "mix" {
 		for _, name := range workload.PresetNames() {
@@ -85,12 +70,11 @@ func buildSources(opts Options, r *rng.RNG) ([]workload.Source, error) {
 		}
 		specs = []workload.Spec{s}
 	}
+	// scaleJitter spreads per-core workload heaviness by ±10%.
+	const scaleJitter = 0.1
 	sources := make([]workload.Source, opts.Cores)
 	for i := range sources {
-		scale := 1.0
-		if j := opts.WorkloadScaleJitter; j > 0 {
-			scale = 1 + j*(2*r.Float64()-1)
-		}
+		scale := 1 + scaleJitter*(2*r.Float64()-1)
 		p, err := workload.NewScaledProcess(specs[i%len(specs)], r.Split(), scale)
 		if err != nil {
 			return nil, err
@@ -516,6 +500,24 @@ func RunNamed(opts Options, name string) (Result, error) {
 	return res, err
 }
 
+// RunMonitored is RunNamed with a run-health monitor of its own that
+// evaluates rules, and returns that run's health (fault and alert counts)
+// with the result. The run's monitor takes the monitor slot; a session
+// monitor already in opts.Monitor chains in as a plain observer, so it
+// still sees the run.
+func RunMonitored(opts Options, name string, rules []monitor.Rule) (Result, monitor.RunHealth, error) {
+	mon := monitor.New(monitor.Options{Rules: rules})
+	if session := opts.Monitor; session != nil {
+		opts.Observer = session.Wrap(opts.Observer)
+	}
+	opts.Monitor = mon
+	res, err := RunNamed(opts, name)
+	if err != nil {
+		return Result{}, monitor.RunHealth{}, err
+	}
+	return res, mon.Runs()[0], nil
+}
+
 // RunAll runs the same options against a list of controller names,
 // returning results in the given order.
 func RunAll(opts Options, names []string) ([]Result, error) {
@@ -528,12 +530,4 @@ func RunAll(opts Options, names []string) ([]Result, error) {
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-// SortByName orders results alphabetically by controller, for stable table
-// output when callers assemble results from concurrent runs.
-func SortByName(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		return rs[i].Summary.Controller < rs[j].Summary.Controller
-	})
 }

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/metrics"
 	"repro/internal/variation"
-	"repro/internal/workload"
 )
 
 // shortOpts returns options small enough for unit tests.
@@ -33,7 +31,6 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.WarmupS = -1 },
 		func(o *Options) { o.MeasureS = 0 },
 		func(o *Options) { o.SensorNoise = -0.1 },
-		func(o *Options) { o.WorkloadScaleJitter = 1.0 },
 		func(o *Options) { o.TracePoints = -1 },
 		func(o *Options) { o.Workload = "unknown-bench" },
 		func(o *Options) { o.BudgetSchedule = []BudgetStep{{AtS: -1, BudgetW: 50}} },
@@ -260,77 +257,6 @@ func TestRunAllAndTables(t *testing.T) {
 	}
 	if !strings.Contains(tr.String(), "pid") {
 		t.Fatal("trace CSV missing label")
-	}
-}
-
-func TestRelativeTo(t *testing.T) {
-	opts := shortOpts()
-	opts.MeasureS = 0.1
-	results, err := RunAll(opts, []string{"pid", "static"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios, err := RelativeTo(results, "static", metrics.Summary.BIPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ratios["static"]-1) > 1e-12 {
-		t.Fatalf("self-ratio = %v, want 1", ratios["static"])
-	}
-	if _, ok := ratios["pid"]; !ok {
-		t.Fatal("missing pid ratio")
-	}
-	if _, err := RelativeTo(results, "nope", metrics.Summary.BIPS); err == nil {
-		t.Fatal("expected error for unknown reference")
-	}
-}
-
-func TestSortByName(t *testing.T) {
-	rs := []Result{}
-	names := []string{"zeta", "alpha", "mid"}
-	for _, n := range names {
-		r := Result{}
-		r.Summary.Controller = n
-		rs = append(rs, r)
-	}
-	SortByName(rs)
-	if rs[0].Summary.Controller != "alpha" || rs[2].Summary.Controller != "zeta" {
-		t.Fatal("not sorted")
-	}
-}
-
-func TestRunWithWorkloadTrace(t *testing.T) {
-	tr, err := workload.Record(workload.MustPreset("bodytrack"), 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := shortOpts()
-	opts.Cores = 4
-	opts.WorkloadTrace = &tr
-	c, err := NewController("pid", DefaultEnv(opts.Cores))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(opts, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Instr <= 0 {
-		t.Fatal("trace-driven run retired nothing")
-	}
-	// The same trace must reproduce identical results run-to-run.
-	c2, _ := NewController("pid", DefaultEnv(opts.Cores))
-	res2, err := Run(opts, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Instr != res2.Summary.Instr {
-		t.Fatal("trace-driven runs diverged")
-	}
-	// An invalid trace must be rejected.
-	opts.WorkloadTrace = &workload.Trace{}
-	if _, err := Run(opts, c); err == nil {
-		t.Fatal("expected validation error for empty trace")
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // epsilonOverJ is the floor used when reporting throughput per
@@ -145,29 +143,4 @@ func writeAligned(w io.Writer, rows [][]string) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// RelativeTo returns ratio rows comparing every result's metric against the
-// named reference controller, used for "X× better than" style reporting.
-func RelativeTo(results []Result, reference string, metric func(metrics.Summary) float64) (map[string]float64, error) {
-	var ref *Result
-	for i := range results {
-		if results[i].Summary.Controller == reference {
-			ref = &results[i]
-			break
-		}
-	}
-	if ref == nil {
-		return nil, fmt.Errorf("sim: reference controller %q not in results", reference)
-	}
-	refV := metric(ref.Summary)
-	out := make(map[string]float64, len(results))
-	for _, r := range results {
-		if refV == 0 {
-			out[r.Summary.Controller] = 0
-			continue
-		}
-		out[r.Summary.Controller] = metric(r.Summary) / refV
-	}
-	return out, nil
 }

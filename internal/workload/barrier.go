@@ -88,9 +88,6 @@ func NewBarrierApp(n int, work Phase, quotaInstr, imbalance float64, r *rng.RNG)
 	return app, nil
 }
 
-// Lanes returns the lane count.
-func (a *BarrierApp) Lanes() int { return len(a.lanes) }
-
 // Lane returns lane i's Source (a WorkSource).
 func (a *BarrierApp) Lane(i int) WorkSource { return a.lanes[i] }
 

@@ -75,7 +75,7 @@ func (s Spec) Validate() error {
 }
 
 // Source is anything that produces a phase stream for one core: a live
-// Markov process or a recorded-trace replayer.
+// Markov process, a barrier-app lane or a job-queue lane.
 //
 // Invariant for memoisation: PhaseIndex is an index over a fixed set of
 // phases, and Phase is a pure function of that index for the source's
