@@ -16,15 +16,20 @@ COVER_FLOOR ?= 80.0
 
 ci: lint vet build bench-compile test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
-# The four repo-specific invariant analyzers (detrange, rngdiscipline,
-# wallclock, hotpathalloc): compile-time proof of the determinism, RNG,
-# clock and hot-path contracts, run ahead of go vet so contract breaks
-# surface before generic diagnostics. Exits non-zero on any unsuppressed
-# diagnostic. odrl-vet carries its own go/parser+go/types driver because
-# this container cannot add golang.org/x/tools; if that dependency ever
+# Formatting gate, then the four repo-specific invariant analyzers
+# (detrange, rngdiscipline, wallclock, hotpathalloc): compile-time proof
+# of the determinism, RNG, clock and hot-path contracts, run ahead of go
+# vet so contract breaks surface before generic diagnostics. gofmt comes
+# from the toolchain $(GO) selects; the gate fails if gofmt itself fails,
+# on any file it would change, and on any unsuppressed diagnostic.
+# odrl-vet carries its own go/parser+go/types driver because this
+# container cannot add golang.org/x/tools; if that dependency ever
 # becomes available, the analyzers port to a multichecker and this target
 # becomes `go vet -vettool=$$(which odrl-vet) ./...` unchanged.
 lint:
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l .) || exit 1; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/odrl-vet ./...
 
 # Audit ledger: every //odrl:allow suppression in the tree with its
@@ -97,9 +102,10 @@ bench-obs:
 bench:
 	$(GO) test -run=- -bench=. -benchtime=1s ./internal/obs/
 
-# Short fuzz pass over every decoder that accepts external bytes: obs JSONL
-# records, fault plans, saved OD-RL policies. Go runs one fuzz target per
-# invocation, so each gets its own anchored pattern.
+# Short fuzz pass over every decoder that accepts external bytes (obs JSONL
+# records, fault plans, saved OD-RL policies), plus the differential check
+# of the MaxBIPS knapsack against its full-grid reference. Go runs one fuzz
+# target per invocation, so each gets its own anchored pattern.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
@@ -109,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) ./internal/obs/ledger/
+	$(GO) test -run='^$$' -fuzz='^FuzzMaxBIPSMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 
 # Coverage gate: repo-wide statement coverage must stay at or above
 # COVER_FLOOR. Writes cover.out for `go tool cover -html=cover.out`.

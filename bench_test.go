@@ -94,9 +94,10 @@ func benchDecide(b *testing.B, name string, cores int) {
 	}
 }
 
-// recordTelemetry steps a chip built from opts under OD-RL for the given
-// number of epochs and returns a copy of every epoch's telemetry.
-func recordTelemetry(b *testing.B, opts sim.Options, epochs int) []manycore.Telemetry {
+// recordTelemetry steps a chip built from opts under the named controller
+// for the given number of epochs and returns a copy of every epoch's
+// telemetry.
+func recordTelemetry(b *testing.B, opts sim.Options, name string, epochs int) []manycore.Telemetry {
 	b.Helper()
 	chip, _, err := sim.NewChip(opts)
 	if err != nil {
@@ -107,7 +108,7 @@ func recordTelemetry(b *testing.B, opts sim.Options, epochs int) []manycore.Tele
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := sim.NewController("od-rl", env)
+	c, err := sim.NewController(name, env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,12 +137,42 @@ func BenchmarkDecideODRL256Stream(b *testing.B) {
 	opts.Cores = 256
 	opts.BudgetW = 0.9*256 + power.Default().UncoreW
 	opts.Workers = 1
-	frames := recordTelemetry(b, opts, 1000)
+	frames := recordTelemetry(b, opts, "od-rl", 1000)
 	env, err := sim.EnvFor(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c, err := sim.NewController("od-rl", env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]int, opts.Cores)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Decide(&frames[i%len(frames)], opts.BudgetW, out)
+	}
+}
+
+// BenchmarkDecideMaxBIPS64Stream times MaxBIPS's knapsack on recorded
+// telemetry. Set-up runs a seeded 64-core ferret chip at 55 W under
+// MaxBIPS for 600 epochs and copies each epoch's telemetry; the timed loop
+// replays those frames into a controller with cadence 1, so every Decide
+// solves. BenchmarkDecideMaxBIPS64 replays one synthetic frame at the
+// default cadence, where 9 of every 10 calls hold the last decision.
+func BenchmarkDecideMaxBIPS64Stream(b *testing.B) {
+	opts := sim.DefaultOptions()
+	opts.Cores = 64
+	opts.Workload = "ferret"
+	opts.BudgetW = 55
+	opts.Seed = 3
+	opts.Workers = 1
+	frames := recordTelemetry(b, opts, "maxbips", 600)
+	env, err := sim.EnvFor(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.CadenceEpochs = 1
+	c, err := sim.NewController("maxbips", env)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,8 @@
-// Scalability: measure per-decision controller latency as the chip grows
-// from 16 to 1024 cores — the abstract's "two orders of magnitude speedup"
-// claim. OD-RL's per-epoch work is a table lookup per core; the MaxBIPS
-// knapsack re-solves a power-discretised optimisation whose grid widens
-// with the chip budget.
+// Scalability: count per-epoch controller work and measure per-decision
+// latency as the chip grows from 16 to 1024 cores — the abstract's "two
+// orders of magnitude speedup" claim. OD-RL's per-epoch work is one Q-row
+// per core; the MaxBIPS knapsack re-solves a power-discretised
+// optimisation whose grid widens with the chip budget.
 //
 //	go run ./examples/scalability
 package main

@@ -172,6 +172,28 @@ func TestMaxBIPSCadenceHoldsDecision(t *testing.T) {
 	}
 }
 
+// TestMaxBIPSNominalWorkCountsFullGrid: each solve counts Isci et al.'s
+// full grid, cores × (buckets+1) × levels, whatever the windowed DP
+// visits; held epochs and a budget under the uncore floor count nothing.
+func TestMaxBIPSNominalWorkCountsFullGrid(t *testing.T) {
+	p := predictor(t)
+	m, _ := NewMaxBIPS(p, 5, 0.05)
+	frame := tel(8, 3, 1.2, 2e9, 0.3)
+	out := make([]int, 8)
+	budget := p.Power.UncoreW + 10 // 200 buckets
+	for e := 0; e < 10; e++ {
+		m.Decide(frame, budget, out)
+	}
+	buckets := int((budget - p.Power.UncoreW) / 0.05)
+	if got, want := m.NominalWork(), uint64(2*8*(buckets+1)*p.VF.Levels()); got != want {
+		t.Fatalf("work after two solves = %d, want %d", got, want)
+	}
+	m.Decide(frame, p.Power.UncoreW-1, out)
+	if got, want := m.NominalWork(), uint64(2*8*(buckets+1)*p.VF.Levels()); got != want {
+		t.Fatalf("solve under the uncore floor counted %d work", got-want)
+	}
+}
+
 func TestMaxBIPSPrefersComputeBoundCores(t *testing.T) {
 	p := predictor(t)
 	m, _ := NewMaxBIPS(p, 1, 0.02)

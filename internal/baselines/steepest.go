@@ -20,6 +20,13 @@ type SteepestDrop struct {
 
 	epoch int
 	last  []int
+
+	// scratch reused across decisions. A core has at most one pending
+	// demotion, so each owns one slot and the heap holds pointers into
+	// them.
+	power []float64
+	slots []demotion
+	heap  demotionHeap
 }
 
 // NewSteepestDrop builds the controller.
@@ -43,12 +50,12 @@ type demotion struct {
 	priority float64
 }
 
-type demotionHeap []demotion
+type demotionHeap []*demotion
 
 func (h demotionHeap) Len() int            { return len(h) }
 func (h demotionHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
 func (h demotionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *demotionHeap) Push(x interface{}) { *h = append(*h, x.(demotion)) }
+func (h *demotionHeap) Push(x interface{}) { *h = append(*h, x.(*demotion)) }
 func (h *demotionHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -71,12 +78,20 @@ func (s *SteepestDrop) Decide(tel *manycore.Telemetry, budgetW float64, out []in
 	copy(s.last, out)
 }
 
+// solve writes the steepest-drop assignment into out.
+//
+//odrl:hotpath
 func (s *SteepestDrop) solve(tel *manycore.Telemetry, budgetW float64, out []int) {
 	n := len(tel.Cores)
 	top := s.pred.VF.Levels() - 1
+	if len(s.slots) < n {
+		s.power = make([]float64, n)
+		s.slots = make([]demotion, n)
+		s.heap = make(demotionHeap, 0, n)
+	}
 
 	// Start everything at the top and total up predicted power.
-	power := make([]float64, n)
+	power := s.power[:n]
 	total := s.pred.Power.UncoreW
 	for i := 0; i < n; i++ {
 		out[i] = top
@@ -84,41 +99,44 @@ func (s *SteepestDrop) solve(tel *manycore.Telemetry, budgetW float64, out []int
 		total += power[i]
 	}
 
-	mk := func(i int) (demotion, bool) {
-		lvl := out[i]
-		if lvl == 0 {
-			return demotion{}, false
-		}
-		pLow := s.pred.PowerAt(tel.Cores[i], lvl-1)
-		dP := power[i] - pLow
-		dI := s.pred.IPSAt(tel.Cores[i], lvl) - s.pred.IPSAt(tel.Cores[i], lvl-1)
-		prio := dP * 1e12 // losing no throughput: infinitely good
-		if dI > 0 {
-			prio = dP / dI
-		}
-		return demotion{core: i, fromLvl: lvl, dPowerW: dP, dIPS: dI, priority: prio}, true
-	}
-
-	h := make(demotionHeap, 0, n)
+	s.heap = s.heap[:0]
 	for i := 0; i < n; i++ {
-		if d, ok := mk(i); ok {
-			h = append(h, d)
+		if d := &s.slots[i]; s.nextDemotion(d, tel, i, out[i], power[i]) {
+			s.heap = append(s.heap, d)
 		}
 	}
-	heap.Init(&h)
+	heap.Init(&s.heap)
 
-	for total > budgetW && h.Len() > 0 {
-		d := heap.Pop(&h).(demotion)
-		if out[d.core] != d.fromLvl {
-			continue // stale entry
-		}
+	for total > budgetW && s.heap.Len() > 0 {
+		d := heap.Pop(&s.heap).(*demotion)
 		out[d.core] = d.fromLvl - 1
 		power[d.core] -= d.dPowerW
 		total -= d.dPowerW
-		if nd, ok := mk(d.core); ok {
-			heap.Push(&h, nd)
+		// The popped slot is out of the heap, so it takes the core's next
+		// demotion.
+		if s.nextDemotion(d, tel, d.core, out[d.core], power[d.core]) {
+			heap.Push(&s.heap, d)
 		}
 	}
+}
+
+// nextDemotion fills d with demoting core i one step from lvl, where it
+// draws powerW, and reports false when the core is already at the bottom.
+//
+//odrl:hotpath
+func (s *SteepestDrop) nextDemotion(d *demotion, tel *manycore.Telemetry, i, lvl int, powerW float64) bool {
+	if lvl == 0 {
+		return false
+	}
+	pLow := s.pred.PowerAt(tel.Cores[i], lvl-1)
+	dP := powerW - pLow
+	dI := s.pred.IPSAt(tel.Cores[i], lvl) - s.pred.IPSAt(tel.Cores[i], lvl-1)
+	prio := dP * 1e12 // losing no throughput: infinitely good
+	if dI > 0 {
+		prio = dP / dI
+	}
+	*d = demotion{core: i, fromLvl: lvl, dPowerW: dP, dIPS: dI, priority: prio}
+	return true
 }
 
 // CommPerEpoch implements ctrl.Controller: gather + scatter per decision,

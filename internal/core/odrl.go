@@ -248,6 +248,9 @@ type Controller struct {
 	// never read (every pass skips them) and live indices are overwritten
 	// each call, so reuse is bit-exact.
 	reallocW []float64
+
+	// work is the nominal work counted so far (see NominalWork).
+	work uint64
 }
 
 // Close releases the controller's persistent worker pool, if any. Safe to
@@ -522,6 +525,7 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 			c.retireCore(i)
 		}
 	}
+	c.work += uint64(c.alive * c.table.Levels())
 
 	// Fine-grain local phase: every agent update touches only its own
 	// Q-table/weights, exploration stream and out[i] slot, so the loop
@@ -579,7 +583,7 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 
 	if !c.cfg.DisableRealloc && c.epoch%c.cfg.FineEpochsPerRealloc == 0 {
 		globalStart := time.Now() //odrl:allow wallclock phase-span telemetry probe; never feeds control decisions
-		c.reallocate(tel, budgetW)
+		c.work += uint64(c.reallocate(tel, budgetW) * c.alive)
 		c.phases.ObserveSince(spanGlobal, globalStart)
 	}
 
@@ -617,6 +621,12 @@ func (c *Controller) warmEpsilon() {
 		}
 	}
 }
+
+// NominalWork implements ctrl.WorkCounter: each epoch every live agent
+// chooses from one Q-row of levels values, and a reallocation pass visits
+// every live core once per loop it runs. The count is added once per
+// Decide, never per core, so the sharded local phase does not touch it.
+func (c *Controller) NominalWork() uint64 { return c.work }
 
 // PhaseTimes implements ctrl.PhaseProfiler.
 func (c *Controller) PhaseTimes() []obs.PhaseTime { return c.phases.Snapshot() }
@@ -741,13 +751,14 @@ func (c *Controller) rewardOf(ct *manycore.CoreTelemetry, budget float64) float6
 // reallocate is the coarse-grain O(n) budget redistribution pass. Dead
 // cores are outside the budget domain: they are skipped in every pass and
 // the share floor and totals are computed over the surviving population.
+// It returns how many loops over the cores it ran, for NominalWork.
 //
 //odrl:hotpath
-func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) {
+func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) int {
 	n := len(c.budgets)
 	alive := float64(c.alive)
 	if c.alive <= 0 {
-		return
+		return 0
 	}
 	total := c.coreBudgetTotal(budgetW)
 
@@ -774,7 +785,7 @@ func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) {
 		}
 	}
 	if pool <= 0 {
-		return
+		return 1 // harvest
 	}
 
 	// Pass 2: grant the pool with weights favouring power-constrained,
@@ -817,7 +828,7 @@ func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) {
 			}
 			c.budgets[i] = share
 		}
-		return
+		return 4 // harvest, weigh, grant, equal split
 	}
 	excessTotal := 0.0
 	for i, b := range c.budgets {
@@ -838,7 +849,7 @@ func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) {
 			}
 			c.budgets[i] = c.minBudget + share
 		}
-		return
+		return 5 // harvest, weigh, grant, excess, floor split
 	}
 	scale := target / excessTotal
 	for i := range c.budgets {
@@ -851,6 +862,7 @@ func (c *Controller) reallocate(tel *manycore.Telemetry, budgetW float64) {
 		}
 		c.budgets[i] = c.minBudget + e*scale
 	}
+	return 5 // harvest, weigh, grant, excess, rescale
 }
 
 // CommPerEpoch implements ctrl.Controller: fine-grain decisions are purely

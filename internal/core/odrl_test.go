@@ -168,6 +168,29 @@ func TestReallocMovesBudgetTowardConstrainedComputeCores(t *testing.T) {
 	}
 }
 
+// TestNominalWork: every live agent chooses from one Q-row of levels
+// values per epoch, and a reallocation pass adds one unit per live core
+// for each loop it runs. Cores drawing more than their share leave no
+// slack to harvest, so every pass stops after its first loop.
+func TestNominalWork(t *testing.T) {
+	levels := vf.Default().Levels()
+	off := newController(t, 4, Config{DisableRealloc: true})
+	on := newController(t, 4, Config{FineEpochsPerRealloc: 2})
+	out := make([]int, 4)
+	tel := fakeTel(4, 3, 20, 0.1)
+	tel.Cores[3].Dead = true
+	for e := 0; e < 10; e++ {
+		off.Decide(tel, 40, out)
+		on.Decide(tel, 40, out)
+	}
+	if got, want := off.NominalWork(), uint64(10*3*levels); got != want {
+		t.Errorf("without reallocation: work %d, want %d", got, want)
+	}
+	if got, want := on.NominalWork(), uint64(10*3*levels+5*3); got != want {
+		t.Errorf("with reallocation every 2 epochs: work %d, want %d", got, want)
+	}
+}
+
 func TestDisableReallocFreezesBudgets(t *testing.T) {
 	c := newController(t, 4, Config{DisableRealloc: true, FineEpochsPerRealloc: 2})
 	out := make([]int, 4)

@@ -45,6 +45,17 @@ type PhaseProfiler interface {
 	ResetPhaseTimes()
 }
 
+// WorkCounter is optionally implemented by controllers that count the
+// nominal work of the algorithm they reproduce. One unit is one candidate
+// value the published algorithm evaluates: a knapsack cell for MaxBIPS, a
+// Q-value an OD-RL agent chooses from. The count follows from the inputs
+// alone, not from the host or from shortcuts an implementation takes, so
+// claim C4 compares controllers on it rather than on wall clock.
+type WorkCounter interface {
+	// NominalWork returns the work counted since construction.
+	NominalWork() uint64
+}
+
 // SpanStreamer is optionally implemented by controllers that can stream
 // their phase spans (start + duration) to an obs.SpanSink as they happen,
 // on top of the aggregate totals PhaseProfiler reports. The harness

@@ -312,6 +312,24 @@ func TestVerifyClaims(t *testing.T) {
 			t.Fatalf("missing claim %s", id)
 		}
 	}
+
+	// C4 is judged on counted work, so the quick verdict and work ratio
+	// repeat exactly; only the wall-clock part of the line may move.
+	again, err := VerifyClaims(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4, c4Again := results[3], again[3]
+	if c4.ID != "C4" || c4Again.ID != "C4" {
+		t.Fatalf("fourth claim is %s/%s, want C4", c4.ID, c4Again.ID)
+	}
+	if !c4.Pass || !c4Again.Pass {
+		t.Fatalf("quick C4 failed: %s", c4.Measured)
+	}
+	work := func(m string) string { return strings.SplitN(m, "; wall clock", 2)[0] }
+	if w := work(c4.Measured); w == c4.Measured || w != work(c4Again.Measured) {
+		t.Fatalf("C4 work ratio did not repeat:\n%s\n%s", c4.Measured, c4Again.Measured)
+	}
 }
 
 func TestF15Seeds(t *testing.T) {

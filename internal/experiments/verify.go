@@ -109,7 +109,10 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 		Pass:     maxGain >= 0.15 && geo > 0,
 	})
 
-	// C4: two orders of magnitude controller speedup for hundreds of cores.
+	// C4: two orders of magnitude controller speedup for hundreds of cores,
+	// judged on nominal work per epoch (ctrl.WorkCounter) so the verdict
+	// does not depend on the host. Wall-clock latency is printed beside it
+	// for information.
 	scaleCores := 256
 	if cfg.Quick {
 		scaleCores = 64
@@ -128,19 +131,20 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 		return nil, err
 	}
 	defer release(maxbips)
+	odrlWork := workPerEpoch(odrl, env.CadenceEpochs, tel, budget)
+	maxbipsWork := workPerEpoch(maxbips, env.CadenceEpochs, tel, budget)
+	workRatio := maxbipsWork / odrlWork
 	odrlLat := timeDecide(odrl, tel, budget)
 	maxbipsLat := timeDecide(maxbips, tel, budget)
 	speedup := float64(maxbipsLat) / float64(odrlLat)
-	threshold := 50.0 // within striking distance of 100x at 256 cores
-	if cfg.Quick {
-		threshold = 5 // 64 cores in quick mode
-	}
 	out = append(out, ClaimResult{
 		ID:    "C4",
 		Claim: "two orders of magnitude controller speedup at hundreds of cores",
-		Measured: fmt.Sprintf("at %d cores: od-rl %.1fµs vs maxbips %.1fµs per decision (%.0fx)",
-			scaleCores, float64(odrlLat)/1e3, float64(maxbipsLat)/1e3, speedup),
-		Pass: speedup >= threshold,
+		Measured: fmt.Sprintf("at %d cores: od-rl %.0f vs maxbips %.0f nominal work per epoch (%.0fx); "+
+			"wall clock od-rl %.1fµs vs maxbips %.1fµs per decision (%.0fx)",
+			scaleCores, odrlWork, maxbipsWork, workRatio,
+			float64(odrlLat)/1e3, float64(maxbipsLat)/1e3, speedup),
+		Pass: workRatio >= 100,
 	})
 
 	return out, nil

@@ -78,11 +78,11 @@ func TestHistogramBounds(t *testing.T) {
 	}{
 		{-5, 0},
 		{0, 0},
-		{1, 0},    // exactly on the first bound: inclusive
+		{1, 0}, // exactly on the first bound: inclusive
 		{1.001, 1},
-		{10, 1},   // exactly on a middle bound
+		{10, 1}, // exactly on a middle bound
 		{10.5, 2},
-		{100, 2},  // exactly on the last bound
+		{100, 2},   // exactly on the last bound
 		{100.1, 3}, // overflow
 		{1e12, 3},
 	}

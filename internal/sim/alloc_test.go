@@ -20,10 +20,11 @@ func mallocsDuring(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// allocRun executes one sequential od-rl run with monitoring and learning
-// introspection attached — the full observability stack a production run
-// carries — and returns how many heap allocations it made.
-func allocRun(t *testing.T, measureS float64) uint64 {
+// allocRun executes one sequential run of the named controller with
+// monitoring and learning introspection attached — the full observability
+// stack a production run carries — and returns how many heap allocations
+// it made.
+func allocRun(t *testing.T, name string, measureS float64) uint64 {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Cores = 16
@@ -38,7 +39,7 @@ func allocRun(t *testing.T, measureS float64) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController("od-rl", env)
+	c, err := NewController(name, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +57,11 @@ func allocRun(t *testing.T, measureS float64) uint64 {
 // epoch loop: two runs that differ only in length are measured, so all
 // setup cost (chip construction, LUTs, observer registration, result
 // buffers) cancels in the difference and the quotient is the steady-state
-// per-epoch allocation rate. The epoch kernel, the decide/learn path, and
-// the monitor + learn observers together must allocate nothing per epoch;
-// the threshold of 0.05 allocs/epoch leaves room only for amortized slice
-// growth inside the observers' time-series stores.
+// per-epoch allocation rate. The epoch kernel, the decide path of OD-RL
+// and of the two knapsack-style baselines, and the monitor + learn
+// observers together must allocate nothing per epoch; the threshold of
+// 0.05 allocs/epoch leaves room only for amortized slice growth inside the
+// observers' time-series stores.
 //
 // testing.AllocsPerRun is deliberately not used: it averages whole
 // invocations of Run, so chip construction would swamp the per-epoch
@@ -78,21 +80,26 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	opts.EpochS = 1e-3 // pin the epoch length the arithmetic below assumes
 	extraEpochs := int((longS - shortS) / opts.EpochS)
 
-	// Warm once so lazily-initialised package state (controller registry,
-	// observer metadata) is counted by neither measured run.
-	allocRun(t, shortS)
+	for _, name := range []string{"od-rl", "maxbips", "steepest-drop"} {
+		t.Run(name, func(t *testing.T) {
+			// Warm once so lazily-initialised package state (controller
+			// registry, observer metadata) is counted by neither
+			// measured run.
+			allocRun(t, name, shortS)
 
-	short := allocRun(t, shortS)
-	long := allocRun(t, longS)
+			short := allocRun(t, name, shortS)
+			long := allocRun(t, name, longS)
 
-	var perEpoch float64
-	if long > short {
-		perEpoch = float64(long-short) / float64(extraEpochs)
-	}
-	t.Logf("allocs: short=%d long=%d over %d extra epochs => %.4f allocs/epoch",
-		short, long, extraEpochs, perEpoch)
-	if perEpoch > 0.05 {
-		t.Fatalf("steady-state epoch loop allocates %.4f allocs/epoch (short=%d long=%d); want ~0",
-			perEpoch, short, long)
+			var perEpoch float64
+			if long > short {
+				perEpoch = float64(long-short) / float64(extraEpochs)
+			}
+			t.Logf("allocs: short=%d long=%d over %d extra epochs => %.4f allocs/epoch",
+				short, long, extraEpochs, perEpoch)
+			if perEpoch > 0.05 {
+				t.Fatalf("steady-state epoch loop allocates %.4f allocs/epoch (short=%d long=%d); want ~0",
+					perEpoch, short, long)
+			}
+		})
 	}
 }
