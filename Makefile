@@ -16,12 +16,13 @@ COVER_FLOOR ?= 80.0
 
 ci: lint vet build bench-compile test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
-# Formatting gate, then the four repo-specific invariant analyzers
-# (detrange, rngdiscipline, wallclock, hotpathalloc): compile-time proof
-# of the determinism, RNG, clock and hot-path contracts, run ahead of go
-# vet so contract breaks surface before generic diagnostics. gofmt comes
-# from the toolchain $(GO) selects; the gate fails if gofmt itself fails,
-# on any file it would change, and on any unsuppressed diagnostic.
+# Formatting gate, then the five repo-specific invariant analyzers
+# (detrange, rngdiscipline, wallclock, hotpathalloc, globalstate):
+# compile-time proof of the determinism, RNG, clock, hot-path and
+# no-global-state contracts, run ahead of go vet so contract breaks
+# surface before generic diagnostics. gofmt comes from the toolchain
+# $(GO) selects; the gate fails if gofmt itself fails, on any file it
+# would change, and on any unsuppressed diagnostic.
 # odrl-vet carries its own go/parser+go/types driver because this
 # container cannot add golang.org/x/tools; if that dependency ever
 # becomes available, the analyzers port to a multichecker and this target

@@ -18,13 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// benchExperiment runs one experiment per iteration at a fixed seed. The
-// seed is deliberately NOT varied per iteration: F2-F4 share a memoised
-// benchmark sweep by design, and per-iteration seeds would let Go's b.N
-// calibration extrapolate from cheap cache-hit iterations into thousands
-// of expensive cache-miss ones. With a fixed seed the first iteration pays
-// the full cost and later ones measure the amortised path, which is
-// exactly how the experiments are consumed by cmd/odrl-bench.
+// benchExperiment runs one experiment per iteration at a fixed seed. Each
+// iteration runs every simulation the experiment needs (F2-F4 each run
+// their own benchmark × controller grid), so ns/op is the experiment's
+// whole cost. The seed stays fixed so that every iteration times the same
+// runs and b.N calibration extrapolates from representative work.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	run, err := experiments.ByID(id)

@@ -234,27 +234,6 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 	// overrides, so odrl-bench and odrl-run share one execution path and one
 	// cache. Tables print to stdout, or to the report file as markdown after
 	// its header and claim verdicts.
-	out, render := stdout, func(t experiments.Table, w io.Writer) error {
-		_, err := t.WriteTo(w)
-		return err
-	}
-	var report *os.File
-	if f.reportFile != "" {
-		if report, err = os.Create(f.reportFile); err != nil {
-			return 1, err
-		}
-		defer report.Close()
-		// The claims are measured at the axes the spec overrides below set;
-		// zero fields take the experiments' defaults.
-		cfg := experiments.Config{
-			Cores: f.cores, BudgetW: f.budget, Seed: f.seed,
-			Quick: f.quick, Workers: f.workers, FaultPlan: plan, Stack: sess.Stack,
-		}
-		if err := experiments.WriteReportHead(report, cfg); err != nil {
-			return 1, fmt.Errorf("report: %w", err)
-		}
-		out, render = report, experiments.Table.WriteMarkdown
-	}
 	engine := &scenario.Engine{Stack: sess.Stack}
 	if f.cacheDir != "" {
 		cache, err := scenario.NewCache(f.cacheDir)
@@ -281,6 +260,32 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 			spec.Seeds = []uint64{f.seed}
 		}
 		return spec, nil
+	}
+
+	out, render := stdout, func(t experiments.Table, w io.Writer) error {
+		_, err := t.WriteTo(w)
+		return err
+	}
+	var report *os.File
+	if f.reportFile != "" {
+		if report, err = os.Create(f.reportFile); err != nil {
+			return 1, err
+		}
+		defer report.Close()
+		// The claims are judged from the engine's grid for F2's spec: the
+		// grid F2–F4 reduce too, at the same overrides.
+		spec, err := specFor("F2")
+		if err != nil {
+			return 1, err
+		}
+		g, err := engine.Grid(spec)
+		if err != nil {
+			return 1, fmt.Errorf("report: %w", err)
+		}
+		if err := experiments.WriteReportHead(report, g); err != nil {
+			return 1, fmt.Errorf("report: %w", err)
+		}
+		out, render = report, experiments.Table.WriteMarkdown
 	}
 
 	runOne := func(id string) error {

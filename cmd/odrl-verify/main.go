@@ -67,7 +67,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // verify re-measures the claims and prints one verdict each. It fails when
 // a run errors or any claim does not reproduce.
 func verify(stdout io.Writer, cfg experiments.Config) error {
-	results, err := experiments.VerifyClaims(cfg)
+	g, err := experiments.RunGrid(cfg)
+	if err != nil {
+		return err
+	}
+	results, err := experiments.Claims(g)
 	if err != nil {
 		return err
 	}

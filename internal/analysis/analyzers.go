@@ -11,6 +11,7 @@ func All() []*Analyzer {
 		RNGDiscipline,
 		WallClock,
 		HotpathAlloc,
+		GlobalState,
 	}
 }
 

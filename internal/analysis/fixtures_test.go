@@ -180,6 +180,20 @@ func TestHotpathAllocFixture(t *testing.T) {
 	checkWants(t, "testdata/hotpathalloc/src.go", res)
 }
 
+func TestGlobalStateFixture(t *testing.T) {
+	res := vetFixture(t, "testdata/globalstate", "repro/internal/experiments/fixture", []*Analyzer{GlobalState})
+	checkWants(t, "testdata/globalstate/src.go", res)
+}
+
+// TestGlobalStateOffPath loads the identical fixture under a
+// non-deterministic import path: the analyzer must stay silent there.
+func TestGlobalStateOffPath(t *testing.T) {
+	res := vetFixture(t, "testdata/globalstate", "repro/internal/obs/fixture", []*Analyzer{GlobalState})
+	if len(res.Diagnostics) != 0 {
+		t.Fatalf("off-path package produced diagnostics: %v", res.Diagnostics)
+	}
+}
+
 // TestRepoClean runs the full suite over the real module: the tree must
 // stay lint-clean and every suppression must carry a reason.
 func TestRepoClean(t *testing.T) {

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// runTable renders one experiment with the given worker count, resetting
-// the sweep cache first so memoised results from a previous worker count
-// cannot mask a divergence.
-func runTable(t *testing.T, run Runner, workers int) Table {
+// runTable renders one experiment with the given worker count.
+func runTable(t *testing.T, id string, workers int) Table {
 	t.Helper()
-	resetSweepCache()
+	run, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tbl, err := run(Config{Quick: true, Workers: workers})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -22,66 +23,14 @@ func runTable(t *testing.T, run Runner, workers int) Table {
 // layer: every fanned-out experiment must produce byte-identical tables at
 // Workers=1 (fully sequential) and Workers=8.
 func TestParallelDeterminism(t *testing.T) {
-	cases := []struct {
-		id  string
-		run Runner
-	}{
-		{"F2", F2Overshoot},
-		{"F7", F7BudgetSweep},
-		{"F9", F9Ablation},
-		{"F15", F15Seeds},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			seq := runTable(t, tc.run, 1)
-			par := runTable(t, tc.run, 8)
+	for _, id := range []string{"F2", "F7", "F9", "F15"} {
+		t.Run(id, func(t *testing.T) {
+			seq := runTable(t, id, 1)
+			par := runTable(t, id, 8)
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatalf("%s diverges between Workers=1 and Workers=8:\nseq: %+v\npar: %+v",
-					tc.id, seq, par)
+					id, seq, par)
 			}
 		})
-	}
-}
-
-// TestSweepCacheSharedAcrossWorkers checks the memoisation contract: F2 and
-// F3 with the same axes share one sweep, and concurrent callers racing on a
-// cold cache still each get the full table.
-func TestSweepCacheSharedAcrossWorkers(t *testing.T) {
-	resetSweepCache()
-	cfg := Config{Quick: true, Workers: 2}
-
-	type result struct {
-		tbl Table
-		err error
-	}
-	const callers = 4
-	results := make([]result, callers)
-	done := make(chan int, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		go func() {
-			tbl, err := F2Overshoot(cfg)
-			results[i] = result{tbl, err}
-			done <- i
-		}()
-	}
-	for i := 0; i < callers; i++ {
-		<-done
-	}
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("caller %d: %v", i, r.err)
-		}
-		if !reflect.DeepEqual(r.tbl, results[0].tbl) {
-			t.Fatalf("caller %d saw a different table", i)
-		}
-	}
-
-	sweepMu.Lock()
-	entries := len(sweepCache)
-	sweepMu.Unlock()
-	if entries != 1 {
-		t.Fatalf("sweep cache holds %d entries after identical concurrent calls, want 1", entries)
 	}
 }

@@ -244,9 +244,9 @@ func All() []struct {
 		{"T1", T1Platform},
 		{"T2", T2Workloads},
 		{"F1", F1PowerTrace},
-		{"F2", F2Overshoot},
-		{"F3", F3ThroughputPerOverEnergy},
-		{"F4", F4EnergyEfficiency},
+		{"F2", gridRunner(F2Overshoot)},
+		{"F3", gridRunner(F3ThroughputPerOverEnergy)},
+		{"F4", gridRunner(F4EnergyEfficiency)},
 		{"F5", F5ControllerScaling},
 		{"F6", F6Convergence},
 		{"F7", F7BudgetSweep},
@@ -273,4 +273,19 @@ func ByID(id string) (Runner, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+}
+
+// FromGrid returns the reduction behind a grid experiment: F2, F3 and F4
+// are pure functions of one RunGrid result, so a caller holding the grid
+// can tabulate all three without running it again.
+func FromGrid(id string) (func(Grid) Table, bool) {
+	switch id {
+	case "F2":
+		return F2Overshoot, true
+	case "F3":
+		return F3ThroughputPerOverEnergy, true
+	case "F4":
+		return F4EnergyEfficiency, true
+	}
+	return nil, false
 }

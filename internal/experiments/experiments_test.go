@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func quickCfg() Config {
@@ -132,18 +130,11 @@ func TestF1PowerTrace(t *testing.T) {
 func TestF2F3F4ShareSweep(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Controllers = []string{"od-rl", "pid"}
-	f2, err := F2Overshoot(cfg)
+	g, err := RunGrid(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3, err := F3ThroughputPerOverEnergy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, err := F4EnergyEfficiency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2, f3, f4 := F2Overshoot(g), F3ThroughputPerOverEnergy(g), F4EnergyEfficiency(g)
 	benches := len(cfg.Normalized().Benchmarks)
 	if len(f2.Rows) != benches+1 { // per-benchmark rows + TOTAL
 		t.Fatalf("F2 rows = %d, want %d", len(f2.Rows), benches+1)
@@ -292,11 +283,22 @@ func TestF14Barrier(t *testing.T) {
 	}
 }
 
-func TestVerifyClaims(t *testing.T) {
-	results, err := VerifyClaims(quickCfg())
+// quickClaims judges the claims on a fresh quick grid.
+func quickClaims(t *testing.T) []ClaimResult {
+	t.Helper()
+	g, err := RunGrid(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, err := Claims(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+func TestVerifyClaims(t *testing.T) {
+	results := quickClaims(t)
 	if len(results) != 4 {
 		t.Fatalf("got %d claims, want 4", len(results))
 	}
@@ -315,10 +317,7 @@ func TestVerifyClaims(t *testing.T) {
 
 	// C4 is judged on counted work, so the quick verdict and work ratio
 	// repeat exactly; only the wall-clock part of the line may move.
-	again, err := VerifyClaims(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := quickClaims(t)
 	c4, c4Again := results[3], again[3]
 	if c4.ID != "C4" || c4Again.ID != "C4" {
 		t.Fatalf("fourth claim is %s/%s, want C4", c4.ID, c4Again.ID)
@@ -398,8 +397,12 @@ func TestWriteMarkdown(t *testing.T) {
 // every experiment runs at, and the head ends with the Experiments heading
 // that the tables' markdown follows.
 func TestWriteReport(t *testing.T) {
+	g, err := RunGrid(Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteReportHead(&buf, Config{Quick: true}); err != nil {
+	if err := WriteReportHead(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -415,12 +418,15 @@ func TestWriteReport(t *testing.T) {
 // TestWriteReportWithVerification: the claim section is a markdown table
 // with one row per verified claim, in order, each with a verdict.
 func TestWriteReportWithVerification(t *testing.T) {
-	cfg := quickCfg()
-	var buf bytes.Buffer
-	if err := WriteReportHead(&buf, cfg); err != nil {
+	g, err := RunGrid(quickCfg())
+	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := VerifyClaims(cfg)
+	var buf bytes.Buffer
+	if err := WriteReportHead(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	results, err := Claims(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,91 +446,6 @@ func TestWriteReportWithVerification(t *testing.T) {
 		}
 		if !strings.HasSuffix(row, " | PASS |") && !strings.HasSuffix(row, " | **FAIL** |") {
 			t.Errorf("row %d = %q has no verdict", i, row)
-		}
-	}
-}
-
-func TestBenchmarkSweepErrorNotCached(t *testing.T) {
-	resetSweepCache()
-	cfg := quickCfg()
-	cfg.Controllers = []string{"no-such-controller"}
-	if _, err := benchmarkSweep(cfg); err == nil {
-		t.Fatal("expected error for unknown controller")
-	}
-	// The failed entry must be evicted, so a retry recomputes instead of
-	// replaying the cached failure.
-	sweepMu.Lock()
-	entries := len(sweepCache)
-	sweepMu.Unlock()
-	if entries != 0 {
-		t.Fatalf("failed sweep left %d cache entries, want 0", entries)
-	}
-}
-
-// TestSweepMemoKeysEveryGridAxis: a sweep memoised for one configuration
-// must not serve another that differs only in an axis the grid reads.
-// Each case runs first, then second, and compares second's table with the
-// one a fresh grid gives.
-func TestSweepMemoKeysEveryGridAxis(t *testing.T) {
-	// At 8 W, pid overshoots after a 0.3 s warm-up and not after 0.1 s.
-	small := Config{
-		Cores: 4, BudgetW: 8, MeasureS: 0.1, WarmupS: 0.1,
-		Controllers: []string{"od-rl", "pid"}, Benchmarks: []string{"canneal"},
-	}
-	warm := small
-	warm.WarmupS = 0.3
-	twoCtrl := quickCfg()
-	twoCtrl.Controllers = []string{"od-rl", "pid"}
-	oneBench := quickCfg()
-	oneBench.Benchmarks = []string{"canneal"}
-	for _, tc := range []struct {
-		name          string
-		run           Runner
-		first, second Config
-	}{
-		{"controllers", F2Overshoot, twoCtrl, quickCfg()},
-		{"benchmarks", F3ThroughputPerOverEnergy, oneBench, quickCfg()},
-		{"warmup", F2Overshoot, small, warm},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resetSweepCache()
-			if _, err := tc.run(tc.first); err != nil {
-				t.Fatal(err)
-			}
-			got, err := tc.run(tc.second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resetSweepCache()
-			want, err := tc.run(tc.second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("table after a memoised sweep differs from a fresh grid:\n--- fresh\n%+v\n--- memoised\n%+v", want, got)
-			}
-		})
-	}
-}
-
-func TestBenchmarkSweepMemoised(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Controllers = []string{"static"}
-	a, err := benchmarkSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	b, err := benchmarkSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 50*time.Millisecond {
-		t.Fatal("second sweep was not served from the cache")
-	}
-	for bench := range a {
-		if a[bench]["static"] != b[bench]["static"] {
-			t.Fatal("cache returned different summaries")
 		}
 	}
 }

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -78,90 +75,22 @@ func F1PowerTrace(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// sweepKey identifies one benchmark sweep for the cross-experiment cache:
-// F2, F3 and F4 all consume the same per-benchmark runs. It holds every
-// axis runBenchmarkSweep reads except Workers — results are bit-identical
-// for any worker count, so callers at different -j share one sweep.
-type sweepKey struct {
-	cores    int
-	budgetW  float64
-	seed     uint64
-	warmupS  float64
-	measureS float64
-	// controllers and benchmarks are the grid's name lists joined with
-	// NUL, which no controller or benchmark name contains.
-	controllers, benchmarks string
-	// plan is the dereferenced fault plan (zero value when none): faulted
-	// and clean sweeps must never share an entry.
-	plan fault.Plan
-	// stack keeps observed sweeps per session: a sweep is shared only
-	// by callers reporting to the same layers, so every stack sees the
-	// runs behind the tables it is asked about.
-	stack sim.Stack
+// Grid is the (benchmark × controller) run set of one normalised Config:
+// the runs F2, F3 and F4 tabulate and claims C1–C3 judge. RunGrid builds
+// it and the reductions only read it, so one grid serves them all.
+type Grid struct {
+	// Config is the normalised configuration the grid ran at.
+	Config Config
+	// Summaries holds each run's summary by benchmark, then controller.
+	Summaries map[string]map[string]metrics.Summary
 }
 
-// sweepEntry is one memoised sweep. The per-entry Once guarantees exactly
-// one goroutine computes the sweep while concurrent F2–F4 callers with the
-// same key block and then share the result, instead of duplicating the
-// runs or racing on the cache map.
-type sweepEntry struct {
-	once sync.Once
-	val  map[string]map[string]metrics.Summary
-	err  error
-}
-
-var (
-	sweepMu    sync.Mutex
-	sweepCache = map[sweepKey]*sweepEntry{}
-)
-
-// resetSweepCache drops all memoised sweeps; determinism tests use it to
-// force recomputation under different worker counts.
-func resetSweepCache() {
-	sweepMu.Lock()
-	defer sweepMu.Unlock()
-	sweepCache = map[sweepKey]*sweepEntry{}
-}
-
-// benchmarkSweep runs every controller on every benchmark and returns
-// summaries[benchmark][controller], memoised so F2–F4 share one sweep.
-// Only successful sweeps stay cached: a failed entry is evicted so a later
-// call can retry after a transient error, rather than replaying the cached
-// failure for the process lifetime.
-func benchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error) {
-	key := sweepKey{
-		cores: cfg.Cores, budgetW: cfg.BudgetW, seed: cfg.Seed,
-		warmupS: cfg.WarmupS, measureS: cfg.MeasureS,
-		controllers: strings.Join(cfg.Controllers, "\x00"),
-		benchmarks:  strings.Join(cfg.Benchmarks, "\x00"),
-		stack:       cfg.Stack,
-	}
-	if cfg.FaultPlan != nil {
-		key.plan = *cfg.FaultPlan
-	}
-	sweepMu.Lock()
-	e := sweepCache[key]
-	if e == nil {
-		e = &sweepEntry{}
-		sweepCache[key] = e
-	}
-	sweepMu.Unlock()
-	e.once.Do(func() { e.val, e.err = runBenchmarkSweep(cfg) })
-	if e.err != nil {
-		sweepMu.Lock()
-		if sweepCache[key] == e {
-			delete(sweepCache, key)
-		}
-		sweepMu.Unlock()
-	}
-	return e.val, e.err
-}
-
-// runBenchmarkSweep fans the (benchmark × controller) grid out across
+// RunGrid runs every controller on every benchmark, fanned out across
 // cfg.Workers goroutines. Each run derives its state purely from
 // (cfg.Seed, benchmark, controller), and results land in index-addressed
-// slots, so the assembled table is identical for any worker count.
-func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error) {
+// slots, so the grid is identical for any worker count.
+func RunGrid(cfg Config) (Grid, error) {
+	cfg = cfg.Normalized()
 	type job struct{ bench, name string }
 	jobs := make([]job, 0, len(cfg.Benchmarks)*len(cfg.Controllers))
 	for _, bench := range cfg.Benchmarks {
@@ -181,7 +110,7 @@ func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error
 		return res.Summary, nil
 	})
 	if err != nil {
-		return nil, err
+		return Grid{}, err
 	}
 
 	out := make(map[string]map[string]metrics.Summary, len(cfg.Benchmarks))
@@ -193,18 +122,26 @@ func runBenchmarkSweep(cfg Config) (map[string]map[string]metrics.Summary, error
 		}
 		m[j.name] = summaries[i]
 	}
-	return out, nil
+	return Grid{Config: cfg, Summaries: out}, nil
 }
 
-// F2Overshoot reproduces claim C1: the budget-overshoot integral per
-// benchmark and controller, plus OD-RL's reduction versus the worst
-// prediction-based baseline.
-func F2Overshoot(cfg Config) (Table, error) {
-	cfg = cfg.Normalized()
-	sweep, err := benchmarkSweep(cfg)
-	if err != nil {
-		return Table{}, err
+// gridRunner adapts a grid reduction to the registry's Runner: each call
+// runs its own grid.
+func gridRunner(reduce func(Grid) Table) Runner {
+	return func(cfg Config) (Table, error) {
+		g, err := RunGrid(cfg)
+		if err != nil {
+			return Table{}, err
+		}
+		return reduce(g), nil
 	}
+}
+
+// F2Overshoot reproduces claim C1 from a grid: the budget-overshoot
+// integral per benchmark and controller, plus OD-RL's reduction versus the
+// worst prediction-based baseline.
+func F2Overshoot(g Grid) Table {
+	cfg, runs := g.Config, g.Summaries
 	t := Table{
 		ID:     "F2",
 		Title:  fmt.Sprintf("budget overshoot integral (J) at %.0f W", cfg.BudgetW),
@@ -217,7 +154,7 @@ func F2Overshoot(cfg Config) (Table, error) {
 		row := []string{bench}
 		worst := 0.0
 		for _, name := range cfg.Controllers {
-			s := sweep[bench][name]
+			s := runs[bench][name]
 			row = append(row, cell(s.OverJ))
 			if name != "od-rl" && s.OverJ > worst {
 				worst = s.OverJ
@@ -225,7 +162,7 @@ func F2Overshoot(cfg Config) (Table, error) {
 		}
 		reduction := 0.0
 		if worst > 0 {
-			reduction = 1 - sweep[bench]["od-rl"].OverJ/worst
+			reduction = 1 - runs[bench]["od-rl"].OverJ/worst
 		}
 		row = append(row, fmt.Sprintf("%.1f%%", 100*reduction))
 		t.Rows = append(t.Rows, row)
@@ -237,7 +174,7 @@ func F2Overshoot(cfg Config) (Table, error) {
 	for _, name := range cfg.Controllers {
 		sum := 0.0
 		for _, bench := range cfg.Benchmarks {
-			sum += sweep[bench][name].OverJ
+			sum += runs[bench][name].OverJ
 		}
 		totalRow = append(totalRow, cell(sum))
 		if name == "od-rl" {
@@ -252,18 +189,14 @@ func F2Overshoot(cfg Config) (Table, error) {
 	}
 	totalRow = append(totalRow, fmt.Sprintf("%.1f%%", 100*reduction))
 	t.Rows = append(t.Rows, totalRow)
-	return t, nil
+	return t
 }
 
-// F3ThroughputPerOverEnergy reproduces claim C2: BIPS per joule of
-// over-the-budget energy, floored at 1 mJ (one epoch at 1 W), plus OD-RL's
-// best ratio over the best baseline.
-func F3ThroughputPerOverEnergy(cfg Config) (Table, error) {
-	cfg = cfg.Normalized()
-	sweep, err := benchmarkSweep(cfg)
-	if err != nil {
-		return Table{}, err
-	}
+// F3ThroughputPerOverEnergy reproduces claim C2 from a grid: BIPS per
+// joule of over-the-budget energy, floored at 1 mJ (one epoch at 1 W),
+// plus OD-RL's best ratio over the best baseline.
+func F3ThroughputPerOverEnergy(g Grid) Table {
+	cfg, runs := g.Config, g.Summaries
 	const floorJ = 1e-3
 	t := Table{
 		ID:     "F3",
@@ -275,38 +208,35 @@ func F3ThroughputPerOverEnergy(cfg Config) (Table, error) {
 		},
 	}
 	ratioAgainst := func(bench, baseline string) string {
-		base := sweep[bench][baseline].ThroughputPerOverJ(floorJ)
+		base := runs[bench][baseline].ThroughputPerOverJ(floorJ)
 		if base <= 0 {
 			return "-"
 		}
-		return fmt.Sprintf("%.1fx", sweep[bench]["od-rl"].ThroughputPerOverJ(floorJ)/base)
+		return fmt.Sprintf("%.1fx", runs[bench]["od-rl"].ThroughputPerOverJ(floorJ)/base)
 	}
 	for _, bench := range cfg.Benchmarks {
 		row := []string{bench}
 		for _, name := range cfg.Controllers {
-			row = append(row, cell(sweep[bench][name].ThroughputPerOverJ(floorJ)))
+			row = append(row, cell(runs[bench][name].ThroughputPerOverJ(floorJ)))
 		}
 		ratios := []string{"-", "-"}
-		if _, ok := sweep[bench]["steepest-drop"]; ok {
+		if _, ok := runs[bench]["steepest-drop"]; ok {
 			ratios[0] = ratioAgainst(bench, "steepest-drop")
 		}
-		if _, ok := sweep[bench]["pid"]; ok {
+		if _, ok := runs[bench]["pid"]; ok {
 			ratios[1] = ratioAgainst(bench, "pid")
 		}
 		row = append(row, ratios[0], ratios[1])
 		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
+	return t
 }
 
-// F4EnergyEfficiency reproduces claim C3: BIPS/W per benchmark and
-// controller, plus OD-RL's gain over the best prediction-based baseline.
-func F4EnergyEfficiency(cfg Config) (Table, error) {
-	cfg = cfg.Normalized()
-	sweep, err := benchmarkSweep(cfg)
-	if err != nil {
-		return Table{}, err
-	}
+// F4EnergyEfficiency reproduces claim C3 from a grid: BIPS/W per
+// benchmark and controller, plus OD-RL's gain over the best
+// prediction-based baseline.
+func F4EnergyEfficiency(g Grid) Table {
+	cfg, runs := g.Config, g.Summaries
 	t := Table{
 		ID:     "F4",
 		Title:  fmt.Sprintf("energy efficiency (BIPS/W) at %.0f W", cfg.BudgetW),
@@ -319,7 +249,7 @@ func F4EnergyEfficiency(cfg Config) (Table, error) {
 		row := []string{bench}
 		bestSOTA := 0.0
 		for _, name := range cfg.Controllers {
-			v := sweep[bench][name].EnergyEff()
+			v := runs[bench][name].EnergyEff()
 			row = append(row, cell(v))
 			if (name == "maxbips" || name == "steepest-drop" || name == "pid") && v > bestSOTA {
 				bestSOTA = v
@@ -327,7 +257,7 @@ func F4EnergyEfficiency(cfg Config) (Table, error) {
 		}
 		gain := 0.0
 		if bestSOTA > 0 {
-			gain = sweep[bench]["od-rl"].EnergyEff()/bestSOTA - 1
+			gain = runs[bench]["od-rl"].EnergyEff()/bestSOTA - 1
 		}
 		row = append(row, fmt.Sprintf("%+.1f%%", 100*gain))
 		t.Rows = append(t.Rows, row)
@@ -340,18 +270,18 @@ func F4EnergyEfficiency(cfg Config) (Table, error) {
 	for _, bench := range cfg.Benchmarks {
 		bestSOTA := 0.0
 		for _, name := range []string{"maxbips", "steepest-drop", "pid"} {
-			if s, ok := sweep[bench][name]; ok && s.EnergyEff() > bestSOTA {
+			if s, ok := runs[bench][name]; ok && s.EnergyEff() > bestSOTA {
 				bestSOTA = s.EnergyEff()
 			}
 		}
 		if bestSOTA > 0 {
-			gainFactors = append(gainFactors, sweep[bench]["od-rl"].EnergyEff()/bestSOTA)
+			gainFactors = append(gainFactors, runs[bench]["od-rl"].EnergyEff()/bestSOTA)
 		}
 	}
 	for _, name := range cfg.Controllers {
 		var effs []float64
 		for _, bench := range cfg.Benchmarks {
-			if e := sweep[bench][name].EnergyEff(); e > 0 {
+			if e := runs[bench][name].EnergyEff(); e > 0 {
 				effs = append(effs, e)
 			}
 		}
@@ -367,5 +297,5 @@ func F4EnergyEfficiency(cfg Config) (Table, error) {
 		geoRow = append(geoRow, "-")
 	}
 	t.Rows = append(t.Rows, geoRow)
-	return t, nil
+	return t
 }

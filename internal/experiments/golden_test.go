@@ -85,23 +85,19 @@ func TestGoldenF1(t *testing.T) {
 	checkGolden(t, "f1", tbl)
 }
 
-// TestGoldenSweep pins the F2–F4 family, which all reduce the same
-// benchmark × controller sweep.
+// TestGoldenSweep pins the F2–F4 family through the registry: each runner
+// runs its own benchmark × controller grid and reduces it.
 func TestGoldenSweep(t *testing.T) {
-	resetSweepCache()
-	for _, tc := range []struct {
-		name string
-		run  Runner
-	}{
-		{"f2", F2Overshoot},
-		{"f3", F3ThroughputPerOverEnergy},
-		{"f4", F4EnergyEfficiency},
-	} {
-		tbl, err := tc.run(goldenConfig())
+	for _, id := range []string{"F2", "F3", "F4"} {
+		run, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, tc.name, tbl)
+		tbl, err := run(goldenConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, strings.ToLower(id), tbl)
 	}
 }
 

@@ -27,17 +27,18 @@ func (t Table) WriteMarkdown(w io.Writer) error {
 }
 
 // WriteReportHead writes a markdown report's title, the axes every
-// experiment runs at, and the verdicts on the paper's claims. It ends with
-// the Experiments heading, so the tables' markdown follows directly.
-func WriteReportHead(w io.Writer, cfg Config) error {
-	n := cfg.Normalized()
+// experiment runs at, and the verdicts on the paper's claims, judged from
+// the grid. It ends with the Experiments heading, so the tables' markdown
+// follows directly.
+func WriteReportHead(w io.Writer, g Grid) error {
+	n := g.Config
 	fmt.Fprintf(w, "# OD-RL reproduction report\n\n")
 	fmt.Fprintf(w, "Configuration: %d cores, %.0f W budget, seed %d", n.Cores, n.BudgetW, n.Seed)
 	if n.Quick {
 		fmt.Fprintf(w, " (quick mode)")
 	}
 	fmt.Fprintf(w, ".\n\n## Claim verification\n\n")
-	results, err := VerifyClaims(cfg)
+	results, err := Claims(g)
 	if err != nil {
 		return err
 	}

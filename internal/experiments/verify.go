@@ -16,29 +16,26 @@ type ClaimResult struct {
 	Pass     bool
 }
 
-// VerifyClaims re-measures the four headline claims and returns a verdict
-// for each. "Pass" means the *shape* holds (who wins, by roughly what
+// Claims judges the four headline claims and returns a verdict for each:
+// C1–C3 from the grid's runs, C4 from counted controller work at the
+// grid's config. "Pass" means the *shape* holds (who wins, by roughly what
 // factor), per the reproduction contract in DESIGN.md — not that absolute
 // numbers match a testbed we do not have.
-func VerifyClaims(cfg Config) ([]ClaimResult, error) {
-	cfg = cfg.Normalized()
-	sweep, err := benchmarkSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Claims(g Grid) ([]ClaimResult, error) {
+	cfg, runs := g.Config, g.Summaries
 
 	var out []ClaimResult
 
 	// C1: up to 98% less budget overshoot than state-of-the-art.
 	odrlOver, worstOver := 0.0, 0.0
 	for _, bench := range cfg.Benchmarks {
-		odrlOver += sweep[bench]["od-rl"].OverJ
+		odrlOver += runs[bench]["od-rl"].OverJ
 	}
 	// Worst baseline = the SOTA controller with the largest suite total.
 	for _, name := range []string{"maxbips", "steepest-drop", "pid"} {
 		sum := 0.0
 		for _, bench := range cfg.Benchmarks {
-			if s, ok := sweep[bench][name]; ok {
+			if s, ok := runs[bench][name]; ok {
 				sum += s.OverJ
 			}
 		}
@@ -63,10 +60,10 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 	bestRatio := 0.0
 	for _, bench := range cfg.Benchmarks {
 		for _, name := range []string{"steepest-drop", "pid"} {
-			if s, ok := sweep[bench][name]; ok {
+			if s, ok := runs[bench][name]; ok {
 				base := s.ThroughputPerOverJ(floorJ)
 				if base > 0 {
-					if r := sweep[bench]["od-rl"].ThroughputPerOverJ(floorJ) / base; r > bestRatio {
+					if r := runs[bench]["od-rl"].ThroughputPerOverJ(floorJ) / base; r > bestRatio {
 						bestRatio = r
 					}
 				}
@@ -86,12 +83,12 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 	for _, bench := range cfg.Benchmarks {
 		bestSOTA := 0.0
 		for _, name := range []string{"maxbips", "steepest-drop", "pid"} {
-			if s, ok := sweep[bench][name]; ok && s.EnergyEff() > bestSOTA {
+			if s, ok := runs[bench][name]; ok && s.EnergyEff() > bestSOTA {
 				bestSOTA = s.EnergyEff()
 			}
 		}
 		if bestSOTA > 0 {
-			g := sweep[bench]["od-rl"].EnergyEff()/bestSOTA - 1
+			g := runs[bench]["od-rl"].EnergyEff()/bestSOTA - 1
 			gains = append(gains, 1+g)
 			if g > maxGain {
 				maxGain = g

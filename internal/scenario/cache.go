@@ -15,11 +15,10 @@ import (
 // — persisted as one JSON file per entry so repeated sweeps are free across
 // process invocations.
 //
-// Invariant (the PR 2 benchmarkSweep lesson, promoted to a contract): only
-// successful runs are ever stored. The Engine calls Put strictly after a
-// run returns without error, so a cache entry always denotes a table that
-// was actually produced, and a failed run is retried on the next call
-// instead of poisoning the key forever.
+// Invariant: only successful runs are ever stored. The Engine calls Put
+// strictly after a run returns without error, so a cache entry always
+// denotes a table that was actually produced, and a failed run is retried
+// on the next call instead of poisoning the key forever.
 type Cache struct {
 	mu  sync.Mutex
 	mem map[string][]byte

@@ -167,9 +167,9 @@ func TestHashSingleFieldMutations(t *testing.T) {
 	}
 }
 
-// TestFailedRunNeverCached mirrors the PR 2 benchmarkSweep poisoning bug
-// as an invariant: a spec that validates but fails at run time leaves the
-// cache untouched, so the failure is re-attempted rather than memoised.
+// TestFailedRunNeverCached: a spec that validates but fails at run time
+// leaves the cache untouched, so the failure is re-attempted rather than
+// memoised.
 func TestFailedRunNeverCached(t *testing.T) {
 	// Budget -5 passes spec validation (sweep values are only required to
 	// be finite — the axis domain is the runner's concern) and then fails

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/experiments"
@@ -24,6 +25,11 @@ type Engine struct {
 	// slot on its runs, and Stack.Monitor chains in as an observer, so it
 	// still sees them. Cache hits run nothing and so report nothing.
 	Stack sim.Stack
+
+	// grids holds every benchmark grid the engine has run, by gridKey, for
+	// the engine's lifetime (see Grid); mu guards it.
+	mu    sync.Mutex
+	grids map[string]experiments.Grid
 }
 
 // RunInfo reports how a spec was satisfied.
@@ -65,10 +71,18 @@ func (e *Engine) Run(spec Spec) (experiments.Table, RunInfo, error) {
 	return tbl, info, nil
 }
 
-// execute dispatches on the run kind.
+// execute dispatches on the run kind. A grid experiment (F2–F4) reduces
+// the engine's grid for its axes instead of running its own.
 func (e *Engine) execute(spec Spec) (experiments.Table, error) {
 	switch {
 	case spec.Experiment != "":
+		if reduce, ok := experiments.FromGrid(spec.Experiment); ok {
+			g, err := e.Grid(spec)
+			if err != nil {
+				return experiments.Table{}, err
+			}
+			return reduce(g), nil
+		}
 		runner, err := experiments.ByID(spec.Experiment)
 		if err != nil {
 			return experiments.Table{}, err
@@ -81,6 +95,52 @@ func (e *Engine) execute(spec Spec) (experiments.Table, error) {
 	default:
 		return e.comparisonTable(spec)
 	}
+}
+
+// Grid returns the (benchmark × controller) grid behind a grid experiment
+// spec (F2, F3 or F4): experiments.RunGrid on the spec's experiment config,
+// reporting to e.Stack. The engine keeps each grid for its lifetime, so the
+// three tables and the claim verdicts a report derives from the same axes
+// share one set of runs; two engines share nothing. A failed grid is not
+// kept, so the next call runs it again.
+func (e *Engine) Grid(spec Spec) (experiments.Grid, error) {
+	if _, ok := experiments.FromGrid(spec.Experiment); !ok {
+		return experiments.Grid{}, fmt.Errorf("scenario: experiment %q does not reduce the benchmark grid", spec.Experiment)
+	}
+	if err := spec.Validate(); err != nil {
+		return experiments.Grid{}, err
+	}
+	key, err := spec.gridKey()
+	if err != nil {
+		return experiments.Grid{}, err
+	}
+	e.mu.Lock()
+	g, ok := e.grids[key]
+	e.mu.Unlock()
+	if ok {
+		return g, nil
+	}
+	cfg := spec.experimentConfig()
+	cfg.Stack = e.Stack
+	if g, err = experiments.RunGrid(cfg); err != nil {
+		return experiments.Grid{}, err
+	}
+	e.mu.Lock()
+	if e.grids == nil {
+		e.grids = map[string]experiments.Grid{}
+	}
+	e.grids[key] = g
+	e.mu.Unlock()
+	return g, nil
+}
+
+// gridKey names the grid an experiment spec runs: its content hash with
+// the name and experiment ID cleared, so F2, F3 and F4 at the same axes
+// share a key. Validate admits only grid axes on experiment specs and
+// Canonical drops Workers, so one key names exactly one grid.
+func (s Spec) gridKey() (string, error) {
+	s.Name, s.Experiment = "", ""
+	return s.Hash()
 }
 
 // experimentConfig maps the spec's shared axes onto the experiment Config

@@ -1,12 +1,16 @@
 package scenario
 
 import (
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/obs/monitor"
 	"repro/internal/sim"
 )
@@ -270,12 +274,11 @@ func TestEngineStack(t *testing.T) {
 // comparison table's for the same runs.
 func TestFaultedF4MatchesComparison(t *testing.T) {
 	plan := fault.Scaled(1)
-	cfg := experiments.Config{Quick: true, FaultPlan: &plan}
-	f4, err := experiments.F4EnergyEfficiency(cfg)
+	g, err := experiments.RunGrid(experiments.Config{Quick: true, FaultPlan: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.Normalized()
+	f4, n := experiments.F4EnergyEfficiency(g), g.Config
 	grid, _, err := (&Engine{}).Run(Spec{
 		Benchmarks:  n.Benchmarks,
 		Controllers: []string{"od-rl"},
@@ -293,5 +296,149 @@ func TestFaultedF4MatchesComparison(t *testing.T) {
 		if got, want := f4.Rows[i][odrl], grid.Rows[i][eff]; f4.Rows[i][0] != bench || got != want {
 			t.Errorf("%s: F4 od-rl BIPS/W %s (row %v), comparison table %s", bench, got, f4.Rows[i][0], want)
 		}
+	}
+}
+
+// runCounter is an observer that counts the runs it sees begin.
+type runCounter struct{ n atomic.Int64 }
+
+func (c *runCounter) BeginRun(meta obs.RunMeta) obs.RunObserver {
+	c.n.Add(1)
+	return obs.Nop().BeginRun(meta)
+}
+
+// quickGridRuns is the size of the quick-mode grid: three benchmarks by
+// the six default controllers.
+const quickGridRuns = 3 * 6
+
+// TestEngineRunsOneGrid: F2, F3 and F4 and the report's Grid call at the
+// same axes start one grid's runs between them on one engine.
+func TestEngineRunsOneGrid(t *testing.T) {
+	runs := &runCounter{}
+	eng := &Engine{Stack: sim.Stack{Observer: runs}}
+	for _, id := range []string{"F2", "F3", "F4"} {
+		spec := goldenSpec(t, id, 2)
+		if _, _, err := eng.Run(spec); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if _, err := eng.Grid(spec); err != nil {
+			t.Fatalf("%s grid: %v", id, err)
+		}
+	}
+	if got := runs.n.Load(); got != quickGridRuns {
+		t.Errorf("one engine started %d runs for F2–F4 and their grid, want %d", got, quickGridRuns)
+	}
+}
+
+// TestEnginesShareNoGrid: a grid belongs to one engine, so a second fresh
+// engine with the same stack runs the whole grid again for F2.
+func TestEnginesShareNoGrid(t *testing.T) {
+	runs := &runCounter{}
+	stack := sim.Stack{Observer: runs}
+	for i := 1; i <= 2; i++ {
+		if _, _, err := (&Engine{Stack: stack}).Run(goldenSpec(t, "F2", 2)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := runs.n.Load(), int64(i*quickGridRuns); got != want {
+			t.Fatalf("after %d fresh engines: %d runs, want %d", i, got, want)
+		}
+	}
+}
+
+// TestEngineGridConcurrent: callers racing on one engine may each run the
+// grid, but they share its store without a data race and all get grids
+// that tabulate the same (summaries differ only in wall-clock fields).
+func TestEngineGridConcurrent(t *testing.T) {
+	// A one-run grid keeps the callers' store accesses close together,
+	// so the race detector sees them.
+	spec := Spec{
+		Experiment: "F2", Cores: 4, WarmupS: 0.01, MeasureS: 0.02, Workers: 1,
+		Controllers: []string{"pid"}, Benchmarks: []string{"canneal"},
+	}
+	eng := &Engine{}
+	grids := make([]experiments.Grid, 4)
+	var wg sync.WaitGroup
+	for i := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := eng.Grid(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			grids[i] = g
+		}()
+	}
+	wg.Wait()
+	want := experiments.F2Overshoot(grids[0])
+	for i, g := range grids {
+		if got := experiments.F2Overshoot(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("caller %d got a grid whose F2 differs:\n%+v\nvs\n%+v", i, got, want)
+		}
+	}
+}
+
+// TestFailedGridNotKept: a grid whose runs fail is not kept, so the next
+// call runs it again instead of replaying the failure.
+func TestFailedGridNotKept(t *testing.T) {
+	// A 10 µs window rounds to zero 1 ms epochs: the spec validates, and
+	// the run then fails its summary check.
+	spec := Spec{
+		Experiment: "F2", Cores: 4, WarmupS: 0.01, MeasureS: 1e-5,
+		Controllers: []string{"pid"}, Benchmarks: []string{"canneal"},
+	}
+	runs := &runCounter{}
+	eng := &Engine{Stack: sim.Stack{Observer: runs}}
+	for attempt := int64(1); attempt <= 2; attempt++ {
+		if _, err := eng.Grid(spec); err == nil {
+			t.Fatalf("attempt %d: a zero-epoch grid ran without error", attempt)
+		}
+		if got := runs.n.Load(); got != attempt {
+			t.Fatalf("attempt %d: %d runs started in all, want %d", attempt, got, attempt)
+		}
+	}
+}
+
+// TestGridKeysEveryGridAxis: a grid an engine keeps for one spec must not
+// serve another that differs only in an axis the grid reads. Each case
+// runs first, then second, on one engine, and compares second's table with
+// the one a fresh engine gives.
+func TestGridKeysEveryGridAxis(t *testing.T) {
+	// At 8 W, pid overshoots after a 0.3 s warm-up and not after 0.1 s.
+	small := Spec{
+		Experiment: "F2", Cores: 4, BudgetW: 8, MeasureS: 0.1, WarmupS: 0.1,
+		Controllers: []string{"od-rl", "pid"}, Benchmarks: []string{"canneal"},
+	}
+	warm := small
+	warm.WarmupS = 0.3
+	for _, tc := range []struct {
+		name          string
+		first, second Spec
+	}{
+		{"controllers",
+			Spec{Experiment: "F2", Quick: true, Controllers: []string{"od-rl", "pid"}},
+			Spec{Experiment: "F2", Quick: true}},
+		{"benchmarks",
+			Spec{Experiment: "F3", Quick: true, Benchmarks: []string{"canneal"}},
+			Spec{Experiment: "F3", Quick: true}},
+		{"warmup", small, warm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &Engine{}
+			if _, _, err := eng.Run(tc.first); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := eng.Run(tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := (&Engine{}).Run(tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("table after another spec's grid differs from a fresh engine's:\n--- fresh\n%+v\n--- same engine\n%+v", want, got)
+			}
+		})
 	}
 }

@@ -280,12 +280,17 @@ func (s Spec) Validate() error {
 // canonicalized returns the spec with identity-irrelevant state normalised:
 // Workers dropped (results are bit-identical for any worker count — the PR 2
 // sweep-cache lesson, kept as an invariant), empty slices nilled so `[]` and
-// omission read identically, and the default platform name folded to "".
-// It is idempotent, which makes Canonical a fixed point.
+// omission read identically, the default platform name folded to "", and a
+// fault plan that injects nothing folded to nil (every run path treats a
+// zero plan as absent). It is idempotent, which makes Canonical a fixed
+// point.
 func (s Spec) canonicalized() Spec {
 	s.Workers = 0
 	if s.Platform == config.Default().Name {
 		s.Platform = ""
+	}
+	if s.FaultPlan != nil && s.FaultPlan.Zero() {
+		s.FaultPlan = nil
 	}
 	if len(s.Benchmarks) == 0 {
 		s.Benchmarks = nil

@@ -164,14 +164,19 @@ func TestCanonicalFixedPoint(t *testing.T) {
 }
 
 // TestCanonicalNormalises pins the identity-irrelevant rewrites: empty
-// slices read as omitted, the default platform name folds to "", and the
-// worker count is dropped entirely.
+// slices read as omitted, the default platform name folds to "", the
+// worker count is dropped entirely, and a fault plan that injects nothing
+// reads as no plan.
 func TestCanonicalNormalises(t *testing.T) {
 	base := mustLoad(t, `{"experiment": "F1"}`)
 	variants := []string{
 		`{"experiment": "F1", "controllers": [], "benchmarks": [], "seeds": []}`,
 		`{"experiment": "F1", "platform": "manycore-22nm"}`,
 		`{"experiment": "F1", "workers": 8}`,
+		`{"experiment": "F1", "fault_plan": {}}`,
+		`{"experiment": "F1", "fault_plan": {"seed": 1}}`,
+		// fault.Scaled(0), the -fault-plan 0 plan: windows set, no rates.
+		`{"experiment": "F1", "fault_plan": {"blackout_dur_s": 0.04, "budget_drop_frac": 0.2, "budget_drop_dur_s": 0.1}}`,
 	}
 	want, err := base.Canonical()
 	if err != nil {

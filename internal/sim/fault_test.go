@@ -41,19 +41,25 @@ func runFingerprint(t *testing.T, opts Options, name string) (Result, []float64)
 }
 
 // TestZeroPlanByteIdentical is the acceptance criterion for the fault
-// layer's disabled path: a nil plan and an all-zero plan must both produce
-// exactly the results of the pre-fault-layer code path.
+// layer's disabled path: for every controller, a plan that injects nothing
+// — the all-zero plan, or fault.Scaled(0) with its window lengths set —
+// must give exactly the levels, trace and summary of a run with no plan.
+// Only the wall-clock controller times may differ.
 func TestZeroPlanByteIdentical(t *testing.T) {
-	for _, name := range []string{"od-rl", "pid"} {
-		base := faultOpts(0)
-		_, clean := runFingerprint(t, base, name)
-
-		zeroed := base
-		zeroed.FaultPlan = &fault.Plan{}
-		_, zero := runFingerprint(t, zeroed, name)
-
-		if !reflect.DeepEqual(clean, zero) {
-			t.Fatalf("%s: zero plan changed the run: %v vs %v", name, clean, zero)
+	run := func(opts Options, name string) Result {
+		res, _ := runFingerprint(t, opts, name)
+		res.Summary.CtrlTimeS, res.Summary.CtrlLocalTimeS, res.Summary.CtrlGlobalTimeS = 0, 0, 0
+		return res
+	}
+	for _, name := range ControllerNames() {
+		base := shortOpts()
+		clean := run(base, name)
+		for _, plan := range []fault.Plan{{}, fault.Scaled(0)} {
+			zeroed := base
+			zeroed.FaultPlan = &plan
+			if got := run(zeroed, name); !reflect.DeepEqual(clean, got) {
+				t.Errorf("%s: zero plan %+v changed the run:\nno plan:   %+v\nzero plan: %+v", name, plan, clean.Summary, got.Summary)
+			}
 		}
 	}
 }

@@ -246,6 +246,51 @@ func TestQuickSteadyStateIsStateless(t *testing.T) {
 	}
 }
 
+// Property: the network keeps the floorplan's mirror symmetries. A power
+// map mirrored about the vertical axis (x ↔ W−1−x), or separately about
+// the horizontal axis (y ↔ H−1−y), leaves the temperatures mirrored the
+// same way after a few hundred steps. The 1e-9 K tolerance allows for the
+// changed summation order of a node's neighbour terms.
+func TestQuickMirrorSymmetry(t *testing.T) {
+	f := func(w, h uint8, raw []uint8, steps uint8) bool {
+		W, H := int(w%8)+1, int(h%8)+1
+		mirrors := map[string]func(x, y int) int{
+			"vertical":   func(x, y int) int { return y*W + W - 1 - x },
+			"horizontal": func(x, y int) int { return (H-1-y)*W + x },
+		}
+		for axis, mirror := range mirrors {
+			m, err := New(W, H, Default())
+			if err != nil {
+				return false
+			}
+			powers := make([]float64, W*H)
+			for i := range powers {
+				if len(raw) > 0 {
+					powers[i] = float64(raw[i%len(raw)]%40) / 10.0
+				}
+			}
+			// Each node takes its mirror image's power: the map is then
+			// symmetric, since mirroring is an involution.
+			for i := range powers {
+				powers[mirror(i%W, i/W)] = powers[i]
+			}
+			for s := 0; s < 200+int(steps); s++ {
+				m.Step(powers, 0.005)
+			}
+			for i := range powers {
+				if d := math.Abs(m.Temp(i) - m.Temp(mirror(i%W, i/W))); d > 1e-9 {
+					t.Logf("%s mirror of a %dx%d grid: node %d differs by %g K", axis, W, H, i, d)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkStep64Cores(b *testing.B) {
 	m, _ := New(8, 8, Default())
 	powers := make([]float64, 64)
