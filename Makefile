@@ -138,8 +138,12 @@ bench-overhead:
 
 # End-to-end observatory smoke: two short ledgered runs into a scratch
 # ledger, then pin the first-run baseline, regression-check the re-run and
-# list the history. Proves the whole record->query->gate loop outside unit
-# tests; the scratch dir keeps CI runs out of the operator's real ledger.
+# list the history. Then the learning path: two same-seed OD-RL runs that
+# record their learning reports and policy snapshots into the ledger;
+# -show of the first must print its learning curves, and -diff of the pair
+# must find identical policies and no regression. Proves the whole
+# record->query->gate loop outside unit tests; the scratch dir keeps CI
+# runs out of the operator's real ledger.
 obs-smoke:
 	rm -rf .odrl-smoke
 	ODRL_LEDGER=.odrl-smoke/ledger $(GO) run ./cmd/odrl -controllers greedy -cores 16 -warmup 0.2 -measure 0.5
@@ -147,6 +151,15 @@ obs-smoke:
 	ODRL_LEDGER=.odrl-smoke/ledger $(GO) run ./cmd/odrl -controllers greedy -cores 16 -warmup 0.2 -measure 0.5
 	ODRL_LEDGER=.odrl-smoke/ledger $(GO) run ./cmd/odrl-obs -check
 	ODRL_LEDGER=.odrl-smoke/ledger $(GO) run ./cmd/odrl-obs -list
+	ODRL_LEDGER=.odrl-smoke/learn $(GO) run ./cmd/odrl -controllers od-rl -cores 16 -warmup 0.2 -measure 0.5 -snapshot-every 100
+	ODRL_LEDGER=.odrl-smoke/learn $(GO) run ./cmd/odrl -controllers od-rl -cores 16 -warmup 0.2 -measure 0.5 -snapshot-every 100
+	export ODRL_LEDGER=.odrl-smoke/learn; \
+	ids=$$($(GO) run ./cmd/odrl-obs -list -tool odrl | awk 'NR > 1 { print $$1 }'); \
+	set -- $$ids; [ $$# -eq 2 ] || { echo "obs-smoke: want 2 learning records, got $$#"; exit 1; }; \
+	$(GO) run ./cmd/odrl-obs -show $$1 > .odrl-smoke/show.txt && grep -q 'learning curves' .odrl-smoke/show.txt && \
+	$(GO) run ./cmd/odrl-obs -diff $$1 $$2 > .odrl-smoke/diff.txt && \
+	grep -q 'policies identical at every common snapshot epoch' .odrl-smoke/diff.txt && grep -q '0 regressions' .odrl-smoke/diff.txt || \
+	{ cat .odrl-smoke/show.txt .odrl-smoke/diff.txt; exit 1; }
 	rm -rf .odrl-smoke
 
 # Compile-and-run smoke of the kernel benchmarks for CI: one iteration of

@@ -19,8 +19,12 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 
 func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
 	code, _, stderr := runCLI("-experiment", "F7", "-quick", "-snapshot-every", "5", "-no-ledger")
-	if code != 2 || !strings.Contains(stderr, "-snapshot-every needs -artifacts") {
+	if code != 2 || !strings.Contains(stderr, "-snapshot-every needs the run ledger") {
 		t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr)
+	}
+	// Snapshots live in the ledger record; the old -artifacts directory flag is gone.
+	if code, _, stderr := runCLI("-artifacts", "x", "-no-ledger"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+		t.Fatalf("-artifacts: exit %d, want 2 as an unknown flag\nstderr: %s", code, stderr)
 	}
 }
 

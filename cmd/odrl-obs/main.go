@@ -1,17 +1,22 @@
 // Command odrl-obs is the cross-run regression observatory: it queries the
 // append-only run ledger the other commands write (see internal/obs/ledger)
-// to list runs, diff two runs' metric summaries, trend a metric over time,
-// and gate CI against a pinned baseline.
+// to list runs, show one run with its learning reports, diff two runs'
+// provenance, metric summaries and learned policies, trend a metric over
+// time, and gate CI against a pinned baseline.
 //
 // Usage:
 //
 //	odrl-obs -list                         # recent runs, newest last
 //	odrl-obs -list -tool odrl-run -experiment F4
 //	odrl-obs -show 20260808T0912           # one record, by ID prefix
-//	odrl-obs -diff RUN_A RUN_B             # metric deltas between two runs
+//	odrl-obs -diff RUN_A RUN_B             # provenance and metric deltas
 //	odrl-obs -trend bips -spec cafe01      # one metric across matching runs
 //	odrl-obs -pin latest                   # pin the newest ok run as baseline
 //	odrl-obs -check                        # exit 1 if latest regressed vs pin
+//
+// For records made with -learn (and -snapshot-every), -show adds a report
+// per learning run and -diff a learning section; every artifact is checked
+// against the SHA-256 its record pins before it is read.
 //
 // Deterministic metrics (bips, over_j, …) are judged by default; wall-clock
 // metrics (decide_*) only with -wallclock, so identical-spec re-runs always
@@ -47,8 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var (
 		list      = fs.Bool("list", false, "list matching run records, oldest first")
-		show      = fs.String("show", "", "print one record (by ID or unique prefix) as indented JSON")
-		diffMode  = fs.Bool("diff", false, "diff two records' run summaries (two ID arguments)")
+		show      = fs.String("show", "", "print one record (by ID or unique prefix) as indented JSON, then a report per learning run it holds")
+		diffMode  = fs.Bool("diff", false, "diff two records' provenance, run summaries and learning runs (two ID arguments)")
 		trend     = fs.String("trend", "", "print one metric's value across matching records, oldest first")
 		pin       = fs.String("pin", "", "pin a record ('latest' or an ID) as the regression baseline")
 		check     = fs.Bool("check", false, "compare the latest matching run against the pinned baseline; exit 1 on regression")
@@ -100,6 +105,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, err := range errs {
 		fmt.Fprintln(stderr, "odrl-obs: ledger:", err)
 	}
+	// load finds one record and reads its learning runs, verified.
+	load := func(id string) (ledger.Record, []*learnRun, error) {
+		r, err := ledger.ByID(recs, id)
+		if err != nil {
+			return r, nil, err
+		}
+		runs, err := loadLearnRuns(dir, r)
+		return r, runs, err
+	}
 	filter := ledger.Filter{Tool: *tool, SpecHash: *spec, Experiment: *experi, Status: *status}
 	opts := ledger.CompareOptions{Threshold: *threshold, WallClock: *wallClock}
 
@@ -119,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 
 	case *show != "":
-		r, err := ledger.ByID(recs, *show)
+		r, runs, err := load(*show)
 		if err != nil {
 			fmt.Fprintln(stderr, "odrl-obs:", err)
 			return 1
@@ -130,20 +144,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "odrl-obs:", err)
 			return 1
 		}
+		for _, lr := range runs {
+			fmt.Fprintln(stdout)
+			writeLearnReport(stdout, r.ID, lr)
+		}
 		return 0
 
 	case *diffMode:
-		base, err := ledger.ByID(recs, fs.Arg(0))
+		base, baseRuns, err := load(fs.Arg(0))
 		if err != nil {
 			fmt.Fprintln(stderr, "odrl-obs:", err)
 			return 1
 		}
-		cand, err := ledger.ByID(recs, fs.Arg(1))
+		cand, candRuns, err := load(fs.Arg(1))
 		if err != nil {
 			fmt.Fprintln(stderr, "odrl-obs:", err)
 			return 1
 		}
-		return reportCompare(stdout, base, cand, opts)
+		code := reportCompare(stdout, base, cand, opts)
+		if len(baseRuns) > 0 && len(candRuns) > 0 {
+			writeLearnDiffs(stdout, base, cand, baseRuns, candRuns)
+		}
+		return code
 
 	case *trend != "":
 		matched := ledger.Select(recs, filter)
@@ -249,9 +271,11 @@ func scenarioSummary(r ledger.Record) string {
 	return strings.Join(parts, " ")
 }
 
-// reportCompare prints every delta plus unmatched-run notes and returns the
-// exit code: 1 when any judged metric regressed.
+// reportCompare prints the provenance verdict, every delta and the
+// unmatched-run notes, and returns the exit code: 1 when any judged metric
+// regressed.
 func reportCompare(stdout io.Writer, base, cand ledger.Record, opts ledger.CompareOptions) int {
+	writeProvenance(stdout, base, cand)
 	deltas, notes := ledger.Compare(base, cand, opts)
 	for _, d := range deltas {
 		fmt.Fprintln(stdout, d.String())
@@ -267,4 +291,22 @@ func reportCompare(stdout io.Writer, base, cand ledger.Record, opts ledger.Compa
 	}
 	fmt.Fprintf(stdout, "0 regressions across %d compared metric(s)\n", len(deltas))
 	return 0
+}
+
+// writeProvenance prints "provenance: same", or the fields that differ and
+// one A -> B line for each.
+func writeProvenance(w io.Writer, base, cand ledger.Record) {
+	diffs := ledger.Provenance(base, cand)
+	if len(diffs) == 0 {
+		fmt.Fprintln(w, "provenance: same")
+		return
+	}
+	names := make([]string, len(diffs))
+	for i, d := range diffs {
+		names[i] = d.Field
+	}
+	fmt.Fprintf(w, "provenance: differs in %s\n", strings.Join(names, ", "))
+	for _, d := range diffs {
+		fmt.Fprintf(w, "  %-15s %q -> %q\n", d.Field+":", d.A, d.B)
+	}
 }

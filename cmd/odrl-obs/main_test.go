@@ -161,6 +161,9 @@ func TestObsDiffIdenticalSpecClean(t *testing.T) {
 	if !strings.Contains(out, "0 regressions") {
 		t.Errorf("diff output missing clean verdict:\n%s", out)
 	}
+	if !strings.HasPrefix(out, "provenance: same\n") {
+		t.Errorf("identical-spec diff does not open with same provenance:\n%s", out)
+	}
 
 	// The same pair with -wallclock judges the decide jitter (+44%).
 	code, out, _ = runCLI(t, "-ledger", dir, "-diff", "-wallclock", "runA", "runB")
@@ -261,5 +264,59 @@ func tamper(t *testing.T, dir string) {
 	}
 	if err := os.WriteFile(path, edited, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiffProvenanceNamesTheField: -diff of two records that differ in
+// exactly one provenance field opens with a line naming that field, then
+// its A -> B detail.
+func TestDiffProvenanceNamesTheField(t *testing.T) {
+	base := func() ledger.Record {
+		return ledger.Record{
+			Schema: ledger.Schema, Tool: "odrl", Args: []string{"-seed", "1"},
+			Start: "2026-08-08T09:00:00Z", WallS: 1.5, Host: obs.HostInfo(), Status: ledger.StatusOK,
+			Scenarios: []ledger.ScenarioRef{{SpecHash: "cafe0123", EngineVersion: "odrl-scenario-v2"}},
+			Runs: []ledger.RunSummary{{
+				Controller: "od-rl", Workload: "mixed", Seed: 1, Cores: 64, BudgetW: 90,
+				Epochs: 100, Metrics: baseMetrics(nil),
+			}},
+		}
+	}
+	for _, tc := range []struct {
+		field, detail string
+		edit          func(*ledger.Record)
+	}{
+		{"engine version", `"odrl-scenario-v2" -> "odrl-scenario-v3"`, func(r *ledger.Record) { r.Scenarios[0].EngineVersion = "odrl-scenario-v3" }},
+		{"spec hash", `"cafe0123" -> "beef4567"`, func(r *ledger.Record) { r.Scenarios[0].SpecHash = "beef4567" }},
+		{"seed", `"1" -> "2"`, func(r *ledger.Record) { r.Runs[0].Seed = 2 }},
+		{"fault plan", `"" -> "plan-0.5"`, func(r *ledger.Record) { r.Runs[0].FaultPlan = "plan-0.5" }},
+		{"args", `"-seed 1" -> "-seed 1 -monitor"`, func(r *ledger.Record) { r.Args = append(r.Args, "-monitor") }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := ledger.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := base(), base()
+			a.ID, b.ID = "recA", "recB"
+			tc.edit(&b)
+			for _, r := range []ledger.Record{a, b} {
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			code, out, stderr := runCLI(t, "-ledger", dir, "-diff", "recA", "recB")
+			if code != 0 {
+				t.Fatalf("exit %d:\n%s%s", code, out, stderr)
+			}
+			lines := strings.SplitN(out, "\n", 3)
+			if lines[0] != "provenance: differs in "+tc.field {
+				t.Fatalf("first line %q, want it to name only %q:\n%s", lines[0], tc.field, out)
+			}
+			if !strings.Contains(lines[1], tc.field+":") || !strings.HasSuffix(lines[1], tc.detail) {
+				t.Fatalf("detail line %q, want %q:\n%s", lines[1], tc.detail, out)
+			}
+		})
 	}
 }

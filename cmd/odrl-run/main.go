@@ -14,7 +14,7 @@
 //
 // A parameter sweep is a spec with a "sweep" axis (see
 // examples/specs/budget-sweep.json). The shared observability flags
-// (-monitor, -learn, -trace-events, -debug-addr, -artifacts, -ledger, …)
+// (-monitor, -learn, -trace-events, -debug-addr, -ledger, …)
 // attach to every run the engine executes.
 package main
 

@@ -365,8 +365,13 @@ func TestRunCSVAndOutputFile(t *testing.T) {
 func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-snapshot-every", "5", "-no-ledger"}, &stdout, &stderr)
-	if code != 2 || !strings.Contains(stderr.String(), "-snapshot-every needs -artifacts") {
+	if code != 2 || !strings.Contains(stderr.String(), "-snapshot-every needs the run ledger") {
 		t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr.String())
+	}
+	// Snapshots live in the ledger record; the old -artifacts directory flag is gone.
+	stderr.Reset()
+	if code := run([]string{"-artifacts", "x", "-no-ledger"}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined") {
+		t.Fatalf("-artifacts: exit %d, want 2 as an unknown flag\nstderr: %s", code, stderr.String())
 	}
 }
 

@@ -56,30 +56,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The scenario spec equivalent to the flags: -write-spec prints it, and
+	// a run records its hash so the ledger can join the run to the spec.
+	plan, err := fault.ParseSpec(*faultSpec)
+	if err != nil {
+		fmt.Fprintln(stderr, "odrl:", err)
+		return 2
+	}
+	names := strings.Split(*controllers, ",")
+	if *controllers == "all" {
+		names = sim.ControllerNames()
+	}
+	spec := scenario.Spec{
+		Workload:    *workloadF,
+		Controllers: names,
+		Cores:       *cores,
+		BudgetW:     *budget,
+		WarmupS:     *warmup,
+		MeasureS:    *measure,
+		Seeds:       []uint64{*seed},
+		SensorNoise: noise,
+		ThermalOff:  *thermalOff,
+		FaultPlan:   plan,
+	}
+
 	// -write-spec translates the flag invocation into the declarative
 	// scenario contract and exits before any observability side effects.
 	if *writeSpec {
-		plan, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "odrl:", err)
-			return 2
-		}
-		names := strings.Split(*controllers, ",")
-		if *controllers == "all" {
-			names = sim.ControllerNames()
-		}
-		spec := scenario.Spec{
-			Workload:    *workloadF,
-			Controllers: names,
-			Cores:       *cores,
-			BudgetW:     *budget,
-			WarmupS:     *warmup,
-			MeasureS:    *measure,
-			Seeds:       []uint64{*seed},
-			SensorNoise: noise,
-			ThermalOff:  *thermalOff,
-			FaultPlan:   plan,
-		}
 		if err := spec.Validate(); err != nil {
 			fmt.Fprintln(stderr, "odrl:", err)
 			return 2
@@ -104,12 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl:", err)
 		return 1
 	}
-	runErr := runMain(stdout, stderr, sess, mainFlags{
-		controllers: *controllers, cores: *cores, workload: *workloadF,
-		budget: *budget, warmup: *warmup, measure: *measure, seed: *seed,
-		noise: *noise, thermalOff: *thermalOff, csvOut: *csvOut,
-		traceFile: *traceFile, plotTrace: *plotTrace,
-		faultSpec: *faultSpec,
+	if hash, err := spec.Hash(); err == nil && spec.Validate() == nil {
+		sess.Ledger.RecordScenario("", hash, scenario.EngineVersion, false)
+	}
+	runErr := runMain(stdout, stderr, sess, spec, outFlags{
+		csvOut: *csvOut, traceFile: *traceFile, plotTrace: *plotTrace,
 	})
 	if err := sess.Close(stderr); runErr == nil {
 		runErr = err
@@ -122,38 +124,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// mainFlags carries the simulation flags into the run body.
-type mainFlags struct {
-	controllers, workload, traceFile, faultSpec string
-	cores                                       int
-	budget, warmup, measure, noise              float64
-	seed                                        uint64
-	thermalOff, csvOut, plotTrace               bool
+// outFlags carries the output flags into the run body.
+type outFlags struct {
+	traceFile         string
+	csvOut, plotTrace bool
 }
 
-func runMain(stdout, stderr io.Writer, sess *session.Session, f mainFlags) error {
+func runMain(stdout, stderr io.Writer, sess *session.Session, spec scenario.Spec, f outFlags) error {
 	opts := sim.DefaultOptions()
 	opts.Stack = sess.Stack
-	opts.Cores = f.cores
-	opts.Workload = f.workload
-	opts.BudgetW = f.budget
-	opts.WarmupS = f.warmup
-	opts.MeasureS = f.measure
-	opts.Seed = f.seed
-	opts.SensorNoise = f.noise
-	opts.ThermalOff = f.thermalOff
-	plan, err := fault.ParseSpec(f.faultSpec)
-	if err != nil {
-		return err
-	}
-	opts.FaultPlan = plan
+	opts.Cores = spec.Cores
+	opts.Workload = spec.Workload
+	opts.BudgetW = spec.BudgetW
+	opts.WarmupS = spec.WarmupS
+	opts.MeasureS = spec.MeasureS
+	opts.Seed = spec.Seeds[0]
+	opts.SensorNoise = *spec.SensorNoise
+	opts.ThermalOff = spec.ThermalOff
+	opts.FaultPlan = spec.FaultPlan
 	if f.traceFile != "" || f.plotTrace {
 		opts.TracePoints = 500
-	}
-
-	names := strings.Split(f.controllers, ",")
-	if f.controllers == "all" {
-		names = sim.ControllerNames()
 	}
 
 	// logRunConfig makes a run reproducible from stderr alone.
@@ -170,7 +160,7 @@ func runMain(stdout, stderr io.Writer, sess *session.Session, f mainFlags) error
 		"warmup_epochs", warmupE,
 		"measure_epochs", measureE,
 	)
-	results, err := sim.RunAll(opts, names)
+	results, err := sim.RunAll(opts, spec.Controllers)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs/ledger"
 	"repro/internal/scenario"
 )
 
@@ -20,8 +21,12 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 
 func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
 	code, _, stderr := runCLI("-snapshot-every", "5", "-no-ledger")
-	if code != 2 || !strings.Contains(stderr, "-snapshot-every needs -artifacts") {
+	if code != 2 || !strings.Contains(stderr, "-snapshot-every needs the run ledger") {
 		t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr)
+	}
+	// Snapshots live in the ledger record; the old -artifacts directory flag is gone.
+	if code, _, stderr := runCLI("-artifacts", "x", "-no-ledger"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+		t.Fatalf("-artifacts: exit %d, want 2 as an unknown flag\nstderr: %s", code, stderr)
 	}
 }
 
@@ -88,5 +93,36 @@ func TestWriteSpecRoundTrip(t *testing.T) {
 		if w, ok := want[row[ctrlCol]]; !ok || math.Abs(got-w) > 5e-4 {
 			t.Errorf("%s: engine BIPS %s, -csv BIPS %g", row[ctrlCol], row[cellCol], w)
 		}
+	}
+}
+
+// TestRunRecordsScenarioRef: a ledgered run's record carries one scenario
+// ref whose hash is that of the spec -write-spec prints for the same flags,
+// so -list -spec finds the run and -diff can compare its provenance.
+func TestRunRecordsScenarioRef(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-controllers", "od-rl,pid", "-cores", "16", "-warmup", "0.05", "-measure", "0.1", "-seed", "3"}
+	code, specJSON, stderr := runCLI(append(args, "-write-spec")...)
+	if code != 0 {
+		t.Fatalf("-write-spec exit %d\nstderr: %s", code, stderr)
+	}
+	spec, err := scenario.LoadBytes([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI(append(args, "-csv", "-ledger", dir)...); code != 0 {
+		t.Fatalf("run exit %d\nstderr: %s", code, stderr)
+	}
+	recs, errs := ledger.Read(dir)
+	if len(errs) > 0 || len(recs) != 1 {
+		t.Fatalf("ledger: %d records, errors %v", len(recs), errs)
+	}
+	refs := recs[0].Scenarios
+	if len(refs) != 1 || refs[0].SpecHash != want || refs[0].EngineVersion != scenario.EngineVersion {
+		t.Fatalf("scenario refs %+v, want one with hash %s and engine %s", refs, want, scenario.EngineVersion)
 	}
 }

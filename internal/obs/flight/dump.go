@@ -109,8 +109,8 @@ func (f *flightRun) framesLocked() []frame {
 	return out
 }
 
-// ReadEpochsJSONL decodes a bundle's epochs.jsonl back into frames — the
-// loader tests and odrl-obs use it to validate dumps.
+// ReadEpochsJSONL decodes a bundle's epochs.jsonl back into frames; the
+// flight tests use it to validate dumps.
 func ReadEpochsJSONL(data []byte) ([]obs.EpochEvent, error) {
 	var out []obs.EpochEvent
 	dec := json.NewDecoder(bytes.NewReader(data))

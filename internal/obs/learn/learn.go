@@ -11,6 +11,7 @@ package learn
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"sync"
@@ -68,12 +69,14 @@ const EmitEvery = 16
 type Options struct {
 	// Detector tunes the convergence criterion; zero fields take defaults.
 	Detector Detector
-	// SnapshotEvery is the policy-snapshot cadence in learning epochs; with
-	// ArtifactDir set, 0 still writes the final snapshot at run end.
+	// SnapshotEvery is the policy-snapshot cadence in learning epochs. With
+	// Artifacts set, N > 0 writes a snapshot every N epochs plus the final
+	// policy at run end; 0 writes none.
 	SnapshotEvery int
-	// ArtifactDir is the root directory for per-run snapshot artifacts;
-	// empty disables snapshots.
-	ArtifactDir string
+	// Artifacts receives each learning run's files under
+	// learn/<n>-<controller>/: learn.json (a Report) at run end and the
+	// policy snapshots. Nil records nothing.
+	Artifacts func(name string, data []byte)
 	// SeriesCap bounds the /debug/learn learning-curve series (default
 	// monitor.DefaultSeriesCap).
 	SeriesCap int
@@ -129,8 +132,12 @@ func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 		r.islandSum = make([]float64, islands)
 		r.islandCnt = make([]int, islands)
 	}
-	if l.opt.ArtifactDir != "" {
-		r.snap = newSnapshotter(l.opt.ArtifactDir, l.opt.SnapshotEvery, meta)
+	if l.opt.Artifacts != nil {
+		r.rec = &recorder{
+			sink:   l.opt.Artifacts,
+			prefix: fmt.Sprintf("learn/%d-%s/", r.id, sanitize(meta.Controller)),
+			every:  l.opt.SnapshotEvery,
+		}
 	}
 	if l.runCtr != nil {
 		l.runCtr.Inc()
@@ -193,8 +200,8 @@ type Run struct {
 	pending  []obs.ConvergedEvent
 	drainBuf []obs.ConvergedEvent
 
-	snap         *snapshotter
-	lastSnapshot int // learning epoch of the last periodic snapshot
+	rec          *recorder // nil without an artifact sink
+	lastSnapshot int       // learning epoch of the last periodic snapshot
 	done         bool
 }
 
@@ -403,6 +410,9 @@ func (r *Run) DrainConverged(fn func(*obs.ConvergedEvent)) {
 	for i := range r.drainBuf {
 		fn(&r.drainBuf[i])
 	}
+	if r.rec != nil {
+		r.rec.convLog = append(r.rec.convLog, r.drainBuf...)
+	}
 }
 
 // PolicySource is the dense-policy read contract snapshots draw from;
@@ -412,19 +422,20 @@ type PolicySource interface {
 	CopyPolicy(dst []float64) error
 }
 
-// MaybeSnapshot writes a policy snapshot when the run's artifact directory
-// is set, the learning-epoch counter has crossed a cadence boundary since
-// the last periodic snapshot, and src exports a tabular policy. Crossing
+// MaybeSnapshot writes a policy snapshot when snapshots are on, the
+// learning-epoch counter has crossed a cadence boundary since the last
+// periodic snapshot, and src exports a tabular policy. Crossing
 // (rather than exact divisibility) keeps the cadence honest when the
 // controller emits epochs in strided batches. Errors are sticky and
-// reported by Err.
-func (r *Run) MaybeSnapshot(timeS float64, src PolicySource) {
-	if r.snap == nil || src == nil {
+// reported by Err. Snapshots are keyed by learning epoch, so the run's
+// simulated time goes unused.
+func (r *Run) MaybeSnapshot(_ float64, src PolicySource) {
+	if r.rec == nil || r.rec.every == 0 || src == nil {
 		return
 	}
 	r.mu.Lock()
-	every, epochs := r.snap.every, r.epochs
-	due := every > 0 && epochs > 0 && epochs/every > r.lastSnapshot/every
+	every, epochs := r.rec.every, r.epochs
+	due := epochs > 0 && epochs/every > r.lastSnapshot/every
 	if due {
 		r.lastSnapshot = epochs
 	}
@@ -432,13 +443,13 @@ func (r *Run) MaybeSnapshot(timeS float64, src PolicySource) {
 	if !due {
 		return
 	}
-	r.snap.write(r.id, epochs, timeS, src)
+	r.rec.write(epochs, src)
 }
 
-// Finish marks the run done and, when artifacts are enabled, writes the
-// final policy snapshot (even with SnapshotEvery 0: the final policy is the
-// one odrl-inspect diffs).
-func (r *Run) Finish(timeS float64, src PolicySource) {
+// Finish marks the run done. With a sink it writes the final policy
+// snapshot (when snapshots are on) and then learn.json. Like MaybeSnapshot
+// it ignores the simulated time.
+func (r *Run) Finish(_ float64, src PolicySource) {
 	r.mu.Lock()
 	if r.done {
 		r.mu.Unlock()
@@ -447,19 +458,31 @@ func (r *Run) Finish(timeS float64, src PolicySource) {
 	r.done = true
 	epochs := r.epochs
 	r.mu.Unlock()
-	if r.snap != nil && src != nil && epochs > 0 {
-		r.snap.write(r.id, epochs, timeS, src)
-		r.snap.close()
+	if r.rec == nil {
+		return
 	}
+	if r.rec.every > 0 && src != nil && epochs > 0 {
+		r.rec.write(epochs, src)
+		r.rec.close()
+	}
+	r.rec.report(Report{Summary: r.Summarize(true), Converged: r.rec.convLog})
 }
 
-// Err returns the first artifact-writing error, nil when snapshots are off
-// or healthy.
+// Err returns the first artifact error: a failed snapshot or an
+// unencodable report. Nil when the run records nothing or is healthy.
 func (r *Run) Err() error {
-	if r.snap == nil {
+	if r.rec == nil {
 		return nil
 	}
-	return r.snap.err()
+	return r.rec.err()
+}
+
+// Report is a finished learning run as learn.json holds it: the run's
+// summary with its learning curves, and every agent convergence in firing
+// order, stamped with its measurement epoch.
+type Report struct {
+	Summary   Summary              `json:"summary"`
+	Converged []obs.ConvergedEvent `json:"converged,omitempty"`
 }
 
 // Summary is a point-in-time copy of one run's learning state for the

@@ -7,8 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
+	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -18,9 +17,9 @@ import (
 
 // Policy snapshots are content-addressed binary blobs: a fixed header, then
 // either the full policy tensor or a delta against the parent snapshot
-// (changed cells only), whichever is smaller. The blob's SHA-256 names the
-// file, so identical policies dedupe naturally and a JSON sidecar per
-// snapshot carries the run context for post-hoc tools (odrl-inspect).
+// (changed cells only), whichever is smaller. The blob's SHA-256 prefix
+// names the artifact and a delta names its parent by full hash; the run's
+// learn.json carries the run context.
 //
 // Layout (all little-endian):
 //
@@ -188,32 +187,19 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// sidecar is the JSON companion written next to each snapshot blob.
-type sidecar struct {
-	Epoch      int     `json:"epoch"`
-	TimeS      float64 `json:"time_s"`
-	Controller string  `json:"controller,omitempty"`
-	Workload   string  `json:"workload,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Cores      int     `json:"cores"`
-	States     int     `json:"states"`
-	Actions    int     `json:"actions"`
-	Encoding   string  `json:"encoding"` // "full" | "delta"
-	Changed    int     `json:"changed"`  // delta cells (== cells for full)
-	Parent     string  `json:"parent,omitempty"`
-	SHA256     string  `json:"sha256"`
-	File       string  `json:"file"`
-}
+// recorder owns one learning run's artifacts and hands them to the sink:
+// the policy snapshot chain, and learn.json at run end.
+type recorder struct {
+	sink   func(name string, data []byte)
+	prefix string // learn/<n>-<controller>/
+	every  int    // snapshot cadence in learning epochs; 0 records none
 
-// snapshotter owns one run's artifact directory and delta chain.
-type snapshotter struct {
-	root  string
-	every int
-	meta  obs.RunMeta
+	// convLog holds the drained, stamped convergence events for
+	// learn.json; only the draining goroutine touches it.
+	convLog []obs.ConvergedEvent
 
 	mu       sync.Mutex
-	dir      string // created lazily on first write
-	seq      int    // write sequence, prefixed to filenames for chain order
+	seq      int // write sequence, prefixed to names for chain order
 	prev     []float64
 	cur      []float64
 	prevHash [32]byte
@@ -221,58 +207,53 @@ type snapshotter struct {
 	firstErr error
 }
 
-func newSnapshotter(root string, every int, meta obs.RunMeta) *snapshotter {
-	return &snapshotter{root: root, every: every, meta: meta}
-}
-
-func (sn *snapshotter) err() error {
+func (sn *recorder) err() error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	return sn.firstErr
 }
 
-func (sn *snapshotter) fail(err error) {
+func (sn *recorder) fail(err error) {
 	if sn.firstErr == nil {
 		sn.firstErr = err
 	}
 }
 
-// write exports the policy and persists one snapshot; errors are sticky and
-// later writes become no-ops once one fails.
-func (sn *snapshotter) write(runID int64, epoch int, timeS float64, src PolicySource) {
+// write exports the policy and hands one snapshot to the sink, outside the
+// lock; errors are sticky and later writes become no-ops once one fails.
+func (sn *recorder) write(epoch int, src PolicySource) {
+	if name, blob := sn.next(epoch, src); blob != nil {
+		sn.sink(name, blob)
+	}
+}
+
+// next encodes the snapshot of src at epoch against the chain and advances
+// the chain; a nil blob means there is nothing to write.
+func (sn *recorder) next(epoch int, src PolicySource) (string, []byte) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if sn.firstErr != nil {
-		return
+		return "", nil
 	}
 	cores, states, actions := src.PolicyShape()
 	if cores == 0 {
 		// No exportable tabular policy (e.g. function approximation): not an
 		// error, simply nothing to snapshot.
-		return
+		return "", nil
 	}
 	total := cores * states * actions
 	if sn.cur == nil {
 		sn.cur = make([]float64, total)
 	} else if len(sn.cur) != total {
 		sn.fail(fmt.Errorf("learn: policy shape changed mid-run (%d -> %d cells)", len(sn.cur), total))
-		return
+		return "", nil
 	}
 	if err := src.CopyPolicy(sn.cur); err != nil {
 		sn.fail(err)
-		return
-	}
-	if sn.dir == "" {
-		dir := filepath.Join(sn.root, fmt.Sprintf("run-%d-%s", runID, sanitize(sn.meta.Controller)))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			sn.fail(fmt.Errorf("learn: artifact dir: %w", err))
-			return
-		}
-		sn.dir = dir
+		return "", nil
 	}
 
 	s := &Snapshot{Epoch: int64(epoch), Cores: cores, States: states, Actions: actions}
-	changed := total
 	if sn.hasPrev {
 		var idx []uint32
 		var vals []float64
@@ -282,14 +263,13 @@ func (sn *snapshotter) write(runID int64, epoch int, timeS float64, src PolicySo
 				vals = append(vals, v)
 			}
 		}
-		changed = len(idx)
-		if changed == 0 {
+		if len(idx) == 0 {
 			// Policy is bit-identical to the last snapshot: content
 			// addressing makes a new blob pure redundancy, so skip it.
-			return
+			return "", nil
 		}
 		// Delta pays off only when smaller than the full tensor.
-		if 4+changed*12 < total*8 {
+		if 4+len(idx)*12 < total*8 {
 			s.Delta, s.Parent, s.Indices, s.Values = true, sn.prevHash, idx, vals
 		}
 	}
@@ -298,45 +278,39 @@ func (sn *snapshotter) write(runID int64, epoch int, timeS float64, src PolicySo
 	}
 	blob := s.Encode()
 	hash := sha256.Sum256(blob)
-	hexHash := hex.EncodeToString(hash[:])
-	// The sequence prefix makes lexical filename order equal write order,
-	// which is what the delta chain needs (epochs alone could collide).
-	name := fmt.Sprintf("snap-%06d-e%08d-%s.qsnap", sn.seq, epoch, hexHash[:12])
+	// The sequence prefix makes lexical name order equal write order, which
+	// is what the delta chain needs (epochs alone could collide).
+	name := fmt.Sprintf("%ssnap-%06d-e%08d-%s.qsnap", sn.prefix, sn.seq, epoch, hex.EncodeToString(hash[:6]))
 	sn.seq++
-	if err := os.WriteFile(filepath.Join(sn.dir, name), blob, 0o644); err != nil {
-		sn.fail(fmt.Errorf("learn: snapshot: %w", err))
-		return
-	}
-	side := sidecar{
-		Epoch: epoch, TimeS: timeS,
-		Controller: sn.meta.Controller, Workload: sn.meta.Workload, Seed: sn.meta.Seed,
-		Cores: cores, States: states, Actions: actions,
-		Encoding: "full", Changed: changed, SHA256: hexHash, File: name,
-	}
-	if s.Delta {
-		side.Encoding = "delta"
-		side.Parent = hex.EncodeToString(s.Parent[:])
-	}
-	sj, _ := json.MarshalIndent(side, "", "  ") //nolint:errcheck // plain struct cannot fail
-	if err := os.WriteFile(filepath.Join(sn.dir, name+".json"), append(sj, '\n'), 0o644); err != nil {
-		sn.fail(fmt.Errorf("learn: snapshot sidecar: %w", err))
-		return
-	}
 	if sn.prev == nil {
 		sn.prev = make([]float64, total)
 	}
 	sn.prev, sn.cur = sn.cur, sn.prev
 	sn.prevHash, sn.hasPrev = hash, true
+	return name, blob
+}
+
+// report hands the run's learn.json to the sink; an unencodable report
+// (a non-finite metric) is the run's artifact error instead.
+func (sn *recorder) report(rep Report) {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		sn.mu.Lock()
+		sn.fail(fmt.Errorf("learn: %slearn.json: %w", sn.prefix, err))
+		sn.mu.Unlock()
+		return
+	}
+	sn.sink(sn.prefix+"learn.json", append(data, '\n'))
 }
 
 // close releases the delta-chain buffers.
-func (sn *snapshotter) close() {
+func (sn *recorder) close() {
 	sn.mu.Lock()
 	sn.prev, sn.cur = nil, nil
 	sn.mu.Unlock()
 }
 
-// sanitize keeps run-directory names filesystem-safe.
+// sanitize keeps artifact names filesystem-safe.
 func sanitize(s string) string {
 	if s == "" {
 		return "run"
@@ -359,41 +333,41 @@ type LoadedSnap struct {
 	Q                      []float64
 }
 
-// LoadSnapshots reads every *.qsnap in dir, verifies the delta chain
-// (parent hashes and shapes) and reconstructs each snapshot's full policy,
-// returned in epoch order.
-func LoadSnapshots(dir string) ([]LoadedSnap, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.qsnap"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names) // snap-<zero-padded seq>-… sorts in write order
+// LoadSnapshots reads the named snapshot blobs through read, verifies the
+// delta chain (parent hashes and shapes) and reconstructs each snapshot's
+// full policy, returned in epoch order. Names sort in write order (the
+// zero-padded sequence the recorder prefixes), whatever order they
+// arrive in.
+func LoadSnapshots(names []string, read func(name string) ([]byte, error)) ([]LoadedSnap, error) {
+	names = append([]string(nil), names...)
+	sort.Strings(names)
 	var out []LoadedSnap
 	var prevQ []float64
 	var prevHash [32]byte
 	havePrev := false
 	for _, name := range names {
-		blob, err := os.ReadFile(name)
+		blob, err := read(name)
 		if err != nil {
 			return nil, err
 		}
 		s, err := DecodeSnapshot(blob)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(name), err)
+			return nil, fmt.Errorf("%s: %w", path.Base(name), err)
 		}
+		sum := sha256.Sum256(blob)
 		ls := LoadedSnap{
 			Epoch: s.Epoch, Cores: s.Cores, States: s.States, Actions: s.Actions,
-			Hash: hex.EncodeToString(func() []byte { h := sha256.Sum256(blob); return h[:] }()),
+			Hash: hex.EncodeToString(sum[:]),
 		}
 		if s.Delta {
 			if !havePrev {
-				return nil, fmt.Errorf("%s: delta snapshot with no preceding snapshot", filepath.Base(name))
+				return nil, fmt.Errorf("%s: delta snapshot with no preceding snapshot", path.Base(name))
 			}
 			if s.Parent != prevHash {
-				return nil, fmt.Errorf("%s: delta parent hash does not match previous snapshot", filepath.Base(name))
+				return nil, fmt.Errorf("%s: delta parent hash does not match previous snapshot", path.Base(name))
 			}
 			if len(prevQ) != s.total() {
-				return nil, fmt.Errorf("%s: delta shape does not match previous snapshot", filepath.Base(name))
+				return nil, fmt.Errorf("%s: delta shape does not match previous snapshot", path.Base(name))
 			}
 			q := append([]float64(nil), prevQ...)
 			for i, idx := range s.Indices {
@@ -404,7 +378,7 @@ func LoadSnapshots(dir string) ([]LoadedSnap, error) {
 			ls.Q = s.Q
 		}
 		prevQ = ls.Q
-		prevHash = sha256.Sum256(blob)
+		prevHash = sum
 		havePrev = true
 		out = append(out, ls)
 	}

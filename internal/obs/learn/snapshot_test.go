@@ -2,9 +2,10 @@ package learn
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -87,9 +88,33 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	}
 }
 
+// memSink is an in-memory artifact sink.
+type memSink map[string][]byte
+
+func (m memSink) add(name string, data []byte) { m[name] = data }
+
+func (m memSink) read(name string) ([]byte, error) {
+	b, ok := m[name]
+	if !ok {
+		return nil, fmt.Errorf("no artifact %s", name)
+	}
+	return b, nil
+}
+
+// names lists the sink's artifacts under prefix with the given suffix.
+func (m memSink) names(prefix, suffix string) []string {
+	var out []string
+	for n := range m {
+		if strings.HasPrefix(n, prefix) && strings.HasSuffix(n, suffix) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestSnapshotterDeltaChain(t *testing.T) {
-	dir := t.TempDir()
-	l := New(Options{Detector: fastDetector(), SnapshotEvery: 2, ArtifactDir: dir})
+	sink := memSink{}
+	l := New(Options{Detector: fastDetector(), SnapshotEvery: 2, Artifacts: sink.add})
 	r := l.BeginRun(obs.RunMeta{Controller: "od-rl"}, nil, 0)
 	p := newFakePolicy(2, 4, 3)
 
@@ -103,11 +128,7 @@ func TestSnapshotterDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runDirs, err := filepath.Glob(filepath.Join(dir, "run-*-od-rl"))
-	if err != nil || len(runDirs) != 1 {
-		t.Fatalf("run dirs = %v (err %v), want exactly one", runDirs, err)
-	}
-	snaps, err := LoadSnapshots(runDirs[0])
+	snaps, err := LoadSnapshots(sink.names("learn/1-od-rl/", ".qsnap"), sink.read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,25 +142,47 @@ func TestSnapshotterDeltaChain(t *testing.T) {
 	if !reflect.DeepEqual(last.Q, p.q) {
 		t.Fatal("reconstructed final policy differs from source")
 	}
-	// Sidecars exist for every blob.
-	blobs, _ := filepath.Glob(filepath.Join(runDirs[0], "*.qsnap"))
-	for _, b := range blobs {
-		if _, err := os.Stat(b + ".json"); err != nil {
-			t.Fatalf("missing sidecar for %s", filepath.Base(b))
-		}
+	if _, ok := sink["learn/1-od-rl/learn.json"]; !ok || len(sink) != len(snaps)+1 {
+		t.Fatalf("artifacts %v, want the snapshots plus learn.json", sink.names("", ""))
+	}
+}
+
+// TestFinishWritesReport: learn.json decodes to the run's summary and its
+// drained convergence events, and SnapshotEvery 0 writes no snapshot.
+func TestFinishWritesReport(t *testing.T) {
+	sink := memSink{}
+	l := New(Options{Detector: fastDetector(), Artifacts: sink.add})
+	r := l.BeginRun(obs.RunMeta{Controller: "od-rl", Seed: 3}, nil, 0)
+	for e := 0; e < 10; e++ {
+		push(r, []obs.LearnCoreSample{sample(0.001, false)})
+		r.DrainConverged(func(cv *obs.ConvergedEvent) { cv.Epoch = e })
+	}
+	r.Finish(1, newFakePolicy(1, 2, 2))
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if qs := sink.names("", ".qsnap"); len(qs) != 0 {
+		t.Fatalf("SnapshotEvery 0 wrote snapshots %v", qs)
+	}
+	var rep Report
+	if err := json.Unmarshal(sink["learn/1-od-rl/learn.json"], &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Summary.Meta.Seed != 3 || rep.Summary.Epochs != 10 || !rep.Summary.Done || len(rep.Summary.Curves) != 3 {
+		t.Fatalf("summary %+v", rep.Summary)
+	}
+	if len(rep.Converged) != 1 || rep.Converged[0].Core != 0 || rep.Converged[0].Epoch == 0 {
+		t.Fatalf("converged %+v, want core 0 with its stamped epoch", rep.Converged)
 	}
 }
 
 func TestLoadSnapshotsBrokenChain(t *testing.T) {
-	dir := t.TempDir()
 	// A delta snapshot with no preceding full snapshot must be rejected.
 	s := &Snapshot{Epoch: 3, Cores: 1, States: 2, Actions: 2, Delta: true,
 		Indices: []uint32{1}, Values: []float64{9}}
 	s.Parent[5] = 1
-	if err := os.WriteFile(filepath.Join(dir, "snap-00000003-abc.qsnap"), s.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshots(dir); err == nil {
+	sink := memSink{"snap-00000003-abc.qsnap": s.Encode()}
+	if _, err := LoadSnapshots(sink.names("", ".qsnap"), sink.read); err == nil {
 		t.Fatal("orphan delta accepted")
 	}
 }

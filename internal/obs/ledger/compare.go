@@ -2,7 +2,9 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -76,34 +78,16 @@ type CompareOptions struct {
 	WallClock bool
 }
 
-// Compare diffs the run summaries of two records, matching runs by
-// RunSummary.Key (controller, workload, seed, cores, budget and fault
-// plan), and judges each shared metric.
-// Runs present on only one side are reported via the second return value,
-// and so is a key that more than one run holds on either side: a record
-// written before runs carried their fault plan gives every run of a fault
-// sweep one key, and pairing any one of them would compare unlike runs,
-// so such a key is noted as ambiguous and not compared.
+// Compare diffs the run summaries of two records, pairing runs with
+// PairRuns, and judges each shared metric. Runs present on only one side,
+// and keys that more than one run holds, are reported via the second
+// return value.
 func Compare(base, cand Record, opts CompareOptions) ([]Delta, []string) {
-	baseRuns, baseN := runsByKey(base.Runs)
-	candRuns, candN := runsByKey(cand.Runs)
+	pairs, notes := PairRuns(base.Runs, cand.Runs, base.ID, cand.ID)
 	var deltas []Delta
-	var notes []string
-	for key, cs := range candRuns {
-		switch {
-		case baseN[key] == 0:
-			notes = append(notes, fmt.Sprintf("run %s only in candidate %s", key, cand.ID))
-		case baseN[key] > 1 || candN[key] > 1:
-			notes = append(notes, fmt.Sprintf("run %s ambiguous: %d runs in baseline %s, %d in candidate %s; not compared",
-				key, baseN[key], base.ID, candN[key], cand.ID))
-		default:
-			deltas = append(deltas, compareRun(key, baseRuns[key], cs, opts)...)
-		}
-	}
-	for key := range baseRuns {
-		if candN[key] == 0 {
-			notes = append(notes, fmt.Sprintf("run %s only in baseline %s", key, base.ID))
-		}
+	for _, p := range pairs {
+		bs := base.Runs[p[0]]
+		deltas = append(deltas, compareRun(bs.Key(), bs, cand.Runs[p[1]], opts)...)
 	}
 	sort.Slice(deltas, func(i, j int) bool {
 		if deltas[i].RunKey != deltas[j].RunKey {
@@ -111,21 +95,52 @@ func Compare(base, cand Record, opts CompareOptions) ([]Delta, []string) {
 		}
 		return deltas[i].Metric < deltas[j].Metric
 	})
-	sort.Strings(notes)
 	return deltas, notes
 }
 
-// runsByKey indexes runs by RunSummary.Key and counts the runs holding
-// each key.
-func runsByKey(runs []RunSummary) (map[string]RunSummary, map[string]int) {
-	byKey := make(map[string]RunSummary, len(runs))
-	n := make(map[string]int, len(runs))
-	for _, s := range runs {
+// PairRuns pairs a baseline's and a candidate's runs by RunSummary.Key
+// (controller, workload, seed, cores, budget and fault plan), returning
+// [baseIndex, candIndex] pairs in candidate order. A key held on one side
+// only pairs nothing and is noted, and so is a key that more than one run
+// holds on either side: a record written before runs carried their fault
+// plan gives every run of a fault sweep one key, and pairing any one of
+// them would compare unlike runs. baseID and candID name the records in
+// the notes, which come sorted.
+func PairRuns(base, cand []RunSummary, baseID, candID string) ([][2]int, []string) {
+	baseAt, baseN, candN := map[string]int{}, map[string]int{}, map[string]int{}
+	for i, s := range base {
 		k := s.Key()
-		byKey[k] = s
-		n[k]++
+		baseAt[k] = i
+		baseN[k]++
 	}
-	return byKey, n
+	for _, s := range cand {
+		candN[s.Key()]++
+	}
+	var pairs [][2]int
+	var notes []string
+	noted := map[string]bool{}
+	for j, s := range cand {
+		key := s.Key()
+		switch {
+		case noted[key]: // a repeated key is noted once
+		case baseN[key] == 0:
+			notes = append(notes, fmt.Sprintf("run %s only in candidate %s", key, candID))
+		case baseN[key] > 1 || candN[key] > 1:
+			notes = append(notes, fmt.Sprintf("run %s ambiguous: %d runs in baseline %s, %d in candidate %s; not compared",
+				key, baseN[key], baseID, candN[key], candID))
+		default:
+			pairs = append(pairs, [2]int{baseAt[key], j})
+		}
+		noted[key] = true
+	}
+	for _, s := range base {
+		if key := s.Key(); candN[key] == 0 && !noted[key] {
+			notes = append(notes, fmt.Sprintf("run %s only in baseline %s", key, baseID))
+			noted[key] = true
+		}
+	}
+	sort.Strings(notes)
+	return pairs, notes
 }
 
 func compareRun(key string, bs, cs RunSummary, opts CompareOptions) []Delta {
@@ -193,4 +208,71 @@ func JudgedMetricNames() string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
+}
+
+// FieldDiff is one provenance field whose value differs between two
+// records, rendered for display ("" when a record holds no value).
+type FieldDiff struct {
+	Field string
+	A, B  string
+}
+
+// Provenance lists the provenance fields that differ between two records,
+// in this order: tool, args, host, engine version, spec hash, then the
+// run-key fields seed, fault plan, cores, budget, workload and
+// controllers. A field over the record's scenarios or runs compares its
+// distinct values in order of first appearance.
+func Provenance(a, b Record) []FieldDiff {
+	pa, pb := provenance(a), provenance(b)
+	var out []FieldDiff
+	for i := range pa {
+		if pa[i].A != pb[i].A {
+			out = append(out, FieldDiff{Field: pa[i].Field, A: pa[i].A, B: pb[i].A})
+		}
+	}
+	return out
+}
+
+// provenance renders one record's provenance fields, values in A.
+func provenance(r Record) []FieldDiff {
+	out := []FieldDiff{
+		{Field: "tool", A: r.Tool}, {Field: "args", A: strings.Join(r.Args, " ")}, {Field: "host", A: fmt.Sprintf("%+v", r.Host)},
+	}
+	var engines, hashes []string
+	for _, s := range r.Scenarios {
+		engines = append(engines, s.EngineVersion)
+		hashes = append(hashes, s.SpecHash[:min(len(s.SpecHash), 12)])
+	}
+	out = append(out, FieldDiff{Field: "engine version", A: distinct(engines)}, FieldDiff{Field: "spec hash", A: distinct(hashes)})
+	runFields := []struct {
+		name string
+		get  func(RunSummary) string
+	}{
+		{"seed", func(s RunSummary) string { return strconv.FormatUint(s.Seed, 10) }},
+		{"fault plan", func(s RunSummary) string { return s.FaultPlan }},
+		{"cores", func(s RunSummary) string { return strconv.Itoa(s.Cores) }},
+		{"budget", func(s RunSummary) string { return strconv.FormatFloat(s.BudgetW, 'g', -1, 64) }},
+		{"workload", func(s RunSummary) string { return s.Workload }},
+		{"controllers", func(s RunSummary) string { return s.Controller }},
+	}
+	for _, f := range runFields {
+		vals := make([]string, len(r.Runs))
+		for i, s := range r.Runs {
+			vals[i] = f.get(s)
+		}
+		out = append(out, FieldDiff{Field: f.name, A: distinct(vals)})
+	}
+	return out
+}
+
+// distinct joins the non-empty distinct values in order of first
+// appearance.
+func distinct(vals []string) string {
+	var out []string
+	for _, v := range vals {
+		if v != "" && !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return strings.Join(out, ",")
 }

@@ -111,6 +111,28 @@ func (l *Ledger) WriteArtifact(runID, name string, data []byte) (Artifact, error
 	return Artifact{Name: name, Bytes: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}, nil
 }
 
+// ReadArtifact reads one of record id's artifacts from the ledger in dir
+// and checks it against the record's pin: a name that leaves the run
+// directory, a missing file, a size mismatch or a SHA-256 mismatch is an
+// error naming the artifact. It creates nothing.
+func ReadArtifact(dir, id string, a Artifact) ([]byte, error) {
+	name := filepath.FromSlash(a.Name)
+	if !filepath.IsLocal(name) {
+		return nil, fmt.Errorf("ledger: record %s: artifact %s is outside the run directory", id, a.Name)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, RunsDirName, id, name))
+	if err != nil {
+		return nil, fmt.Errorf("ledger: record %s: artifact %s: %w", id, a.Name, err)
+	}
+	if int64(len(data)) != a.Bytes {
+		return nil, fmt.Errorf("ledger: record %s: artifact %s is %d bytes, the record pins %d", id, a.Name, len(data), a.Bytes)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != a.SHA256 {
+		return nil, fmt.Errorf("ledger: record %s: artifact %s does not match its pinned SHA-256", id, a.Name)
+	}
+	return data, nil
+}
+
 // idSeq disambiguates IDs minted within one process in the same
 // nanosecond (e.g. a test loop).
 var idSeq atomic.Uint64

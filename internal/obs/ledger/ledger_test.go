@@ -469,3 +469,43 @@ func FuzzRunRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestReadArtifact: a pinned artifact reads back only while its bytes match
+// the record; a missing file, a size change, a same-size edit and a name
+// that leaves the run directory all fail, naming the artifact.
+func TestReadArtifact(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := l.WriteArtifact("run1", "learn/1-od-rl/learn.json", []byte(`{"epochs": 10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := ReadArtifact(dir, "run1", art); err != nil || string(data) != `{"epochs": 10}` {
+		t.Fatalf("read %q, err %v", data, err)
+	}
+	path := filepath.Join(dir, RunsDirName, "run1", "learn", "1-od-rl", "learn.json")
+	for _, tc := range []struct {
+		name string
+		art  Artifact
+		data []byte // nil removes the file
+	}{
+		{"edited", art, []byte(`{"epochs": 11}`)},
+		{"resized", art, []byte(`{"epochs": 100}`)},
+		{"missing", art, nil},
+		{"escaping", Artifact{Name: "../run2/x", Bytes: art.Bytes, SHA256: art.SHA256}, []byte(`{"epochs": 10}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.data == nil {
+				os.Remove(path) //nolint:errcheck // absence is the case under test
+			} else if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadArtifact(dir, "run1", tc.art); err == nil || !strings.Contains(err.Error(), tc.art.Name) {
+				t.Fatalf("err %v, want a failure naming %s", err, tc.art.Name)
+			}
+		})
+	}
+}

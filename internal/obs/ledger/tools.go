@@ -9,7 +9,6 @@ func RegisteredTools() []string {
 	return []string{
 		"odrl",
 		"odrl-bench",
-		"odrl-inspect",
 		"odrl-run",
 		"odrl-verify",
 		"odrl-vet",

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
@@ -32,7 +31,6 @@ type Flags struct {
 	perfetto      string
 	learn         bool
 	snapshotEvery int
-	artifacts     string
 	ledgerDir     string
 	noLedger      bool
 }
@@ -47,9 +45,8 @@ func Register(fs *flag.FlagSet, traceEvery int) *Flags {
 	fs.BoolVar(&f.monitor, "monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
 	fs.StringVar(&f.alertRules, "alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
 	fs.StringVar(&f.perfetto, "perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-	fs.BoolVar(&f.learn, "learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
-	fs.IntVar(&f.snapshotEvery, "snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
-	fs.StringVar(&f.artifacts, "artifacts", "", "record every run into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
+	fs.BoolVar(&f.learn, "learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit, and a learn.json report per learning run in the ledger record (odrl-obs -show)")
+	fs.IntVar(&f.snapshotEvery, "snapshot-every", 0, "record a content-addressed policy snapshot every N control epochs, plus the final policy, in the ledger record (implies -learn; 0 = none)")
 	fs.StringVar(&f.ledgerDir, "ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
 	fs.BoolVar(&f.noLedger, "no-ledger", false, "disable the run ledger and flight recorder")
 	return f
@@ -61,13 +58,8 @@ func (f *Flags) Validate() error {
 	switch {
 	case f.snapshotEvery < 0:
 		return fmt.Errorf("negative -snapshot-every %d", f.snapshotEvery)
-	case f.snapshotEvery > 0 && f.artifacts == "":
-		return errors.New("-snapshot-every needs -artifacts (snapshots are files)")
-	case f.artifacts != "" && f.traceEvents != "":
-		// -artifacts records the complete trace itself; a second
-		// destination would silently split the record.
-		return fmt.Errorf("-artifacts records its own trace (%s); drop -trace-events",
-			filepath.Join(f.artifacts, "trace.jsonl"))
+	case f.snapshotEvery > 0 && f.noLedger:
+		return errors.New("-snapshot-every needs the run ledger (snapshots are ledger artifacts); drop -no-ledger")
 	}
 	return nil
 }
@@ -92,21 +84,12 @@ type Session struct {
 // Start opens the session for one invocation of tool with args. The trace
 // file "-" streams to stdout. Start fails only on setup errors (an
 // unwritable trace file, a busy debug address, an unreadable rules file);
-// it then releases everything it had opened. The ledger opens last, so a
-// failed start leaves no run record.
+// it then releases everything it had opened. The ledger opens after every
+// step that can fail, so a failed start leaves no run record.
 func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, error) {
 	s := &Session{registry: obs.NewRegistry(), perfetto: f.perfetto}
-	tracePath, traceEvery := f.traceEvents, f.traceEvery
-	if f.artifacts != "" {
-		// The complete-run layout odrl-inspect consumes: every epoch traced
-		// inside the artifact directory.
-		if err := os.MkdirAll(f.artifacts, 0o755); err != nil {
-			return nil, fmt.Errorf("artifacts: %w", err)
-		}
-		tracePath, traceEvery = filepath.Join(f.artifacts, "trace.jsonl"), 1
-	}
 	var traceOut io.Writer
-	switch tracePath {
+	switch f.traceEvents {
 	case "":
 		if f.debugAddr != "" {
 			// A debug endpoint without a trace file still wants live
@@ -117,14 +100,14 @@ func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, e
 		// Hide stdout's Closer so Close never shuts the process stream.
 		traceOut = struct{ io.Writer }{stdout}
 	default:
-		file, err := os.Create(tracePath)
+		file, err := os.Create(f.traceEvents)
 		if err != nil {
 			return nil, fmt.Errorf("trace file: %w", err)
 		}
 		traceOut = file
 	}
 	if traceOut != nil {
-		s.tracer = obs.NewTracer(obs.NewWriterSink(traceOut), obs.TracerOptions{Every: traceEvery, Registry: s.registry})
+		s.tracer = obs.NewTracer(obs.NewWriterSink(traceOut), obs.TracerOptions{Every: f.traceEvery, Registry: s.registry})
 		s.Stack.Observer = s.tracer
 	}
 	if f.debugAddr != "" {
@@ -155,17 +138,19 @@ func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, e
 			s.debug.Handle("/debug/health", s.Stack.Monitor.HealthHandler())
 		}
 	}
-	if f.learn || f.artifacts != "" {
-		s.Stack.Learn = learn.New(learn.Options{
-			SnapshotEvery: f.snapshotEvery,
-			ArtifactDir:   f.artifacts,
-			Registry:      s.registry,
-		})
+	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger)
+	if f.learn || f.snapshotEvery > 0 {
+		opt := learn.Options{SnapshotEvery: f.snapshotEvery, Registry: s.registry}
+		if s.Ledger != nil {
+			// Each learning run's report and snapshots land in this
+			// invocation's ledger record, where odrl-obs reads them.
+			opt.Artifacts = s.Ledger.AddArtifact
+		}
+		s.Stack.Learn = learn.New(opt)
 		if s.debug != nil {
 			s.debug.Handle("/debug/learn", learn.DebugHandler(s.Stack.Learn))
 		}
 	}
-	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger)
 	s.Stack.Observer = s.Ledger.WrapObserver(s.Stack.Observer)
 	s.Stack.SpanSink = s.Ledger.SpanSink()
 	return s, nil

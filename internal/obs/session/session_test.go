@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -9,7 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/obs/learn"
+	"repro/internal/obs/ledger"
 	"repro/internal/sim"
 )
 
@@ -31,10 +33,11 @@ func TestValidate(t *testing.T) {
 		want string // "" means valid
 	}{
 		{nil, ""},
-		{[]string{"-artifacts", "d", "-snapshot-every", "5"}, ""},
-		{[]string{"-snapshot-every", "5"}, "needs -artifacts"},
+		{[]string{"-snapshot-every", "5"}, ""},
+		{[]string{"-snapshot-every", "5", "-trace-events", "t.jsonl"}, ""},
+		{[]string{"-snapshot-every", "5", "-no-ledger"}, "needs the run ledger"},
+		{[]string{"-learn", "-no-ledger"}, ""},
 		{[]string{"-snapshot-every", "-1"}, "negative"},
-		{[]string{"-artifacts", "d", "-trace-events", "t.jsonl"}, "drop -trace-events"},
 	}
 	for _, tc := range cases {
 		err := parse(t, tc.args...).Validate()
@@ -61,14 +64,16 @@ func TestOffSessionIsInert(t *testing.T) {
 }
 
 // TestFullSession runs one simulation on a fully armed session and checks
-// every surface: trace records in the artifact directory, both summaries
-// on the given stderr, the Perfetto file, the debug server and the ledger.
+// every surface: the learning report and snapshots in the ledger record,
+// both summaries on the given stderr, the Perfetto file, the debug server
+// and the ledger.
 func TestFullSession(t *testing.T) {
 	dir := t.TempDir()
 	perfetto := filepath.Join(dir, "spans.json")
-	artifacts := filepath.Join(dir, "run")
-	f := parse(t, "-monitor", "-learn", "-perfetto", perfetto, "-artifacts", artifacts,
-		"-debug-addr", "127.0.0.1:0", "-ledger", filepath.Join(dir, "ledger"))
+	ledgerDir := filepath.Join(dir, "ledger")
+	// -snapshot-every implies -learn.
+	f := parse(t, "-monitor", "-snapshot-every", "50", "-perfetto", perfetto,
+		"-debug-addr", "127.0.0.1:0", "-ledger", ledgerDir)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +111,28 @@ func TestFullSession(t *testing.T) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
 		}
 	}
-	trace, err := os.Open(filepath.Join(artifacts, "trace.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	recs, errs := ledger.Read(ledgerDir)
+	if len(errs) > 0 || len(recs) != 1 {
+		t.Fatalf("ledger: %d records, errors %v", len(recs), errs)
 	}
-	defer trace.Close()
-	if recs, err := obs.ReadRecords(trace); err != nil || len(recs) < 3 {
-		t.Fatalf("artifact trace: %d records, err %v", len(recs), err)
+	var report learn.Report
+	snaps := 0
+	for _, a := range recs[0].Artifacts {
+		data, err := ledger.ReadArtifact(ledgerDir, recs[0].ID, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case a.Name == "learn/1-od-rl/learn.json":
+			if err := json.Unmarshal(data, &report); err != nil {
+				t.Fatal(err)
+			}
+		case strings.HasPrefix(a.Name, "learn/1-od-rl/snap-"):
+			snaps++
+		}
+	}
+	if report.Summary.Meta.Controller != "od-rl" || report.Summary.Epochs == 0 || snaps < 2 {
+		t.Fatalf("learn artifacts: report %+v, %d snapshots (artifacts %+v)", report.Summary, snaps, recs[0].Artifacts)
 	}
 	if fi, err := os.Stat(perfetto); err != nil || fi.Size() == 0 {
 		t.Fatalf("perfetto file: %v", err)

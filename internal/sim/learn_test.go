@@ -2,8 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -114,24 +114,34 @@ func TestLearnIgnoresNonLearningControllers(t *testing.T) {
 	}
 }
 
-// TestLearnSnapshotArtifacts runs with an artifact directory and verifies
-// the content-addressed snapshot chain reconstructs, including the final
-// policy write at run end.
+// TestLearnSnapshotArtifacts runs with an artifact sink and verifies the
+// content-addressed snapshot chain reconstructs, including the final policy
+// write at run end, beside the run's learn.json.
 func TestLearnSnapshotArtifacts(t *testing.T) {
-	dir := t.TempDir()
+	artifacts := map[string][]byte{}
 	opts := monitorTestOpts()
 	opts.MeasureS = 0.3
-	opts.Learn = learn.New(learn.Options{SnapshotEvery: 100, ArtifactDir: dir})
+	opts.Learn = learn.New(learn.Options{SnapshotEvery: 100, Artifacts: func(name string, data []byte) {
+		artifacts[name] = data
+	}})
 	runWith(t, opts, "od-rl")
 
 	if err := opts.Learn.Runs()[0].Err(); err != nil {
 		t.Fatal(err)
 	}
-	runDirs, err := filepath.Glob(filepath.Join(dir, "run-*"))
-	if err != nil || len(runDirs) != 1 {
-		t.Fatalf("run dirs = %v (err %v)", runDirs, err)
+	var names []string
+	for name := range artifacts {
+		if !strings.HasPrefix(name, "learn/1-od-rl/") {
+			t.Fatalf("artifact %s outside the run's directory", name)
+		}
+		if strings.HasSuffix(name, ".qsnap") {
+			names = append(names, name)
+		}
 	}
-	snaps, err := learn.LoadSnapshots(runDirs[0])
+	if _, ok := artifacts["learn/1-od-rl/learn.json"]; !ok {
+		t.Fatal("no learn.json recorded")
+	}
+	snaps, err := learn.LoadSnapshots(names, func(name string) ([]byte, error) { return artifacts[name], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
