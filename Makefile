@@ -12,9 +12,9 @@ FUZZTIME ?= 10s
 # noise does not. Raise it when coverage rises; never lower it to merge.
 COVER_FLOOR ?= 80.0
 
-.PHONY: ci lint lint-allows vet build bench-compile test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+.PHONY: ci lint lint-allows vet build bench-compile test test-determinism test-scenarios claims race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
-ci: lint vet build bench-compile test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+ci: lint vet build bench-compile test test-determinism test-scenarios claims race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
 # Formatting gate, then the five repo-specific invariant analyzers
 # (detrange, rngdiscipline, wallclock, hotpathalloc, globalstate):
@@ -71,6 +71,12 @@ test-determinism:
 # table and report modes, and odrl's -write-spec round trip.
 test-scenarios:
 	$(GO) test -count=1 ./internal/scenario/ ./cmd/odrl-run/ ./cmd/odrl-bench/ ./cmd/odrl/
+
+# Reproduction gate: the paper's claims C1–C4, judged on quick seeds 1–2
+# through the scenario engine; a failing verdict on any seed exits 1.
+# Full fidelity (seeds 1–5) is `go run ./cmd/odrl-run -builtin CLAIMS`.
+claims:
+	$(GO) run ./cmd/odrl-run -builtin CLAIMS -quick -no-ledger
 
 # Race hammer on the monitor's time-series store: concurrent HTTP-style
 # readers snapshotting while the epoch loop appends and decimates.

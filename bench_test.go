@@ -38,6 +38,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
+func BenchmarkClaims(b *testing.B)                     { benchExperiment(b, "CLAIMS") }
 func BenchmarkT1_Platform(b *testing.B)                { benchExperiment(b, "T1") }
 func BenchmarkT2_Workloads(b *testing.B)               { benchExperiment(b, "T2") }
 func BenchmarkF1_PowerTrace(b *testing.B)              { benchExperiment(b, "F1") }

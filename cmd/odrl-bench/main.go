@@ -6,9 +6,11 @@
 //	odrl-bench                 # run everything at full fidelity
 //	odrl-bench -experiment F2  # one experiment
 //	odrl-bench -quick          # small/short runs for smoke checks
+//	odrl-bench -experiment CLAIMS -seed 3  # judge C1–C4 on seeds 3–7
 //
 // Output is aligned text tables on stdout, one block per experiment, in the
-// format EXPERIMENTS.md records.
+// format EXPERIMENTS.md records. When the CLAIMS table holds a failing
+// verdict, the command exits 1 after writing every table.
 package main
 
 import (
@@ -59,12 +61,13 @@ type benchFlags struct {
 }
 
 // run is the whole CLI behind a testable seam. Exit code 2 means the
-// invocation was malformed, 1 means a bench or experiment failed.
+// invocation was malformed, 1 means a bench, an experiment or a claim
+// failed.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment  = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F19) or 'all'")
+		experiment  = fs.String("experiment", "all", "experiment ID (CLAIMS, T1, T2, F1..F19) or 'all'")
 		cacheDir    = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); experiment tables are cached in table and report modes, bench modes never")
 		quick       = fs.Bool("quick", false, "shrink runs for a fast smoke pass")
 		cores       = fs.Int("cores", 0, "override platform core count")
@@ -76,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchLearn  = fs.String("bench-learn", "", "measure learning introspection's epoch-loop overhead, write a JSON report (e.g. BENCH_learn.json) to this file, then exit non-zero if it exceeds its ceiling")
 		benchFlight = fs.String("bench-flight", "", "measure the flight recorder's epoch-loop overhead, write a JSON report (e.g. BENCH_flight.json) to this file, then exit non-zero if it exceeds its ceiling")
 		outDir      = fs.String("o", "", "also write one CSV per experiment into this directory")
-		reportFile  = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file and exit")
+		reportFile  = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file; exits 1 after writing it if a claim fails")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit (go tool pprof format)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on clean exit, after a final GC")
 	)
@@ -233,7 +236,7 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 	// experiment's checked-in spec, with the CLI flags folded in as spec
 	// overrides, so odrl-bench and odrl-run share one execution path and one
 	// cache. Tables print to stdout, or to the report file as markdown after
-	// its header and claim verdicts.
+	// its header.
 	engine := &scenario.Engine{Stack: sess.Stack}
 	if f.cacheDir != "" {
 		cache, err := scenario.NewCache(f.cacheDir)
@@ -272,22 +275,16 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 			return 1, err
 		}
 		defer report.Close()
-		// The claims are judged from the engine's grid for F2's spec: the
-		// grid F2–F4 reduce too, at the same overrides.
-		spec, err := specFor("F2")
-		if err != nil {
-			return 1, err
-		}
-		g, err := engine.Grid(spec)
-		if err != nil {
-			return 1, fmt.Errorf("report: %w", err)
-		}
-		if err := experiments.WriteReportHead(report, g); err != nil {
+		head := experiments.Config{Cores: f.cores, BudgetW: f.budget, Seed: f.seed, Quick: f.quick}
+		if err := experiments.WriteReportHead(report, head); err != nil {
 			return 1, fmt.Errorf("report: %w", err)
 		}
 		out, render = report, experiments.Table.WriteMarkdown
 	}
 
+	// A failing claim verdict fails the invocation, but only after every
+	// table is written, so the report and CSVs show what failed.
+	var claimsErr error
 	runOne := func(id string) error {
 		start := time.Now()
 		spec, err := specFor(id)
@@ -297,6 +294,9 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		tbl, info, err := engine.Run(spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
+		}
+		if err := tbl.Failed(); err != nil {
+			claimsErr = err
 		}
 		lcli.RecordScenario(spec.Experiment, info.Hash, scenario.EngineVersion, info.CacheHit)
 		if info.CacheHit {
@@ -338,6 +338,9 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 			return 1, fmt.Errorf("report: %w", err)
 		}
 		fmt.Fprintf(stdout, "report written to %s\n", f.reportFile)
+	}
+	if claimsErr != nil {
+		return 1, claimsErr
 	}
 	return 0, nil
 }

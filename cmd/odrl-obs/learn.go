@@ -241,8 +241,9 @@ func firstDivergence(a, b []learn.LoadedSnap) (int64, bool) {
 }
 
 // sparkline renders a non-empty vals as a block-character strip of at most
-// width runes, bucketing by mean. A flat series renders as a run of middle
-// blocks.
+// width runes, bucketing by mean. A flat series renders as a run of the
+// lowest block, so it never reads as mid-scale; the first and last values
+// printed beside it give its level.
 func sparkline(vals []float64, width int) string {
 	blocks := []rune("▁▂▃▄▅▆▇█")
 	if len(vals) < width {
@@ -261,7 +262,7 @@ func sparkline(vals []float64, width int) string {
 			sum += v
 		}
 		mean := sum / float64(to-from)
-		idx := len(blocks) / 2
+		idx := 0
 		if hi > lo {
 			idx = min(max(int((mean-lo)/(hi-lo)*float64(len(blocks)-1)), 0), len(blocks)-1)
 		}

@@ -206,3 +206,24 @@ func TestShowRefusesCorruptArtifacts(t *testing.T) {
 		})
 	}
 }
+
+// TestSparkline: a rising series spans the blocks, and a flat one sits on
+// the lowest block whatever its level, so a curve stuck at zero never
+// reads as mid-scale.
+func TestSparkline(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		vals  []float64
+		width int
+		want  string
+	}{
+		{"flat at zero", []float64{0, 0, 0, 0}, 60, "▁▁▁▁"},
+		{"flat nonzero", []float64{0.7, 0.7, 0.7}, 60, "▁▁▁"},
+		{"rising", []float64{0, 1, 2, 3, 4, 5, 6, 7}, 60, "▁▂▃▄▅▆▇█"},
+		{"bucketed by mean", []float64{0, 0, 7, 7}, 2, "▁█"},
+	} {
+		if got := sparkline(tc.vals, tc.width); got != tc.want {
+			t.Errorf("%s: sparkline(%v, %d) = %q, want %q", tc.name, tc.vals, tc.width, got, tc.want)
+		}
+	}
+}

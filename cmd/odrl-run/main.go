@@ -8,6 +8,7 @@
 //
 //	odrl-run spec.json                 # run a spec file (or '-' for stdin)
 //	odrl-run -builtin F1               # run a checked-in experiment spec
+//	odrl-run -builtin CLAIMS -quick    # judge the paper's claims C1–C4
 //	odrl-run -dry-run spec.json        # print canonical spec + hash, no runs
 //	odrl-run -cache .odrl-cache spec.json
 //	odrl-run -list                     # list checked-in specs
@@ -15,7 +16,8 @@
 // A parameter sweep is a spec with a "sweep" axis (see
 // examples/specs/budget-sweep.json). The shared observability flags
 // (-monitor, -learn, -trace-events, -debug-addr, -ledger, …)
-// attach to every run the engine executes.
+// attach to every run the engine executes. A table that holds a failing
+// claim verdict is written in full, then the command exits 1.
 package main
 
 import (
@@ -34,7 +36,8 @@ func main() {
 
 // run is the whole CLI behind a testable seam: parse+validate flags and
 // spec, then dispatch. Exit code 2 means the invocation or spec was
-// malformed (nothing was simulated), 1 means a run itself failed.
+// malformed (nothing was simulated), 1 means a run itself or a claim
+// failed.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -43,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	var (
-		builtin  = fs.String("builtin", "", "run the checked-in spec for an experiment ID (T1, T2, F1..F19) instead of a file")
+		builtin  = fs.String("builtin", "", "run the checked-in spec for an experiment ID (CLAIMS, T1, T2, F1..F19) instead of a file")
 		list     = fs.Bool("list", false, "list the checked-in experiment specs and exit")
 		dryRun   = fs.Bool("dry-run", false, "validate, print the canonical spec and its content hash, and exit without running")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory: identical specs re-use stored tables ('' = no cache)")
@@ -190,9 +193,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			w = f
 		}
 		if *csvOut {
-			return tbl.WriteCSV(w)
+			err = tbl.WriteCSV(w)
+		} else {
+			_, err = tbl.WriteTo(w)
 		}
-		_, err = tbl.WriteTo(w)
+		if err == nil {
+			err = tbl.Failed()
+		}
 		return err
 	}()
 	if err := sess.Close(stderr); runErr == nil {

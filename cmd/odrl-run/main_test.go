@@ -436,3 +436,39 @@ func TestMonitorSeesFaultedSpecRuns(t *testing.T) {
 		t.Errorf("run-health summary rows name %v, want the spec's runs greedy and pid:\n%s", controllers, summary)
 	}
 }
+
+// TestFailingClaimsExit1: with no state-of-the-art baseline in the grid,
+// C2 and C3 have nothing to beat and fail on both quick seeds. The table is
+// still printed in full, then the run exits 1 naming each failing claim and
+// its seeds. The failing table is cached like any other, so a rerun is a
+// cache hit that exits the same way.
+func TestFailingClaimsExit1(t *testing.T) {
+	path := writeSpec(t, "claims.json", `{"experiment": "CLAIMS", "controllers": ["od-rl", "greedy"], "quick": true}`)
+	cacheDir := t.TempDir()
+	var first string
+	for i, wantHit := range []bool{false, true} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-cache", cacheDir, "-no-ledger", path}, &stdout, &stderr); code != 1 {
+			t.Fatalf("run %d: exit %d, want 1\nstdout: %s\nstderr: %s", i, code, stdout.String(), stderr.String())
+		}
+		for _, want := range []string{"C2 FAIL on seeds 1, 2", "C3 FAIL on seeds 1, 2"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("run %d: stderr does not name %q:\n%s", i, want, stderr.String())
+			}
+		}
+		if strings.Contains(stderr.String(), "C1 FAIL") || strings.Contains(stderr.String(), "C4 FAIL") {
+			t.Errorf("run %d: C1 or C4 failed:\n%s", i, stderr.String())
+		}
+		if hit := strings.Contains(stderr.String(), "cache hit"); hit != wantHit {
+			t.Errorf("run %d: cache hit %v, want %v", i, hit, wantHit)
+		}
+		if i == 0 {
+			first = stdout.String()
+		} else if stdout.String() != first {
+			t.Errorf("cached table differs:\n--- first\n%s--- cached\n%s", first, stdout.String())
+		}
+	}
+	if !strings.HasPrefix(first, "== CLAIMS: ") || strings.Count(first, "\nC") != 4 {
+		t.Errorf("stdout is not the whole claims table:\n%s", first)
+	}
+}

@@ -126,3 +126,39 @@ func TestRunRecordsScenarioRef(t *testing.T) {
 		t.Fatalf("scenario refs %+v, want one with hash %s and engine %s", refs, want, scenario.EngineVersion)
 	}
 }
+
+// TestRecordMetricsMatchCSV: the ledger record judges the numbers the run
+// printed. Every deterministic metric a record holds equals the -csv cell
+// for the same run exactly, bips included (it once averaged the noisy
+// sensor IPS instead).
+func TestRecordMetricsMatchCSV(t *testing.T) {
+	dir := t.TempDir()
+	code, csvOut, stderr := runCLI("-controllers", "od-rl,pid", "-cores", "16", "-warmup", "0.2", "-measure", "0.5", "-csv", "-ledger", dir)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	rows, err := csv.NewReader(strings.NewReader(csvOut)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, errs := ledger.Read(dir)
+	if len(errs) > 0 || len(recs) != 1 || len(recs[0].Runs) != len(rows)-1 {
+		t.Fatalf("ledger: %d records, errors %v, want one with a run per CSV row", len(recs), errs)
+	}
+	metrics := []string{"bips", "bips_per_w", "mean_w", "peak_w", "max_temp_k", "over_j", "over_time_frac"}
+	for i, row := range rows[1:] {
+		run := recs[0].Runs[i]
+		if run.Controller != row[0] {
+			t.Fatalf("run %d is %s, CSV row is %s", i, run.Controller, row[0])
+		}
+		for _, m := range metrics {
+			want, err := strconv.ParseFloat(row[slices.Index(rows[0], m)], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := run.Metrics[m]; !ok || got != want {
+				t.Errorf("%s %s: record %v (present %v), CSV %v", run.Controller, m, got, ok, want)
+			}
+		}
+	}
+}

@@ -241,12 +241,13 @@ func All() []struct {
 		ID  string
 		Run Runner
 	}{
+		{"CLAIMS", gridRunner("CLAIMS")},
 		{"T1", T1Platform},
 		{"T2", T2Workloads},
 		{"F1", F1PowerTrace},
-		{"F2", gridRunner(F2Overshoot)},
-		{"F3", gridRunner(F3ThroughputPerOverEnergy)},
-		{"F4", gridRunner(F4EnergyEfficiency)},
+		{"F2", gridRunner("F2")},
+		{"F3", gridRunner("F3")},
+		{"F4", gridRunner("F4")},
 		{"F5", F5ControllerScaling},
 		{"F6", F6Convergence},
 		{"F7", F7BudgetSweep},
@@ -275,17 +276,34 @@ func ByID(id string) (Runner, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// FromGrid returns the reduction behind a grid experiment: F2, F3 and F4
-// are pure functions of one RunGrid result, so a caller holding the grid
-// can tabulate all three without running it again.
-func FromGrid(id string) (func(Grid) Table, bool) {
+// ReduceGrids tabulates a grid experiment from the benchmark grids that
+// grid returns, one per seed it reads: F2, F3 and F4 the one at cfg.Seed,
+// and CLAIMS five from cfg.Seed up (two in quick mode), the first of them
+// F2's. ok is false for any other experiment. Every reduction is a pure
+// function of its grids, so a caller that keeps them runs each grid once.
+func ReduceGrids(id string, cfg Config, grid func(seed uint64) (Grid, error)) (t Table, ok bool, err error) {
+	cfg = cfg.Normalized()
+	seeds := []uint64{cfg.Seed}
+	var reduce func([]Grid) (Table, error)
 	switch id {
-	case "F2":
-		return F2Overshoot, true
-	case "F3":
-		return F3ThroughputPerOverEnergy, true
-	case "F4":
-		return F4EnergyEfficiency, true
+	case "CLAIMS":
+		seeds = []uint64{cfg.Seed, cfg.Seed + 1}
+		if !cfg.Quick {
+			seeds = append(seeds, cfg.Seed+2, cfg.Seed+3, cfg.Seed+4)
+		}
+		reduce = Claims
+	case "F2", "F3", "F4":
+		one := map[string]func(Grid) Table{"F2": F2Overshoot, "F3": F3ThroughputPerOverEnergy, "F4": F4EnergyEfficiency}[id]
+		reduce = func(gs []Grid) (Table, error) { return one(gs[0]), nil }
+	default:
+		return Table{}, false, nil
 	}
-	return nil, false
+	grids := make([]Grid, len(seeds))
+	for i, seed := range seeds {
+		if grids[i], err = grid(seed); err != nil {
+			return Table{}, true, err
+		}
+	}
+	t, err = reduce(grids)
+	return t, true, err
 }

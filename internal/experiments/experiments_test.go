@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func quickCfg() Config {
@@ -283,51 +287,108 @@ func TestF14Barrier(t *testing.T) {
 	}
 }
 
-// quickClaims judges the claims on a fresh quick grid.
-func quickClaims(t *testing.T) []ClaimResult {
+// quickGrids runs the grids CLAIMS judges in quick mode: seeds 1 and 2.
+func quickGrids(t *testing.T) []Grid {
 	t.Helper()
-	g, err := RunGrid(quickCfg())
+	var grids []Grid
+	_, _, err := ReduceGrids("CLAIMS", quickCfg(), func(seed uint64) (Grid, error) {
+		cfg := quickCfg()
+		cfg.Seed = seed
+		g, err := RunGrid(cfg)
+		grids = append(grids, g)
+		return g, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Claims(g)
-	if err != nil {
-		t.Fatal(err)
+	if len(grids) != 2 || grids[0].Config.Seed != 1 || grids[1].Config.Seed != 2 {
+		t.Fatalf("quick CLAIMS read %d grids, want seeds 1 and 2", len(grids))
 	}
-	return results
+	return grids
 }
 
+// TestVerifyClaims: the claims table has one row per claim, each judged on
+// both quick seeds, and all four pass. Every cell is counted or simulated,
+// so a second judgement of the same grids repeats the table exactly.
 func TestVerifyClaims(t *testing.T) {
-	results := quickClaims(t)
-	if len(results) != 4 {
-		t.Fatalf("got %d claims, want 4", len(results))
-	}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if r.ID == "" || r.Claim == "" || r.Measured == "" {
-			t.Fatalf("incomplete claim result %+v", r)
-		}
-		seen[r.ID] = true
-	}
-	for _, id := range []string{"C1", "C2", "C3", "C4"} {
-		if !seen[id] {
-			t.Fatalf("missing claim %s", id)
-		}
+	// At full fidelity the claims read five seeds from the configured one.
+	var seeds []uint64
+	if _, _, err := ReduceGrids("CLAIMS", Config{Seed: 3}, func(seed uint64) (Grid, error) {
+		seeds = append(seeds, seed)
+		return Grid{Config: Config{Seed: seed}}, nil
+	}); err != nil || !reflect.DeepEqual(seeds, []uint64{3, 4, 5, 6, 7}) {
+		t.Fatalf("full CLAIMS from seed 3 read seeds %v (err %v), want 3–7", seeds, err)
 	}
 
-	// C4 is judged on counted work, so the quick verdict and work ratio
-	// repeat exactly; only the wall-clock part of the line may move.
-	again := quickClaims(t)
-	c4, c4Again := results[3], again[3]
-	if c4.ID != "C4" || c4Again.ID != "C4" {
-		t.Fatalf("fourth claim is %s/%s, want C4", c4.ID, c4Again.ID)
+	grids := quickGrids(t)
+	tbl, err := Claims(grids)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !c4.Pass || !c4Again.Pass {
-		t.Fatalf("quick C4 failed: %s", c4.Measured)
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("got %d claim rows, want 4", len(tbl.Rows))
 	}
-	work := func(m string) string { return strings.SplitN(m, "; wall clock", 2)[0] }
-	if w := work(c4.Measured); w == c4.Measured || w != work(c4Again.Measured) {
-		t.Fatalf("C4 work ratio did not repeat:\n%s\n%s", c4.Measured, c4Again.Measured)
+	for i, row := range tbl.Rows {
+		if want := fmt.Sprintf("C%d", i+1); row[0] != want || len(row) != len(tbl.Header) {
+			t.Fatalf("row %d = %q, want claim %s with %d cells", i, row, want, len(tbl.Header))
+		}
+		if row[5] != "2/2" || row[6] != "PASS" {
+			t.Errorf("%s: %s seeds passed, verdict %q", row[0], row[5], row[6])
+		}
+	}
+	if err := tbl.Failed(); err != nil {
+		t.Errorf("passing table failed: %v", err)
+	}
+	again, err := Claims(grids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tbl, again) {
+		t.Fatalf("claims table did not repeat:\n%+v\n%+v", tbl, again)
+	}
+}
+
+// TestClaimsFailOnOneSeed: a claim that fails on one seed fails the row and
+// names that seed, while the first seed's measurement still reads as a
+// pass and the other claims are untouched.
+func TestClaimsFailOnOneSeed(t *testing.T) {
+	grids := quickGrids(t)
+	// On the second seed, od-rl overshoots on the last benchmark, where no
+	// baseline does, as much as the worst baseline does over the whole
+	// suite: its C1 reduction falls to 0%, while C2 (judged where the
+	// baselines overshoot) and C3 (efficiency) keep passing.
+	g := grids[1]
+	worst := 0.0
+	for _, name := range []string{"maxbips", "steepest-drop", "pid"} {
+		sum := 0.0
+		for _, bench := range g.Config.Benchmarks {
+			sum += g.Summaries[bench][name].OverJ
+		}
+		worst = max(worst, sum)
+	}
+	runs := map[string]map[string]metrics.Summary{}
+	for bench, byCtrl := range g.Summaries {
+		runs[bench] = map[string]metrics.Summary{}
+		for name, s := range byCtrl {
+			runs[bench][name] = s
+		}
+	}
+	last := g.Config.Benchmarks[len(g.Config.Benchmarks)-1]
+	s := runs[last]["od-rl"]
+	s.OverJ = worst
+	runs[last]["od-rl"] = s
+	grids[1] = Grid{Config: g.Config, Summaries: runs}
+
+	tbl, err := Claims(grids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := tbl.Rows[0]
+	if c1[5] != "1/2" || c1[6] != "FAIL on seed 2" || !strings.HasSuffix(c1[2], "100.0% reduction") {
+		t.Errorf("C1 row %q, want seed 1's pass measured and a failure on seed 2", c1)
+	}
+	if err := tbl.Failed(); err == nil || err.Error() != "claims failed: C1 FAIL on seed 2" {
+		t.Errorf("Failed() = %v, want C1 failing on seed 2 alone", err)
 	}
 }
 
@@ -393,59 +454,16 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-// TestWriteReport: a report opens with its title and the normalised axes
-// every experiment runs at, and the head ends with the Experiments heading
-// that the tables' markdown follows.
+// TestWriteReport: a report's head is its title and the normalised axes
+// every experiment runs at; the tables' markdown, the claims first, follows
+// directly.
 func TestWriteReport(t *testing.T) {
-	g, err := RunGrid(Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteReportHead(&buf, g); err != nil {
+	if err := WriteReportHead(&buf, Config{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	const top = "# OD-RL reproduction report\n\nConfiguration: 16 cores, 55 W budget, seed 1 (quick mode).\n\n## Claim verification\n\n"
-	if !strings.HasPrefix(out, top) {
-		t.Errorf("report head does not open with the title and axes:\n%s", out)
-	}
-	if !strings.HasSuffix(out, "|\n\n## Experiments\n\n") {
-		t.Errorf("report head does not end with the Experiments heading after the claim table:\n%s", out)
-	}
-}
-
-// TestWriteReportWithVerification: the claim section is a markdown table
-// with one row per verified claim, in order, each with a verdict.
-func TestWriteReportWithVerification(t *testing.T) {
-	g, err := RunGrid(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteReportHead(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	results, err := Claims(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(buf.String(), "## Claim verification\n\n| claim | paper | measured | verdict |\n| --- | --- | --- | --- |\n")
-	if !ok {
-		t.Fatalf("claim table missing:\n%s", buf.String())
-	}
-	section, _, _ = strings.Cut(section, "\n\n")
-	rows := strings.Split(section, "\n")
-	if len(rows) != len(results) || len(results) != 4 {
-		t.Fatalf("%d claim rows for %d claims, want 4:\n%s", len(rows), len(results), section)
-	}
-	for i, r := range results {
-		row := rows[i]
-		if !strings.HasPrefix(row, "| "+r.ID+" | "+r.Claim+" | ") {
-			t.Errorf("row %d = %q, want claim %s", i, row, r.ID)
-		}
-		if !strings.HasSuffix(row, " | PASS |") && !strings.HasSuffix(row, " | **FAIL** |") {
-			t.Errorf("row %d = %q has no verdict", i, row)
-		}
+	const want = "# OD-RL reproduction report\n\nConfiguration: 16 cores, 55 W budget, seed 1 (quick mode).\n\n"
+	if got := buf.String(); got != want {
+		t.Errorf("report head:\n%q\nwant\n%q", got, want)
 	}
 }

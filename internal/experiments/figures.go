@@ -76,8 +76,9 @@ func F1PowerTrace(cfg Config) (Table, error) {
 }
 
 // Grid is the (benchmark × controller) run set of one normalised Config:
-// the runs F2, F3 and F4 tabulate and claims C1–C3 judge. RunGrid builds
-// it and the reductions only read it, so one grid serves them all.
+// the runs F2, F3 and F4 tabulate and claims C1–C3 judge on each seed.
+// RunGrid builds it and the reductions only read it, so one grid serves
+// them all.
 type Grid struct {
 	// Config is the normalised configuration the grid ran at.
 	Config Config
@@ -125,15 +126,15 @@ func RunGrid(cfg Config) (Grid, error) {
 	return Grid{Config: cfg, Summaries: out}, nil
 }
 
-// gridRunner adapts a grid reduction to the registry's Runner: each call
-// runs its own grid.
-func gridRunner(reduce func(Grid) Table) Runner {
+// gridRunner adapts a grid experiment (see ReduceGrids) to the registry's
+// Runner: each call runs its own grid per seed.
+func gridRunner(id string) Runner {
 	return func(cfg Config) (Table, error) {
-		g, err := RunGrid(cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		return reduce(g), nil
+		t, _, err := ReduceGrids(id, cfg, func(seed uint64) (Grid, error) {
+			cfg.Seed = seed
+			return RunGrid(cfg)
+		})
+		return t, err
 	}
 }
 

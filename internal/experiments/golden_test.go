@@ -101,6 +101,21 @@ func TestGoldenSweep(t *testing.T) {
 	}
 }
 
+// TestGoldenClaims pins the claims table on both quick seeds: every cell is
+// counted or simulated, so nothing is masked, and a change that moves a
+// claim's number or verdict on either seed trips it.
+func TestGoldenClaims(t *testing.T) {
+	run, err := ByID("CLAIMS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := run(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "claims", tbl)
+}
+
 // TestGoldenF5 pins F5's structure and modelled columns. The measured
 // latency and speedup columns are wall-clock and are masked out; the NoC
 // gather latency is modelled and must stay exact.

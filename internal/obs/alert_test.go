@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestAlertRoundTrip: alerts emitted into the JSONL stream decode back with
@@ -20,7 +22,7 @@ func TestAlertRoundTrip(t *testing.T) {
 		Epoch: 120, TimeS: 0.12, Rule: "sustained-overshoot",
 		Metric: "overshoot_w", Op: ">", Threshold: 1.1, Value: 3.4, ForEpochs: 25,
 	})
-	run.End()
+	run.End(metrics.Summary{})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

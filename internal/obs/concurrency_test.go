@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestRegistryConcurrentEmitters hammers get-or-create and recording from
@@ -99,7 +101,7 @@ func TestTracerParallelEmitters(t *testing.T) {
 				}()
 			}
 			ewg.Wait()
-			ro.End()
+			ro.End(metrics.Summary{})
 		}()
 	}
 	wg.Wait()

@@ -16,6 +16,7 @@ package flight
 import (
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/monitor"
 )
@@ -48,10 +49,11 @@ type Summary struct {
 	Epochs int
 	Alerts int
 	Faults int
-	// Metrics: bips, mean_w, peak_w, over_j, over_time_frac, max_temp_k
-	// and bips_per_w (omitted when no power was drawn) are derived from the
-	// deterministic epoch stream; decide_p50_ns and decide_p99_ns are
-	// wall-clock host telemetry.
+	// Metrics: bips, bips_per_w (omitted when no energy was drawn),
+	// mean_w, peak_w, max_temp_k, over_j and over_time_frac are the run's
+	// own metrics.Summary, the numbers its table shows; decide_p50_ns and
+	// decide_p99_ns are wall-clock host telemetry from the recorder's
+	// decide sketch.
 	Metrics map[string]float64
 }
 
@@ -216,14 +218,6 @@ type flightRun struct {
 	dumped  map[string]bool
 	done    bool
 
-	// Deterministic accumulators for the end-of-run summary.
-	sumIPS     float64
-	sumPowerW  float64
-	peakW      float64
-	maxTempK   float64
-	overJ      float64
-	overEpochs int
-
 	nextWants bool
 }
 
@@ -283,19 +277,6 @@ func (f *flightRun) ObserveEpoch(ev *obs.EpochEvent) {
 	}
 	f.epochs++
 	f.decide.Observe(float64(ev.DecideNs))
-
-	f.sumIPS += ev.IPS
-	f.sumPowerW += ev.PowerW
-	if ev.PowerW > f.peakW {
-		f.peakW = ev.PowerW
-	}
-	if ev.MaxTempK > f.maxTempK {
-		f.maxTempK = ev.MaxTempK
-	}
-	if ev.OvershootW > 0 {
-		f.overJ += ev.OvershootW * f.meta.EpochS
-		f.overEpochs++
-	}
 	f.mu.Unlock()
 
 	if f.nextWants {
@@ -352,43 +333,43 @@ func (f *flightRun) ObserveConverged(ev *obs.ConvergedEvent) {
 	}
 }
 
-// End implements obs.RunObserver: rolls up the summary and delivers it.
-func (f *flightRun) End() {
+// End implements obs.RunObserver: rolls the run's summary up with the
+// recorder's counts and delivers it.
+func (f *flightRun) End(rs metrics.Summary) {
 	f.mu.Lock()
 	f.done = true
-	s := f.summaryLocked()
+	s := f.summaryLocked(rs)
 	f.mu.Unlock()
 	if cb := f.rec.opt.OnRunEnd; cb != nil {
 		cb(f.seq, s)
 	}
 	if f.next != nil {
-		f.next.End()
+		f.next.End(rs)
 	}
 }
 
-func (f *flightRun) summaryLocked() Summary {
+func (f *flightRun) summaryLocked(rs metrics.Summary) Summary {
 	s := Summary{
 		Meta:   f.meta,
 		Epochs: f.epochs,
 		Alerts: f.alertN,
 		Faults: f.faultN,
 	}
-	if f.epochs == 0 {
-		return s
+	if rs.DurS <= 0 {
+		return s // no measured window: the run fails its summary check
 	}
-	n := float64(f.epochs)
 	s.Metrics = map[string]float64{
-		"bips":           f.sumIPS / n / 1e9,
-		"mean_w":         f.sumPowerW / n,
-		"peak_w":         f.peakW,
-		"max_temp_k":     f.maxTempK,
-		"over_j":         f.overJ,
-		"over_time_frac": float64(f.overEpochs) / n,
+		"bips":           rs.BIPS(),
+		"mean_w":         rs.MeanW,
+		"peak_w":         rs.PeakW,
+		"max_temp_k":     rs.MaxTempK,
+		"over_j":         rs.OverJ,
+		"over_time_frac": rs.OverTimeFrac(),
 		"decide_p50_ns":  f.decide.Quantile(0.5),
 		"decide_p99_ns":  f.decide.Quantile(0.99),
 	}
-	if f.sumPowerW > 0 {
-		s.Metrics["bips_per_w"] = f.sumIPS / 1e9 / f.sumPowerW
+	if rs.EnergyJ > 0 {
+		s.Metrics["bips_per_w"] = rs.EnergyEff()
 	}
 	return s
 }

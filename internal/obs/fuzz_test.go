@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // FuzzReadRecords: the JSONL trace reader must never panic, and every
@@ -21,7 +23,7 @@ func FuzzReadRecords(f *testing.F) {
 	if ao, ok := run.(AlertObserver); ok {
 		ao.ObserveAlert(&AlertEvent{Epoch: 3, Rule: "sustained-overshoot", Metric: "overshoot_w", Op: ">", Threshold: 1, Value: 2, ForEpochs: 2})
 	}
-	run.End()
+	run.End(metrics.Summary{})
 	if err := tr.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -35,7 +37,7 @@ func TestCLIContract(t *testing.T) {
 					ro.ShouldSample(e)
 					ro.ObserveEpoch(&obs.EpochEvent{Epoch: e, PowerW: 88, BudgetW: 90, IPS: 40e9, DecideNs: 1500})
 				}
-				ro.End()
+				ro.End(metrics.Summary{DurS: 0.5, Instr: 20e9, EnergyJ: 44, MeanW: 88, PeakW: 88})
 				var runErr error
 				if fail {
 					runErr = errors.New("synthetic failure")
@@ -108,12 +110,12 @@ func TestToolRegistryMatchesCmdTree(t *testing.T) {
 		if name == "odrl-obs" {
 			// The observatory reads the ledger; it records no runs about
 			// itself (watching the watcher adds a record per query).
-			if IsRegisteredTool(name) {
+			if slices.Contains(RegisteredTools(), name) {
 				t.Fatalf("odrl-obs must not be a ledger-writing tool")
 			}
 			continue
 		}
-		if !IsRegisteredTool(name) {
+		if !slices.Contains(RegisteredTools(), name) {
 			t.Errorf("cmd/%s is not in ledger.RegisteredTools(): register it (or exempt it here with a reason)", name)
 		}
 	}

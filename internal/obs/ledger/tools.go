@@ -4,23 +4,13 @@ package ledger
 // records. Every cmd/ binary except odrl-obs (the observatory reads the
 // ledger; it does not write run records about itself) must be listed
 // here, and the contract test in this package walks cmd/ to prove the
-// registry and the tree never drift apart.
+// registry and the tree never drift apart. Records of tools since deleted
+// still parse: a record's tool is a plain string.
 func RegisteredTools() []string {
 	return []string{
 		"odrl",
 		"odrl-bench",
 		"odrl-run",
-		"odrl-verify",
 		"odrl-vet",
 	}
-}
-
-// IsRegisteredTool reports whether name is a ledger-writing CLI.
-func IsRegisteredTool(name string) bool {
-	for _, t := range RegisteredTools() {
-		if t == name {
-			return true
-		}
-	}
-	return false
 }

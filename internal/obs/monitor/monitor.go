@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -460,12 +461,12 @@ func (r *monitorRun) ObserveConverged(ev *obs.ConvergedEvent) {
 }
 
 // End implements obs.RunObserver.
-func (r *monitorRun) End() {
+func (r *monitorRun) End(s metrics.Summary) {
 	r.m.mu.Lock()
 	r.h.Epochs = r.epochs
 	r.h.Done = true
 	r.m.mu.Unlock()
 	if r.next != nil {
-		r.next.End()
+		r.next.End(s)
 	}
 }

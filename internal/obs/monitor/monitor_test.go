@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -30,7 +31,7 @@ func (r *recRun) ObserveEpoch(ev *obs.EpochEvent) {
 }
 func (r *recRun) ObserveAlert(ev *obs.AlertEvent) { r.alerts = append(r.alerts, *ev) }
 func (r *recRun) ObserveFault(*obs.FaultEvent)    { r.faults++ }
-func (r *recRun) End()                            { r.ended = true }
+func (r *recRun) End(metrics.Summary)             { r.ended = true }
 
 func feedEpochs(ro obs.RunObserver, n int, fill func(e int, ev *obs.EpochEvent)) {
 	for e := 0; e < n; e++ {
@@ -46,7 +47,7 @@ func feedEpochs(ro obs.RunObserver, n int, fill func(e int, ev *obs.EpochEvent))
 		}
 		ro.ObserveEpoch(&ev)
 	}
-	ro.End()
+	ro.End(metrics.Summary{})
 }
 
 var testMeta = obs.RunMeta{Controller: "odrl", Workload: "mix", Cores: 64, BudgetW: 90, EpochS: 1e-3, Seed: 1}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // RunMeta identifies one simulation run in the trace stream.
@@ -216,11 +218,12 @@ type Observer interface {
 // RunObserver consumes one run's epoch stream. The harness calls
 // ShouldSample first and skips event assembly entirely when it returns
 // false, keeping the disabled path free. ObserveEpoch must not retain the
-// event or its slices. End marks the run finished.
+// event or its slices. End marks the run finished and hands over the
+// summary the run returns (zero if the run failed before measuring it).
 type RunObserver interface {
 	ShouldSample(epoch int) bool
 	ObserveEpoch(ev *EpochEvent)
-	End()
+	End(s metrics.Summary)
 }
 
 // EpochDetailSampler is an optional RunObserver refinement for observers
@@ -246,7 +249,7 @@ type nopRun struct{}
 
 func (nopRun) ShouldSample(int) bool    { return false }
 func (nopRun) ObserveEpoch(*EpochEvent) {}
-func (nopRun) End()                     {}
+func (nopRun) End(metrics.Summary)      {}
 
 // TracerOptions tunes a Tracer.
 type TracerOptions struct {
@@ -373,7 +376,7 @@ func (r *runTracer) ObserveConverged(ev *ConvergedEvent) {
 }
 
 // End implements RunObserver.
-func (r *runTracer) End() {
+func (r *runTracer) End(metrics.Summary) {
 	r.t.emit(runEndRec{
 		Type: "run_end", Run: r.id,
 		Epochs: int(r.epochs.Load()), Sampled: int(r.sampled.Load()),

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestTracerRoundTrip emits a run through the tracer and parses it back,
@@ -33,7 +35,7 @@ func TestTracerRoundTrip(t *testing.T) {
 		}
 		run.ObserveEpoch(&events[i])
 	}
-	run.End()
+	run.End(metrics.Summary{})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestTracerDecimation(t *testing.T) {
 			sampled++
 		}
 	}
-	run.End()
+	run.End(metrics.Summary{})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,8 @@ func TestTracerConcurrentRuns(t *testing.T) {
 	b := tr.BeginRun(RunMeta{Controller: "b"})
 	a.ObserveEpoch(&EpochEvent{Epoch: 0, PowerW: 1})
 	b.ObserveEpoch(&EpochEvent{Epoch: 0, PowerW: 2})
-	a.End()
-	b.End()
+	a.End(metrics.Summary{})
+	b.End(metrics.Summary{})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestNopObserver(t *testing.T) {
 			t.Fatalf("nop observer sampled epoch %d", e)
 		}
 	}
-	run.End()
+	run.End(metrics.Summary{})
 }
 
 func TestReadRecordsRejectsGarbage(t *testing.T) {

@@ -28,7 +28,7 @@ func BuiltinIDs() []string {
 }
 
 // Builtin loads the checked-in spec for one experiment ID (case as in
-// experiments.All: T1, T2, F1..F19).
+// experiments.All: CLAIMS, T1, T2, F1..F19).
 func Builtin(id string) (Spec, error) {
 	b, err := specFS.ReadFile("specs/" + strings.ToLower(id) + ".json")
 	if err != nil {

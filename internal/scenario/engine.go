@@ -71,23 +71,25 @@ func (e *Engine) Run(spec Spec) (experiments.Table, RunInfo, error) {
 	return tbl, info, nil
 }
 
-// execute dispatches on the run kind. A grid experiment (F2–F4) reduces
-// the engine's grid for its axes instead of running its own.
+// execute dispatches on the run kind. A grid experiment (F2–F4, CLAIMS)
+// reduces the engine's grid for its axes at each of its seeds instead of
+// running its own.
 func (e *Engine) execute(spec Spec) (experiments.Table, error) {
 	switch {
 	case spec.Experiment != "":
-		if reduce, ok := experiments.FromGrid(spec.Experiment); ok {
-			g, err := e.Grid(spec)
-			if err != nil {
-				return experiments.Table{}, err
-			}
-			return reduce(g), nil
+		cfg := spec.experimentConfig()
+		tbl, ok, err := experiments.ReduceGrids(spec.Experiment, cfg, func(seed uint64) (experiments.Grid, error) {
+			s := spec
+			s.Seeds = []uint64{seed}
+			return e.Grid(s)
+		})
+		if ok {
+			return tbl, err
 		}
 		runner, err := experiments.ByID(spec.Experiment)
 		if err != nil {
 			return experiments.Table{}, err
 		}
-		cfg := spec.experimentConfig()
 		cfg.Stack = e.Stack
 		return runner(cfg)
 	case spec.Sweep != nil:
@@ -98,15 +100,12 @@ func (e *Engine) execute(spec Spec) (experiments.Table, error) {
 }
 
 // Grid returns the (benchmark × controller) grid behind a grid experiment
-// spec (F2, F3 or F4): experiments.RunGrid on the spec's experiment config,
-// reporting to e.Stack. The engine keeps each grid for its lifetime, so the
-// three tables and the claim verdicts a report derives from the same axes
-// share one set of runs; two engines share nothing. A failed grid is not
-// kept, so the next call runs it again.
+// spec (F2, F3, F4 or CLAIMS) at its one seed: experiments.RunGrid on the
+// spec's experiment config, reporting to e.Stack. The engine keeps each
+// grid for its lifetime, so the three tables and the claim verdicts at the
+// same axes share one set of runs per seed; two engines share nothing. A
+// failed grid is not kept, so the next call runs it again.
 func (e *Engine) Grid(spec Spec) (experiments.Grid, error) {
-	if _, ok := experiments.FromGrid(spec.Experiment); !ok {
-		return experiments.Grid{}, fmt.Errorf("scenario: experiment %q does not reduce the benchmark grid", spec.Experiment)
-	}
 	if err := spec.Validate(); err != nil {
 		return experiments.Grid{}, err
 	}
@@ -135,11 +134,15 @@ func (e *Engine) Grid(spec Spec) (experiments.Grid, error) {
 }
 
 // gridKey names the grid an experiment spec runs: its content hash with
-// the name and experiment ID cleared, so F2, F3 and F4 at the same axes
-// share a key. Validate admits only grid axes on experiment specs and
-// Canonical drops Workers, so one key names exactly one grid.
+// the name and experiment ID cleared and the default seed made explicit,
+// so F2, F3, F4 and CLAIMS's first seed at the same axes share a key.
+// Validate admits only grid axes on experiment specs and Canonical drops
+// Workers, so one key names exactly one grid.
 func (s Spec) gridKey() (string, error) {
 	s.Name, s.Experiment = "", ""
+	if len(s.Seeds) == 0 {
+		s.Seeds = []uint64{experiments.Default().Seed}
+	}
 	return s.Hash()
 }
 

@@ -311,12 +311,13 @@ func (c *runCounter) BeginRun(meta obs.RunMeta) obs.RunObserver {
 // the six default controllers.
 const quickGridRuns = 3 * 6
 
-// TestEngineRunsOneGrid: F2, F3 and F4 and the report's Grid call at the
-// same axes start one grid's runs between them on one engine.
+// TestEngineRunsOneGrid: F2, F3, F4 and their Grid calls at the same axes
+// start one grid's runs between them on one engine, and CLAIMS adds only
+// its second quick seed's grid: its first seed's is F2's.
 func TestEngineRunsOneGrid(t *testing.T) {
 	runs := &runCounter{}
 	eng := &Engine{Stack: sim.Stack{Observer: runs}}
-	for _, id := range []string{"F2", "F3", "F4"} {
+	for _, id := range []string{"F2", "F3", "F4", "CLAIMS"} {
 		spec := goldenSpec(t, id, 2)
 		if _, _, err := eng.Run(spec); err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -324,9 +325,13 @@ func TestEngineRunsOneGrid(t *testing.T) {
 		if _, err := eng.Grid(spec); err != nil {
 			t.Fatalf("%s grid: %v", id, err)
 		}
-	}
-	if got := runs.n.Load(); got != quickGridRuns {
-		t.Errorf("one engine started %d runs for F2–F4 and their grid, want %d", got, quickGridRuns)
+		want := int64(quickGridRuns)
+		if id == "CLAIMS" {
+			want = 2 * quickGridRuns
+		}
+		if got := runs.n.Load(); got != want {
+			t.Errorf("after %s one engine had started %d runs, want %d", id, got, want)
+		}
 	}
 }
 

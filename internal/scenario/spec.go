@@ -64,17 +64,17 @@ func SweepParams() []string { return []string{"budget", "cores", "epoch", "seed"
 //
 // Three run kinds, decided by which fields are set:
 //
-//   - Experiment != "": replay a registered experiment (T1..F19) with the
-//     shared axes (cores, budget, windows, seed, controllers, benchmarks,
-//     quick, fault plan) taken from the spec. The table is byte-identical
-//     to the hand-coded runner's.
+//   - Experiment != "": replay a registered experiment (CLAIMS, T1..F19)
+//     with the shared axes (cores, budget, windows, seed, controllers,
+//     benchmarks, quick, fault plan) taken from the spec. The table is
+//     byte-identical to the hand-coded runner's.
 //   - Sweep != nil: sweep one parameter across Values for every controller.
 //   - otherwise: a comparison run — every (seed × workload × controller)
 //     combination on the spec's platform, one row per run.
 type Spec struct {
 	// Name is a free-form human label carried into the table title.
 	Name string `json:"name,omitempty"`
-	// Experiment selects a registered experiment ID (T1, T2, F1..F19).
+	// Experiment selects a registered experiment ID (CLAIMS, T1, T2, F1..F19).
 	Experiment string `json:"experiment,omitempty"`
 	// Platform is a config preset name ("" = manycore-22nm).
 	Platform string `json:"platform,omitempty"`
@@ -103,8 +103,9 @@ type Spec struct {
 	// ThermalOff disables the leakage–temperature loop.
 	ThermalOff bool `json:"thermal_off,omitempty"`
 	// Seeds lists the run seeds; empty means [1]. Comparison runs emit one
-	// row group per seed; experiment and sweep runs accept at most one (a
-	// sweep over seeds sweeps the "seed" param instead).
+	// row group per seed; experiment and sweep runs accept at most one
+	// (CLAIMS judges it and the seeds after it; a sweep over seeds sweeps
+	// the "seed" param instead).
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Workers bounds run fan-out and chip sharding (the -j knob). Results
 	// are bit-identical for any value, so Workers is an execution knob,

@@ -19,8 +19,6 @@ type Env struct {
 	// and the OD-RL reallocation layer.
 	CadenceEpochs int
 	Seed          uint64
-	// Lambda overrides the OD-RL overshoot penalty when non-zero.
-	Lambda float64
 	// Workers bounds the goroutines sharding the OD-RL fine-grain phase:
 	// 0 uses one worker per CPU, 1 forces sequential updates. Decisions
 	// are bit-identical for any worker count.
@@ -67,9 +65,6 @@ func NewController(name string, env Env) (ctrl.Controller, error) {
 		cfg.DisableRealloc = name == "od-rl-norealloc"
 		cfg.Workers = env.Workers
 		cfg.WatchdogEpochs = env.WatchdogEpochs
-		if env.Lambda != 0 {
-			cfg.Lambda = env.Lambda
-		}
 		return core.New(env.Cores, env.VF, env.Power, cfg)
 	case "maxbips":
 		pred, err := ctrl.NewPredictor(env.VF, env.Power)

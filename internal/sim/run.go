@@ -226,10 +226,11 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	var (
 		runObs  obs.RunObserver
 		scratch *eventScratch
+		summary metrics.Summary
 	)
 	if observer != nil {
 		runObs = observer.BeginRun(meta)
-		defer runObs.End()
+		defer func() { runObs.End(summary) }()
 		scratch = newEventScratch(cfg)
 	}
 	var faultObs obs.FaultObserver
@@ -420,7 +421,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	}
 
 	comm := c.CommPerEpoch(mesh)
-	summary := metrics.Summary{
+	summary = metrics.Summary{
 		Controller:      c.Name(),
 		Workload:        opts.Workload,
 		Cores:           opts.Cores,

@@ -349,9 +349,10 @@ func TestRunAllUnknownController(t *testing.T) {
 	}
 }
 
-func TestFactoryLambdaOverride(t *testing.T) {
+// TestFactoryRejectsBadEnv: the factory builds from a default environment
+// and refuses one without a VF table or with a zero decision cadence.
+func TestFactoryRejectsBadEnv(t *testing.T) {
 	env := DefaultEnv(4)
-	env.Lambda = 9
 	c, err := NewController("od-rl", env)
 	if err != nil {
 		t.Fatal(err)

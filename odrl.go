@@ -131,7 +131,8 @@ type ExperimentTable = experiments.Table
 // EXPERIMENTS.md.
 func DefaultExperimentConfig() ExperimentConfig { return experiments.Default() }
 
-// ExperimentByID returns the runner for one experiment (T1, T2, F1..F19).
+// ExperimentByID returns the runner for one experiment (CLAIMS, T1, T2,
+// F1..F19).
 func ExperimentByID(id string) (func(ExperimentConfig) (ExperimentTable, error), error) {
 	r, err := experiments.ByID(id)
 	if err != nil {
