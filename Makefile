@@ -110,15 +110,16 @@ bench:
 	$(GO) test -run=- -bench=. -benchtime=1s ./internal/obs/
 
 # Short fuzz pass over every decoder that accepts external bytes (obs JSONL
-# records, fault plans, saved OD-RL policies), plus the differential check
-# of the MaxBIPS knapsack against its full-grid reference. Go runs one fuzz
-# target per invocation, so each gets its own anchored pattern.
+# records, fault plans, policy snapshots and the saved OD-RL policies
+# LoadPolicy reads), plus the differential check of the MaxBIPS knapsack
+# against its full-grid reference. Go runs one fuzz target per invocation,
+# so each gets its own anchored pattern.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs/monitor/
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs/learn/
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/rl/
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) ./internal/obs/ledger/

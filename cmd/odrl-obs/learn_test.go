@@ -127,7 +127,10 @@ func TestLearningBadInvocations(t *testing.T) {
 // TestShowPairsEachLearningRun: a record holding od-rl, maxbips and od-rl
 // runs from one stack shows one report per learning run, each naming its
 // own snapshot chain, and none for maxbips; diffing two such records notes
-// the repeated key as ambiguous instead of pairing unlike runs.
+// the repeated key as ambiguous instead of pairing unlike runs. Specs
+// refuse a controller listed twice, but runs that share a name and not
+// their settings (F9's λ, SARSA and EMA variants all report od-rl) record
+// such keys.
 func TestShowPairsEachLearningRun(t *testing.T) {
 	dir := t.TempDir()
 	id := recordLearning(t, dir, 1, 200, "od-rl", "maxbips", "od-rl")

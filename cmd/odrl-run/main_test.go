@@ -80,6 +80,21 @@ func TestRunExit2(t *testing.T) {
 			"unknown controller",
 		},
 		{
+			"controller twice",
+			[]string{writeSpec(t, "bad.json", `{"controllers": ["od-rl", "maxbips", "od-rl"]}`)},
+			`controller "od-rl" listed twice`,
+		},
+		{
+			"benchmark twice",
+			[]string{writeSpec(t, "bad.json", `{"benchmarks": ["canneal", "x264", "canneal"]}`)},
+			`benchmark "canneal" listed twice`,
+		},
+		{
+			"seed twice",
+			[]string{writeSpec(t, "bad.json", `{"seeds": [2, 2]}`)},
+			"seed 2 listed twice",
+		},
+		{
 			"trailing data",
 			[]string{writeSpec(t, "bad.json", `{} {}`)},
 			"trailing data",

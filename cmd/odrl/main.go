@@ -80,13 +80,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FaultPlan:   plan,
 	}
 
+	// An invalid spec is a malformed invocation: refuse it before the
+	// session opens, so it leaves no ledger record.
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(stderr, "odrl:", err)
+		return 2
+	}
+
 	// -write-spec translates the flag invocation into the declarative
 	// scenario contract and exits before any observability side effects.
 	if *writeSpec {
-		if err := spec.Validate(); err != nil {
-			fmt.Fprintln(stderr, "odrl:", err)
-			return 2
-		}
 		canon, err := spec.Canonical()
 		if err != nil {
 			fmt.Fprintln(stderr, "odrl:", err)
@@ -107,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl:", err)
 		return 1
 	}
-	if hash, err := spec.Hash(); err == nil && spec.Validate() == nil {
+	if hash, err := spec.Hash(); err == nil {
 		sess.Ledger.RecordScenario("", hash, scenario.EngineVersion, false)
 	}
 	runErr := runMain(stdout, stderr, sess, spec, outFlags{

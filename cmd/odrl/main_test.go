@@ -30,6 +30,32 @@ func TestSnapshotEveryNeedsArtifacts(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecExit2: flags that build an invalid spec are a malformed
+// invocation. odrl exits 2 naming the field before its session opens, so
+// the ledger gets no record, and -write-spec refuses the same flags.
+func TestInvalidSpecExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-controllers", "od-rl,maxbips,od-rl"}, `controller "od-rl" listed twice`},
+		{[]string{"-controllers", "foo"}, `unknown controller "foo"`},
+		{[]string{"-seed", "0"}, "seed 0 is reserved"},
+	} {
+		for _, mode := range []string{"-csv", "-write-spec"} {
+			dir := t.TempDir()
+			args := append([]string{"-cores", "16", "-warmup", "0.05", "-measure", "0.1", "-ledger", dir, mode}, tc.args...)
+			code, stdout, stderr := runCLI(args...)
+			if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {
+				t.Errorf("%v: exit %d, want 2 naming %q\nstdout: %s\nstderr: %s", args, code, tc.want, stdout, stderr)
+			}
+			if recs, errs := ledger.Read(dir); len(recs) != 0 || len(errs) != 0 {
+				t.Errorf("%v: ledger holds %d records (errors %v), want none", args, len(recs), errs)
+			}
+		}
+	}
+}
+
 // TestSummariesReachInjectedStderr: the run-health and learning summaries
 // are written to the stderr the run seam is given, not the process's.
 func TestSummariesReachInjectedStderr(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vf"
@@ -31,54 +32,29 @@ func main() {
 		return c
 	}
 
-	// measureFirstSecond runs a fresh chip under the controller and
-	// reports the first second's throughput and overshoot.
-	measureFirstSecond := func(c *core.Controller) (bips, overJ float64) {
+	// runFromBoot runs a fresh chip under the controller for seconds of
+	// simulated time and measures all of them.
+	runFromBoot := func(c *core.Controller, seconds float64) metrics.Summary {
 		opts := sim.DefaultOptions()
 		opts.Cores = cores
 		opts.BudgetW = budget
-		chip, _, err := sim.NewChip(opts)
+		opts.WarmupS = 0
+		opts.MeasureS = seconds
+		res, err := sim.Run(opts, c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		out := make([]int, cores)
-		startInstr := chip.Instructions()
-		for e := 0; e < 1000; e++ {
-			tel := chip.Step(1e-3)
-			c.Decide(&tel, budget, out)
-			for i, l := range out {
-				chip.SetLevel(i, l)
-			}
-			if tel.TruePowerW > budget {
-				overJ += (tel.TruePowerW - budget) * 1e-3
-			}
-		}
-		return (chip.Instructions() - startInstr) / 1e9, overJ
+		return res.Summary
 	}
 
 	// 1. Train a controller for five simulated seconds.
 	trained := newController()
 	fmt.Println("training OD-RL for 5 simulated seconds...")
-	{
-		opts := sim.DefaultOptions()
-		opts.Cores = cores
-		opts.BudgetW = budget
-		chip, _, err := sim.NewChip(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := make([]int, cores)
-		for e := 0; e < 5000; e++ {
-			tel := chip.Step(1e-3)
-			trained.Decide(&tel, budget, out)
-			for i, l := range out {
-				chip.SetLevel(i, l)
-			}
-		}
-	}
+	runFromBoot(trained, 5)
 
-	// 2. Persist the learned policy.
-	path := filepath.Join(os.TempDir(), "odrl-policy.json")
+	// 2. Persist the learned policy: one full policy snapshot, the format
+	// the run ledger records with -snapshot-every.
+	path := filepath.Join(os.TempDir(), "odrl-policy.qsnap")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -91,7 +67,7 @@ func main() {
 	fmt.Printf("saved policy to %s (%d bytes)\n\n", path, info.Size())
 
 	// 3. Compare a cold start against a warm start on identical chips.
-	coldBIPS, coldOver := measureFirstSecond(newController())
+	cold := runFromBoot(newController(), 1)
 
 	warm := newController()
 	rf, err := os.Open(path)
@@ -102,9 +78,9 @@ func main() {
 		log.Fatal(err)
 	}
 	rf.Close()
-	warmBIPS, warmOver := measureFirstSecond(warm)
+	warmRun := runFromBoot(warm, 1)
 
 	fmt.Println("first second after boot (32 cores, 30 W cap):")
-	fmt.Printf("  cold start: %6.2f BIPS, %.4f J over budget\n", coldBIPS, coldOver)
-	fmt.Printf("  warm start: %6.2f BIPS, %.4f J over budget\n", warmBIPS, warmOver)
+	fmt.Printf("  cold start: %6.2f BIPS, %.4f J over budget\n", cold.BIPS(), cold.OverJ)
+	fmt.Printf("  warm start: %6.2f BIPS, %.4f J over budget\n", warmRun.BIPS(), warmRun.OverJ)
 }

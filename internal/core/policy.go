@@ -1,86 +1,82 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/rl"
 )
 
-// policyFile is the serialised form of a learned OD-RL policy: every
-// per-core agent's Q-table plus the shape information needed to refuse a
-// mismatched restore. Warm-starting from a saved policy lets a production
-// deployment skip the cold-start exploration window (see the F6
-// convergence experiment).
-type policyFile struct {
-	Version int         `json:"version"`
-	Cores   int         `json:"cores"`
-	States  int         `json:"states"`
-	Actions int         `json:"actions"`
-	Tables  []*rl.Table `json:"tables"`
-}
-
-const policyVersion = 1
-
-// SavePolicy serialises the controller's learned per-core Q-tables. It is
-// tabular-only; function-approximation controllers are rejected.
+// SavePolicy writes the controller's learned per-core Q-tables as one full
+// rl.Snapshot of the tensor CopyPolicy exports, stamped with the number of
+// decisions the controller has made. The learn layer records the same
+// format, so a warm start can also boot from a snapshot in the run ledger;
+// warm-starting lets a deployment skip the cold-start exploration window
+// (see the F6 convergence experiment). It is tabular-only;
+// function-approximation controllers are rejected.
 func (c *Controller) SavePolicy(w io.Writer) error {
 	if c.linAgents != nil {
 		return fmt.Errorf("core: policy persistence is tabular-only")
 	}
-	pf := policyFile{
-		Version: policyVersion,
-		Cores:   len(c.agents),
-		States:  c.codec.States(),
-		Actions: c.table.Levels(),
-		Tables:  make([]*rl.Table, len(c.agents)),
+	cores, states, actions := c.PolicyShape()
+	s := rl.Snapshot{
+		Epoch: int64(c.epoch),
+		Cores: cores, States: states, Actions: actions,
+		Q: make([]float64, cores*states*actions),
 	}
-	for i, a := range c.agents {
-		pf.Tables[i] = a.Table()
+	if err := c.CopyPolicy(s.Q); err != nil {
+		return err
 	}
-	return json.NewEncoder(w).Encode(pf)
+	if _, err := w.Write(s.Encode()); err != nil {
+		return fmt.Errorf("core: writing policy: %w", err)
+	}
+	return nil
 }
 
-// LoadPolicy warm-starts the controller from a policy saved by SavePolicy.
-// The policy must match this controller's core count and state/action
-// shape exactly; refusing near-misses is deliberate, as a policy learned
-// for a different discretisation is silently wrong. A refused policy
+// LoadPolicy warm-starts the controller from one full snapshot, as
+// SavePolicy writes it. The policy must match this controller's core count
+// and state/action shape exactly; refusing near-misses is deliberate, as a
+// policy learned for a different discretisation is silently wrong. It
+// reads at most one byte past a full snapshot of this controller's shape,
+// and refuses a delta snapshot (its tensor needs its chain, which
+// learn.LoadSnapshots rebuilds) and any non-finite value. A refused policy
 // changes no agent.
 func (c *Controller) LoadPolicy(r io.Reader) error {
 	if c.linAgents != nil {
 		return fmt.Errorf("core: policy persistence is tabular-only")
 	}
-	var pf policyFile
-	if err := json.NewDecoder(r).Decode(&pf); err != nil {
+	cores, states, actions := c.PolicyShape()
+	want := rl.FullSnapshotLen(cores, states, actions)
+	data, err := io.ReadAll(io.LimitReader(r, int64(want)+1))
+	if err != nil {
+		return fmt.Errorf("core: reading policy: %w", err)
+	}
+	if len(data) > want {
+		return fmt.Errorf("core: trailing data after a %d-byte policy for %dx%dx%d", want, cores, states, actions)
+	}
+	s, err := rl.DecodeSnapshot(data)
+	if err != nil {
 		return fmt.Errorf("core: decoding policy: %w", err)
 	}
-	if pf.Version != policyVersion {
-		return fmt.Errorf("core: policy version %d, want %d", pf.Version, policyVersion)
+	if s.Delta {
+		return fmt.Errorf("core: policy is a delta snapshot; rebuild its chain with learn.LoadSnapshots")
 	}
-	if pf.Cores != len(c.agents) {
-		return fmt.Errorf("core: policy for %d cores, controller has %d", pf.Cores, len(c.agents))
+	if s.Cores != cores {
+		return fmt.Errorf("core: policy for %d cores, controller has %d", s.Cores, cores)
 	}
-	if pf.States != c.codec.States() || pf.Actions != c.table.Levels() {
-		return fmt.Errorf("core: policy shape %dx%d, controller is %dx%d",
-			pf.States, pf.Actions, c.codec.States(), c.table.Levels())
+	if s.States != states || s.Actions != actions {
+		return fmt.Errorf("core: policy shape %dx%d, controller is %dx%d", s.States, s.Actions, states, actions)
 	}
-	if len(pf.Tables) != pf.Cores {
-		return fmt.Errorf("core: policy has %d tables for %d cores", len(pf.Tables), pf.Cores)
-	}
-	// Check every table before copying any, so a refused policy leaves
-	// the controller untouched.
-	for i, tbl := range pf.Tables {
-		if tbl == nil {
-			return fmt.Errorf("core: policy table %d missing", i)
-		}
-		if tbl.States() != pf.States || tbl.Actions() != pf.Actions {
-			return fmt.Errorf("core: policy table %d is %dx%d, policy is %dx%d",
-				i, tbl.States(), tbl.Actions(), pf.States, pf.Actions)
+	per := states * actions
+	for i, v := range s.Q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: policy value %g at core %d, state %d, action %d",
+				v, i/per, i%per/actions, i%actions)
 		}
 	}
-	for i, tbl := range pf.Tables {
-		if err := c.agents[i].Table().CopyFrom(tbl); err != nil {
+	for i, a := range c.agents {
+		if err := a.Table().CopyFrom(s.Q[i*per : (i+1)*per]); err != nil {
 			return fmt.Errorf("core: policy table %d: %w", i, err)
 		}
 	}

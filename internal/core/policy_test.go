@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"crypto/sha256"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -42,36 +43,49 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadPolicyRejectsMismatches: every input LoadPolicy refuses gets an
+// error naming the reason, and none is read past one byte beyond a full
+// snapshot of the controller's shape.
 func TestLoadPolicyRejectsMismatches(t *testing.T) {
 	src := newController(t, 4, Config{})
-	var buf bytes.Buffer
-	if err := src.SavePolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.String()
+	_, saved := savedPolicy(t, src)
+	cores, states, actions := src.PolicyShape()
+	limit := rl.FullSnapshotLen(cores, states, actions) + 1
 
-	// Wrong core count.
-	dst := newController(t, 8, Config{})
-	if err := dst.LoadPolicy(strings.NewReader(saved)); err == nil {
-		t.Fatal("expected core-count mismatch error")
-	}
-
-	// Wrong state shape (different bucket counts).
-	dst2 := newController(t, 4, Config{HeadroomBuckets: 3})
-	if err := dst2.LoadPolicy(strings.NewReader(saved)); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-
-	// Garbage input.
-	dst3 := newController(t, 4, Config{})
-	if err := dst3.LoadPolicy(strings.NewReader("{nope")); err == nil {
-		t.Fatal("expected decode error")
+	cases := refusedPolicies(t, src)
+	cases = append(cases,
+		// Trailing data the reader must not drain.
+		refusedPolicy{"megabyte trailer", append(append([]byte(nil), saved...), make([]byte, 1<<20)...), "trailing data"},
+		refusedPolicy{"empty", nil, "too short"},
+	)
+	for _, tc := range cases {
+		dst := newController(t, 4, Config{})
+		r := &countingReader{r: bytes.NewReader(tc.data)}
+		err := dst.LoadPolicy(r)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if r.n > limit {
+			t.Errorf("%s: read %d bytes, limit %d", tc.name, r.n, limit)
+		}
 	}
 
-	// Wrong version.
-	bad := strings.Replace(saved, `"version":1`, `"version":9`, 1)
-	if err := dst3.LoadPolicy(strings.NewReader(bad)); err == nil {
-		t.Fatal("expected version error")
+	// Controllers of another shape refuse a real saved policy: more cores
+	// (a shorter file) and fewer states (a longer one).
+	if err := newController(t, 8, Config{}).LoadPolicy(bytes.NewReader(saved)); err == nil || !strings.Contains(err.Error(), "cores") {
+		t.Errorf("8-core controller: error %v, want a core-count mismatch", err)
+	}
+	if err := newController(t, 4, Config{HeadroomBuckets: 3}).LoadPolicy(bytes.NewReader(saved)); err == nil {
+		t.Error("controller with fewer states accepted the policy")
+	}
+
+	// Function approximation has no tables to load into and reads nothing.
+	r := &countingReader{r: bytes.NewReader(saved)}
+	if err := newController(t, 4, Config{FunctionApprox: true}).LoadPolicy(r); err == nil || !strings.Contains(err.Error(), "tabular-only") {
+		t.Errorf("FA controller: error %v, want tabular-only", err)
+	}
+	if r.n != 0 {
+		t.Errorf("FA controller read %d bytes", r.n)
 	}
 }
 
@@ -166,29 +180,76 @@ func sameAgentState(a, b [][]uint64) bool {
 	return true
 }
 
-// corruptPolicies returns a saved policy of src with its last table
-// replaced by null, then by a 2x2 table: both pass every file-level
-// check, so only the per-table check can refuse them.
-func corruptPolicies(t testing.TB, src *Controller) [][]byte {
+// savedPolicy returns src's saved policy, decoded and as written.
+func savedPolicy(t testing.TB, src *Controller) (*rl.Snapshot, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := src.SavePolicy(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out [][]byte
-	for _, last := range []*rl.Table{nil, rl.NewTable(2, 2, 0)} {
-		var pf policyFile
-		if err := json.Unmarshal(buf.Bytes(), &pf); err != nil {
-			t.Fatal(err)
-		}
-		pf.Tables[len(pf.Tables)-1] = last
-		data, err := json.Marshal(pf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, data)
+	s, err := rl.DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return s, buf.Bytes()
+}
+
+// refusedPolicy is an input LoadPolicy must refuse, and a substring of
+// the error it must give.
+type refusedPolicy struct {
+	name string
+	data []byte
+	want string
+}
+
+// refusedPolicies returns one input per refusal LoadPolicy makes of a
+// policy for src's shape (two cores or more), each unlike src's saved
+// policy in one way. The shape mismatches in cores and in states keep the
+// tensor's size, so only the header check can refuse them; the NaN sits in
+// the last core's table, so only a check of every table before any copy
+// leaves the first agents alone.
+func refusedPolicies(t testing.TB, src *Controller) []refusedPolicy {
+	t.Helper()
+	s, saved := savedPolicy(t, src)
+	// with re-encodes a copy of the saved snapshot after edit.
+	with := func(edit func(c *rl.Snapshot)) []byte {
+		c := *s
+		c.Q = append([]float64(nil), s.Q...)
+		edit(&c)
+		return c.Encode()
+	}
+	delta := rl.Snapshot{
+		Epoch: s.Epoch + 1, Cores: s.Cores, States: s.States, Actions: s.Actions,
+		Delta: true, Parent: sha256.Sum256(saved), Indices: []uint32{0}, Values: []float64{1},
+	}
+	last := len(s.Q) - 1
+	return []refusedPolicy{
+		{"trailing byte", append(append([]byte(nil), saved...), 0), "trailing data"},
+		{"truncated", saved[:len(saved)-1], "full payload"},
+		{"old JSON policy", []byte(`{"version":1,"cores":4,"states":1,"actions":2,"tables":[{"states":1,"actions":2,"q":[0,0]}]}`), "bad snapshot magic"},
+		{"delta", delta.Encode(), "delta snapshot"},
+		{"cores", with(func(c *rl.Snapshot) { c.Cores, c.States = 1, c.States*c.Cores }), "cores"},
+		{"states", with(func(c *rl.Snapshot) { c.States, c.Actions = c.States*2, c.Actions/2 }), "shape"},
+		{"actions", with(func(c *rl.Snapshot) {
+			c.Actions--
+			c.Q = c.Q[:c.Cores*c.States*c.Actions]
+		}), "shape"},
+		{"NaN", with(func(c *rl.Snapshot) { c.Q[last] = math.NaN() }), "NaN"},
+		{"+Inf", with(func(c *rl.Snapshot) { c.Q[last] = math.Inf(1) }), "+Inf"},
+		{"-Inf", with(func(c *rl.Snapshot) { c.Q[last] = math.Inf(-1) }), "-Inf"},
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // trainedController runs a controller long enough that its tables and
@@ -206,18 +267,19 @@ func trainedController(t testing.TB, cores int, cfg Config) *Controller {
 	return c
 }
 
-// TestLoadPolicyIsAtomic: a policy refused on its last table must leave
-// every agent unchanged, not only the agents after the bad table.
+// TestLoadPolicyIsAtomic: every refused policy, the one refused on its
+// last table included, leaves every agent's values and greedy index as
+// they were.
 func TestLoadPolicyIsAtomic(t *testing.T) {
 	src := trainedController(t, 4, Config{Seed: 5})
 	dst := trainedController(t, 4, Config{Seed: 99})
 	before := agentState(dst)
-	for k, data := range corruptPolicies(t, src) {
-		if err := dst.LoadPolicy(bytes.NewReader(data)); err == nil {
-			t.Fatalf("corrupt policy %d accepted", k)
+	for _, tc := range refusedPolicies(t, src) {
+		if err := dst.LoadPolicy(bytes.NewReader(tc.data)); err == nil {
+			t.Fatalf("%s: refused policy accepted", tc.name)
 		}
 		if !sameAgentState(before, agentState(dst)) {
-			t.Fatalf("refused policy %d changed the controller's agents", k)
+			t.Fatalf("%s: refused policy changed the controller's agents", tc.name)
 		}
 	}
 }
@@ -232,16 +294,14 @@ func FuzzLoadPolicy(f *testing.F) {
 	// small enough for the fuzzer to mutate and minimise quickly.
 	small := func(seed uint64) Config { return Config{Seed: seed, HeadroomBuckets: 1, MemBuckets: 1} }
 	src := trainedController(f, 3, small(5))
-	var saved bytes.Buffer
-	if err := src.SavePolicy(&saved); err != nil {
-		f.Fatal(err)
+	_, saved := savedPolicy(f, src)
+	f.Add(saved)
+	for _, tc := range refusedPolicies(f, src) {
+		switch tc.name {
+		case "delta", "NaN", "truncated", "trailing byte":
+			f.Add(tc.data)
+		}
 	}
-	f.Add(saved.Bytes())
-	for _, data := range corruptPolicies(f, src) {
-		f.Add(data)
-	}
-	f.Add([]byte(`{"version":1,"cores":3,"states":8,"actions":8,"tables":[]}`))
-	f.Add([]byte(`{nope`))
 
 	tel := fakeTel(3, 2, 0.7, 0.3)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,190 +2,23 @@ package learn
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"path"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/rl"
 )
 
-// Policy snapshots are content-addressed binary blobs: a fixed header, then
-// either the full policy tensor or a delta against the parent snapshot
-// (changed cells only), whichever is smaller. The blob's SHA-256 prefix
-// names the artifact and a delta names its parent by full hash; the run's
-// learn.json carries the run context.
-//
-// Layout (all little-endian):
-//
-//	magic   [8]byte  "ODRLSNAP"
-//	version uint16   (1)
-//	flags   uint16   (bit 0: delta-encoded; other bits must be zero)
-//	epoch   int64    learning epoch the snapshot was taken at
-//	cores   uint32
-//	states  uint32
-//	actions uint32
-//	parent  [32]byte SHA-256 of the parent blob (zero for full snapshots)
-//	payload full:  cores·states·actions × float64
-//	        delta: count uint32, then count × (index uint32, value float64)
-
-const (
-	snapMagic   = "ODRLSNAP"
-	snapVersion = 1
-
-	snapFlagDelta = 1 << 0
-
-	snapHeaderLen = 8 + 2 + 2 + 8 + 4 + 4 + 4 + 32
-
-	// Decoder bounds: a snapshot describes per-core tabular policies, so the
-	// dimensions are small by construction. The caps keep hostile inputs
-	// (fuzzing, corrupted files) from forcing large allocations.
-	snapMaxCores   = 1 << 16
-	snapMaxStates  = 1 << 16
-	snapMaxActions = 1 << 10
-	snapMaxValues  = 1 << 26 // 512 MiB of float64 — far above any real chip
-)
-
-// Snapshot is one decoded policy snapshot.
-type Snapshot struct {
-	Epoch                  int64
-	Cores, States, Actions int
-	// Delta marks delta encoding; then Indices/Values hold the changed
-	// cells and Parent the parent blob's hash. Full snapshots fill Q.
-	Delta   bool
-	Parent  [32]byte
-	Q       []float64
-	Indices []uint32
-	Values  []float64
-}
-
-// total returns the policy tensor's cell count.
-func (s *Snapshot) total() int { return s.Cores * s.States * s.Actions }
-
-// Encode serialises the snapshot to its canonical byte form (the form
-// DecodeSnapshot parses and whose SHA-256 names the file).
-func (s *Snapshot) Encode() []byte {
-	n := snapHeaderLen
-	if s.Delta {
-		n += 4 + len(s.Indices)*12
-	} else {
-		n += len(s.Q) * 8
-	}
-	b := make([]byte, n)
-	copy(b, snapMagic)
-	binary.LittleEndian.PutUint16(b[8:], snapVersion)
-	var flags uint16
-	if s.Delta {
-		flags |= snapFlagDelta
-	}
-	binary.LittleEndian.PutUint16(b[10:], flags)
-	binary.LittleEndian.PutUint64(b[12:], uint64(s.Epoch))
-	binary.LittleEndian.PutUint32(b[20:], uint32(s.Cores))
-	binary.LittleEndian.PutUint32(b[24:], uint32(s.States))
-	binary.LittleEndian.PutUint32(b[28:], uint32(s.Actions))
-	copy(b[32:], s.Parent[:])
-	p := snapHeaderLen
-	if s.Delta {
-		binary.LittleEndian.PutUint32(b[p:], uint32(len(s.Indices)))
-		p += 4
-		for i, idx := range s.Indices {
-			binary.LittleEndian.PutUint32(b[p:], idx)
-			binary.LittleEndian.PutUint64(b[p+4:], math.Float64bits(s.Values[i]))
-			p += 12
-		}
-	} else {
-		for _, v := range s.Q {
-			binary.LittleEndian.PutUint64(b[p:], math.Float64bits(v))
-			p += 8
-		}
-	}
-	return b
-}
-
-// DecodeSnapshot parses a snapshot blob. It is strict — unknown versions or
-// flag bits, inconsistent dimensions, out-of-range delta indices and
-// trailing bytes are all errors — so round-tripping Encode∘DecodeSnapshot
-// is the identity on accepted inputs (fuzzed by FuzzSnapshotRoundTrip).
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	if len(b) < snapHeaderLen {
-		return nil, fmt.Errorf("learn: snapshot too short (%d bytes)", len(b))
-	}
-	if string(b[:8]) != snapMagic {
-		return nil, fmt.Errorf("learn: bad snapshot magic")
-	}
-	if v := binary.LittleEndian.Uint16(b[8:]); v != snapVersion {
-		return nil, fmt.Errorf("learn: unsupported snapshot version %d", v)
-	}
-	flags := binary.LittleEndian.Uint16(b[10:])
-	if flags&^snapFlagDelta != 0 {
-		return nil, fmt.Errorf("learn: unknown snapshot flags %#x", flags)
-	}
-	s := &Snapshot{
-		Epoch:   int64(binary.LittleEndian.Uint64(b[12:])),
-		Cores:   int(binary.LittleEndian.Uint32(b[20:])),
-		States:  int(binary.LittleEndian.Uint32(b[24:])),
-		Actions: int(binary.LittleEndian.Uint32(b[28:])),
-		Delta:   flags&snapFlagDelta != 0,
-	}
-	copy(s.Parent[:], b[32:64])
-	if s.Cores <= 0 || s.Cores > snapMaxCores ||
-		s.States <= 0 || s.States > snapMaxStates ||
-		s.Actions <= 0 || s.Actions > snapMaxActions {
-		return nil, fmt.Errorf("learn: implausible snapshot shape %dx%dx%d", s.Cores, s.States, s.Actions)
-	}
-	total := s.total()
-	if total > snapMaxValues {
-		return nil, fmt.Errorf("learn: snapshot tensor too large (%d cells)", total)
-	}
-	body := b[snapHeaderLen:]
-	if s.Delta {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("learn: truncated delta header")
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		if count > total {
-			return nil, fmt.Errorf("learn: delta count %d exceeds tensor size %d", count, total)
-		}
-		if len(body) != 4+count*12 {
-			return nil, fmt.Errorf("learn: delta payload is %d bytes, want %d", len(body), 4+count*12)
-		}
-		if s.Parent == ([32]byte{}) {
-			return nil, fmt.Errorf("learn: delta snapshot without parent hash")
-		}
-		s.Indices = make([]uint32, count)
-		s.Values = make([]float64, count)
-		p := 4
-		for i := 0; i < count; i++ {
-			idx := binary.LittleEndian.Uint32(body[p:])
-			if int(idx) >= total {
-				return nil, fmt.Errorf("learn: delta index %d out of range [0,%d)", idx, total)
-			}
-			if i > 0 && idx <= s.Indices[i-1] {
-				return nil, fmt.Errorf("learn: delta indices not strictly increasing at entry %d", i)
-			}
-			s.Indices[i] = idx
-			s.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[p+4:]))
-			p += 12
-		}
-	} else {
-		if s.Parent != ([32]byte{}) {
-			return nil, fmt.Errorf("learn: full snapshot carries a parent hash")
-		}
-		if len(body) != total*8 {
-			return nil, fmt.Errorf("learn: full payload is %d bytes, want %d", len(body), total*8)
-		}
-		s.Q = make([]float64, total)
-		for i := range s.Q {
-			s.Q[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-		}
-	}
-	return s, nil
-}
+// Policy snapshots are rl.Snapshot blobs (see internal/rl for the layout),
+// content-addressed: each is either the full policy tensor or a delta
+// against the parent snapshot (changed cells only), whichever is smaller.
+// The blob's SHA-256 prefix names the artifact and a delta names its parent
+// by full hash; the run's learn.json carries the run context.
 
 // recorder owns one learning run's artifacts and hands them to the sink:
 // the policy snapshot chain, and learn.json at run end.
@@ -253,7 +86,7 @@ func (sn *recorder) next(epoch int, src PolicySource) (string, []byte) {
 		return "", nil
 	}
 
-	s := &Snapshot{Epoch: int64(epoch), Cores: cores, States: states, Actions: actions}
+	s := &rl.Snapshot{Epoch: int64(epoch), Cores: cores, States: states, Actions: actions}
 	if sn.hasPrev {
 		var idx []uint32
 		var vals []float64
@@ -350,7 +183,7 @@ func LoadSnapshots(names []string, read func(name string) ([]byte, error)) ([]Lo
 		if err != nil {
 			return nil, err
 		}
-		s, err := DecodeSnapshot(blob)
+		s, err := rl.DecodeSnapshot(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path.Base(name), err)
 		}
@@ -366,7 +199,7 @@ func LoadSnapshots(names []string, read func(name string) ([]byte, error)) ([]Lo
 			if s.Parent != prevHash {
 				return nil, fmt.Errorf("%s: delta parent hash does not match previous snapshot", path.Base(name))
 			}
-			if len(prevQ) != s.total() {
+			if len(prevQ) != s.Cores*s.States*s.Actions {
 				return nil, fmt.Errorf("%s: delta shape does not match previous snapshot", path.Base(name))
 			}
 			q := append([]float64(nil), prevQ...)

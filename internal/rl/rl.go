@@ -1,8 +1,9 @@
 // Package rl provides the tabular reinforcement-learning machinery the
 // OD-RL controller builds on: Q-tables, ε-greedy Q-learning and SARSA
 // agents with a decaying exploration schedule, a tile-coded linear SARSA(λ)
-// agent for the function-approximation mode, and helpers for discretising
-// continuous telemetry into table states.
+// agent for the function-approximation mode, helpers for discretising
+// continuous telemetry into table states, and the policy snapshot codec
+// (snapshot.go), the one file format for learned Q-tables.
 //
 // The per-core agents are deliberately table-based. The paper's agents must
 // run every millisecond on hundreds of cores; a handful of multiplies per

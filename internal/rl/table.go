@@ -1,17 +1,14 @@
 package rl
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Table is a dense state×action value table.
 type Table struct {
 	states, actions int
 	q               []float64
 	// dirty marks mutations made outside the agent's own update path
-	// (Set, CopyFrom, UnmarshalJSON); the owning agent rebuilds its greedy
-	// index before its next read.
+	// (Set, CopyFrom); the owning agent rebuilds its greedy index before
+	// its next read.
 	dirty bool
 }
 
@@ -57,17 +54,6 @@ func (t *Table) Best(s int) (action int, value float64) {
 func (t *Table) States() int  { return t.states }
 func (t *Table) Actions() int { return t.actions }
 
-// CopyFrom replaces this table's values with src's; dimensions must match.
-func (t *Table) CopyFrom(src *Table) error {
-	if src.states != t.states || src.actions != t.actions {
-		return fmt.Errorf("rl: table shape mismatch: %dx%d vs %dx%d",
-			src.states, src.actions, t.states, t.actions)
-	}
-	copy(t.q, src.q)
-	t.dirty = true
-	return nil
-}
-
 // CopyTo copies the table's values into dst, which must have exactly
 // states×actions capacity — the zero-allocation export the policy-snapshot
 // layer builds on.
@@ -79,31 +65,14 @@ func (t *Table) CopyTo(dst []float64) error {
 	return nil
 }
 
-// tableState is the serialised form of a Table.
-type tableState struct {
-	States  int       `json:"states"`
-	Actions int       `json:"actions"`
-	Q       []float64 `json:"q"`
-}
-
-// MarshalJSON implements json.Marshaler so tables embed naturally in
-// larger policy files.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tableState{States: t.states, Actions: t.actions, Q: t.q})
-}
-
-// UnmarshalJSON implements json.Unmarshaler. It rejects tables whose value
-// count does not match their stated dimensions.
-func (t *Table) UnmarshalJSON(data []byte) error {
-	var s tableState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("rl: decoding table: %w", err)
+// CopyFrom replaces the table's values with src, which must hold exactly
+// states×actions values — the inverse of CopyTo, through which a loaded
+// policy reaches the agents. It marks the table dirty.
+func (t *Table) CopyFrom(src []float64) error {
+	if len(src) != len(t.q) {
+		return fmt.Errorf("rl: CopyFrom src has %d values, table has %d", len(src), len(t.q))
 	}
-	if s.States <= 0 || s.Actions <= 0 || len(s.Q) != s.States*s.Actions {
-		return fmt.Errorf("rl: inconsistent table (%d states x %d actions, %d values)",
-			s.States, s.Actions, len(s.Q))
-	}
-	t.states, t.actions, t.q = s.States, s.Actions, s.Q
+	copy(t.q, src)
 	t.dirty = true
 	return nil
 }

@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/rng"
@@ -53,56 +52,59 @@ func TestNewTableFillsEveryCell(t *testing.T) {
 	}
 }
 
-// TestTableSaveLoadRoundTrip round-trips a table through MarshalJSON and
-// UnmarshalJSON, the form policy files embed.
+// TestTableSaveLoadRoundTrip round-trips a table through a one-core
+// policy snapshot, the form policy files hold: CopyTo, Encode,
+// DecodeSnapshot, then CopyFrom into a fresh table.
 func TestTableSaveLoadRoundTrip(t *testing.T) {
 	tbl := NewTable(3, 2, 0)
 	tbl.Set(1, 1, 4.25)
 	tbl.Set(2, 0, -1.5)
-	data, err := json.Marshal(tbl)
+	s := Snapshot{Cores: 1, States: 3, Actions: 2, Q: make([]float64, 6)}
+	if err := tbl.CopyTo(s.Q); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeSnapshot(s.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Table
-	if err := json.Unmarshal(data, &back); err != nil {
+	loaded := NewTable(3, 2, 0)
+	if err := loaded.CopyFrom(back.Q); err != nil {
 		t.Fatal(err)
 	}
-	if back.States() != 3 || back.Actions() != 2 {
-		t.Fatal("dimensions lost")
-	}
-	if back.Get(1, 1) != 4.25 || back.Get(2, 0) != -1.5 {
+	if loaded.Get(1, 1) != 4.25 || loaded.Get(2, 0) != -1.5 {
 		t.Fatal("values lost")
 	}
 }
 
-// TestLoadTableRejectsGarbage pins UnmarshalJSON's consistency checks.
+// TestLoadTableRejectsGarbage: CopyFrom refuses a slice whose length is
+// not states×actions and leaves the table as it was.
 func TestLoadTableRejectsGarbage(t *testing.T) {
-	for _, in := range []string{
-		`{"states":2,"actions":2,"q":"x"}`,       // decode error
-		`{"states":2,"actions":2,"q":[1]}`,       // too few values
-		`{"states":0,"actions":2,"q":[]}`,        // no states
-		`{"states":2,"actions":-1,"q":[1,2]}`,    // negative actions
-		`{"states":1,"actions":2,"q":[1,2,3,4]}`, // too many values
-	} {
-		var tbl Table
-		if err := json.Unmarshal([]byte(in), &tbl); err == nil {
-			t.Errorf("%s: accepted", in)
+	tbl := NewTable(3, 2, 1.5)
+	for _, n := range []int{0, 5, 7, 12} {
+		if err := tbl.CopyFrom(make([]float64, n)); err == nil {
+			t.Errorf("%d values accepted by a 3x2 table", n)
 		}
+	}
+	if tbl.dirty || tbl.Get(2, 1) != 1.5 {
+		t.Fatal("refused copy changed the table")
 	}
 }
 
+// TestCopyFrom: CopyFrom is CopyTo's inverse and marks the table dirty, so
+// an owning agent rebuilds its greedy index.
 func TestCopyFrom(t *testing.T) {
 	src := NewTable(2, 2, 1.5)
-	dst := NewTable(2, 2, 0)
-	if err := dst.CopyFrom(src); err != nil {
+	src.Set(0, 1, -2)
+	q := make([]float64, 4)
+	if err := src.CopyTo(q); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Get(1, 1) != 1.5 {
-		t.Fatal("copy failed")
+	dst := NewTable(2, 2, 0)
+	if err := dst.CopyFrom(q); err != nil {
+		t.Fatal(err)
 	}
-	other := NewTable(3, 2, 0)
-	if err := dst.CopyFrom(other); err == nil {
-		t.Fatal("expected shape-mismatch error")
+	if !dst.dirty || dst.Get(1, 1) != 1.5 || dst.Get(0, 1) != -2 {
+		t.Fatal("copy failed")
 	}
 }
 
@@ -117,7 +119,11 @@ func TestWarmStartViaCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Table().CopyFrom(trained.Table()); err != nil {
+	q := make([]float64, cfg.States*cfg.Actions)
+	if err := trained.Table().CopyTo(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Table().CopyFrom(q); err != nil {
 		t.Fatal(err)
 	}
 	for st := 0; st < 3; st++ {

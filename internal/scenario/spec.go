@@ -162,6 +162,17 @@ func validWorkload(name string) error {
 	return err
 }
 
+// repeated returns the first entry of xs that an earlier entry repeats.
+func repeated[T comparable](xs []T) (T, bool) {
+	for i, x := range xs {
+		if slices.Contains(xs[:i], x) {
+			return x, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
 // Validate reports the first invalid field, before any simulation runs.
 func (s Spec) Validate() error {
 	if s.Platform != "" {
@@ -183,6 +194,17 @@ func (s Spec) Validate() error {
 		if !knownController(c) {
 			return fmt.Errorf("scenario: unknown controller %q (have %v)", c, sim.ControllerNames())
 		}
+	}
+	// A listed-twice axis entry would run twice under one name, and the
+	// ledger could no longer tell the two runs apart.
+	if c, ok := repeated(s.Controllers); ok {
+		return fmt.Errorf("scenario: controller %q listed twice", c)
+	}
+	if b, ok := repeated(s.Benchmarks); ok {
+		return fmt.Errorf("scenario: benchmark %q listed twice", b)
+	}
+	if seed, ok := repeated(s.Seeds); ok {
+		return fmt.Errorf("scenario: seed %d listed twice", seed)
 	}
 	switch {
 	case s.Cores < 0:

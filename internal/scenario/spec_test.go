@@ -79,6 +79,9 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown workload", Spec{Workload: "doom"}, "unknown"},
 		{"unknown benchmark", Spec{Benchmarks: []string{"doom"}}, "unknown"},
 		{"unknown controller", Spec{Controllers: []string{"clippy"}}, "unknown controller"},
+		{"controller twice", Spec{Controllers: []string{"od-rl", "maxbips", "od-rl"}}, `controller "od-rl" listed twice`},
+		{"benchmark twice", Spec{Benchmarks: []string{"canneal", "canneal"}}, `benchmark "canneal" listed twice`},
+		{"seed twice", Spec{Seeds: []uint64{3, 1, 3}}, "seed 3 listed twice"},
 		{"negative cores", Spec{Cores: -1}, "negative core count"},
 		{"negative budget", Spec{BudgetW: -5}, "invalid budget"},
 		{"negative epoch", Spec{EpochS: -1}, "invalid epoch"},

@@ -2,13 +2,18 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
+	"repro/internal/rl"
 )
 
 // TestLearnDoesNotChangeResults is the read-only contract for the learning
@@ -116,7 +121,12 @@ func TestLearnIgnoresNonLearningControllers(t *testing.T) {
 
 // TestLearnSnapshotArtifacts runs with an artifact sink and verifies the
 // content-addressed snapshot chain reconstructs, including the final policy
-// write at run end, beside the run's learn.json.
+// write at run end, beside the run's learn.json. The chain and a
+// SavePolicy file are one format: the chain's first snapshot is full (its
+// write has no parent), so LoadPolicy warm-starts a fresh controller from
+// the recorded file bit for bit, and LoadSnapshots reads the trained
+// controller's SavePolicy file as a chain of one that matches the final
+// snapshot.
 func TestLearnSnapshotArtifacts(t *testing.T) {
 	artifacts := map[string][]byte{}
 	opts := monitorTestOpts()
@@ -124,7 +134,10 @@ func TestLearnSnapshotArtifacts(t *testing.T) {
 	opts.Learn = learn.New(learn.Options{SnapshotEvery: 100, Artifacts: func(name string, data []byte) {
 		artifacts[name] = data
 	}})
-	runWith(t, opts, "od-rl")
+	trained := newODRL(t, opts)
+	if _, err := Run(opts, trained); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := opts.Learn.Runs()[0].Err(); err != nil {
 		t.Fatal(err)
@@ -159,6 +172,70 @@ func TestLearnSnapshotArtifacts(t *testing.T) {
 	if int(last.Epoch) != warm+measure {
 		t.Fatalf("final snapshot at epoch %d, want %d", last.Epoch, warm+measure)
 	}
+
+	sort.Strings(names) // write order
+	first := artifacts[names[0]]
+	snap, err := rl.DecodeSnapshot(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Delta {
+		t.Fatalf("%s is a delta", names[0])
+	}
+	fresh := newODRL(t, opts)
+	if err := fresh.LoadPolicy(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(copyPolicy(t, fresh), snap.Q) {
+		t.Fatal("warm-started policy differs from the recorded snapshot")
+	}
+
+	var saved bytes.Buffer
+	if err := trained.SavePolicy(&saved); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := learn.LoadSnapshots([]string{"policy.qsnap"}, func(string) ([]byte, error) { return saved.Bytes(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 1 || chain[0].Epoch != last.Epoch {
+		t.Fatalf("saved policy reads as %d snapshots, want 1 at epoch %d", len(chain), last.Epoch)
+	}
+	if !sameBits(chain[0].Q, copyPolicy(t, trained)) || !sameBits(chain[0].Q, last.Q) {
+		t.Fatal("saved policy differs from CopyPolicy or from the final recorded snapshot")
+	}
+}
+
+// newODRL builds the od-rl controller the factory builds for opts.
+func newODRL(t *testing.T, opts Options) *core.Controller {
+	t.Helper()
+	env, err := EnvFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewController("od-rl", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odrl := c.(*core.Controller)
+	t.Cleanup(func() { odrl.Close() })
+	return odrl
+}
+
+// copyPolicy returns c's policy tensor.
+func copyPolicy(t *testing.T, c *core.Controller) []float64 {
+	t.Helper()
+	cores, states, actions := c.PolicyShape()
+	q := make([]float64, cores*states*actions)
+	if err := c.CopyPolicy(q); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// sameBits compares two tensors bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestDefaultLearnFallback mirrors the observer contract: a run with no

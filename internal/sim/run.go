@@ -330,17 +330,20 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 		chip.StepInto(opts.EpochS, &tel)
 
 		measuring := e >= warmupEpochs
+		// The chip's hottest node, read once: nothing below changes a
+		// temperature before the next StepInto.
+		var tempK float64
 		if measuring {
 			meter.Add(tel.TruePowerW, budget, opts.EpochS)
-			if t := chip.MaxTempK(); t > maxTempK {
-				maxTempK = t
+			if tempK = chip.MaxTempK(); tempK > maxTempK {
+				maxTempK = tempK
 			}
 			if traceEvery > 0 && (e-warmupEpochs)%traceEvery == 0 {
 				trace = append(trace, TracePoint{
 					TimeS:    tel.TimeS,
 					PowerW:   tel.TruePowerW,
 					BudgetW:  budget,
-					MaxTempK: chip.MaxTempK(),
+					MaxTempK: tempK,
 				})
 			}
 		}
@@ -368,7 +371,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 					TimeS:    tel.TimeS,
 					PowerW:   tel.TruePowerW,
 					BudgetW:  budget,
-					MaxTempK: chip.MaxTempK(),
+					MaxTempK: tempK,
 					DecideNs: int64(decide),
 				}
 				if tel.TruePowerW > budget {
