@@ -113,17 +113,19 @@ bench:
 # records, fault plans, policy snapshots and the saved OD-RL policies
 # LoadPolicy reads), plus the differential check of the MaxBIPS knapsack
 # against its full-grid reference. Go runs one fuzz target per invocation,
-# so each gets its own anchored pattern.
+# so each gets its own anchored pattern. -fuzzminimizetime=1x keeps the
+# minimisation of each new input from eating the budget; a crasher is then
+# saved unminimised, and still replays with `go test -run`.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
-	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
-	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs/monitor/
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/rl/
-	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) ./internal/analysis/
-	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
-	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) ./internal/obs/ledger/
-	$(GO) test -run='^$$' -fuzz='^FuzzMaxBIPSMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/fault/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/monitor/
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/rl/
+	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/analysis/
+	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario/
+	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/ledger/
+	$(GO) test -run='^$$' -fuzz='^FuzzMaxBIPSMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/baselines/
 
 # Coverage gate: repo-wide statement coverage must stay at or above
 # COVER_FLOOR. Writes cover.out for `go tool cover -html=cover.out`.

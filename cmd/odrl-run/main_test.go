@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/ledger"
 	"repro/internal/scenario"
 )
@@ -449,6 +451,68 @@ func TestMonitorSeesFaultedSpecRuns(t *testing.T) {
 	slices.Sort(controllers)
 	if !slices.Equal(controllers, []string{"greedy", "pid"}) {
 		t.Errorf("run-health summary rows name %v, want the spec's runs greedy and pid:\n%s", controllers, summary)
+	}
+}
+
+// TestPerRunAlertsReachSessionLayers: a spec's alert rules run in a
+// per-run monitor. With -monitor the session's monitor watches the run too
+// (here with a rule that never fires), and the per-run monitor's alert must
+// still reach the session's tracer, flight recorder and ledger record: one
+// alert record right after the epoch record it names, a post-mortem bundle
+// whose last epoch is that epoch, and an alert count of 1.
+func TestPerRunAlertsReachSessionLayers(t *testing.T) {
+	path := writeSpec(t, "always.json", `{
+	  "workload": "canneal", "controllers": ["pid"], "cores": 4, "budget_w": 8,
+	  "warmup_s": 0.05, "measure_s": 0.1, "seeds": [3], "workers": 1,
+	  "alert_rules": [{"name": "always", "metric": "power_w", "op": ">", "threshold": 0, "for_epochs": 3}]
+	}`)
+	never := writeSpec(t, "never.json", `[{"name": "never", "metric": "power_w", "op": "<", "threshold": 0, "for_epochs": 1}]`)
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	ldir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-monitor", "-alert-rules", never, "-trace-events", trace, "-trace-every", "1", "-ledger", ldir, path}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadRecords(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alerts []int
+	for i, r := range recs {
+		if r.Type != "alert" {
+			continue
+		}
+		alerts = append(alerts, r.Alert.Epoch)
+		if r.Alert.Rule != "always" || r.Alert.Epoch != 2 || i == 0 || recs[i-1].Type != "epoch" || recs[i-1].Event.Epoch != 2 {
+			t.Errorf("alert record %d (%+v) does not follow the epoch record it names", i, r.Alert)
+		}
+	}
+	if len(alerts) != 1 {
+		t.Fatalf("trace holds alerts at epochs %v, want the per-run monitor's one", alerts)
+	}
+
+	lrecs, errs := ledger.Read(ldir)
+	if len(errs) > 0 || len(lrecs) != 1 {
+		t.Fatalf("records=%d errs=%v", len(lrecs), errs)
+	}
+	rec := lrecs[0]
+	if rec.Alerts != 1 || len(rec.Runs) != 1 || rec.Runs[0].Alerts != 1 {
+		t.Fatalf("ledger record alerts %d, runs %+v: want 1", rec.Alerts, rec.Runs)
+	}
+	bundle, err := os.ReadFile(filepath.Join(ldir, ledger.RunsDirName, rec.ID, "run001", "flight", "alert", "epochs.jsonl"))
+	if err != nil {
+		t.Fatalf("no post-mortem bundle: %v", err)
+	}
+	frames, err := flight.ReadEpochsJSONL(bundle)
+	if err != nil || len(frames) == 0 || frames[len(frames)-1].Epoch != 2 {
+		t.Fatalf("bundle frames %+v (%v), want the last at the alert's epoch 2", frames, err)
 	}
 }
 

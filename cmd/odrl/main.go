@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/fault"
@@ -81,7 +82,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// An invalid spec is a malformed invocation: refuse it before the
-	// session opens, so it leaves no ledger record.
+	// session opens, so it leaves no ledger record. A spec reads zero as
+	// "the default", so a zero flag would run another scenario (the four
+	// flags are numeric, so their values always parse).
+	for _, name := range []string{"cores", "budget", "warmup", "measure"} {
+		if v, _ := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); v <= 0 {
+			fmt.Fprintf(stderr, "odrl: -%s %g: must be positive\n", name, v)
+			return 2
+		}
+	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl:", err)
 		return 2
@@ -134,17 +143,11 @@ type outFlags struct {
 }
 
 func runMain(stdout, stderr io.Writer, sess *session.Session, spec scenario.Spec, f outFlags) error {
-	opts := sim.DefaultOptions()
-	opts.Stack = sess.Stack
-	opts.Cores = spec.Cores
-	opts.Workload = spec.Workload
-	opts.BudgetW = spec.BudgetW
-	opts.WarmupS = spec.WarmupS
-	opts.MeasureS = spec.MeasureS
-	opts.Seed = spec.Seeds[0]
-	opts.SensorNoise = *spec.SensorNoise
-	opts.ThermalOff = spec.ThermalOff
-	opts.FaultPlan = spec.FaultPlan
+	// Read the spec as odrl-run reads what -write-spec prints.
+	opts, err := spec.Options(spec.Seeds[0], spec.Workload, sess.Stack)
+	if err != nil {
+		return err
+	}
 	if f.traceFile != "" || f.plotTrace {
 		opts.TracePoints = 500
 	}

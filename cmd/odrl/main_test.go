@@ -41,6 +41,12 @@ func TestInvalidSpecExit2(t *testing.T) {
 		{[]string{"-controllers", "od-rl,maxbips,od-rl"}, `controller "od-rl" listed twice`},
 		{[]string{"-controllers", "foo"}, `unknown controller "foo"`},
 		{[]string{"-seed", "0"}, "seed 0 is reserved"},
+		// A spec reads zero as the default, so zero flags would run a
+		// scenario other than the one they name.
+		{[]string{"-warmup", "0"}, "-warmup 0: must be positive"},
+		{[]string{"-cores", "0"}, "-cores 0: must be positive"},
+		{[]string{"-budget", "0"}, "-budget 0: must be positive"},
+		{[]string{"-measure", "0"}, "-measure 0: must be positive"},
 	} {
 		for _, mode := range []string{"-csv", "-write-spec"} {
 			dir := t.TempDir()

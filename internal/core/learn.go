@@ -58,6 +58,12 @@ func (c *Controller) SetLearnSink(s obs.LearnSink) {
 //
 //odrl:hotpath
 func (c *Controller) emitLearn(epochs int) {
+	// Re-warm the ε memo for the step counts the local phase left behind.
+	// This runs on Decide's sequential tail or in the detach flush, so no
+	// reader races the reset.
+	if c.epsCache != nil {
+		c.warmEpsilon()
+	}
 	states := c.codec.States()
 	for i, a := range c.agents {
 		s := &c.learnBuf[i]

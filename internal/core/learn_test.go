@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,6 +74,39 @@ func TestSetLearnSinkStreamsSamples(t *testing.T) {
 	c.Decide(tel, 40, out)
 	if len(plain.batches) != 2 {
 		t.Fatalf("per-epoch sink got %d batches after 2 epochs, want 2", len(plain.batches))
+	}
+}
+
+// TestEmitLearnEpsilonFromMemo: the learn emit reads ε after the local
+// phase's updates, so the ε memo must hold the post-update step counts of
+// every live agent, and each sample's ε must equal the schedule's inline
+// formula bit for bit.
+func TestEmitLearnEpsilonFromMemo(t *testing.T) {
+	const cores = 8
+	c := newController(t, cores, Config{})
+	tel := fakeTel(cores, 3, 1.0, 0.2)
+	out := make([]int, cores)
+	sink := &learnCapture{}
+	c.SetLearnSink(sink)
+	for e := 0; e < 6; e++ {
+		if e == 3 {
+			tel.Cores[5].Dead = true
+		}
+		c.Decide(tel, 40, out)
+		batch := sink.batches[len(sink.batches)-1]
+		for i, a := range c.agents {
+			if c.dead[i] {
+				continue
+			}
+			steps := a.Steps()
+			if _, ok := c.epsCache.Lookup(steps); !ok {
+				t.Fatalf("epoch %d: agent %d at step %d is not served by the ε memo", e, i, steps)
+			}
+			want := c.cfg.EpsilonEnd + (c.cfg.EpsilonStart-c.cfg.EpsilonEnd)*math.Pow(c.cfg.EpsilonDecay, float64(steps))
+			if got := batch[i].Epsilon; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("epoch %d: agent %d sample ε %v, want %v", e, i, got, want)
+			}
+		}
 	}
 }
 

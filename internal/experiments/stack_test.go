@@ -26,8 +26,8 @@ func renderTable(t *testing.T, tbl Table) []byte {
 }
 
 // fullStack returns fresh instances of every observability layer, wired
-// the way a CLI session wires them: the flight recorder chained in front
-// of a tracer, the run-health monitor, the learn layer and the recorder's
+// the way a CLI session wires them: the flight recorder teed with a
+// tracer, the run-health monitor, the learn layer and the recorder's
 // span ring.
 func fullStack(t *testing.T) sim.Stack {
 	tracer := obs.NewTracer(obs.NewWriterSink(io.Discard), obs.TracerOptions{Every: 7})

@@ -141,14 +141,13 @@ func ValidateTraceJSON(data []byte) (int, error) {
 	return len(tf.TraceEvents), nil
 }
 
-// interface conformance pins: the chain link must satisfy every optional
-// observer refinement the harness probes for.
+// interface conformance pins: the recorder must satisfy every optional
+// observer refinement it relies on.
 var (
 	_ obs.Observer           = (*Recorder)(nil)
 	_ obs.RunObserver        = (*flightRun)(nil)
 	_ obs.EpochDetailSampler = (*flightRun)(nil)
 	_ obs.AlertObserver      = (*flightRun)(nil)
 	_ obs.FaultObserver      = (*flightRun)(nil)
-	_ obs.LearnObserver      = (*flightRun)(nil)
 	_ obs.SpanSink           = (*monitor.Timeline)(nil)
 )

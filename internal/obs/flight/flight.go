@@ -6,11 +6,11 @@
 // lands in the run's ledger artifact directory, so the epochs leading up
 // to an incident survive process exit.
 //
-// The recorder is an obs.Observer chain link, slotted between the monitor
-// and the JSONL tracer: it sees every epoch (the ring must hold the
-// moments before an alert, and alerts can fire on any epoch) but keeps
-// only scalar fields, so the harness's expensive island/histogram
-// aggregation still runs only on the tracer's sampling stride.
+// The recorder is a plain obs.Observer teed with the JSONL tracer and the
+// monitor. It samples every epoch (alerts can fire on any) but keeps only
+// scalars, so it declines the detail the tracer's stride pays for; the
+// monitor observes each epoch last, so an alert reaches the ring after the
+// epoch it names.
 package flight
 
 import (
@@ -62,9 +62,6 @@ type Options struct {
 	// RingCap bounds the retained epoch window per run (default
 	// DefaultRingCap, floor MinRingCap).
 	RingCap int
-	// TimelineCap bounds the retained phase spans (default
-	// monitor.DefaultTimelineCap).
-	TimelineCap int
 	// KeepRuns bounds how many runs stay dumpable after they end.
 	KeepRuns int
 	// OnDump receives each post-mortem bundle. runSeq is the recorder's
@@ -77,8 +74,8 @@ type Options struct {
 }
 
 // Recorder is the flight-recorder observer. One recorder watches every
-// run of a process; wrap it around the downstream observer (commonly the
-// JSONL tracer) with Wrap, or use it alone as an obs.Observer.
+// run of a process; tee it with another observer (commonly the JSONL
+// tracer) with Wrap, or use it alone as an obs.Observer.
 type Recorder struct {
 	opt      Options
 	timeline *monitor.Timeline
@@ -96,13 +93,10 @@ func New(opt Options) *Recorder {
 	if opt.RingCap < MinRingCap {
 		opt.RingCap = MinRingCap
 	}
-	if opt.TimelineCap <= 0 {
-		opt.TimelineCap = monitor.DefaultTimelineCap
-	}
 	if opt.KeepRuns <= 0 {
 		opt.KeepRuns = defaultKeepRuns
 	}
-	return &Recorder{opt: opt, timeline: monitor.NewTimeline(opt.TimelineCap)}
+	return &Recorder{opt: opt, timeline: monitor.NewTimeline(monitor.DefaultTimelineCap)}
 }
 
 // Timeline returns the recorder's span ring; the harness tees controller
@@ -110,33 +104,15 @@ func New(opt Options) *Recorder {
 // it as the bundle's Perfetto slice.
 func (r *Recorder) Timeline() *monitor.Timeline { return r.timeline }
 
-// Wrap chains the recorder in front of next. next may be nil.
+// Wrap tees the recorder with next: obs.Tee(r, next). next may be nil.
 func (r *Recorder) Wrap(next obs.Observer) obs.Observer {
-	return chainObserver{r: r, next: next}
+	return obs.Tee(r, next)
 }
 
-// BeginRun implements obs.Observer (a bare recorder with no downstream).
+// BeginRun implements obs.Observer.
 func (r *Recorder) BeginRun(meta obs.RunMeta) obs.RunObserver {
-	return r.beginRun(meta, nil)
-}
-
-type chainObserver struct {
-	r    *Recorder
-	next obs.Observer
-}
-
-func (c chainObserver) BeginRun(meta obs.RunMeta) obs.RunObserver {
-	var next obs.RunObserver
-	if c.next != nil {
-		next = c.next.BeginRun(meta)
-	}
-	return c.r.beginRun(meta, next)
-}
-
-func (r *Recorder) beginRun(meta obs.RunMeta, next obs.RunObserver) *flightRun {
 	f := &flightRun{
 		rec:    r,
-		next:   next,
 		meta:   meta,
 		ring:   make([]frame, 0, r.opt.RingCap),
 		decide: monitor.NewSketch(),
@@ -202,7 +178,6 @@ const maxKeptEvents = 32
 // store.
 type flightRun struct {
 	rec  *Recorder
-	next obs.RunObserver
 	seq  int
 	meta obs.RunMeta
 
@@ -217,8 +192,6 @@ type flightRun struct {
 	decide  *monitor.Sketch
 	dumped  map[string]bool
 	done    bool
-
-	nextWants bool
 }
 
 func (f *flightRun) ended() bool {
@@ -230,23 +203,11 @@ func (f *flightRun) ended() bool {
 // ShouldSample implements obs.RunObserver: the recorder samples every
 // epoch (the ring must hold the run's most recent window regardless of
 // the tracer's stride).
-func (f *flightRun) ShouldSample(epoch int) bool {
-	f.nextWants = f.next != nil && f.next.ShouldSample(epoch)
-	return true
-}
+func (f *flightRun) ShouldSample(int) bool { return true }
 
 // WantsEpochDetail implements obs.EpochDetailSampler: the ring keeps only
-// scalars, so expensive island/histogram aggregation is needed just when
-// the downstream observer samples this epoch (and itself wants detail).
-func (f *flightRun) WantsEpochDetail(epoch int) bool {
-	if !f.nextWants {
-		return false
-	}
-	if ds, ok := f.next.(obs.EpochDetailSampler); ok {
-		return ds.WantsEpochDetail(epoch)
-	}
-	return true
-}
+// scalars.
+func (f *flightRun) WantsEpochDetail(int) bool { return false }
 
 // ObserveEpoch implements obs.RunObserver. Allocation-free on the steady
 // path: the ring is preallocated and the sketch is bucketed.
@@ -278,10 +239,6 @@ func (f *flightRun) ObserveEpoch(ev *obs.EpochEvent) {
 	f.epochs++
 	f.decide.Observe(float64(ev.DecideNs))
 	f.mu.Unlock()
-
-	if f.nextWants {
-		f.next.ObserveEpoch(ev)
-	}
 }
 
 // ObserveAlert implements obs.AlertObserver: the first alert of a run
@@ -295,9 +252,6 @@ func (f *flightRun) ObserveAlert(ev *obs.AlertEvent) {
 	}
 	f.mu.Unlock()
 	f.dump("alert")
-	if ao, ok := f.next.(obs.AlertObserver); ok {
-		ao.ObserveAlert(ev)
-	}
 }
 
 // ObserveFault implements obs.FaultObserver.
@@ -308,29 +262,6 @@ func (f *flightRun) ObserveFault(ev *obs.FaultEvent) {
 		f.faults = append(f.faults, *ev)
 	}
 	f.mu.Unlock()
-	if fo, ok := f.next.(obs.FaultObserver); ok {
-		fo.ObserveFault(ev)
-	}
-}
-
-// ObserveLearn implements obs.LearnObserver by forwarding on the
-// downstream stride (the learn scalars the ring keeps arrive via the
-// epoch event's Learn* fields).
-func (f *flightRun) ObserveLearn(ev *obs.LearnEvent) {
-	if !f.nextWants {
-		return
-	}
-	if lo, ok := f.next.(obs.LearnObserver); ok {
-		lo.ObserveLearn(ev)
-	}
-}
-
-// ObserveConverged implements obs.LearnObserver (rare events, forwarded
-// unconditionally like faults).
-func (f *flightRun) ObserveConverged(ev *obs.ConvergedEvent) {
-	if lo, ok := f.next.(obs.LearnObserver); ok {
-		lo.ObserveConverged(ev)
-	}
 }
 
 // End implements obs.RunObserver: rolls the run's summary up with the
@@ -342,9 +273,6 @@ func (f *flightRun) End(rs metrics.Summary) {
 	f.mu.Unlock()
 	if cb := f.rec.opt.OnRunEnd; cb != nil {
 		cb(f.seq, s)
-	}
-	if f.next != nil {
-		f.next.End(rs)
 	}
 }
 

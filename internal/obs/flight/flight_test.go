@@ -1,12 +1,14 @@
 package flight
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/obs/monitor"
 )
 
 // stubRun records what a downstream observer saw.
@@ -34,7 +36,9 @@ type stubObserver struct{ run *stubRun }
 
 func (s stubObserver) BeginRun(obs.RunMeta) obs.RunObserver { return s.run }
 
-func feedEpochs(ro obs.RunObserver, n int) {
+// feedEpochs drives n epochs through ro the way sim.Run does and returns
+// how many of them were built with detail.
+func feedEpochs(ro obs.RunObserver, n int) (detailed int) {
 	ds, _ := ro.(obs.EpochDetailSampler)
 	for e := 0; e < n; e++ {
 		if !ro.ShouldSample(e) {
@@ -55,9 +59,11 @@ func feedEpochs(ro obs.RunObserver, n int) {
 		}
 		if ds == nil || ds.WantsEpochDetail(e) {
 			ev.IslandPowerW = []float64{ev.PowerW}
+			detailed++
 		}
 		ro.ObserveEpoch(&ev)
 	}
+	return detailed
 }
 
 func TestRingKeepsLatestWindow(t *testing.T) {
@@ -169,11 +175,12 @@ func TestChainForwardsOnDownstreamStride(t *testing.T) {
 	next := &stubRun{stride: 4}
 	rec := New(Options{})
 	ro := rec.Wrap(stubObserver{run: next}).BeginRun(obs.RunMeta{EpochS: 0.001})
-	feedEpochs(ro, 100)
+	detailed := feedEpochs(ro, 100)
 	alert := &obs.AlertEvent{Epoch: 50, Rule: "r"}
 	ro.(obs.AlertObserver).ObserveAlert(alert)
 	ro.(obs.FaultObserver).ObserveFault(&obs.FaultEvent{Epoch: 51})
 	ro.End(metrics.Summary{})
+	f := rec.runs[0]
 
 	if len(next.epochs) != 25 {
 		t.Fatalf("downstream saw %d epochs, want 25 (its own stride)", len(next.epochs))
@@ -185,15 +192,14 @@ func TestChainForwardsOnDownstreamStride(t *testing.T) {
 	}
 	// Detail (island slices) must be built only on the downstream stride:
 	// feedEpochs consults WantsEpochDetail like the harness does.
-	if len(next.details) != len(next.epochs) {
-		t.Fatalf("downstream missing detail on its own epochs: %d of %d", len(next.details), len(next.epochs))
+	if len(next.details) != len(next.epochs) || detailed != len(next.epochs) {
+		t.Fatalf("detail on %d epochs, downstream got it on %d of its %d: want exactly its own", detailed, len(next.details), len(next.epochs))
 	}
-	f := ro.(*flightRun)
 	f.mu.Lock()
-	recorded := f.epochs
+	recorded, alerts, faults := f.epochs, f.alertN, f.faultN
 	f.mu.Unlock()
-	if recorded != 100 {
-		t.Fatalf("recorder saw %d epochs, want every one", recorded)
+	if recorded != 100 || alerts != 1 || faults != 1 || !f.ended() {
+		t.Fatalf("recorder saw %d epochs, %d alerts, %d faults (ended %v), want every one", recorded, alerts, faults, f.ended())
 	}
 	if next.alerts != 1 || next.faults != 1 || !next.ended {
 		t.Fatalf("events not forwarded: %+v", next)
@@ -303,5 +309,44 @@ func TestKeepRunsEvictsOnlyFinished(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("live run evicted: %v", controllers)
+	}
+}
+
+// TestAlertBundleEndsAtNamedEpoch wires the recorder the way sim.Run does
+// (the monitor wrapping it) under a rule that holds from the first epoch:
+// the alert arrives after the epoch it names, so the bundle's last frame is
+// that epoch, and an alert on epoch 0 still writes a bundle.
+func TestAlertBundleEndsAtNamedEpoch(t *testing.T) {
+	for _, forEpochs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("for_epochs=%d", forEpochs), func(t *testing.T) {
+			var bundles [][]BundleFile
+			rec := New(Options{OnDump: func(_ int, _ obs.RunMeta, _ string, files []BundleFile) {
+				bundles = append(bundles, files)
+			}})
+			mon := monitor.New(monitor.Options{Rules: []monitor.Rule{
+				{Name: "always", Metric: "power_w", Op: monitor.OpGT, Threshold: 0, ForEpochs: forEpochs},
+			}})
+			feedEpochs(mon.Wrap(rec).BeginRun(obs.RunMeta{Controller: "pid", BudgetW: 95, EpochS: 0.001}), 10)
+
+			alerts := mon.Runs()[0].Alerts
+			if len(alerts) != 1 || alerts[0].Epoch != forEpochs-1 {
+				t.Fatalf("alerts %+v, want one naming epoch %d", alerts, forEpochs-1)
+			}
+			if len(bundles) != 1 {
+				t.Fatalf("%d bundles, want 1", len(bundles))
+			}
+			var events []obs.EpochEvent
+			for _, f := range bundles[0] {
+				if f.Name == "flight/alert/epochs.jsonl" {
+					var err error
+					if events, err = ReadEpochsJSONL(f.Data); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if len(events) == 0 || events[len(events)-1].Epoch != alerts[0].Epoch {
+				t.Fatalf("bundle epochs %+v, want the last to be the alert's epoch %d", events, alerts[0].Epoch)
+			}
+		})
 	}
 }

@@ -43,7 +43,7 @@ func TestFaultyRunTriggersAlertDump(t *testing.T) {
 		Rules: monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS),
 	})
 	opts.Monitor = mon
-	opts.Observer = rec            // chain: monitor -> flight
+	opts.Observer = rec            // teed with the monitor by sim
 	opts.SpanSink = rec.Timeline() // teed with the monitor timeline by sim
 
 	env, err := sim.EnvFor(opts)

@@ -58,6 +58,8 @@ type LearnStrider interface {
 
 // LearnEvent is one sampled epoch's chip-level learning telemetry. Epoch
 // counts from zero at the start of the measurement window, like EpochEvent.
+// It rides its epoch's EpochEvent (the Learn field) on the epochs some
+// observer takes detail for.
 type LearnEvent struct {
 	Epoch int     `json:"epoch"`
 	TimeS float64 `json:"time_s"`
@@ -78,8 +80,7 @@ type LearnEvent struct {
 	// ConvergedFrac is the fraction of live agents the online detector has
 	// declared converged.
 	ConvergedFrac float64 `json:"converged_frac"`
-	// IslandTDEMA is the per-island smoothed |δ|, present only on epochs
-	// sampled with full detail (the EpochDetailSampler contract).
+	// IslandTDEMA is the per-island smoothed |δ|.
 	IslandTDEMA []float64 `json:"island_td_ema,omitempty"`
 }
 
@@ -101,10 +102,9 @@ type ConvergedEvent struct {
 	Epsilon  float64 `json:"epsilon"`
 }
 
-// LearnObserver is optionally implemented by RunObservers that want the
-// learning stream: aggregated learn events on the run's sampled epochs, and
-// converged events delivered unconditionally (they are rare, like faults).
-type LearnObserver interface {
-	ObserveLearn(ev *LearnEvent)
+// ConvergedObserver is optionally implemented by RunObservers that want
+// the run's converged events. They are rare and delivered unconditionally,
+// like faults.
+type ConvergedObserver interface {
 	ObserveConverged(ev *ConvergedEvent)
 }

@@ -77,9 +77,6 @@ type Options struct {
 	// learn/<n>-<controller>/: learn.json (a Report) at run end and the
 	// policy snapshots. Nil records nothing.
 	Artifacts func(name string, data []byte)
-	// SeriesCap bounds the /debug/learn learning-curve series (default
-	// monitor.DefaultSeriesCap).
-	SeriesCap int
 	// Registry, when set, receives obs.learn.* counters.
 	Registry *obs.Registry
 }
@@ -100,9 +97,6 @@ type Layer struct {
 // New builds a layer.
 func New(opt Options) *Layer {
 	opt.Detector = opt.Detector.withDefaults()
-	if opt.SeriesCap <= 0 {
-		opt.SeriesCap = monitor.DefaultSeriesCap
-	}
 	l := &Layer{opt: opt}
 	if r := opt.Registry; r != nil {
 		l.runCtr = r.Counter("obs.learn.runs")
@@ -123,9 +117,9 @@ func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 		det:      l.opt.Detector,
 		islandOf: islandOf,
 		sketch:   monitor.NewSketch(),
-		tdSeries: monitor.NewSeries("learn.td_ema", l.opt.SeriesCap),
-		chSeries: monitor.NewSeries("learn.churn", l.opt.SeriesCap),
-		cvSeries: monitor.NewSeries("learn.converged_frac", l.opt.SeriesCap),
+		tdSeries: monitor.NewSeries("learn.td_ema", monitor.DefaultSeriesCap),
+		chSeries: monitor.NewSeries("learn.churn", monitor.DefaultSeriesCap),
+		cvSeries: monitor.NewSeries("learn.converged_frac", monitor.DefaultSeriesCap),
 	}
 	if islands > 0 && islandOf != nil {
 		r.islandEMA = make([]float64, islands)
@@ -353,14 +347,26 @@ func (r *Run) convergedFracLocked() float64 {
 }
 
 // FillEvent mirrors the layer's headline metrics into a sampled epoch event
-// (the monitor's frame store and alert rules read them from there). A no-op
-// before the first learning epoch, keeping the fields at their omitempty
-// zeros.
+// (the monitor's frame store and alert rules read them from there), which
+// stay at their omitempty zeros before the first learning epoch, and fills
+// ev.Learn when it is set. ev.Learn.IslandTDEMA aliases internal storage:
+// observers consume the event before the next epoch, synchronously.
 //
 //odrl:hotpath
 func (r *Run) FillEvent(ev *obs.EpochEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if le := ev.Learn; le != nil {
+		le.TDErrEMA = r.chipTD
+		le.TDErrP99 = r.sketch.Quantile(0.99)
+		le.Epsilon = r.epsilon
+		le.Churn = r.churn
+		le.GreedyFrac = r.greedyFrac
+		le.Coverage = r.coverage
+		le.QSpread = r.qSpread
+		le.ConvergedFrac = r.convergedFracLocked()
+		le.IslandTDEMA = r.islandEMA
+	}
 	if r.epochs == 0 {
 		return
 	}
@@ -368,31 +374,6 @@ func (r *Run) FillEvent(ev *obs.EpochEvent) {
 	ev.LearnChurn = r.churn
 	ev.LearnConvergedFrac = r.convergedFracLocked()
 	ev.LearnEpsilon = r.epsilon
-}
-
-// FillLearnEvent fills a learn trace event from current state. IslandTDEMA
-// is attached only when detail is true (the EpochDetailSampler contract)
-// and aliases internal storage: the caller must consume the event before
-// the next simulation epoch, which the synchronous observer chain
-// guarantees.
-//
-//odrl:hotpath
-func (r *Run) FillLearnEvent(le *obs.LearnEvent, detail bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	le.TDErrEMA = r.chipTD
-	le.TDErrP99 = r.sketch.Quantile(0.99)
-	le.Epsilon = r.epsilon
-	le.Churn = r.churn
-	le.GreedyFrac = r.greedyFrac
-	le.Coverage = r.coverage
-	le.QSpread = r.qSpread
-	le.ConvergedFrac = r.convergedFracLocked()
-	if detail {
-		le.IslandTDEMA = r.islandEMA
-	} else {
-		le.IslandTDEMA = nil
-	}
 }
 
 // DrainConverged hands any convergence events fired since the last drain to

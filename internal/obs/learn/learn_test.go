@@ -129,10 +129,16 @@ func TestFillEventAndLearnEvent(t *testing.T) {
 		t.Fatalf("LearnEpsilon = %g, want 0.1", ev.LearnEpsilon)
 	}
 
+	if ev.Learn != nil {
+		t.Fatal("FillEvent built a learn event the caller did not ask for")
+	}
+
+	// The same call fills the learn event that rides a detailed epoch.
 	var le obs.LearnEvent
-	r.FillLearnEvent(&le, false)
-	if le.IslandTDEMA != nil {
-		t.Fatal("IslandTDEMA attached without detail")
+	ev = obs.EpochEvent{Learn: &le}
+	r.FillEvent(&ev)
+	if ev.LearnTDEMA != 0.5 || le.TDErrEMA != 0.5 || le.Epsilon != 0.1 {
+		t.Fatalf("learn event %+v / mirror %g disagree with the layer", le, ev.LearnTDEMA)
 	}
 	if le.Coverage != 0.5 {
 		t.Fatalf("Coverage = %g, want 0.5", le.Coverage)
@@ -140,7 +146,6 @@ func TestFillEventAndLearnEvent(t *testing.T) {
 	if le.GreedyFrac != 0.5 {
 		t.Fatalf("GreedyFrac = %g, want 0.5", le.GreedyFrac)
 	}
-	r.FillLearnEvent(&le, true)
 	if len(le.IslandTDEMA) != 2 || le.IslandTDEMA[0] != 0.1 || le.IslandTDEMA[1] != 0.9 {
 		t.Fatalf("IslandTDEMA = %v, want [0.1 0.9]", le.IslandTDEMA)
 	}

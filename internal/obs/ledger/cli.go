@@ -74,9 +74,9 @@ func (c *CLI) Recorder() *flight.Recorder {
 	return c.rec
 }
 
-// WrapObserver chains the flight recorder in front of next, so every run
-// the command starts is post-mortem-dumpable. Nil-safe: with no session,
-// next passes through untouched.
+// WrapObserver tees the flight recorder with next, so every run the
+// command starts is post-mortem-dumpable. Nil-safe: with no session, next
+// passes through untouched.
 func (c *CLI) WrapObserver(next obs.Observer) obs.Observer {
 	if c == nil {
 		return next

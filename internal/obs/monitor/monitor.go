@@ -35,12 +35,6 @@ type Options struct {
 	// Rules is the alert rule set evaluated for every run. Empty installs
 	// DefaultRules derived from each run's own budget and epoch length.
 	Rules []Rule
-	// SeriesCap bounds each time series' point count (default
-	// DefaultSeriesCap).
-	SeriesCap int
-	// TimelineCap bounds the retained phase spans (default
-	// DefaultTimelineCap).
-	TimelineCap int
 	// Registry, when set, receives monitor aggregates: alert/fault/epoch
 	// counters and live gauges for the last observed epoch, so /metrics
 	// exports them.
@@ -74,15 +68,9 @@ type Monitor struct {
 
 // New builds a monitor.
 func New(opt Options) *Monitor {
-	if opt.SeriesCap <= 0 {
-		opt.SeriesCap = DefaultSeriesCap
-	}
-	if opt.TimelineCap <= 0 {
-		opt.TimelineCap = DefaultTimelineCap
-	}
 	m := &Monitor{
 		opt:      opt,
-		timeline: NewTimeline(opt.TimelineCap),
+		timeline: NewTimeline(DefaultTimelineCap),
 		live:     newLiveHub(),
 	}
 	if r := opt.Registry; r != nil {
@@ -124,20 +112,36 @@ type RunHealth struct {
 	Done bool
 }
 
-// Wrap chains the monitor in front of next (commonly the JSONL tracer):
-// the returned Observer feeds the monitor every epoch and still honours
-// next's own sampling stride. next may be nil.
+// Wrap tees the monitor with next (commonly the JSONL tracer): each run's
+// events reach next's run first and the monitor last, and the monitor hands
+// its alerts to next's run, so an alert follows the epoch it names. next
+// may be nil.
 func (m *Monitor) Wrap(next obs.Observer) obs.Observer {
-	return chainObserver{m: m, next: next}
+	if next == nil {
+		return m
+	}
+	return wrapped{m: m, target: next}
 }
 
-// BeginRun implements obs.Observer (a bare monitor with no chained
-// tracer).
+// wrapped is the Wrap product; the tee it builds per run forwards events.
+type wrapped struct {
+	m      *Monitor
+	target obs.Observer // its runs take the monitor's alerts
+}
+
+func (w wrapped) BeginRun(meta obs.RunMeta) obs.RunObserver {
+	run := w.target.BeginRun(meta)
+	alertTo, _ := run.(obs.AlertObserver)
+	return obs.TeeRuns(run, w.m.beginRun(meta, alertTo))
+}
+
+// BeginRun implements obs.Observer (a bare monitor whose alerts go nowhere
+// but its own records).
 func (m *Monitor) BeginRun(meta obs.RunMeta) obs.RunObserver {
 	return m.beginRun(meta, nil)
 }
 
-func (m *Monitor) beginRun(meta obs.RunMeta, next obs.RunObserver) obs.RunObserver {
+func (m *Monitor) beginRun(meta obs.RunMeta, alertTo obs.AlertObserver) *monitorRun {
 	rules := m.opt.Rules
 	if len(rules) == 0 {
 		rules = DefaultRules(meta.BudgetW, meta.EpochS)
@@ -153,7 +157,7 @@ func (m *Monitor) beginRun(meta obs.RunMeta, next obs.RunObserver) obs.RunObserv
 		Meta:      meta,
 		Decide:    NewSketch(),
 		Overshoot: NewSketch(),
-		Store:     NewStore(m.opt.SeriesCap),
+		Store:     NewStore(DefaultSeriesCap),
 	}
 	m.mu.Lock()
 	h.ID = len(m.runs) + 1
@@ -162,7 +166,7 @@ func (m *Monitor) beginRun(meta obs.RunMeta, next obs.RunObserver) obs.RunObserv
 	if m.runCtr != nil {
 		m.runCtr.Inc()
 	}
-	return &monitorRun{m: m, h: h, next: next, eng: eng}
+	return &monitorRun{m: m, h: h, alertTo: alertTo, eng: eng}
 }
 
 // Runs snapshots the per-run health records (shallow copies: sketches and
@@ -275,32 +279,14 @@ func writeAligned(w io.Writer, rows [][]string) error {
 	return err
 }
 
-// chainObserver is the Wrap product: monitor plus downstream observer.
-type chainObserver struct {
-	m    *Monitor
-	next obs.Observer
-}
-
-func (c chainObserver) BeginRun(meta obs.RunMeta) obs.RunObserver {
-	var next obs.RunObserver
-	if c.next != nil {
-		next = c.next.BeginRun(meta)
-	}
-	return c.m.beginRun(meta, next)
-}
-
-// monitorRun consumes one run's stream. It relies on the documented
-// RunObserver protocol — ShouldSample(e) immediately precedes any
-// ObserveEpoch for epoch e on the same goroutine — to route events to the
-// downstream observer only on its own sampling stride while the monitor
-// itself sees every epoch.
+// monitorRun consumes one run's stream. It samples every epoch, so it is
+// the one layer that produces events (alerts) from the stream.
 type monitorRun struct {
-	m    *Monitor
-	h    *RunHealth
-	next obs.RunObserver
-	eng  *engine
+	m       *Monitor
+	h       *RunHealth
+	alertTo obs.AlertObserver // nil when nothing downstream takes alerts
+	eng     *engine
 
-	nextWants    bool
 	frame        [nFrameMetrics]float64
 	faults       int
 	emaIPS       float64
@@ -312,25 +298,11 @@ type monitorRun struct {
 
 // ShouldSample implements obs.RunObserver: the monitor samples every
 // epoch.
-func (r *monitorRun) ShouldSample(epoch int) bool {
-	r.nextWants = r.next != nil && r.next.ShouldSample(epoch)
-	return true
-}
+func (r *monitorRun) ShouldSample(int) bool { return true }
 
-// WantsEpochDetail implements obs.EpochDetailSampler: the monitor itself
-// only reads scalar fields, so island/histogram aggregation is needed just
-// on the downstream observer's own sampled epochs — and when the
-// downstream is itself a detail sampler (the flight recorder samples every
-// epoch but only keeps scalars), its refinement propagates up the chain.
-func (r *monitorRun) WantsEpochDetail(epoch int) bool {
-	if !r.nextWants {
-		return false
-	}
-	if ds, ok := r.next.(obs.EpochDetailSampler); ok {
-		return ds.WantsEpochDetail(epoch)
-	}
-	return true
-}
+// WantsEpochDetail implements obs.EpochDetailSampler: the monitor reads
+// only scalar fields.
+func (r *monitorRun) WantsEpochDetail(int) bool { return false }
 
 // ObserveEpoch implements obs.RunObserver. Allocation-free on the steady
 // path: series, sketches and the metric frame are all preallocated.
@@ -399,13 +371,9 @@ func (r *monitorRun) ObserveEpoch(ev *obs.EpochEvent) {
 		m.ipsG.Set(ev.IPS)
 	}
 	r.m.live.publish(r.h.ID, r.h.Meta.Controller, ev)
-
-	if r.nextWants {
-		r.next.ObserveEpoch(ev)
-	}
 }
 
-// fire records one fired alert and forwards it into the JSONL stream.
+// fire records one fired alert and hands it to the run's alert target.
 // RunHealth scalar fields are guarded by the monitor lock so Runs() stays
 // race-free against active runs; firing is rare, so the lock never sits on
 // the steady per-epoch path.
@@ -419,14 +387,14 @@ func (r *monitorRun) fire(ev *obs.AlertEvent) {
 	if r.m.alertCtr != nil {
 		r.m.alertCtr.Inc()
 	}
-	if ao, ok := r.next.(obs.AlertObserver); ok {
-		ao.ObserveAlert(ev)
+	if r.alertTo != nil {
+		r.alertTo.ObserveAlert(ev)
 	}
 	r.m.live.publishAlert(r.h.ID, r.h.Meta.Controller, ev)
 }
 
 // ObserveFault implements obs.FaultObserver.
-func (r *monitorRun) ObserveFault(ev *obs.FaultEvent) {
+func (r *monitorRun) ObserveFault(*obs.FaultEvent) {
 	r.faults++
 	r.m.mu.Lock()
 	r.h.Faults++
@@ -434,39 +402,12 @@ func (r *monitorRun) ObserveFault(ev *obs.FaultEvent) {
 	if r.m.faultCtr != nil {
 		r.m.faultCtr.Inc()
 	}
-	if fo, ok := r.next.(obs.FaultObserver); ok {
-		fo.ObserveFault(ev)
-	}
-}
-
-// ObserveLearn implements obs.LearnObserver by forwarding to the chained
-// observer on its own sampling stride (learn events arrive on the monitor's
-// every-epoch stride and immediately follow ObserveEpoch for the same
-// epoch, so nextWants is current). The monitor's own view of the learn
-// metrics comes through the epoch event's Learn* fields.
-func (r *monitorRun) ObserveLearn(ev *obs.LearnEvent) {
-	if !r.nextWants {
-		return
-	}
-	if lo, ok := r.next.(obs.LearnObserver); ok {
-		lo.ObserveLearn(ev)
-	}
-}
-
-// ObserveConverged implements obs.LearnObserver (forwarded like faults).
-func (r *monitorRun) ObserveConverged(ev *obs.ConvergedEvent) {
-	if lo, ok := r.next.(obs.LearnObserver); ok {
-		lo.ObserveConverged(ev)
-	}
 }
 
 // End implements obs.RunObserver.
-func (r *monitorRun) End(s metrics.Summary) {
+func (r *monitorRun) End(metrics.Summary) {
 	r.m.mu.Lock()
 	r.h.Epochs = r.epochs
 	r.h.Done = true
 	r.m.mu.Unlock()
-	if r.next != nil {
-		r.next.End(s)
-	}
 }

@@ -2,9 +2,9 @@
 // bounded per-metric time series, O(1) quantile sketches, a declarative
 // alert-rules engine evaluating paper-claim invariants online, live HTTP
 // read surfaces (/metrics, /debug/live SSE, /debug/timeline Perfetto), and
-// an end-of-run alert summary. It observes simulation runs through the
-// standard obs.Observer chain and never influences them: simulation output
-// is bit-identical with monitoring on or off.
+// an end-of-run alert summary. It observes simulation runs as a plain
+// obs.Observer and never influences them: simulation output is
+// bit-identical with monitoring on or off.
 package monitor
 
 import (

@@ -68,8 +68,8 @@ func (f *Flags) Validate() error {
 // plus the resources behind them.
 type Session struct {
 	// Stack is what every run the command builds carries: the flight
-	// recorder chained in front of the tracer, the monitor, the learn layer
-	// and the recorder's span ring. Layers the flags left off are nil.
+	// recorder teed with the tracer, the monitor, the learn layer and the
+	// recorder's span ring. Layers the flags left off are nil.
 	Stack sim.Stack
 	// Ledger is the run-record session (nil with -no-ledger). The command
 	// finishes it with the run's outcome.

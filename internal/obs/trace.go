@@ -53,6 +53,10 @@ type EpochEvent struct {
 	LearnChurn         float64 `json:"learn_churn,omitempty"`
 	LearnConvergedFrac float64 `json:"learn_converged_frac,omitempty"`
 	LearnEpsilon       float64 `json:"learn_epsilon,omitempty"`
+	// Learn is the learning layer's full chip-level event. It is set only
+	// on epochs delivered with detail (see EpochDetailSampler) of runs that
+	// carry the layer, and the tracer writes it as its own learn record.
+	Learn *LearnEvent `json:"-"`
 }
 
 // FaultEvent is one discrete injected fault (core death, telemetry
@@ -228,10 +232,12 @@ type RunObserver interface {
 
 // EpochDetailSampler is an optional RunObserver refinement for observers
 // that sample every epoch but only need the expensive aggregate fields
-// (IslandPowerW, LevelHist) on some of them. When a RunObserver implements
-// it, the harness calls WantsEpochDetail after a true ShouldSample (same
-// epoch, same goroutine) and on false delivers the event with those slices
-// nil; the scalar fields are always populated. Observers that don't
+// (IslandPowerW, LevelHist, Learn) on some of them. When a RunObserver
+// implements it, the harness calls WantsEpochDetail after a true
+// ShouldSample (same epoch, same goroutine) and on false delivers the event
+// with those fields nil; the scalar fields are always populated. An
+// observer answers only for itself: behind a Tee, an epoch carries detail
+// when any member that sampled it wants detail. Observers that don't
 // implement it get full detail on every sampled epoch.
 type EpochDetailSampler interface {
 	WantsEpochDetail(epoch int) bool
@@ -352,6 +358,9 @@ func (r *runTracer) ObserveEpoch(ev *EpochEvent) {
 		r.t.decideHist.Observe(float64(ev.DecideNs))
 	}
 	r.t.emit(epochRec{Type: "epoch", Run: r.id, EpochEvent: *ev})
+	if ev.Learn != nil {
+		r.t.emit(learnRec{Type: "learn", Run: r.id, LearnEvent: *ev.Learn})
+	}
 }
 
 // ObserveFault implements FaultObserver.
@@ -364,13 +373,7 @@ func (r *runTracer) ObserveAlert(ev *AlertEvent) {
 	r.t.emit(alertRec{Type: "alert", Run: r.id, AlertEvent: *ev})
 }
 
-// ObserveLearn implements LearnObserver. Learn events follow the epoch
-// stream's sampling, so no extra gate is needed here.
-func (r *runTracer) ObserveLearn(ev *LearnEvent) {
-	r.t.emit(learnRec{Type: "learn", Run: r.id, LearnEvent: *ev})
-}
-
-// ObserveConverged implements LearnObserver.
+// ObserveConverged implements ConvergedObserver.
 func (r *runTracer) ObserveConverged(ev *ConvergedEvent) {
 	r.t.emit(convergedRec{Type: "converged", Run: r.id, ConvergedEvent: *ev})
 }

@@ -22,8 +22,8 @@ type Engine struct {
 	Cache *Cache
 	// Stack is the observability every run the engine executes reports to
 	// (see sim.Stack). A monitored spec's per-run monitor takes the monitor
-	// slot on its runs, and Stack.Monitor chains in as an observer, so it
-	// still sees them. Cache hits run nothing and so report nothing.
+	// slot on its runs, and Stack.Monitor joins the observers it tees with,
+	// so it still sees them. Cache hits run nothing and so report nothing.
 	Stack sim.Stack
 
 	// grids holds every benchmark grid the engine has run, by gridKey, for
@@ -193,9 +193,10 @@ func (s Spec) runAxes() (seeds []uint64, workloads, controllers []string) {
 	return seeds, workloads, controllers
 }
 
-// options assembles the sim options for one run of the spec, reporting to
-// stack.
-func (s Spec) options(seed uint64, workloadName string, stack sim.Stack) (sim.Options, error) {
+// Options assembles the sim options for one run of the spec, reporting to
+// stack. A zero core count, budget, epoch or window takes sim's default, as
+// everywhere a spec is read.
+func (s Spec) Options(seed uint64, workloadName string, stack sim.Stack) (sim.Options, error) {
 	opts := sim.DefaultOptions()
 	opts.Stack = stack
 	opts.Workload = workloadName
@@ -358,7 +359,7 @@ func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
 	}
 	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
 		j := jobs[i]
-		opts, err := spec.options(j.seed, j.workload, e.Stack)
+		opts, err := spec.Options(j.seed, j.workload, e.Stack)
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -427,7 +428,7 @@ func (e *Engine) sweepTable(spec Spec) (experiments.Table, error) {
 	}
 	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
 		j := jobs[i]
-		opts, err := spec.options(seeds[0], workloads[0], e.Stack)
+		opts, err := spec.Options(seeds[0], workloads[0], e.Stack)
 		if err != nil {
 			return runOutcome{}, err
 		}

@@ -237,7 +237,7 @@ func TestEngineRejectsInvalidSpec(t *testing.T) {
 
 // TestEngineStack: every run kind reports to the engine's stack, including
 // a monitored spec, whose per-run monitor takes the monitor slot while the
-// stack's monitor chains in as an observer.
+// stack's monitor joins the observers it tees with.
 func TestEngineStack(t *testing.T) {
 	sweep := tinySpec()
 	sweep.Sweep = &Sweep{Param: "budget", Values: []float64{6, 8}}

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
 	"repro/internal/rl"
@@ -18,7 +20,7 @@ import (
 
 // TestLearnDoesNotChangeResults is the read-only contract for the learning
 // introspection layer: the same run with it off, on, and on with monitor +
-// tracer chained must produce deep-equal simulated results at any worker
+// tracer teed must produce deep-equal simulated results at any worker
 // count.
 func TestLearnDoesNotChangeResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -37,9 +39,9 @@ func TestLearnDoesNotChangeResults(t *testing.T) {
 		opts.Learn = learn.New(learn.Options{})
 		opts.Monitor = monitor.New(monitor.Options{})
 		opts.Observer = tracer
-		chained := stripWallClock(runWith(t, opts, "od-rl"))
-		if !reflect.DeepEqual(base, chained) {
-			t.Fatalf("workers=%d: learn+monitor+tracer chain changed the result", workers)
+		teed := stripWallClock(runWith(t, opts, "od-rl"))
+		if !reflect.DeepEqual(base, teed) {
+			t.Fatalf("workers=%d: learn+monitor+tracer tee changed the result", workers)
 		}
 		if err := tracer.Close(); err != nil {
 			t.Fatal(err)
@@ -62,12 +64,79 @@ func TestLearnDoesNotChangeResults(t *testing.T) {
 			}
 		}
 		if learnRecs == 0 {
-			t.Fatalf("workers=%d: no learn records in chained trace", workers)
+			t.Fatalf("workers=%d: no learn records in teed trace", workers)
 		}
 		if learnRecs != epochRecs {
 			t.Fatalf("workers=%d: %d learn records vs %d epoch records (should ride the same stride)",
 				workers, learnRecs, epochRecs)
 		}
+	}
+}
+
+// learnProbe is a test observer that samples every stride-th epoch and
+// records the epochs whose event carried a learn event. With lean set it
+// declines detail, like the monitor and the flight recorder.
+type learnProbe struct {
+	stride    int
+	lean      bool
+	sampled   []int
+	withLearn []int
+}
+
+func (p *learnProbe) BeginRun(obs.RunMeta) obs.RunObserver {
+	if p.lean {
+		return leanProbeRun{richProbeRun{p}}
+	}
+	return richProbeRun{p}
+}
+
+type richProbeRun struct{ p *learnProbe }
+
+func (r richProbeRun) ShouldSample(e int) bool { return e%r.p.stride == 0 }
+func (r richProbeRun) ObserveEpoch(ev *obs.EpochEvent) {
+	r.p.sampled = append(r.p.sampled, ev.Epoch)
+	if l := ev.Learn; l != nil {
+		e := ev.Epoch
+		if l.Epoch != e || l.TimeS != ev.TimeS {
+			e = -1 // a learn event naming another epoch
+		}
+		r.p.withLearn = append(r.p.withLearn, e)
+	}
+}
+func (richProbeRun) End(metrics.Summary) {}
+
+type leanProbeRun struct{ richProbeRun }
+
+func (leanProbeRun) WantsEpochDetail(int) bool { return false }
+
+// TestLearnEventRidesDetailedEpochs: the learn event is built only on
+// epochs some observer takes detail for. An observer that declines detail
+// (beside the monitor and the flight recorder, the benchmark's observed
+// stack) never sees one; an observer that takes detail on a stride of 5
+// sees one on exactly its sampled epochs.
+func TestLearnEventRidesDetailedEpochs(t *testing.T) {
+	opts := monitorTestOpts()
+	_, measure := opts.Epochs()
+
+	lean := &learnProbe{stride: 1, lean: true}
+	rec := flight.New(flight.Options{})
+	opts.Learn = learn.New(learn.Options{})
+	opts.Monitor = monitor.New(monitor.Options{})
+	opts.Observer = rec.Wrap(lean)
+	runWith(t, opts, "od-rl")
+	if len(lean.sampled) != measure || len(lean.withLearn) != 0 {
+		t.Fatalf("lean observer sampled %d of %d epochs and saw a learn event on %d, want none",
+			len(lean.sampled), measure, len(lean.withLearn))
+	}
+
+	rich := &learnProbe{stride: 5}
+	opts.Learn = learn.New(learn.Options{})
+	opts.Monitor = monitor.New(monitor.Options{})
+	opts.Observer = rich
+	runWith(t, opts, "od-rl")
+	if len(rich.sampled) != (measure+4)/5 || !slices.Equal(rich.withLearn, rich.sampled) {
+		t.Fatalf("stride-5 observer sampled %v, saw learn events on %v: want every sampled epoch and no other",
+			rich.sampled, rich.withLearn)
 	}
 }
 

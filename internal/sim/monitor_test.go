@@ -49,7 +49,7 @@ func stripWallClock(r Result) Result {
 }
 
 // TestMonitorDoesNotChangeResults is the read-only contract: the same run
-// with monitoring off, monitoring on, and monitoring on with a chained
+// with monitoring off, monitoring on, and monitoring on teed with a
 // tracer must produce deep-equal simulated results at any worker count.
 func TestMonitorDoesNotChangeResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -67,15 +67,15 @@ func TestMonitorDoesNotChangeResults(t *testing.T) {
 		tracer := obs.NewTracer(obs.NewWriterSink(&buf), obs.TracerOptions{Every: 8})
 		opts.Monitor = monitor.New(monitor.Options{})
 		opts.Observer = tracer
-		chained := stripWallClock(runWith(t, opts, "od-rl"))
-		if !reflect.DeepEqual(base, chained) {
-			t.Fatalf("workers=%d: monitor+tracer chain changed the result", workers)
+		teed := stripWallClock(runWith(t, opts, "od-rl"))
+		if !reflect.DeepEqual(base, teed) {
+			t.Fatalf("workers=%d: monitor+tracer tee changed the result", workers)
 		}
 		if err := tracer.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() == 0 {
-			t.Fatalf("workers=%d: chained tracer received nothing", workers)
+			t.Fatalf("workers=%d: teed tracer received nothing", workers)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestMonitorObservesRun(t *testing.T) {
 
 // TestFaultedRunFiresAlerts is the acceptance check for the default
 // claim-invariant rules: a full-intensity canonical fault plan must trip at
-// least one of them, the alert must appear in the chained JSONL trace, and
+// least one of them, the alert must appear in the teed JSONL trace, and
 // the end-of-run summary must show it.
 func TestFaultedRunFiresAlerts(t *testing.T) {
 	opts := monitorTestOpts()
@@ -157,11 +157,20 @@ func TestFaultedRunFiresAlerts(t *testing.T) {
 		t.Fatalf("ReadRecords: %v", err)
 	}
 	alerts := 0
+	lastEpoch := -1
 	for _, r := range recs {
-		if r.Type == "alert" {
+		switch r.Type {
+		case "epoch":
+			lastEpoch = r.Event.Epoch
+		case "alert":
 			alerts++
 			if r.Alert.Rule == "" || r.Alert.Metric == "" {
 				t.Fatalf("alert record missing fields: %+v", r.Alert)
+			}
+			// The trace samples every epoch, so the epoch an alert names
+			// is written before the alert.
+			if r.Alert.Epoch != lastEpoch {
+				t.Fatalf("alert naming epoch %d follows epoch record %d", r.Alert.Epoch, lastEpoch)
 			}
 		}
 	}

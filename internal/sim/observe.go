@@ -16,10 +16,10 @@ type Stack struct {
 	// Observer receives structured epoch events for the measurement window
 	// (see package obs).
 	Observer obs.Observer
-	// Monitor wraps the run's observer chain with the run-health layer
-	// (time series, quantile sketches, alert rules, live HTTP views; see
-	// package obs/monitor) and streams controller phase spans into its
-	// timeline.
+	// Monitor tees the run-health layer (time series, quantile sketches,
+	// alert rules, live HTTP views; see package obs/monitor) in after
+	// Observer, which takes its alerts, and streams controller phase spans
+	// into its timeline.
 	Monitor *monitor.Monitor
 	// Learn attaches the learning-introspection layer (see package
 	// obs/learn) to controllers that stream learning samples

@@ -197,9 +197,9 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	observer := opts.Observer
 	var spanSink obs.SpanSink
 	if mon := opts.Monitor; mon != nil {
-		// The monitor wraps the chain so it sees every epoch while a
-		// chained tracer keeps its own stride; it also collects the
-		// controller's phase spans for the Perfetto timeline.
+		// The monitor is teed in last, so its alerts follow the epoch they
+		// name; it also collects the controller's phase spans for the
+		// Perfetto timeline.
 		observer = mon.Wrap(observer)
 		spanSink = mon.Timeline()
 	}
@@ -245,7 +245,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	// are unchanged with the layer on or off.
 	var (
 		runLearn  *learn.Run
-		learnObs  obs.LearnObserver
+		convObs   obs.ConvergedObserver
 		policySrc ctrl.PolicySnapshotter
 	)
 	if lrn := opts.Learn; lrn != nil {
@@ -258,7 +258,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 			ls.SetLearnSink(runLearn)
 			defer ls.SetLearnSink(nil)
 			policySrc, _ = c.(ctrl.PolicySnapshotter)
-			learnObs, _ = runObs.(obs.LearnObserver)
+			convObs, _ = runObs.(obs.ConvergedObserver)
 		}
 	}
 
@@ -289,8 +289,8 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	drainFn := func(cv *obs.ConvergedEvent) {
 		cv.Epoch = drainEpoch
 		cv.TimeS = drainTimeS
-		if learnObs != nil {
-			learnObs.ObserveConverged(cv)
+		if convObs != nil {
+			convObs.ObserveConverged(cv)
 		}
 	}
 
@@ -384,14 +384,14 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 					scratch.fillLight(&epochEv, &tel)
 				}
 				if runLearn != nil {
+					// Built only when an observer takes the detail.
+					if detail {
+						learnEv = obs.LearnEvent{Epoch: me, TimeS: tel.TimeS}
+						epochEv.Learn = &learnEv
+					}
 					runLearn.FillEvent(&epochEv)
 				}
 				runObs.ObserveEpoch(&epochEv)
-				if runLearn != nil && learnObs != nil {
-					learnEv = obs.LearnEvent{Epoch: me, TimeS: tel.TimeS}
-					runLearn.FillLearnEvent(&learnEv, detail)
-					learnObs.ObserveLearn(&learnEv)
-				}
 			}
 		}
 		for i, l := range out {
@@ -507,8 +507,9 @@ func RunNamed(opts Options, name string) (Result, error) {
 // RunMonitored is RunNamed with a run-health monitor of its own that
 // evaluates rules, and returns that run's health (fault and alert counts)
 // with the result. The run's monitor takes the monitor slot; a session
-// monitor already in opts.Monitor chains in as a plain observer, so it
-// still sees the run.
+// monitor already in opts.Monitor joins the observers it tees with, so it
+// still sees the run, and the run monitor's alerts reach the session's
+// flight recorder and tracer.
 func RunMonitored(opts Options, name string, rules []monitor.Rule) (Result, monitor.RunHealth, error) {
 	mon := monitor.New(monitor.Options{Rules: rules})
 	if session := opts.Monitor; session != nil {
