@@ -111,8 +111,9 @@ bench:
 
 # Short fuzz pass over every decoder that accepts external bytes (obs JSONL
 # records, fault plans, policy snapshots and the saved OD-RL policies
-# LoadPolicy reads), plus the differential check of the MaxBIPS knapsack
-# against its full-grid reference. Go runs one fuzz target per invocation,
+# LoadPolicy reads), plus the differential checks of the MaxBIPS knapsack
+# against its full-grid reference and of the OD-RL agent fleet against the
+# per-agent learner it replaced. Go runs one fuzz target per invocation,
 # so each gets its own anchored pattern. -fuzzminimizetime=1x keeps the
 # minimisation of each new input from eating the budget; a crasher is then
 # saved unminimised, and still replays with `go test -run`.
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadPolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/monitor/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/rl/
+	$(GO) test -run='^$$' -fuzz='^FuzzFleetMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/rl/
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowComment$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/analysis/
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/ledger/

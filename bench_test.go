@@ -125,18 +125,21 @@ func recordTelemetry(b *testing.B, opts sim.Options, name string, epochs int) []
 	return frames
 }
 
-// BenchmarkDecideODRL256Stream times OD-RL's Decide on a recorded telemetry
-// stream instead of one frozen frame. Set-up runs a seeded 256-core mix
-// chip under OD-RL for one simulated second and copies each epoch's
-// telemetry; the timed loop replays those frames in order, wrapping, into
-// a fresh sequential controller. Its agents then read the Q rows of the
-// states a real run visits, which replaying one frame cannot show.
-func BenchmarkDecideODRL256Stream(b *testing.B) {
+// benchDecideODRLStream times OD-RL's Decide on a recorded telemetry
+// stream instead of one frozen frame. Set-up runs a seeded mix chip of the
+// given core count under OD-RL for the given number of epochs and copies
+// each epoch's telemetry; the timed loop replays those frames in order,
+// wrapping, into a fresh sequential controller. Its agents then read the
+// Q rows of the states a real run visits, which replaying one frame cannot
+// show. No chip steps between two Decides, so the tables stay warmer in
+// cache than in a run.
+func benchDecideODRLStream(b *testing.B, cores, epochs int) {
+	b.Helper()
 	opts := sim.DefaultOptions()
-	opts.Cores = 256
-	opts.BudgetW = 0.9*256 + power.Default().UncoreW
+	opts.Cores = cores
+	opts.BudgetW = 0.9*float64(cores) + power.Default().UncoreW
 	opts.Workers = 1
-	frames := recordTelemetry(b, opts, "od-rl", 1000)
+	frames := recordTelemetry(b, opts, "od-rl", epochs)
 	env, err := sim.EnvFor(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -151,6 +154,15 @@ func BenchmarkDecideODRL256Stream(b *testing.B) {
 		c.Decide(&frames[i%len(frames)], opts.BudgetW, out)
 	}
 }
+
+// BenchmarkDecideODRL256Stream replays one simulated second of a 256-core
+// run.
+func BenchmarkDecideODRL256Stream(b *testing.B) { benchDecideODRLStream(b, 256, 1000) }
+
+// BenchmarkDecideODRL1024Stream replays a quarter second of a 1024-core
+// run: the same 18 MB of recorded frames as the 256-core stream, over a
+// policy four times larger (10.5 MB of Q-tables).
+func BenchmarkDecideODRL1024Stream(b *testing.B) { benchDecideODRLStream(b, 1024, 250) }
 
 // BenchmarkDecideMaxBIPS64Stream times MaxBIPS's knapsack on recorded
 // telemetry. Set-up runs a seeded 64-core ferret chip at 55 W under

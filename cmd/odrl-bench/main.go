@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Every execution mode — bench, report and tables — records a run; the
 	// bench modes additionally fold their BENCH_*.json into the record so
 	// odrl-obs can trend overheads across commits.
-	sess, err := obsFlags.Start("odrl-bench", args, stdout)
+	sess, err := obsFlags.Start("odrl-bench", args, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl-bench:", err)
 		return 1

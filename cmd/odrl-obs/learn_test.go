@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +20,7 @@ import (
 // as observer. Each run lasts 1000 epochs. It returns the record's ID.
 func recordLearning(t *testing.T, dir string, seed uint64, snapshotEvery int, controllers ...string) string {
 	t.Helper()
-	c := ledger.StartCLI("odrl", []string{"-learn", "-seed", fmt.Sprint(seed)}, dir, false)
+	c := ledger.StartCLI("odrl", []string{"-learn", "-seed", fmt.Sprint(seed)}, dir, false, io.Discard)
 	lrn := learn.New(learn.Options{
 		// Permissive detector so short test runs still emit converged events.
 		Detector:      learn.Detector{StableEpochs: 50, TDThreshold: 0.6, EMAAlpha: 0.1},

@@ -160,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (usage errors, -list and -dry-run leave no run record) and its ledger
 	// closes on every path through Finish, so failed runs are recorded as
 	// failed.
-	sess, err := obsFlags.Start("odrl-run", args, stdout)
+	sess, err := obsFlags.Start("odrl-run", args, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 1

@@ -459,7 +459,8 @@ func TestMonitorSeesFaultedSpecRuns(t *testing.T) {
 // (here with a rule that never fires), and the per-run monitor's alert must
 // still reach the session's tracer, flight recorder and ledger record: one
 // alert record right after the epoch record it names, a post-mortem bundle
-// whose last epoch is that epoch, and an alert count of 1.
+// whose last epoch is that epoch, and an alert count of 1. The recorder's
+// notice of that bundle reaches the stderr run was given.
 func TestPerRunAlertsReachSessionLayers(t *testing.T) {
 	path := writeSpec(t, "always.json", `{
 	  "workload": "canneal", "controllers": ["pid"], "cores": 4, "budget_w": 8,
@@ -513,6 +514,10 @@ func TestPerRunAlertsReachSessionLayers(t *testing.T) {
 	frames, err := flight.ReadEpochsJSONL(bundle)
 	if err != nil || len(frames) == 0 || frames[len(frames)-1].Epoch != 2 {
 		t.Fatalf("bundle frames %+v (%v), want the last at the alert's epoch 2", frames, err)
+	}
+	notice := "flight: alert post-mortem for run 1 -> " + filepath.Join(ldir, ledger.RunsDirName, rec.ID, "run001", "flight") + "/"
+	if !strings.Contains(stderr.String(), notice) {
+		t.Errorf("stderr lacks the post-mortem notice %q:\n%s", notice, stderr.String())
 	}
 }
 

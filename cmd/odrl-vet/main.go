@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// A vet pass is a run worth remembering: the record's status tells CI
 	// archaeology whether this tree was clean at this commit.
-	lcli := ledger.StartCLI("odrl-vet", args, ledger.ResolveDir(*ledgerDir), *noLedger)
+	lcli := ledger.StartCLI("odrl-vet", args, ledger.ResolveDir(*ledgerDir), *noLedger, stderr)
 
 	loader := analysis.NewLoader(*dir)
 	pkgs, err := loader.Load(patterns...)

@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Every run reports to the session's stack: monitor -> flight recorder
 	// -> tracer, with phase spans teed into the recorder's post-mortem ring.
-	sess, err := obsFlags.Start("odrl", args, stdout)
+	sess, err := obsFlags.Start("odrl", args, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl:", err)
 		return 1

@@ -23,7 +23,7 @@ import (
 // function-approximation mode has no tabular probes, so attaching there is
 // a no-op and the controller streams nothing.
 func (c *Controller) SetLearnSink(s obs.LearnSink) {
-	if c.agents == nil {
+	if c.fleet == nil {
 		return
 	}
 	if s == nil {
@@ -34,11 +34,9 @@ func (c *Controller) SetLearnSink(s obs.LearnSink) {
 		c.learnSink = nil
 		return
 	}
-	for _, a := range c.agents {
-		a.EnableIntrospection()
-	}
+	c.fleet.EnableIntrospection()
 	if c.learnBuf == nil {
-		c.learnBuf = make([]obs.LearnCoreSample, len(c.agents))
+		c.learnBuf = make([]obs.LearnCoreSample, c.fleet.Len())
 	}
 	c.learnEvery = 1
 	if st, ok := s.(obs.LearnStrider); ok {
@@ -61,23 +59,22 @@ func (c *Controller) emitLearn(epochs int) {
 	// Re-warm the ε memo for the step counts the local phase left behind.
 	// This runs on Decide's sequential tail or in the detach flush, so no
 	// reader races the reset.
-	if c.epsCache != nil {
-		c.warmEpsilon()
-	}
+	f := c.fleet
+	f.WarmEpsilon(c.dead)
 	states := c.codec.States()
-	for i, a := range c.agents {
+	for i := range c.learnBuf {
 		s := &c.learnBuf[i]
 		if c.dead[i] {
 			*s = obs.LearnCoreSample{Dead: true}
 			continue
 		}
-		p := a.LastProbe()
+		p := f.Probe(i)
 		s.TDError = p.TDError
-		s.Epsilon = a.Epsilon()
+		s.Epsilon = f.Epsilon(i)
 		s.QSpread = p.QSpread
-		s.GreedyChanged = a.TakeFlips() > 0
+		s.GreedyChanged = f.TakeFlips(i) > 0
 		s.ActedGreedy = p.ActedGreedy
-		s.VisitedStates = a.VisitedStates()
+		s.VisitedStates = f.VisitedStates(i)
 		s.States = states
 		s.Epochs = epochs
 		s.Dead = false
@@ -88,27 +85,17 @@ func (c *Controller) emitLearn(epochs int) {
 // PolicyShape implements ctrl.PolicySnapshotter. FA mode has no dense
 // policy tensor and reports zero cores.
 func (c *Controller) PolicyShape() (cores, states, actions int) {
-	if c.agents == nil {
+	if c.fleet == nil {
 		return 0, 0, 0
 	}
-	return len(c.agents), c.codec.States(), c.table.Levels()
+	return c.fleet.Len(), c.codec.States(), c.table.Levels()
 }
 
 // CopyPolicy implements ctrl.PolicySnapshotter: per-agent Q-tables
 // concatenated core-major, the values SavePolicy persists.
 func (c *Controller) CopyPolicy(dst []float64) error {
-	cores, states, actions := c.PolicyShape()
-	if cores == 0 {
+	if c.fleet == nil {
 		return fmt.Errorf("core: %s has no exportable tabular policy", c.Name())
 	}
-	per := states * actions
-	if len(dst) != cores*per {
-		return fmt.Errorf("core: CopyPolicy dst has %d values, policy has %d", len(dst), cores*per)
-	}
-	for i, a := range c.agents {
-		if err := a.Table().CopyTo(dst[i*per : (i+1)*per]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fleet.CopyPolicy(dst)
 }

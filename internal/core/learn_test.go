@@ -78,9 +78,9 @@ func TestSetLearnSinkStreamsSamples(t *testing.T) {
 }
 
 // TestEmitLearnEpsilonFromMemo: the learn emit reads ε after the local
-// phase's updates, so the ε memo must hold the post-update step counts of
-// every live agent, and each sample's ε must equal the schedule's inline
-// formula bit for bit.
+// phase's updates, through the ε memo it re-warms for the post-update step
+// counts, and each live sample's ε must equal the schedule's inline
+// formula at that count bit for bit.
 func TestEmitLearnEpsilonFromMemo(t *testing.T) {
 	const cores = 8
 	c := newController(t, cores, Config{})
@@ -94,14 +94,11 @@ func TestEmitLearnEpsilonFromMemo(t *testing.T) {
 		}
 		c.Decide(tel, 40, out)
 		batch := sink.batches[len(sink.batches)-1]
-		for i, a := range c.agents {
+		for i := 0; i < cores; i++ {
 			if c.dead[i] {
 				continue
 			}
-			steps := a.Steps()
-			if _, ok := c.epsCache.Lookup(steps); !ok {
-				t.Fatalf("epoch %d: agent %d at step %d is not served by the ε memo", e, i, steps)
-			}
+			steps := c.fleet.Steps(i)
 			want := c.cfg.EpsilonEnd + (c.cfg.EpsilonStart-c.cfg.EpsilonEnd)*math.Pow(c.cfg.EpsilonDecay, float64(steps))
 			if got := batch[i].Epsilon; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("epoch %d: agent %d sample ε %v, want %v", e, i, got, want)

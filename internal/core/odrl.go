@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/manycore"
@@ -191,7 +190,7 @@ type Controller struct {
 	cfg       Config
 	table     *vf.Table
 	pwr       power.Params
-	agents    []*rl.Agent       // tabular mode
+	fleet     *rl.Fleet         // tabular mode: one agent per core
 	linAgents []*rl.LinearAgent // function-approximation mode
 	codec     rl.Codec
 	headD     rl.Discretizer
@@ -212,8 +211,8 @@ type Controller struct {
 	dead  []bool
 	alive int
 
-	// Watchdog state, allocated only when WatchdogEpochs > 0. decideCore
-	// touches only core-i slots, so the sharded local phase stays race-free.
+	// Watchdog state, allocated only when WatchdogEpochs > 0. The local
+	// phase touches only core-i slots, so its shards stay race-free.
 	wdLastIPS    []float64
 	wdLastPowerW []float64
 	wdStale      []int
@@ -231,10 +230,12 @@ type Controller struct {
 	learnEvery int
 	learnPend  int
 
-	// epsCache memoises the shared exploration schedule: warmEpsilon
-	// fills it in Decide's sequential prologue and the sharded decide
-	// loop reads it.
-	epsCache *rl.EpsilonCache
+	// nextState and reward are the tabular local phase's per-core scratch:
+	// each core's discretised state (-1 for a core that sits the epoch
+	// out) and reward, written and then read by the shard that owns the
+	// core.
+	nextState []int32
+	reward    []float64
 
 	// Persistent local-phase workers: the pool parks between epochs and
 	// the dispatch closure is built once, reading the per-epoch inputs
@@ -316,7 +317,7 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 		InitialQ: 2.0,
 	}
 	base := rng.New(cfg.Seed)
-	var agents []*rl.Agent
+	var fleet *rl.Fleet
 	var linAgents []*rl.LinearAgent
 	if cfg.FunctionApprox {
 		// Continuous state: headroom in [-0.5, 0.5], memory-boundedness in
@@ -346,20 +347,9 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 			linAgents[i] = a
 		}
 	} else {
-		agents = make([]*rl.Agent, cores)
-		for i := range agents {
-			a, err := rl.NewAgent(rlCfg, base.Split())
-			if err != nil {
-				return nil, err
-			}
-			agents[i] = a
-		}
-	}
-	var epsCache *rl.EpsilonCache
-	if agents != nil {
-		epsCache = rl.NewEpsilonCache(rlCfg.EpsilonStart, rlCfg.EpsilonEnd, rlCfg.EpsilonDecay)
-		for _, a := range agents {
-			a.AttachEpsilonCache(epsCache)
+		var err error
+		if fleet, err = rl.NewFleet(rlCfg, cores, base); err != nil {
+			return nil, err
 		}
 	}
 
@@ -368,7 +358,7 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 		cfg:       cfg,
 		table:     table,
 		pwr:       pwr,
-		agents:    agents,
+		fleet:     fleet,
 		linAgents: linAgents,
 		codec:     codec,
 		headD:     rl.MustDiscretizer(-0.5, 0.5, cfg.HeadroomBuckets),
@@ -383,8 +373,11 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 		phases:   obs.NewSpanTimer(obs.PhaseLocal, obs.PhaseGlobal, obs.PhaseComm),
 		dead:     make([]bool, cores),
 		alive:    cores,
-		epsCache: epsCache,
 		reallocW: make([]float64, cores),
+	}
+	if fleet != nil {
+		c.nextState = make([]int32, cores)
+		c.reward = make([]float64, cores)
 	}
 	if cfg.WatchdogEpochs > 0 {
 		c.wdLastIPS = make([]float64, cores)
@@ -468,10 +461,10 @@ func (c *Controller) retireCore(i int) {
 // corrupted by sensor faults must never reach the Q-tables or the budget
 // arithmetic.
 func finiteOr(x, fallback float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return fallback
+	if x-x == 0 { // false for NaN and ±Inf, whose difference is NaN
+		return x
 	}
-	return x
+	return fallback
 }
 
 // coreBudgetTotal is the chip budget minus the uncore floor, never below a
@@ -490,7 +483,7 @@ func (c *Controller) numCores() int {
 	if c.linAgents != nil {
 		return len(c.linAgents)
 	}
-	return len(c.agents)
+	return c.fleet.Len()
 }
 
 // Decide implements ctrl.Controller.
@@ -534,8 +527,8 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 	// phase span records the wall-clock of the whole sharded section.
 	localStart := time.Now() //odrl:allow wallclock phase-span telemetry probe; never feeds control decisions
 	// Warm the shared ε memo before any worker reads it.
-	if c.epsCache != nil {
-		c.warmEpsilon()
+	if c.fleet != nil {
+		c.fleet.WarmEpsilon(c.dead)
 	}
 	if workers := c.localWorkers(n); workers > 1 {
 		if c.pool == nil {
@@ -547,10 +540,7 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 				if c.linAgents != nil {
 					x = make([]float64, 3) // per-chunk FA state scratch
 				}
-				tel, out := c.decTel, c.decOut
-				for i := lo; i < hi; i++ {
-					out[i] = c.decideCore(i, tel, x)
-				}
+				c.localRange(lo, hi, c.decTel, c.decOut, x)
 			}
 		}
 		c.decTel, c.decOut = tel, out
@@ -560,9 +550,7 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 		if c.linAgents != nil && c.xScratch == nil {
 			c.xScratch = make([]float64, 3)
 		}
-		for i := 0; i < n; i++ {
-			out[i] = c.decideCore(i, tel, c.xScratch)
-		}
+		c.localRange(0, n, tel, out, c.xScratch)
 	}
 	c.phases.ObserveSince(spanLocal, localStart)
 	c.started = true
@@ -592,32 +580,6 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 		if c.learnPend >= c.learnEvery {
 			c.emitLearn(c.learnPend)
 			c.learnPend = 0
-		}
-	}
-}
-
-// warmEpsilon fills the shared ε memo for this epoch's local phase: one
-// slot per distinct live step count, in core order, and any count past
-// the last slot computes inline. With the watchdog off every live agent
-// sits at epoch−1 steps (Begin consumes the first epoch without
-// learning), so one slot serves them all. With it armed, an agent held by
-// the watchdog skips Step and lags, and a chip-wide blackout holds every
-// live agent at once, so a few counts coexist and the lockstep count may
-// be held by no one.
-//
-//odrl:hotpath
-func (c *Controller) warmEpsilon() {
-	c.epsCache.Reset()
-	last := -1
-	for i, a := range c.agents {
-		if c.dead[i] {
-			continue
-		}
-		if s := a.Steps(); s != last {
-			if !c.epsCache.Add(s) {
-				return
-			}
-			last = s
 		}
 	}
 }
@@ -654,37 +616,78 @@ func (c *Controller) localWorkers(n int) int {
 	return par.Workers(c.cfg.Workers, n)
 }
 
-// decideCore runs one core's fine-grain agent update and returns its next
-// level. x is the FA-mode continuous-state scratch buffer (one per calling
-// goroutine; unused in tabular mode). It touches only core-i state, which
-// is what licenses sharding the caller's loop.
+// localRange runs the fine-grain agents of cores [lo, hi) and writes
+// their next levels to out. x is the FA-mode continuous-state scratch
+// buffer (one per calling goroutine; unused in tabular mode). It touches
+// only the slots of cores in its range, which is what licenses sharding
+// the local phase.
+//
+// In tabular mode it is one fused pass: each core's state and reward land
+// in the per-core scratch, then one Fleet call steps every agent of the
+// range. A core that is dead, or held by the telemetry watchdog, gets the
+// bottom level and its agent sits the epoch out.
 //
 //odrl:hotpath
-func (c *Controller) decideCore(i int, tel *manycore.Telemetry, x []float64) int {
-	ct := &tel.Cores[i]
-	if c.dead[i] {
-		// A failed core is out of the control domain: hold the bottom
-		// level and leave its agent untouched.
-		return 0
-	}
-	if c.wdStale != nil && c.watchdogStale(i, ct) {
-		// Telemetry for this core is provably stale; acting on it would
-		// teach the agent from a phase that may be long gone. Fall back to
-		// the lowest-power level until fresh readings return.
-		return 0
-	}
+func (c *Controller) localRange(lo, hi int, tel *manycore.Telemetry, out []int, x []float64) {
 	if c.linAgents != nil {
-		s := c.contStateOf(ct, c.budgets[i], x)
-		if !c.started {
-			return c.linAgents[i].Begin(s)
+		for i := lo; i < hi; i++ {
+			out[i] = c.decideFA(i, tel, x)
 		}
-		return c.linAgents[i].Step(c.rewardOf(ct, c.budgets[i]), s)
+		return
 	}
-	state := c.stateOf(ct, c.budgets[i])
+	// Locals, so the stores below do not force reloads through c.
+	next, reward, budgets := c.nextState, c.reward, c.budgets
+	codec, headD, memD := c.codec, c.headD, c.memD
+	for i := lo; i < hi; i++ {
+		ct := &tel.Cores[i]
+		if c.held(i, ct) {
+			next[i], out[i] = -1, 0
+			continue
+		}
+		// The state: ⟨headroom bucket, memory-boundedness bucket, level⟩.
+		b := budgets[i]
+		headroom := 0.0
+		if b > 0 {
+			headroom = finiteOr((b-ct.PowerW)/b, 0)
+		}
+		next[i] = int32(codec.Encode3(
+			headD.Bucket(headroom),
+			memD.Bucket(finiteOr(ct.MemBoundedness, 0)),
+			ct.Level,
+		))
+		reward[i] = c.rewardOf(ct, b)
+	}
 	if !c.started {
-		return c.agents[i].Begin(state)
+		c.fleet.Begin(lo, hi, next, out)
+	} else {
+		c.fleet.Step(lo, hi, next, reward, out)
 	}
-	return c.agents[i].Step(c.rewardOf(ct, c.budgets[i]), state)
+}
+
+// decideFA runs core i's function-approximation agent and returns its next
+// level; a held core gets the bottom level and its agent is left alone.
+//
+//odrl:hotpath
+func (c *Controller) decideFA(i int, tel *manycore.Telemetry, x []float64) int {
+	ct := &tel.Cores[i]
+	if c.held(i, ct) {
+		return 0
+	}
+	s := c.contStateOf(ct, c.budgets[i], x)
+	if !c.started {
+		return c.linAgents[i].Begin(s)
+	}
+	return c.linAgents[i].Step(c.rewardOf(ct, c.budgets[i]), s)
+}
+
+// held reports whether core i sits this epoch out. A failed core is out of
+// the control domain. A core whose telemetry the watchdog finds provably
+// stale must not teach its agent from a phase that may be long gone; it
+// falls back to the lowest-power level until fresh readings return.
+//
+//odrl:hotpath
+func (c *Controller) held(i int, ct *manycore.CoreTelemetry) bool {
+	return c.dead[i] || c.wdStale != nil && c.watchdogStale(i, ct)
 }
 
 // watchdogStale advances core i's watchdog and reports whether it has
@@ -719,21 +722,6 @@ func (c *Controller) contStateOf(ct *manycore.CoreTelemetry, budget float64, x [
 	x[1] = finiteOr(ct.MemBoundedness, 0)
 	x[2] = float64(ct.Level) / levels
 	return x
-}
-
-// stateOf discretises one core's observation.
-//
-//odrl:hotpath
-func (c *Controller) stateOf(ct *manycore.CoreTelemetry, budget float64) int {
-	headroom := 0.0
-	if budget > 0 {
-		headroom = finiteOr((budget-ct.PowerW)/budget, 0)
-	}
-	return c.codec.Encode(
-		c.headD.Bucket(headroom),
-		c.memD.Bucket(finiteOr(ct.MemBoundedness, 0)),
-		ct.Level,
-	)
 }
 
 // rewardOf scores the epoch that just finished for one core.

@@ -35,9 +35,8 @@ func synthTel(n int, epoch int, r *rng.RNG) *manycore.Telemetry {
 // decideSequence drives a fresh controller for several epochs and returns
 // every decision it made. frozen, when non-nil, marks (epoch, core) pairs
 // whose telemetry repeats the previous epoch's reading exactly, as a
-// sensor blackout serves it. For tabular agents it also checks, after each
-// ε-memo prologue, that every live agent's step count is served by the
-// memo, and returns the most distinct live counts seen in one epoch.
+// sensor blackout serves it. For tabular agents it also returns the most
+// distinct live step counts seen in one epoch.
 func decideSequence(t *testing.T, cfg Config, n, epochs int, frozen func(e, i int) bool) ([][]int, int) {
 	t.Helper()
 	c, err := New(n, vf.Default(), power.Default(), cfg)
@@ -61,17 +60,11 @@ func decideSequence(t *testing.T, cfg Config, n, epochs int, frozen func(e, i in
 				}
 			}
 		}
-		if c.epsCache != nil {
-			// Decide re-runs this prologue with the same step counts.
-			c.warmEpsilon()
+		if f := c.fleet; f != nil {
 			counts := map[int]bool{}
-			for i, a := range c.agents {
-				if c.dead[i] {
-					continue
-				}
-				counts[a.Steps()] = true
-				if _, ok := c.epsCache.Lookup(a.Steps()); !ok {
-					t.Fatalf("epoch %d: agent %d at step %d not served by the ε memo", e, i, a.Steps())
+			for i := 0; i < n; i++ {
+				if !c.dead[i] {
+					counts[f.Steps(i)] = true
 				}
 			}
 			if len(counts) > maxCounts {

@@ -75,10 +75,8 @@ func (c *Controller) LoadPolicy(r io.Reader) error {
 				v, i/per, i%per/actions, i%actions)
 		}
 	}
-	for i, a := range c.agents {
-		if err := a.Table().CopyFrom(s.Q[i*per : (i+1)*per]); err != nil {
-			return fmt.Errorf("core: policy table %d: %w", i, err)
-		}
+	if err := c.fleet.LoadPolicy(s.Q); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -31,14 +31,10 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored tables must match the source exactly.
-	for i := range src.agents {
-		st, dt := src.agents[i].Table(), dst.agents[i].Table()
-		for s := 0; s < st.States(); s++ {
-			for a := 0; a < st.Actions(); a++ {
-				if st.Get(s, a) != dt.Get(s, a) {
-					t.Fatalf("agent %d Q(%d,%d) differs after restore", i, s, a)
-				}
-			}
+	want, got := policyOf(t, src), policyOf(t, dst)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("policy value %d differs after restore", k)
 		}
 	}
 }
@@ -118,8 +114,8 @@ func TestWarmStartedControllerActsLikeSource(t *testing.T) {
 	warmOut := make([]int, 2)
 	warm.Decide(tel, 15, warmOut)
 	for i := range warmOut {
-		state := warm.stateOf(&tel.Cores[i], warm.Budgets()[i])
-		if warmOut[i] != warm.agents[i].Greedy(state) {
+		// nextState holds the state each core observed this epoch.
+		if warmOut[i] != warm.fleet.Greedy(i, int(warm.nextState[i])) {
 			t.Fatalf("warm-started agent %d did not act greedily on its restored policy", i)
 		}
 	}
@@ -151,18 +147,31 @@ func TestODRLWithTraceLambda(t *testing.T) {
 	}
 }
 
+// policyOf returns c's policy tensor, as CopyPolicy exports it.
+func policyOf(t testing.TB, c *Controller) []float64 {
+	t.Helper()
+	cores, states, actions := c.PolicyShape()
+	q := make([]float64, cores*states*actions)
+	if err := c.CopyPolicy(q); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // agentState is every agent's Q-values (as bits, so NaN compares) and
 // greedy action per state: what a refused LoadPolicy must leave alone.
-func agentState(c *Controller) [][]uint64 {
-	out := make([][]uint64, len(c.agents))
-	for i, a := range c.agents {
-		tbl := a.Table()
-		row := make([]uint64, 0, tbl.States()*(tbl.Actions()+1))
-		for s := 0; s < tbl.States(); s++ {
-			for act := 0; act < tbl.Actions(); act++ {
-				row = append(row, math.Float64bits(tbl.Get(s, act)))
+func agentState(t testing.TB, c *Controller) [][]uint64 {
+	t.Helper()
+	q := policyOf(t, c)
+	cores, states, actions := c.PolicyShape()
+	out := make([][]uint64, cores)
+	for i := range out {
+		row := make([]uint64, 0, states*(actions+1))
+		for s := 0; s < states; s++ {
+			for act := 0; act < actions; act++ {
+				row = append(row, math.Float64bits(q[(i*states+s)*actions+act]))
 			}
-			row = append(row, uint64(a.Greedy(s)))
+			row = append(row, uint64(c.fleet.Greedy(i, s)))
 		}
 		out[i] = row
 	}
@@ -273,12 +282,12 @@ func trainedController(t testing.TB, cores int, cfg Config) *Controller {
 func TestLoadPolicyIsAtomic(t *testing.T) {
 	src := trainedController(t, 4, Config{Seed: 5})
 	dst := trainedController(t, 4, Config{Seed: 99})
-	before := agentState(dst)
+	before := agentState(t, dst)
 	for _, tc := range refusedPolicies(t, src) {
 		if err := dst.LoadPolicy(bytes.NewReader(tc.data)); err == nil {
 			t.Fatalf("%s: refused policy accepted", tc.name)
 		}
-		if !sameAgentState(before, agentState(dst)) {
+		if !sameAgentState(before, agentState(t, dst)) {
 			t.Fatalf("%s: refused policy changed the controller's agents", tc.name)
 		}
 	}
@@ -286,8 +295,8 @@ func TestLoadPolicyIsAtomic(t *testing.T) {
 
 // FuzzLoadPolicy: the policy decoder reads files (the warm-start example),
 // so arbitrary bytes must never panic it. A refused policy changes no
-// agent; an accepted one leaves every agent's greedy index equal to
-// Table.Best, both right after the load and after the controller has
+// agent; an accepted one leaves every agent's greedy index equal to a
+// full row scan, both right after the load and after the controller has
 // learned from it.
 func FuzzLoadPolicy(f *testing.F) {
 	// One headroom and one memory bucket keep a saved policy to a few KB,
@@ -311,9 +320,9 @@ func FuzzLoadPolicy(f *testing.F) {
 		}
 		out := make([]int, 3)
 		c.Decide(tel, 30, out)
-		before := agentState(c)
+		before := agentState(t, c)
 		if err := c.LoadPolicy(bytes.NewReader(data)); err != nil {
-			if !sameAgentState(before, agentState(c)) {
+			if !sameAgentState(before, agentState(t, c)) {
 				t.Fatalf("refused policy changed the agents: %v", err)
 			}
 			return
@@ -327,22 +336,28 @@ func FuzzLoadPolicy(f *testing.F) {
 }
 
 // checkGreedyIndex compares every agent's greedy action with a full row
-// scan. A row holding NaN is skipped: Table.Best's answer then depends on
-// where the NaN sits, and only a policy whose values overflow the update
-// arithmetic produces one.
+// scan (highest value, lowest index on ties). A row holding NaN is
+// skipped: the scan's answer then depends on where the NaN sits, and only
+// a policy whose values overflow the update arithmetic produces one.
 func checkGreedyIndex(t *testing.T, c *Controller) {
 	t.Helper()
-	for i, a := range c.agents {
-		tbl := a.Table()
+	q := policyOf(t, c)
+	cores, states, actions := c.PolicyShape()
+	for i := 0; i < cores; i++ {
 	states:
-		for s := 0; s < tbl.States(); s++ {
-			for act := 0; act < tbl.Actions(); act++ {
-				if math.IsNaN(tbl.Get(s, act)) {
+		for s := 0; s < states; s++ {
+			row := q[(i*states+s)*actions:][:actions]
+			want := 0
+			for act, v := range row {
+				if math.IsNaN(v) {
 					continue states
 				}
+				if v > row[want] {
+					want = act
+				}
 			}
-			if want, _ := tbl.Best(s); a.Greedy(s) != want {
-				t.Fatalf("agent %d state %d: Greedy = %d, Table.Best = %d", i, s, a.Greedy(s), want)
+			if got := c.fleet.Greedy(i, s); got != want {
+				t.Fatalf("agent %d state %d: Greedy = %d, row scan = %d", i, s, got, want)
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package ledger
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"sync"
 	"time"
 
@@ -20,9 +20,10 @@ import (
 // A nil *CLI is valid and inert: the -no-ledger path costs a handful of
 // nil checks.
 type CLI struct {
-	led   *Ledger
-	rec   *flight.Recorder
-	start time.Time
+	led    *Ledger
+	rec    *flight.Recorder
+	start  time.Time
+	stderr io.Writer // the command's stderr; writes hold mu
 
 	mu       sync.Mutex
 	record   Record
@@ -32,22 +33,25 @@ type CLI struct {
 // StartCLI opens the ledger for one command run and returns the session,
 // or nil when disabled. dir is the resolved ledger directory (see
 // ResolveDir); disabled is the -no-ledger flag. Ledger problems are
-// reported to stderr and disable the session rather than failing the run:
-// bookkeeping must never take down the work it documents.
-func StartCLI(tool string, args []string, dir string, disabled bool) *CLI {
+// reported to stderr, the command's own, and disable the session rather
+// than failing the run: bookkeeping must never take down the work it
+// documents. The session's later warnings and post-mortem notices go to
+// stderr too.
+func StartCLI(tool string, args []string, dir string, disabled bool, stderr io.Writer) *CLI {
 	if disabled || dir == "" {
 		return nil
 	}
 	led, err := Open(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: ledger disabled: %v\n", err)
+		fmt.Fprintf(stderr, "warning: ledger disabled: %v\n", err)
 		return nil
 	}
 	//odrl:allow wallclock the run record's start/wall/CPU stamps are host telemetry, never simulation inputs
 	start := time.Now()
 	c := &CLI{
-		led:   led,
-		start: start,
+		led:    led,
+		start:  start,
+		stderr: stderr,
 		record: Record{
 			Schema: Schema,
 			ID:     NewID(start),
@@ -144,7 +148,7 @@ func (c *CLI) AddArtifact(name string, data []byte) {
 	}
 	art, err := c.led.WriteArtifact(c.record.ID, name, data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: ledger artifact %s: %v\n", name, err)
+		c.printf("warning: ledger artifact %s: %v\n", name, err)
 		return
 	}
 	c.mu.Lock()
@@ -178,8 +182,16 @@ func (c *CLI) onDump(runSeq int, _ obs.RunMeta, trigger string, files []flight.B
 	for _, f := range files {
 		c.AddArtifact(fmt.Sprintf("run%03d/%s", runSeq, f.Name), f.Data)
 	}
-	fmt.Fprintf(os.Stderr, "flight: %s post-mortem for run %d -> %s\n",
+	c.printf("flight: %s post-mortem for run %d -> %s\n",
 		trigger, runSeq, c.led.runArtifactHint(c.record.ID, runSeq))
+}
+
+// printf writes to the command's stderr. Concurrent runs report through
+// one session, so writes are serialised.
+func (c *CLI) printf(format string, args ...any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fmt.Fprintf(c.stderr, format, args...)
 }
 
 // runArtifactHint renders the human-facing bundle location for stderr.
@@ -216,6 +228,6 @@ func (c *CLI) Finish(runErr error) {
 		c.record.Error = runErr.Error()
 	}
 	if err := c.led.Append(c.record); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
+		fmt.Fprintf(c.stderr, "warning: %v\n", err)
 	}
 }

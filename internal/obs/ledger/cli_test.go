@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,7 +25,7 @@ func TestCLIContract(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				c := StartCLI(tool, []string{"-quick"}, dir, false)
+				c := StartCLI(tool, []string{"-quick"}, dir, false, io.Discard)
 				if c == nil {
 					t.Fatal("session disabled unexpectedly")
 				}
@@ -127,7 +128,7 @@ func TestToolRegistryMatchesCmdTree(t *testing.T) {
 }
 
 func TestStartCLIDisabled(t *testing.T) {
-	if c := StartCLI("odrl", nil, t.TempDir(), true); c != nil {
+	if c := StartCLI("odrl", nil, t.TempDir(), true, io.Discard); c != nil {
 		t.Fatal("-no-ledger must disable the session")
 	}
 	var c *CLI
@@ -160,7 +161,7 @@ func TestResolveDir(t *testing.T) {
 
 func TestCLIScenarioAndBench(t *testing.T) {
 	dir := t.TempDir()
-	c := StartCLI("odrl-bench", []string{"-experiment", "T1"}, dir, false)
+	c := StartCLI("odrl-bench", []string{"-experiment", "T1"}, dir, false, io.Discard)
 	c.RecordScenario("T1", "cafe0123", "odrl-scenario-v1", true)
 	c.AddBenchPoint("flight", "od-rl/64c", "overhead_frac", 0.012)
 	c.AddArtifact("BENCH_flight.json", []byte(`{"ok":true}`))

@@ -3,7 +3,6 @@
 package ledger
 
 import (
-	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
@@ -19,7 +18,7 @@ func notifySigquit(c *CLI) {
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
 		for range ch {
-			fmt.Fprintln(os.Stderr, "ledger: SIGQUIT received, dumping flight bundles")
+			c.printf("ledger: SIGQUIT received, dumping flight bundles\n")
 			c.rec.DumpAll("sigquit")
 		}
 	}()

@@ -82,11 +82,12 @@ type Session struct {
 }
 
 // Start opens the session for one invocation of tool with args. The trace
-// file "-" streams to stdout. Start fails only on setup errors (an
-// unwritable trace file, a busy debug address, an unreadable rules file);
-// it then releases everything it had opened. The ledger opens after every
-// step that can fail, so a failed start leaves no run record.
-func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, error) {
+// file "-" streams to stdout; the ledger's warnings and post-mortem
+// notices go to stderr. Start fails only on setup errors (an unwritable
+// trace file, a busy debug address, an unreadable rules file); it then
+// releases everything it had opened. The ledger opens after every step
+// that can fail, so a failed start leaves no run record.
+func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Session, error) {
 	s := &Session{registry: obs.NewRegistry(), perfetto: f.perfetto}
 	var traceOut io.Writer
 	switch f.traceEvents {
@@ -138,7 +139,7 @@ func (f *Flags) Start(tool string, args []string, stdout io.Writer) (*Session, e
 			s.debug.Handle("/debug/health", s.Stack.Monitor.HealthHandler())
 		}
 	}
-	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger)
+	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger, stderr)
 	if f.learn || f.snapshotEvery > 0 {
 		opt := learn.Options{SnapshotEvery: f.snapshotEvery, Registry: s.registry}
 		if s.Ledger != nil {

@@ -50,7 +50,7 @@ func TestValidate(t *testing.T) {
 // TestOffSessionIsInert: with no flags set only the ledger is armed, and
 // with -no-ledger the stack is empty.
 func TestOffSessionIsInert(t *testing.T) {
-	s, err := parse(t, "-no-ledger").Start("odrl", nil, io.Discard)
+	s, err := parse(t, "-no-ledger").Start("odrl", nil, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFullSession(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.Start("odrl", []string{"-monitor"}, io.Discard)
+	s, err := f.Start("odrl", []string{"-monitor"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestStartFailures(t *testing.T) {
 		{"-alert-rules", filepath.Join(dir, "missing.json")},
 		{"-debug-addr", "256.0.0.1:bad"},
 	} {
-		if _, err := parse(t, append(args, "-no-ledger")...).Start("odrl", nil, io.Discard); err == nil {
+		if _, err := parse(t, append(args, "-no-ledger")...).Start("odrl", nil, io.Discard, io.Discard); err == nil {
 			t.Errorf("%v: Start succeeded", args)
 		}
 	}

@@ -84,23 +84,29 @@ func MustCodec(dims ...int) Codec {
 // States returns the total flattened state count.
 func (c Codec) States() int { return c.size }
 
-// Encode flattens per-dimension indices into one state index. It panics on
-// dimension mismatch or out-of-range indices.
-func (c Codec) Encode(idx ...int) int {
-	if len(idx) != len(c.dims) {
-		panic(fmt.Sprintf("rl: codec got %d indices for %d dims", len(idx), len(c.dims)))
+// Encode3 flattens the per-dimension indices of a three-dimension codec
+// into one state index, small enough to inline into a per-core loop. It
+// panics on any other dimension count or an out-of-range index.
+func (c Codec) Encode3(i, j, k int) int {
+	d := c.dims
+	if len(d) != 3 || uint(i) >= uint(d[0]) || uint(j) >= uint(d[1]) || uint(k) >= uint(d[2]) {
+		panic(encodeError{c.dims, [3]int{i, j, k}})
 	}
-	s := 0
-	for i, v := range idx {
-		if v < 0 || v >= c.dims[i] {
-			panic(fmt.Sprintf("rl: codec index %d out of range [0,%d) in dim %d", v, c.dims[i], i))
-		}
-		s = s*c.dims[i] + v
-	}
-	return s
+	return (i*d[1]+j)*d[2] + k
 }
 
-// Decode inverts Encode, filling a fresh slice of per-dimension indices.
+// encodeError is Encode3's panic value, formatted only when read.
+type encodeError struct {
+	dims []int
+	idx  [3]int
+}
+
+func (e encodeError) Error() string {
+	return fmt.Sprintf("rl: codec indices %v out of range for dims %v", e.idx, e.dims)
+}
+
+// Decode splits a state index into a fresh slice of per-dimension
+// indices: for a three-dimension codec it inverts Encode3.
 func (c Codec) Decode(state int) []int {
 	if state < 0 || state >= c.size {
 		panic(fmt.Sprintf("rl: state %d out of range [0,%d)", state, c.size))

@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -59,12 +61,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
 			for k := 0; k < 5; k++ {
-				s := c.Encode(i, j, k)
+				s := c.Encode3(i, j, k)
 				if s < 0 || s >= 60 {
-					t.Fatalf("Encode(%d,%d,%d) = %d out of range", i, j, k, s)
+					t.Fatalf("Encode3(%d,%d,%d) = %d out of range", i, j, k, s)
 				}
 				if seen[s] {
-					t.Fatalf("Encode collision at %d", s)
+					t.Fatalf("Encode3 collision at %d", s)
 				}
 				seen[s] = true
 				d := c.Decode(s)
@@ -86,18 +88,25 @@ func TestCodecValidation(t *testing.T) {
 }
 
 func TestCodecPanics(t *testing.T) {
-	c := MustCodec(2, 2)
+	c := MustCodec(2, 3, 4)
 	for _, fn := range []func(){
-		func() { c.Encode(1) },
-		func() { c.Encode(2, 0) },
-		func() { c.Encode(-1, 0) },
-		func() { c.Decode(4) },
+		func() { MustCodec(2, 2).Encode3(0, 0, 0) },
+		func() { c.Encode3(2, 0, 0) },
+		func() { c.Encode3(0, 3, 0) },
+		func() { c.Encode3(0, 0, 4) },
+		func() { c.Encode3(-1, 0, 0) },
+		func() { c.Decode(24) },
 		func() { c.Decode(-1) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Error("expected panic")
+					return
+				}
+				if msg := fmt.Sprint(r); !strings.HasPrefix(msg, "rl: ") {
+					t.Errorf("panic %q lacks the rl: prefix", msg)
 				}
 			}()
 			fn()
@@ -119,8 +128,8 @@ func TestQuickDiscretizerMonotone(t *testing.T) {
 	}
 }
 
-// Property: Encode∘Decode is the identity over the whole state space for
-// arbitrary codec shapes.
+// Property: Encode3∘Decode is the identity over the whole state space for
+// arbitrary three-dimension codec shapes.
 func TestQuickCodecBijective(t *testing.T) {
 	f := func(d1, d2, d3 uint8) bool {
 		c, err := NewCodec(int(d1%5)+1, int(d2%5)+1, int(d3%5)+1)
@@ -128,7 +137,7 @@ func TestQuickCodecBijective(t *testing.T) {
 			return false
 		}
 		for s := 0; s < c.States(); s++ {
-			if got := c.Encode(c.Decode(s)...); got != s {
+			if d := c.Decode(s); c.Encode3(d[0], d[1], d[2]) != s {
 				return false
 			}
 		}

@@ -7,91 +7,141 @@ import (
 	"repro/internal/rng"
 )
 
-// TestEpsilonCacheBitEqual drives two identically-seeded agents — one
-// attached to a properly warmed shared cache, one without — and requires
-// identical epsilon values and identical action streams at every step.
+// memoized reports whether agent i's current ε is served by f's memo
+// rather than computed.
+func memoized(f *Fleet, i int) bool {
+	_, ok := f.eps.lookup(f.steps[i])
+	return ok
+}
+
+// TestEpsilonCacheBitEqual drives two identically seeded fleets — one
+// whose ε memo is warmed before every step, as the OD-RL controller warms
+// it, one whose memo stays cold — and requires bit-identical ε values and
+// identical action streams at every step.
 func TestEpsilonCacheBitEqual(t *testing.T) {
+	const n = 4
 	cfg := Config{
 		States: 12, Actions: 4,
 		Alpha: 0.2, Gamma: 0.9,
 		EpsilonStart: 0.5, EpsilonEnd: 0.02, EpsilonDecay: 0.999,
 	}
-	cached, err := NewAgent(cfg, rng.New(11))
+	cached, err := NewFleet(cfg, n, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewAgent(cfg, rng.New(11))
+	plain, err := NewFleet(cfg, n, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
-	}
-	ec := NewEpsilonCache(cfg.EpsilonStart, cfg.EpsilonEnd, cfg.EpsilonDecay)
-	if !cached.AttachEpsilonCache(ec) {
-		t.Fatal("matching cache refused")
 	}
 
-	ec.Reset()
-	ec.Add(0)
-	if a, b := cached.Begin(0), plain.Begin(0); a != b {
-		t.Fatalf("Begin diverged: %d vs %d", a, b)
+	st := make([]int32, n)
+	rw := make([]float64, n)
+	co, po := make([]int, n), make([]int, n)
+	cached.WarmEpsilon(nil)
+	if !memoized(cached, 0) {
+		t.Fatal("warmed memo does not serve step 0")
 	}
-	st := rng.New(5)
+	cached.Begin(0, n, st, co)
+	plain.Begin(0, n, st, po)
+	env := rng.New(5)
 	for step := 0; step < 400; step++ {
-		ec.Reset()
-		ec.Add(step) // the lockstep count selectAction sees this step
-		s := st.Intn(cfg.States)
-		r := st.Float64()
-		if ce, pe := cached.Epsilon(), plain.Epsilon(); ce != pe ||
-			math.Float64bits(ce) != math.Float64bits(pe) {
-			t.Fatalf("step %d: epsilon diverged: %v vs %v", step, ce, pe)
+		cached.WarmEpsilon(nil) // the lockstep count every agent sits at
+		for i := range st {
+			st[i], rw[i] = int32(env.Intn(cfg.States)), env.Float64()
+			if !memoized(cached, i) || memoized(plain, i) {
+				t.Fatalf("step %d agent %d: memoised %v (warmed) and %v (cold)",
+					step, i, memoized(cached, i), memoized(plain, i))
+			}
+			if ce, pe := cached.Epsilon(i), plain.Epsilon(i); math.Float64bits(ce) != math.Float64bits(pe) {
+				t.Fatalf("step %d agent %d: epsilon diverged: %v vs %v", step, i, ce, pe)
+			}
 		}
-		if a, b := cached.Step(r, s), plain.Step(r, s); a != b {
-			t.Fatalf("step %d: action diverged: %d vs %d", step, a, b)
+		cached.Step(0, n, st, rw, co)
+		plain.Step(0, n, st, rw, po)
+		for i := range co {
+			if co[i] != po[i] {
+				t.Fatalf("step %d agent %d: action diverged: %d vs %d", step, i, co[i], po[i])
+			}
 		}
 	}
 }
 
-// TestEpsilonCacheMissComputesInline: an agent that fell out of lockstep
-// (cache warmed for a different step count) must compute its own epsilon,
-// bit-equal to the schedule, and must not write to the shared cache.
+// TestEpsilonCacheMissComputesInline: an agent out of lockstep (its step
+// count left out of the warm-up, or past the last slot) computes its own
+// ε, bit-equal to the schedule, and reading it writes nothing to the memo.
 func TestEpsilonCacheMissComputesInline(t *testing.T) {
 	cfg := Config{
 		States: 4, Actions: 3,
 		Alpha: 0.2, Gamma: 0.9,
 		EpsilonStart: 0.5, EpsilonEnd: 0.02, EpsilonDecay: 0.999,
 	}
-	a, err := NewAgent(cfg, rng.New(3))
+	const n = epsilonSlots + 2
+	f, err := NewFleet(cfg, n, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := NewEpsilonCache(cfg.EpsilonStart, cfg.EpsilonEnd, cfg.EpsilonDecay)
-	a.AttachEpsilonCache(ec)
-	ec.Reset()
-	ec.Add(1000) // agent is at step 0: guaranteed miss
-	want := cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, 0)
-	if got := a.Epsilon(); got != want {
-		t.Fatalf("miss path: got %v want %v", got, want)
+	// Agent i has taken i steps: n distinct counts, two more than the
+	// slots hold.
+	for i := range f.steps {
+		f.steps[i] = i
 	}
-	if ec.n != 1 || ec.steps[0] != 1000 {
-		t.Fatalf("miss path wrote to the shared cache: %d slots, first step %d", ec.n, ec.steps[0])
+	skip := make([]bool, n)
+	skip[0] = true
+	f.WarmEpsilon(skip)
+	if f.eps.n != epsilonSlots || f.eps.steps[0] != 1 {
+		t.Fatalf("warm-up filled %d slots from count %d, want %d from 1", f.eps.n, f.eps.steps[0], epsilonSlots)
+	}
+	memo := f.eps
+	for i := 0; i < n; i++ {
+		want := cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, float64(i))
+		if got := f.Epsilon(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("agent %d: ε %v, want %v", i, got, want)
+		}
+		if hit := i >= 1 && i <= epsilonSlots; memoized(f, i) != hit {
+			t.Fatalf("agent %d: memoised %v, want %v", i, memoized(f, i), hit)
+		}
+	}
+	if f.eps != memo {
+		t.Fatal("a miss wrote to the memo")
 	}
 }
 
-// TestEpsilonCacheRejectsMismatch: attaching a cache for a different
-// schedule must be refused, leaving the agent computing inline.
-func TestEpsilonCacheRejectsMismatch(t *testing.T) {
+// TestEpsilonMemoServesInterleavedCounts: agents held by the OD-RL
+// telemetry watchdog lag in interleaved groups, so equal step counts are
+// not adjacent in agent order. While the distinct counts of the agents
+// not skipped fit the slots, one warm-up serves every such agent with one
+// slot per count, and a skipped agent takes no slot.
+func TestEpsilonMemoServesInterleavedCounts(t *testing.T) {
 	cfg := Config{
 		States: 4, Actions: 3,
 		Alpha: 0.2, Gamma: 0.9,
 		EpsilonStart: 0.5, EpsilonEnd: 0.02, EpsilonDecay: 0.999,
 	}
-	a, err := NewAgent(cfg, rng.New(3))
+	const n = 256
+	f, err := NewFleet(cfg, n, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.AttachEpsilonCache(NewEpsilonCache(0.9, 0.02, 0.999)) {
-		t.Fatal("mismatched cache accepted")
+	skip := make([]bool, n)
+	for i := range f.steps {
+		f.steps[i] = 40
+		if i%2 == 0 {
+			f.steps[i] -= 12
+		}
+		if i%3 == 0 {
+			f.steps[i] -= 18
+		}
+		if i%7 == 5 { // a retired core: its count is its own
+			skip[i], f.steps[i] = true, 1000+i
+		}
 	}
-	if a.epsCache != nil {
-		t.Fatal("agent attached to mismatched cache")
+	f.WarmEpsilon(skip)
+	if f.eps.n != 4 {
+		t.Fatalf("warm-up filled %d slots, want 4 (counts 10, 22, 28, 40)", f.eps.n)
+	}
+	for i := range f.steps {
+		if !skip[i] && !memoized(f, i) {
+			t.Fatalf("agent %d at step %d not served by the memo", i, f.steps[i])
+		}
 	}
 }

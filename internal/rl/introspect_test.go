@@ -17,8 +17,9 @@ func introCfg(alg Algorithm) Config {
 	}
 }
 
-// drive runs a fixed deterministic episode and returns the action stream.
-func driveAgent(t *testing.T, a *Agent, steps int) []int {
+// driveAgent runs a fixed deterministic episode and returns the action
+// stream.
+func driveAgent(t *testing.T, a *solo, steps int) []int {
 	t.Helper()
 	acts := []int{a.Begin(0)}
 	for i := 0; i < steps; i++ {
@@ -42,14 +43,8 @@ func TestIntrospectionIsReadOnly(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, err := NewAgent(tc.cfg, rng.New(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			probed, err := NewAgent(tc.cfg, rng.New(7))
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := newSolo(t, tc.cfg, 7)
+			probed := newSolo(t, tc.cfg, 7)
 			probed.EnableIntrospection()
 			probed.EnableIntrospection() // idempotent
 			a1 := driveAgent(t, plain, 200)
@@ -61,7 +56,7 @@ func TestIntrospectionIsReadOnly(t *testing.T) {
 			}
 			for s := 0; s < tc.cfg.States; s++ {
 				for act := 0; act < tc.cfg.Actions; act++ {
-					if plain.table.Get(s, act) != probed.table.Get(s, act) {
+					if plain.Q(s, act) != probed.Q(s, act) {
 						t.Fatalf("Q(%d,%d) diverges", s, act)
 					}
 				}
@@ -75,19 +70,15 @@ func TestIntrospectionIsReadOnly(t *testing.T) {
 func TestProbeTDError(t *testing.T) {
 	cfg := introCfg(QLearning)
 	cfg.EpsilonStart, cfg.EpsilonEnd = 0, 0 // fully greedy: deterministic
-	a, err := NewAgent(cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSolo(t, cfg, 1)
 	a.EnableIntrospection()
-	a.Begin(0)
-	lastAct := a.lastAct
-	old := a.table.Get(0, lastAct)
-	_, bootstrap := a.table.Best(2)
+	lastAct := a.Begin(0)
+	old := a.Q(0, lastAct)
+	bootstrap := a.Q(2, a.Greedy(0, 2))
 	reward := 0.25
 	want := reward + cfg.Gamma*bootstrap - old
 	a.Step(reward, 2)
-	p := a.LastProbe()
+	p := a.Probe(0)
 	if p.TDError != want {
 		t.Fatalf("TDError = %g, want %g", p.TDError, want)
 	}
@@ -97,7 +88,7 @@ func TestProbeTDError(t *testing.T) {
 	if p.QSpread < 0 {
 		t.Fatalf("negative QSpread %g", p.QSpread)
 	}
-	if got := a.VisitedStates(); got != 2 {
+	if got := a.VisitedStates(0); got != 2 {
 		t.Fatalf("VisitedStates = %d, want 2", got)
 	}
 }
@@ -108,21 +99,24 @@ func TestProbeGreedyChanged(t *testing.T) {
 	cfg := introCfg(QLearning)
 	cfg.EpsilonStart, cfg.EpsilonEnd = 0, 0
 	cfg.Alpha = 1.0
-	a, err := NewAgent(cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSolo(t, cfg, 1)
 	a.EnableIntrospection()
 	a.Begin(0)
 	// With InitialQ uniform the greedy action is index 0 (ties break low);
 	// a catastrophic reward pushes Q(0, act) far below the others.
 	a.Step(-100, 1)
-	if !a.LastProbe().GreedyChanged {
+	if !a.Probe(0).GreedyChanged {
 		t.Fatal("catastrophic update did not register as greedy churn")
+	}
+	if got := a.TakeFlips(0); got != 1 {
+		t.Fatalf("TakeFlips = %d, want 1", got)
+	}
+	if got := a.TakeFlips(0); got != 0 {
+		t.Fatalf("TakeFlips after a take = %d, want 0", got)
 	}
 	// A neutral follow-up in another state should not.
 	a.Step(0.9+cfg.Gamma*1.0-1.0, 2) // δ = 0.9+γ·1−1 ≈ 0.8 on a fresh pair
-	if a.LastProbe().TDError == 0 {
+	if a.Probe(0).TDError == 0 {
 		t.Fatal("probe not refreshed on second step")
 	}
 }
@@ -130,32 +124,37 @@ func TestProbeGreedyChanged(t *testing.T) {
 // TestEnableIntrospectionMidRun enables probes after learning has begun:
 // the current state must count as visited.
 func TestEnableIntrospectionMidRun(t *testing.T) {
-	a, err := NewAgent(introCfg(QLearning), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSolo(t, introCfg(QLearning), 3)
 	a.Begin(4)
 	a.EnableIntrospection()
-	if got := a.VisitedStates(); got != 1 {
+	if got := a.VisitedStates(0); got != 1 {
 		t.Fatalf("VisitedStates after mid-run enable = %d, want 1", got)
 	}
-	if p := a.LastProbe(); p != (Probe{}) {
+	if p := a.Probe(0); p != (Probe{}) {
 		t.Fatalf("probe should be zero before the first probed step, got %+v", p)
 	}
 }
 
-// TestTableCopyTo round-trips the table and rejects bad sizes.
+// TestTableCopyTo: CopyPolicy exports every agent's table core-major and
+// rejects a destination of the wrong size.
 func TestTableCopyTo(t *testing.T) {
-	tbl := NewTable(3, 2, 1.5)
-	tbl.Set(2, 1, -4)
-	dst := make([]float64, 6)
-	if err := tbl.CopyTo(dst); err != nil {
+	cfg := introCfg(QLearning)
+	cfg.States, cfg.Actions, cfg.InitialQ = 3, 2, 1.5
+	f, err := NewFleet(cfg, 2, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dst[0] != 1.5 || dst[2*2+1] != -4 {
+	f.q[(1*3+2)*2+1] = -4 // agent 1, state 2, action 1
+	dst := make([]float64, 12)
+	if err := f.CopyPolicy(dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0] != 1.5 || dst[6+2*2+1] != -4 {
 		t.Fatalf("copied values wrong: %v", dst)
 	}
-	if err := tbl.CopyTo(make([]float64, 5)); err == nil {
-		t.Fatal("short dst accepted")
+	for _, n := range []int{0, 6, 11, 13} {
+		if err := f.CopyPolicy(make([]float64, n)); err == nil {
+			t.Errorf("%d-value dst accepted for a 2x3x2 fleet", n)
+		}
 	}
 }

@@ -61,53 +61,64 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestTableBasics: an agent's Q-table is its States×Actions block of the
+// fleet's slab, filled with InitialQ; a loaded value reads back, and the
+// greedy action breaks ties toward the lowest index.
 func TestTableBasics(t *testing.T) {
-	tbl := NewTable(3, 2, 0.5)
-	if tbl.States() != 3 || tbl.Actions() != 2 {
+	cfg := baseConfig()
+	cfg.States, cfg.Actions, cfg.InitialQ = 3, 2, 0.5
+	f, err := NewFleet(cfg, 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Len() != 2 || len(f.q) != 2*3*2 || len(f.greedy) != 2*3 {
 		t.Fatal("dimensions wrong")
 	}
-	if tbl.Get(1, 1) != 0.5 {
+	if f.q[(1*3+1)*2+1] != 0.5 {
 		t.Fatal("optimistic init missing")
 	}
-	tbl.Set(2, 0, 3.0)
-	if tbl.Get(2, 0) != 3.0 {
-		t.Fatal("Set/Get roundtrip failed")
+	q := make([]float64, len(f.q))
+	if err := f.CopyPolicy(q); err != nil {
+		t.Fatal(err)
 	}
-	act, val := tbl.Best(2)
-	if act != 0 || val != 3.0 {
-		t.Fatalf("Best = (%d, %v), want (0, 3.0)", act, val)
+	q[(1*3+2)*2+0] = 3.0 // agent 1, state 2, action 0
+	q[(1*3+0)*2+0], q[(1*3+0)*2+1] = 1, 1
+	q[(0*3+2)*2+1] = 4.0 // agent 0, state 2, action 1
+	if err := f.LoadPolicy(q); err != nil {
+		t.Fatal(err)
+	}
+	if f.q[(1*3+2)*2+0] != 3.0 {
+		t.Fatal("load/read roundtrip failed")
+	}
+	if f.Greedy(1, 2) != 0 || f.Greedy(0, 2) != 1 {
+		t.Fatalf("greedy = (%d, %d), want (0, 1)", f.Greedy(1, 2), f.Greedy(0, 2))
 	}
 	// Tie-break toward the lowest index.
-	tbl.Set(0, 0, 1)
-	tbl.Set(0, 1, 1)
-	if act, _ := tbl.Best(0); act != 0 {
+	if f.Greedy(1, 0) != 0 {
 		t.Fatal("tie must break to action 0")
 	}
 }
 
 func TestEpsilonSchedule(t *testing.T) {
 	cfg := baseConfig()
-	a, err := NewAgent(cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Epsilon(); math.Abs(got-1.0) > 1e-12 {
+	a := newSolo(t, cfg, 1)
+	if got := a.Epsilon(0); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("initial epsilon = %v, want 1.0", got)
 	}
 	a.Begin(0)
 	for i := 0; i < 10000; i++ {
 		a.Step(0, 0)
 	}
-	if got := a.Epsilon(); got > 0.02 {
+	if got := a.Epsilon(0); got > 0.02 {
 		t.Fatalf("epsilon after 10k steps = %v, want near end value 0.01", got)
 	}
-	if a.Steps() != 10000 {
-		t.Fatalf("Steps = %d, want 10000", a.Steps())
+	if a.Steps(0) != 10000 {
+		t.Fatalf("Steps = %d, want 10000", a.Steps(0))
 	}
 }
 
 func TestStepBeforeBeginPanics(t *testing.T) {
-	a, _ := NewAgent(baseConfig(), rng.New(1))
+	a := newSolo(t, baseConfig(), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -117,18 +128,37 @@ func TestStepBeforeBeginPanics(t *testing.T) {
 }
 
 func TestStatePanicsOutOfRange(t *testing.T) {
-	a, _ := NewAgent(baseConfig(), rng.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	a := newSolo(t, baseConfig(), 1)
+	a.Begin(0)
+	for _, s := range []int{4, 99} {
+		for name, call := range map[string]func(){
+			"Begin":  func() { a.Begin(s) },
+			"Step":   func() { a.Step(0, s) },
+			"Greedy": func() { a.Greedy(0, s) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at state %d: expected panic", name, s)
+					}
+				}()
+				call()
+			}()
 		}
-	}()
-	a.Begin(99)
+	}
 }
 
 func TestNilRNGRejected(t *testing.T) {
-	if _, err := NewAgent(baseConfig(), nil); err == nil {
+	if _, err := NewFleet(baseConfig(), 1, nil); err == nil {
 		t.Fatal("expected error for nil rng")
+	}
+	if _, err := NewFleet(baseConfig(), 0, rng.New(1)); err == nil {
+		t.Fatal("expected error for an empty fleet")
+	}
+	bad := baseConfig()
+	bad.Alpha = 0
+	if _, err := NewFleet(bad, 1, rng.New(1)); err == nil {
+		t.Fatal("expected error for an invalid config")
 	}
 }
 
@@ -141,10 +171,7 @@ func TestBanditConvergence(t *testing.T) {
 		cfg.Actions = 2
 		cfg.Algorithm = alg
 		cfg.EpsilonDecay = 0.995
-		a, err := NewAgent(cfg, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newSolo(t, cfg, 5)
 		act := a.Begin(0)
 		for i := 0; i < 5000; i++ {
 			reward := 0.1
@@ -153,8 +180,8 @@ func TestBanditConvergence(t *testing.T) {
 			}
 			act = a.Step(reward, 0)
 		}
-		if a.Greedy(0) != 1 {
-			t.Errorf("%v: greedy action = %d, want 1", alg, a.Greedy(0))
+		if a.Greedy(0, 0) != 1 {
+			t.Errorf("%v: greedy action = %d, want 1", alg, a.Greedy(0, 0))
 		}
 	}
 }
@@ -168,10 +195,7 @@ func TestChainMDPCreditAssignment(t *testing.T) {
 	cfg.Actions = 2
 	cfg.Alpha = 0.3
 	cfg.EpsilonDecay = 0.9995
-	a, err := NewAgent(cfg, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSolo(t, cfg, 11)
 	s := 0
 	act := a.Begin(s)
 	for i := 0; i < 30000; i++ {
@@ -190,20 +214,15 @@ func TestChainMDPCreditAssignment(t *testing.T) {
 			// episode restarts
 			a.Step(reward, 0)
 			s = 0
-			act = a.Greedy(0)
-			if a.Epsilon() > 0.05 {
-				act = a.Begin(0)
-			} else {
-				act = a.Begin(0)
-			}
+			act = a.Begin(0)
 			continue
 		}
 		act = a.Step(reward, next)
 		s = next
 	}
 	for st := 0; st < 3; st++ {
-		if a.Greedy(st) != 1 {
-			t.Fatalf("state %d: greedy action = %d, want 1 (right)", st, a.Greedy(st))
+		if a.Greedy(0, st) != 1 {
+			t.Fatalf("state %d: greedy action = %d, want 1 (right)", st, a.Greedy(0, st))
 		}
 	}
 }
@@ -220,7 +239,7 @@ func TestQLearningValueMagnitude(t *testing.T) {
 	cfg.EpsilonStart = 1.0
 	cfg.EpsilonEnd = 1.0 // pure exploration; Q-learning is off-policy
 	cfg.EpsilonDecay = 1.0
-	a, _ := NewAgent(cfg, rng.New(13))
+	a := newSolo(t, cfg, 13)
 	s := 0
 	act := a.Begin(s)
 	for i := 0; i < 200000; i++ {
@@ -243,7 +262,7 @@ func TestQLearningValueMagnitude(t *testing.T) {
 	}
 	g := cfg.Gamma
 	want := g * g / (1 - g*g*g)
-	got := a.Table().Get(0, 1)
+	got := a.Q(0, 1)
 	if math.Abs(got-want) > 0.15 {
 		t.Fatalf("Q(0,right) = %v, want ~%v", got, want)
 	}
@@ -263,7 +282,7 @@ func TestSARSAIsOnPolicy(t *testing.T) {
 		cfg.EpsilonStart = 1.0
 		cfg.EpsilonEnd = 1.0
 		cfg.EpsilonDecay = 1.0
-		a, _ := NewAgent(cfg, rng.New(17))
+		a := newSolo(t, cfg, 17)
 		s := 0
 		act := a.Begin(s)
 		for i := 0; i < 200000; i++ {
@@ -284,7 +303,7 @@ func TestSARSAIsOnPolicy(t *testing.T) {
 			act = a.Step(reward, next)
 			s = next
 		}
-		return a.Table().Get(0, 1)
+		return a.Q(0, 1)
 	}
 	q := run(QLearning)
 	sarsa := run(SARSA)
@@ -295,7 +314,7 @@ func TestSARSAIsOnPolicy(t *testing.T) {
 
 func TestDeterministicLearning(t *testing.T) {
 	run := func() float64 {
-		a, _ := NewAgent(baseConfig(), rng.New(23))
+		a := newSolo(t, baseConfig(), 23)
 		act := a.Begin(0)
 		for i := 0; i < 1000; i++ {
 			r := float64(act)
@@ -304,7 +323,7 @@ func TestDeterministicLearning(t *testing.T) {
 		sum := 0.0
 		for s := 0; s < 4; s++ {
 			for ac := 0; ac < 2; ac++ {
-				sum += a.Table().Get(s, ac)
+				sum += a.Q(s, ac)
 			}
 		}
 		return sum
@@ -319,9 +338,8 @@ func TestQuickQValueBounds(t *testing.T) {
 	f := func(seed uint64, rewards []uint8) bool {
 		cfg := baseConfig()
 		cfg.InitialQ = 0
-		a, _ := NewAgent(cfg, rng.New(seed))
-		act := a.Begin(0)
-		_ = act
+		a := newSolo(t, cfg, seed)
+		a.Begin(0)
 		bound := 1.0/(1-cfg.Gamma) + 1e-9
 		for i, rw := range rewards {
 			r := float64(rw%100) / 100.0 // rewards in [0,1)
@@ -329,7 +347,7 @@ func TestQuickQValueBounds(t *testing.T) {
 		}
 		for s := 0; s < cfg.States; s++ {
 			for ac := 0; ac < cfg.Actions; ac++ {
-				v := a.Table().Get(s, ac)
+				v := a.Q(s, ac)
 				if v < -bound || v > bound {
 					return false
 				}
@@ -346,7 +364,7 @@ func BenchmarkAgentStep(b *testing.B) {
 	cfg := baseConfig()
 	cfg.States = 128
 	cfg.Actions = 8
-	a, _ := NewAgent(cfg, rng.New(1))
+	a := newSolo(b, cfg, 1)
 	a.Begin(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

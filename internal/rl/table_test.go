@@ -8,12 +8,9 @@ import (
 
 // runChain trains an agent on the continuing form of rl_test.go's chain
 // MDP: reward 1 on entering state 3, then back to state 0.
-func runChain(t *testing.T, cfg Config, steps int) *Agent {
+func runChain(t *testing.T, cfg Config, steps int) *solo {
 	t.Helper()
-	a, err := NewAgent(cfg, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSolo(t, cfg, 29)
 	s := 0
 	act := a.Begin(s)
 	for i := 0; i < steps; i++ {
@@ -37,74 +34,101 @@ func runChain(t *testing.T, cfg Config, steps int) *Agent {
 	return a
 }
 
-// TestNewTableFillsEveryCell: the doubling fill reaches every cell for
-// sizes that are not powers of two.
+// TestNewTableFillsEveryCell: the doubling fill reaches every cell of the
+// slab for sizes that are not powers of two.
 func TestNewTableFillsEveryCell(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {3, 2}, {7, 1}, {125, 8}} {
-		tbl := NewTable(dims[0], dims[1], 2)
-		for s := 0; s < dims[0]; s++ {
-			for a := 0; a < dims[1]; a++ {
-				if v := tbl.Get(s, a); v != 2 {
-					t.Fatalf("%dx%d table: Q(%d,%d) = %v, want 2", dims[0], dims[1], s, a, v)
-				}
+	for _, dims := range [][3]int{{1, 1, 1}, {3, 2, 1}, {7, 1, 3}, {125, 8, 5}} {
+		cfg := baseConfig()
+		cfg.States, cfg.Actions, cfg.InitialQ = dims[0], dims[1], 2
+		f, err := NewFleet(cfg, dims[2], rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range f.q {
+			if v != 2 {
+				t.Fatalf("%dx%dx%d slab: cell %d = %v, want 2", dims[2], dims[0], dims[1], k, v)
 			}
 		}
 	}
 }
 
-// TestTableSaveLoadRoundTrip round-trips a table through a one-core
-// policy snapshot, the form policy files hold: CopyTo, Encode,
-// DecodeSnapshot, then CopyFrom into a fresh table.
+// TestTableSaveLoadRoundTrip round-trips a fleet's tables through a
+// policy snapshot, the form policy files hold: CopyPolicy, Encode,
+// DecodeSnapshot, then LoadPolicy into a fresh fleet.
 func TestTableSaveLoadRoundTrip(t *testing.T) {
-	tbl := NewTable(3, 2, 0)
-	tbl.Set(1, 1, 4.25)
-	tbl.Set(2, 0, -1.5)
-	s := Snapshot{Cores: 1, States: 3, Actions: 2, Q: make([]float64, 6)}
-	if err := tbl.CopyTo(s.Q); err != nil {
+	src := runChain(t, baseConfig(), 2000)
+	cfg := src.cfg
+	s := Snapshot{Cores: 1, States: cfg.States, Actions: cfg.Actions, Q: make([]float64, cfg.States*cfg.Actions)}
+	if err := src.CopyPolicy(s.Q); err != nil {
 		t.Fatal(err)
 	}
 	back, err := DecodeSnapshot(s.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := NewTable(3, 2, 0)
-	if err := loaded.CopyFrom(back.Q); err != nil {
+	loaded := newSolo(t, cfg, 3)
+	if err := loaded.LoadPolicy(back.Q); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Get(1, 1) != 4.25 || loaded.Get(2, 0) != -1.5 {
-		t.Fatal("values lost")
-	}
-}
-
-// TestLoadTableRejectsGarbage: CopyFrom refuses a slice whose length is
-// not states×actions and leaves the table as it was.
-func TestLoadTableRejectsGarbage(t *testing.T) {
-	tbl := NewTable(3, 2, 1.5)
-	for _, n := range []int{0, 5, 7, 12} {
-		if err := tbl.CopyFrom(make([]float64, n)); err == nil {
-			t.Errorf("%d values accepted by a 3x2 table", n)
+	for st := 0; st < cfg.States; st++ {
+		for act := 0; act < cfg.Actions; act++ {
+			if loaded.Q(st, act) != src.Q(st, act) {
+				t.Fatalf("Q(%d,%d) = %v after the round trip, want %v", st, act, loaded.Q(st, act), src.Q(st, act))
+			}
 		}
 	}
-	if tbl.dirty || tbl.Get(2, 1) != 1.5 {
-		t.Fatal("refused copy changed the table")
+}
+
+// TestLoadTableRejectsGarbage: LoadPolicy refuses a slice whose length is
+// not the slab's and leaves the tables and greedy index as they were.
+func TestLoadTableRejectsGarbage(t *testing.T) {
+	a := runChain(t, baseConfig(), 2000)
+	before := append([]float64(nil), a.q...)
+	greedy := append([]uint8(nil), a.greedy...)
+	for _, n := range []int{0, 7, 9, 16} {
+		if err := a.LoadPolicy(make([]float64, n)); err == nil {
+			t.Errorf("%d values accepted by a 4x2 table", n)
+		}
+	}
+	for k := range before {
+		if a.q[k] != before[k] {
+			t.Fatal("refused load changed the table")
+		}
+	}
+	if string(a.greedy) != string(greedy) {
+		t.Fatal("refused load changed the greedy index")
 	}
 }
 
-// TestCopyFrom: CopyFrom is CopyTo's inverse and marks the table dirty, so
-// an owning agent rebuilds its greedy index.
+// TestCopyFrom: LoadPolicy is CopyPolicy's inverse and rebuilds the greedy
+// index from the loaded values.
 func TestCopyFrom(t *testing.T) {
-	src := NewTable(2, 2, 1.5)
-	src.Set(0, 1, -2)
-	q := make([]float64, 4)
-	if err := src.CopyTo(q); err != nil {
+	cfg := baseConfig()
+	cfg.States, cfg.Actions, cfg.InitialQ = 2, 3, 1.5
+	src, err := NewFleet(cfg, 2, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	dst := NewTable(2, 2, 0)
-	if err := dst.CopyFrom(q); err != nil {
+	src.q[1] = 4  // agent 0, state 0: action 1 leads
+	src.q[11] = 2 // agent 1, state 1: action 2 leads
+	q := make([]float64, 12)
+	if err := src.CopyPolicy(q); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.dirty || dst.Get(1, 1) != 1.5 || dst.Get(0, 1) != -2 {
-		t.Fatal("copy failed")
+	dst, err := NewFleet(cfg, 2, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.LoadPolicy(q); err != nil {
+		t.Fatal(err)
+	}
+	for k := range q {
+		if dst.q[k] != q[k] {
+			t.Fatalf("cell %d = %v, want %v", k, dst.q[k], q[k])
+		}
+	}
+	if dst.Greedy(0, 0) != 1 || dst.Greedy(1, 1) != 2 || dst.Greedy(0, 1) != 0 {
+		t.Fatalf("greedy index not rebuilt: %v", dst.greedy)
 	}
 }
 
@@ -115,20 +139,20 @@ func TestWarmStartViaCopy(t *testing.T) {
 	cfg.EpsilonStart = 0
 	cfg.EpsilonEnd = 0
 	trained := runChain(t, baseConfig(), 30000)
-	fresh, err := NewAgent(cfg, rng.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := newSolo(t, cfg, 41)
 	q := make([]float64, cfg.States*cfg.Actions)
-	if err := trained.Table().CopyTo(q); err != nil {
+	if err := trained.CopyPolicy(q); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Table().CopyFrom(q); err != nil {
+	if err := fresh.LoadPolicy(q); err != nil {
 		t.Fatal(err)
 	}
 	for st := 0; st < 3; st++ {
-		if fresh.Greedy(st) != trained.Greedy(st) {
+		if fresh.Greedy(0, st) != trained.Greedy(0, st) {
 			t.Fatal("warm-started agent disagrees with its source policy")
+		}
+		if fresh.Begin(st) != trained.Greedy(0, st) {
+			t.Fatal("warm-started agent does not act on its source policy")
 		}
 	}
 }
