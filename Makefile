@@ -59,9 +59,15 @@ test:
 # Determinism gate for the parallel execution layer: sequential (Workers=1)
 # and parallel (Workers=8) runs must produce byte-identical tables and
 # telemetry at every level (experiment fan-out, chip stepping, OD-RL).
+# The second leg reruns the goldens, the spec-parity harness and the rng
+# tests with GODEBUG=cpu.fma=off. On amd64 that flag changes only which
+# assembly math.Exp runs (FMA or plain, which differ in the last bit on
+# some arguments), so a table or golden that reproduces only on FMA hosts
+# fails here instead of on a contributor's machine.
 test-determinism:
 	$(GO) test -run 'TestParallelDeterminism|TestStepParallelDeterminism|TestDecideParallelDeterminism' \
 		./internal/experiments/ ./internal/manycore/ ./internal/core/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/scenario/ ./internal/rng/
 
 # Scenario contract gate: the spec-parity harness (engine tables from
 # checked-in JSON specs byte-identical to the experiments goldens at -j1
@@ -112,8 +118,9 @@ bench:
 # Short fuzz pass over every decoder that accepts external bytes (obs JSONL
 # records, fault plans, policy snapshots and the saved OD-RL policies
 # LoadPolicy reads), plus the differential checks of the MaxBIPS knapsack
-# against its full-grid reference and of the OD-RL agent fleet against the
-# per-agent learner it replaced. Go runs one fuzz target per invocation,
+# against its full-grid reference, of the OD-RL agent fleet against the
+# per-agent learner it replaced, and of the batched Gaussian fill against
+# one NormFloat64 at a time. Go runs one fuzz target per invocation,
 # so each gets its own anchored pattern. -fuzzminimizetime=1x keeps the
 # minimisation of each new input from eating the budget; a crasher is then
 # saved unminimised, and still replays with `go test -run`.
@@ -128,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/ledger/
 	$(GO) test -run='^$$' -fuzz='^FuzzMaxBIPSMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/baselines/
+	$(GO) test -run='^$$' -fuzz='^FuzzNormFillMatches$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/rng/
 
 # Coverage gate: repo-wide statement coverage must stay at or above
 # COVER_FLOOR. Writes cover.out for `go tool cover -html=cover.out`.
@@ -174,9 +182,9 @@ obs-smoke:
 	rm -rf .odrl-smoke
 
 # Compile-and-run smoke of the kernel benchmarks for CI: one iteration of
-# every struct-of-arrays StepKernel case and of the Gaussian sampler, so
-# the profiling harness can't rot. Kernel throughput itself is measured by
+# every struct-of-arrays StepKernel case and of the Gaussian sampler, one
+# draw and one batch at a time, so the profiling harness can't rot. Kernel throughput itself is measured by
 # the repo benchmark (benchmark/, workload kernel-1024).
 bench-step-smoke:
 	$(GO) test -run=- -bench='BenchmarkStepKernel' -benchtime=1x .
-	$(GO) test -run=- -bench='BenchmarkNormFloat64' -benchtime=1x ./internal/rng/
+	$(GO) test -run=- -bench='BenchmarkNorm' -benchtime=1x ./internal/rng/

@@ -751,6 +751,13 @@ func (c *Chip) stepRange(lo, hi int, dt float64, tel *Telemetry, fuse bool) floa
 		_ = sources[last]
 		_ = instrByCore[last]
 	}
+	if fixedLeak == nil {
+		// Leakage pre-pass: each core's temperature factor goes into the
+		// power slot its own iteration overwrites below, so the shard's
+		// math.Exp calls run back to back and overlap instead of each
+		// heading its core's dependency chain.
+		lut.TempFactors(corePW[lo:hi], temps[lo:hi])
+	}
 	for i := lo; i < hi; i++ {
 		if dead != nil && dead[i] {
 			corePW[i] = 0
@@ -810,14 +817,14 @@ func (c *Chip) stepRange(lo, hi int, dt float64, tel *Telemetry, fuse bool) floa
 
 		// Power: full during the active window, leakage-only during the
 		// stall (clocks gated while the PLL relocks). Leakage is the
-		// per-level Pow prefix times the temperature correction — or a
-		// single indexed load when the thermal loop is off and
-		// temperature is pinned at ambient.
+		// per-level Pow prefix times the temperature factor the pre-pass
+		// left in corePW[i] — or a single indexed load when the thermal
+		// loop is off and temperature is pinned at ambient.
 		var pLeak float64
 		if fixedLeak != nil {
 			pLeak = fixedLeak[lvl]
 		} else {
-			pLeak = lut.LeakageWAt(lvl, temp)
+			pLeak = lut.LeakageWFrom(lvl, corePW[i])
 		}
 		if !uniform {
 			pLeak *= leakMult[i]
@@ -931,9 +938,7 @@ func (c *Chip) StepInto(dt float64, tel *Telemetry) {
 		if c.noiseBuf == nil {
 			c.noiseBuf = make([]float64, 3*n)
 		}
-		for i := range c.noiseBuf {
-			c.noiseBuf[i] = c.noise.NormFloat64()
-		}
+		c.noise.NormFill(c.noiseBuf)
 	}
 
 	var truePower float64

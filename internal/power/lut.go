@@ -7,7 +7,8 @@ import "math"
 // math.Pow in LeakageW — constant per level — has no business executing
 // per core per epoch.
 //
-// Bit-exactness contract: LeakageWAt(l, t) returns the exact float64
+// Bit-exactness contract: LeakageWAt(l, t), and LeakageWFrom(l, f) for
+// the factor f that TempFactors computes at t, return the exact float64
 // LeakageW(voltagesV[l], t) returns, for every level and temperature.
 // That holds because LeakageW computes
 //
@@ -48,15 +49,44 @@ func NewLUT(p Params, voltagesV []float64) *LUT {
 func (l *LUT) Levels() int { return len(l.voltsV) }
 
 // LeakageWAt returns leakage power at level and temperature, bit-equal to
-// Params.LeakageW at that level's voltage. One Exp and two multiplies —
-// the Pow is amortised into construction.
+// Params.LeakageW at that level's voltage: the two halves below composed.
+// One Exp and two multiplies — the Pow is amortised into construction.
 func (l *LUT) LeakageWAt(level int, tempK float64) float64 {
+	return l.LeakageWFrom(level, l.tempFactor(tempK))
+}
+
+// tempFactor is leakage's temperature factor, the Exp in LeakageW.
+//
+//odrl:hotpath
+func (l *LUT) tempFactor(tempK float64) float64 {
+	return math.Exp(l.p.LeakTempCoeffPerK * (tempK - l.p.TrefK))
+}
+
+// TempFactors writes each core's leakage temperature factor,
+// exp(LeakTempCoeffPerK·(tempsK[i] − TrefK)), into dst[i]; tempsK must be
+// at least as long as dst. The epoch kernel runs it over a shard before its
+// per-core loop: the calls are independent, so their latencies overlap,
+// where one Exp per iteration would head each core's dependency chain.
+//
+//odrl:hotpath
+func (l *LUT) TempFactors(dst, tempsK []float64) {
+	tempsK = tempsK[:len(dst)]
+	for i, t := range tempsK {
+		dst[i] = l.tempFactor(t)
+	}
+}
+
+// LeakageWFrom finishes leakage at level from a core's temperature factor
+// (TempFactors), with the same two multiplies in the same order as
+// LeakageW, so the result is bit-equal to LeakageWAt at that temperature.
+//
+//odrl:hotpath
+func (l *LUT) LeakageWFrom(level int, factor float64) float64 {
 	v := l.voltsV[level]
 	if v <= 0 {
 		return 0
 	}
-	i := l.leakBase[level] * math.Exp(l.p.LeakTempCoeffPerK*(tempK-l.p.TrefK))
-	return v * i
+	return v * (l.leakBase[level] * factor)
 }
 
 // FixedTempLeakageW returns a per-level leakage table at one fixed
@@ -65,12 +95,9 @@ func (l *LUT) LeakageWAt(level int, tempK float64) float64 {
 // reduces per-core leakage to a single indexed load.
 func (l *LUT) FixedTempLeakageW(tempK float64) []float64 {
 	out := make([]float64, len(l.voltsV))
-	exp := math.Exp(l.p.LeakTempCoeffPerK * (tempK - l.p.TrefK))
-	for lev, v := range l.voltsV {
-		if v <= 0 {
-			continue
-		}
-		out[lev] = v * (l.leakBase[lev] * exp)
+	f := l.tempFactor(tempK)
+	for lev := range out {
+		out[lev] = l.LeakageWFrom(lev, f)
 	}
 	return out
 }

@@ -41,15 +41,27 @@ func New(seed uint64) *RNG {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s1*5, 7) * 9
-	t := r.s1 << 17
-	r.s2 ^= r.s0
-	r.s3 ^= r.s1
-	r.s1 ^= r.s2
-	r.s0 ^= r.s3
-	r.s2 ^= t
-	r.s3 = bits.RotateLeft64(r.s3, 45)
-	return result
+	var u uint64
+	u, *r = r.next()
+	return u
+}
+
+// next is one xoshiro256** step on a state held by value: it returns the
+// output and the advanced state. Uint64 stores the state back at once;
+// NormFill keeps it in a local across a whole batch, where the compiler
+// can hold its four words in registers.
+//
+//odrl:hotpath
+func (s RNG) next() (uint64, RNG) {
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return result, s
 }
 
 // Split derives an independent child generator. The child's stream is a
@@ -97,38 +109,83 @@ func mul64(a, b uint64) (hi, lo uint64) {
 }
 
 // NormFloat64 returns a standard normal variate by Marsaglia and Tsang's
-// ziggurat over the 128 layers in ziggurat.go. Each try takes one Uint64:
-// bits 0–6 pick the layer, bit 7 is the sign and bits 11–63 are the
-// abscissa, so no bit does two jobs (Doornik 2005 shows the correlation
-// that reusing the abscissa's low bits as the index causes). About 97% of
-// tries return from the rectangle inside their layer; a wedge try takes one
-// more uniform and a math.Exp, and a base-strip try beyond zigR samples the
-// tail by Marsaglia's exponential method.
+// ziggurat over the 128 layers in ziggurat.go. Each try takes one Uint64
+// (see zigTry). About 97% of tries return from the rectangle inside their
+// layer; the rest go to zigEdge.
 //
 //odrl:hotpath
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := r.Uint64()
-		i := u & 0x7f
-		m := u >> 11
-		x := float64(int64(m)) * zigW[i]
-		// Bit 7 becomes x's sign bit, without a branch.
-		x = math.Float64frombits(math.Float64bits(x) | (u&0x80)<<56)
-		if m < zigK[i] {
-			return x
+		x, i, in := zigTry(r.Uint64())
+		if !in {
+			x, in = r.zigEdge(x, i)
 		}
-		if i == 0 {
-			for {
-				t := r.ExpFloat64() / zigR
-				if 2*r.ExpFloat64() >= t*t {
-					return math.Copysign(zigR+t, x)
-				}
-			}
-		}
-		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+		if in {
 			return x
 		}
 	}
+}
+
+// NormFill fills dst with standard normal variates: bit for bit the values
+// len(dst) successive NormFloat64 calls return, leaving the generator in
+// the same state. It runs the same tries, but holds the xoshiro state in a
+// local across the rectangle fast path and stores it back only around a
+// zigEdge call, so a batch pays no load and store of the state per draw.
+//
+//odrl:hotpath
+func (r *RNG) NormFill(dst []float64) {
+	s := *r
+	for k := 0; k < len(dst); {
+		var u uint64
+		u, s = s.next()
+		x, i, in := zigTry(u)
+		if !in {
+			*r = s
+			x, in = r.zigEdge(x, i)
+			s = *r
+		}
+		if in {
+			dst[k] = x
+			k++
+		}
+	}
+	*r = s
+}
+
+// zigTry maps one Uint64 to a ziggurat try: bits 0–6 pick the layer i, bit
+// 7 is the sign and bits 11–63 are the abscissa, so no bit does two jobs
+// (Doornik 2005 shows the correlation that reusing the abscissa's low bits
+// as the index causes). in reports that the signed abscissa x lies inside
+// the layer's rectangle, where the whole layer is under the curve.
+//
+//odrl:hotpath
+func zigTry(u uint64) (x float64, i uint64, in bool) {
+	i = u & 0x7f
+	m := u >> 11
+	x = float64(int64(m)) * zigW[i]
+	// Bit 7 becomes x's sign bit, without a branch.
+	x = math.Float64frombits(math.Float64bits(x) | (u&0x80)<<56)
+	return x, i, m < zigK[i]
+}
+
+// zigEdge finishes a try that missed its layer's rectangle, the one slow
+// path of NormFloat64 and NormFill. A wedge try (i > 0) takes one more
+// uniform and a math.Exp, and the bool reports acceptance; a rejected try
+// starts over. A base-strip try (i == 0) lies beyond zigR and is always
+// accepted, with a variate from the tail by Marsaglia's exponential method
+// and x's sign.
+//
+//odrl:hotpath
+func (r *RNG) zigEdge(x float64, i uint64) (float64, bool) {
+	if i == 0 {
+		for {
+			t := r.ExpFloat64() / zigR
+			if 2*r.ExpFloat64() >= t*t {
+				return math.Copysign(zigR+t, x), true
+			}
+		}
+	}
+	return x, zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x)
 }
 
 // ExpFloat64 returns an exponential variate with mean 1.

@@ -148,6 +148,69 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// normFillMatches fills n variates with NormFill from a copy of r, then
+// draws the same n from r itself one NormFloat64 at a time. It reports the
+// first index where the two differ in any bit (-1 if none), whether the
+// generators end in the same state, and how many single draws sent their
+// first try to the wedge and to the tail path.
+func normFillMatches(r *RNG, n int) (diff int, sameState bool, wedge, tail int) {
+	batch := *r
+	got := make([]float64, n)
+	batch.NormFill(got)
+	diff = -1
+	for k := range got {
+		first := *r
+		if _, i, in := zigTry(first.Uint64()); !in && i == 0 {
+			tail++
+		} else if !in {
+			wedge++
+		}
+		if want := r.NormFloat64(); diff < 0 && math.Float64bits(got[k]) != math.Float64bits(want) {
+			diff = k
+		}
+	}
+	return diff, batch == *r, wedge, tail
+}
+
+// TestNormFillMatchesNormFloat64 is NormFill's oracle: over streams from
+// fresh and part-drawn generators, of lengths from 0 to past a 1024-core
+// epoch's 3072 variates, the batch must return the successive NormFloat64
+// values bit for bit and leave the generator where they leave it. The
+// streams must exercise the wedge and the tail, the two ways a batch try
+// leaves its register-held state.
+func TestNormFillMatchesNormFloat64(t *testing.T) {
+	wedges, tails := 0, 0
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		r := New(seed)
+		for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 3072, 20000} {
+			diff, same, wedge, tail := normFillMatches(r, n)
+			if diff >= 0 {
+				t.Fatalf("seed %d, length %d: variate %d differs from NormFloat64", seed, n, diff)
+			}
+			if !same {
+				t.Fatalf("seed %d, length %d: NormFill left the generator in another state", seed, n)
+			}
+			wedges += wedge
+			tails += tail
+		}
+	}
+	if wedges == 0 || tails == 0 {
+		t.Fatalf("streams took %d wedge and %d tail tries, want both > 0", wedges, tails)
+	}
+}
+
+// FuzzNormFillMatches runs the NormFill oracle on arbitrary seeds and
+// batch lengths.
+func FuzzNormFillMatches(f *testing.F) {
+	f.Add(uint64(1), uint16(3072))
+	f.Add(uint64(7), uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		if diff, same, _, _ := normFillMatches(New(seed), int(n)); diff >= 0 || !same {
+			t.Fatalf("seed %d, length %d: first differing variate %d, same end state %v", seed, n, diff, same)
+		}
+	})
+}
+
 // centralMoments returns the mean and the second to fourth central moments
 // of xs.
 func centralMoments(xs []float64) (mean, m2, m3, m4 float64) {
@@ -178,39 +241,63 @@ func ksDistance(xs []float64, cdf func(float64) float64) float64 {
 	return d
 }
 
-// TestZigguratTables recomputes the literal layer tables from the
-// Marsaglia–Tsang recurrence and requires every entry within 4 ulps (zigK
-// within 4 units), so a mistyped entry or a zigR/zigV pair that does not
-// close the top layer fails here rather than as a slightly wrong normal.
+// TestZigguratTables checks the literal layer tables against identities
+// that tie each entry to its neighbours, so a mistyped entry, or a
+// zigR/zigV pair that does not close the top layer, fails here rather than
+// as a slightly wrong normal. Layer i ≥ 1 reaches out to x_i =
+// zigW[i]·2^53, exactly, since the widths were divided by 2^53. Each
+// identity rounds a few operations on literals rather than replaying the
+// 127-layer recurrence, so its error does not compound and its bound holds
+// on every floating-point path: amd64's math.Exp and math.Log pick FMA or
+// plain code by host, and recomputing the whole recurrence on the plain
+// path put entries up to 137 ulps from the literals, which came from the
+// FMA path.
 func TestZigguratTables(t *testing.T) {
 	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
 	const scale = 1 << 53
-	// x[i] is layer i's right edge; x[0] = 0 is the top of the curve.
-	x := make([]float64, len(zigK))
-	x[len(x)-1] = zigR
-	for i := len(x) - 2; i >= 1; i-- {
-		x[i] = math.Sqrt(-2 * math.Log(zigV/x[i+1]+f(x[i+1])))
+	edge := func(i int) float64 { return zigW[i] * scale }
+	near := func(got, want float64, ulps int64) bool {
+		d := int64(math.Float64bits(got) - math.Float64bits(want))
+		return -ulps <= d && d <= ulps
 	}
-	if top := zigV/x[1] + f(x[1]); math.Abs(top-1) > 1e-9 {
-		t.Fatalf("recurrence does not close the top layer: f(x_0) = %.12f, want 1", top)
+	if edge(127) != zigR {
+		t.Errorf("zigW[127]·2^53 = %v, want the base-strip edge zigR = %v", edge(127), zigR)
 	}
-	ulps := func(a, b float64) int64 { return int64(math.Float64bits(a) - math.Float64bits(b)) }
-	near := func(d int64) bool { return -4 <= d && d <= 4 }
-	for i := range x {
-		// Layer 0 is the base strip with its tail folded in; its inner
-		// edge is zigR.
-		width, inner := zigV/f(zigR), zigR
-		if i > 0 {
-			width, inner = x[i], x[i-1]
+	// Layer 0 is the base strip with its tail folded in: a rectangle of
+	// width zigV/f(zigR) whose inner edge is zigR.
+	if w := zigV / f(zigR); !near(edge(0), w, 2) {
+		t.Errorf("zigW[0] = %v, want zigV/f(zigR)/2^53 = %v", zigW[0], w/scale)
+	}
+	if k := uint64(zigR / edge(0) * scale); zigK[0] != k {
+		t.Errorf("zigK[0] = %#x, want zigR over layer 0's width, %#x", zigK[0], k)
+	}
+	// x_0 = 0 closes the top: f(x_0) = 1, and the top layer has no
+	// rectangle inside its curve.
+	if zigF[0] != 1 || zigK[1] != 0 {
+		t.Errorf("zigF[0] = %v and zigK[1] = %#x, want 1 and 0", zigF[0], zigK[1])
+	}
+	if top := zigV/edge(1) + zigF[1]; math.Abs(top-1) > 1e-9 {
+		t.Errorf("zigR and zigV do not close the top layer: f(x_0) = %.12f, want 1", top)
+	}
+	for i := 1; i < len(zigK); i++ {
+		// zigF[i] = f(x_i): one Exp, so the paths differ by at most an ulp.
+		if !near(zigF[i], f(edge(i)), 1) {
+			t.Errorf("zigF[%d] = %v, want f(x_%d) = %v", i, zigF[i], i, f(edge(i)))
 		}
-		if k := uint64(inner / width * scale); !near(int64(zigK[i] - k)) {
-			t.Errorf("zigK[%d] = %#x, recurrence gives %#x", i, zigK[i], k)
+		if i == 1 {
+			continue
 		}
-		if !near(ulps(zigW[i], width/scale)) {
-			t.Errorf("zigW[%d] = %v, recurrence gives %v", i, zigW[i], width/scale)
+		// zigK[i] is the inner edge x_{i-1} over the width x_i, scaled:
+		// exact arithmetic on literals, on any host.
+		if k := uint64(edge(i-1) / edge(i) * scale); zigK[i] != k {
+			t.Errorf("zigK[%d] = %#x, want x_%d/x_%d·2^53 = %#x", i, zigK[i], i-1, i, k)
 		}
-		if !near(ulps(zigF[i], f(x[i]))) {
-			t.Errorf("zigF[%d] = %v, recurrence gives %v", i, zigF[i], f(x[i]))
+		// Layer i has area zigV: f(x_{i-1}) = zigV/x_i + f(x_i). The table
+		// stored f(x_{i-1}) after a round trip through Log, Sqrt and Exp,
+		// which loses about x_{i-1}² ulps.
+		x := edge(i - 1)
+		if want := zigV/edge(i) + zigF[i]; !near(zigF[i-1], want, 2+int64(2*x*x)) {
+			t.Errorf("layer %d's area is not zigV: zigF[%d] = %v, zigV/x_%d + zigF[%d] = %v", i, i-1, zigF[i-1], i, i, want)
 		}
 	}
 }
@@ -348,4 +435,16 @@ func BenchmarkNormFloat64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		normSink += r.NormFloat64()
 	}
+}
+
+// BenchmarkNormFill draws a 1024-core epoch's 3072 sensor variates per
+// iteration, as the chip step does; ns/op over 3072 is the per-variate
+// cost to compare with BenchmarkNormFloat64.
+func BenchmarkNormFill(b *testing.B) {
+	r := New(1)
+	buf := make([]float64, 3072)
+	for i := 0; i < b.N; i++ {
+		r.NormFill(buf)
+	}
+	normSink += buf[0]
 }
