@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -90,6 +91,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := obsFlags.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-bench:", err)
 		return 2
+	}
+	// Zero means "no override". A negative override is malformed: refuse
+	// it before the session opens, so it leaves no ledger record.
+	for _, name := range []string{"cores", "budget", "j"} {
+		if v, _ := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); v < 0 {
+			fmt.Fprintf(stderr, "odrl-bench: -%s %g: must not be negative\n", name, v)
+			return 2
+		}
 	}
 	if *experiment != "all" {
 		if _, err := experiments.ByID(*experiment); err != nil {

@@ -41,6 +41,24 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 	}
 }
 
+// TestNegativeOverrideIsUsageError: a negative -j, -cores or -budget is
+// malformed input, refused with exit 2 before the session starts, so no
+// run record is left. (Zero means "no override".)
+func TestNegativeOverrideIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-j", "-cores", "-budget"} {
+		t.Run(flag, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ledger")
+			code, _, stderr := runCLI("-experiment", "T1", "-quick", flag, "-4", "-ledger", dir)
+			if code != 2 || !strings.Contains(stderr, flag+" -4: must not be negative") {
+				t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("rejected invocation touched the ledger directory (stat err %v)", err)
+			}
+		})
+	}
+}
+
 // TestSummariesReachInjectedStderr: the run-health and learning summaries
 // are written to the stderr the run seam is given, not the process's.
 func TestSummariesReachInjectedStderr(t *testing.T) {

@@ -63,6 +63,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 2
 	}
+	// -j's default (-1) keeps the spec's worker count; a negative value
+	// the user set is malformed.
+	workersSet := false
+	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "j" })
+	if workersSet && *workers < 0 {
+		fmt.Fprintf(stderr, "odrl-run: -j %d: must not be negative\n", *workers)
+		return 2
+	}
 
 	// Exactly one spec source; silently preferring one would make "which
 	// scenario did I just run?" unanswerable.
@@ -130,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		spec.Quick = true
 	}
-	if *workers >= 0 {
+	if workersSet {
 		spec.Workers = *workers
 	}
 	// Re-validate after overrides: cheap, and it keeps the invariant that

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -69,6 +70,7 @@ func TestRunExit2(t *testing.T) {
 		{"list with csv", []string{"-list", "-csv"}, "takes no other flags"},
 		{"list with cache", []string{"-list", "-cache", "d"}, "takes no other flags"},
 		{"unknown flag", []string{"-frobnicate", valid}, "flag provided but not defined"},
+		{"negative j", []string{"-j", "-5", valid}, "-j -5: must not be negative"},
 		{"missing file", []string{filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
 		{"unknown builtin", []string{"-builtin", "F99"}, "no builtin spec"},
 		{
@@ -518,6 +520,54 @@ func TestPerRunAlertsReachSessionLayers(t *testing.T) {
 	notice := "flight: alert post-mortem for run 1 -> " + filepath.Join(ldir, ledger.RunsDirName, rec.ID, "run001", "flight") + "/"
 	if !strings.Contains(stderr.String(), notice) {
 		t.Errorf("stderr lacks the post-mortem notice %q:\n%s", notice, stderr.String())
+	}
+}
+
+// TestPerfettoCoversMonitoredSpecs: a spec with a fault plan or alert
+// rules runs each of its runs under a monitor of its own, and -perfetto
+// must still write the runs' OD-RL phase spans. The session's one span
+// ring is the flight recorder's with the ledger on and the session's own
+// with it off.
+func TestPerfettoCoversMonitoredSpecs(t *testing.T) {
+	const base = `"workload": "canneal", "controllers": ["od-rl"], "cores": 4, "budget_w": 8,
+	  "warmup_s": 0.05, "measure_s": 0.1, "seeds": [3], "workers": 1`
+	specs := []struct{ name, body string }{
+		{"fault plan", `{` + base + `, "fault_plan": {"seed": 11, "dead_core_frac": 0.25}}`},
+		{"alert rules", `{` + base + `, "alert_rules": [{"name": "hot", "metric": "power_w", "op": ">", "threshold": 1e6}]}`},
+	}
+	for _, sp := range specs {
+		for _, ledgerArgs := range [][]string{{"-no-ledger"}, {"-ledger", t.TempDir()}} {
+			t.Run(sp.name+" "+ledgerArgs[0], func(t *testing.T) {
+				out := filepath.Join(t.TempDir(), "spans.json")
+				args := append([]string{"-perfetto", out}, ledgerArgs...)
+				args = append(args, writeSpec(t, "spec.json", sp.body))
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+				}
+				data, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var trace struct {
+					TraceEvents []struct {
+						Ph string `json:"ph"`
+					} `json:"traceEvents"`
+				}
+				if err := json.Unmarshal(data, &trace); err != nil {
+					t.Fatalf("perfetto file is not trace JSON: %v", err)
+				}
+				spans := 0
+				for _, ev := range trace.TraceEvents {
+					if ev.Ph == "X" {
+						spans++
+					}
+				}
+				if spans == 0 {
+					t.Fatalf("perfetto file holds no spans:\n%s", data)
+				}
+			})
+		}
 	}
 }
 

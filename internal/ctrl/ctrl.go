@@ -59,8 +59,9 @@ type WorkCounter interface {
 // SpanStreamer is optionally implemented by controllers that can stream
 // their phase spans (start + duration) to an obs.SpanSink as they happen,
 // on top of the aggregate totals PhaseProfiler reports. The harness
-// attaches the run-health monitor's timeline here and detaches it (nil)
-// when the run ends; implementations must treat a nil sink as "off".
+// attaches the session's span ring (sim.Stack.SpanSink) here and detaches
+// it (nil) when the run ends; implementations must treat a nil sink as
+// "off".
 type SpanStreamer interface {
 	// SetSpanSink installs (or, with nil, removes) the span sink.
 	SetSpanSink(s obs.SpanSink)

@@ -105,8 +105,8 @@ func F9Ablation(cfg Config) (Table, error) {
 		}
 		s := res.Summary
 		return []string{
-			v.label, cell(s.BIPS()), cell(s.MeanW), cell(s.OverJ),
-			cell(100 * s.OverTimeFrac()), cell(s.EnergyEff()),
+			v.label, Cell(s.BIPS()), Cell(s.MeanW), Cell(s.OverJ),
+			Cell(100 * s.OverTimeFrac()), Cell(s.EnergyEff()),
 		}, nil
 	})
 	if err != nil {

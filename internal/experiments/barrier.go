@@ -123,7 +123,7 @@ func F14Barrier(cfg Config) (Table, error) {
 			perJ = steps / energy
 		}
 		t.Rows = append(t.Rows, []string{
-			name, cell(rate), cell(energy / cfg.MeasureS), cell(overJ), cell(perJ),
+			name, Cell(rate), Cell(energy / cfg.MeasureS), Cell(overJ), Cell(perJ),
 		})
 	}
 	return t, nil

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/ctrl"
 	"repro/internal/fault"
+	"repro/internal/plot"
 	"repro/internal/sim"
 )
 
@@ -152,27 +153,7 @@ type Table struct {
 func (t Table) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	rows := append([][]string{t.Header}, t.Rows...)
-	widths := make([]int, len(t.Header))
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			if i < len(widths) {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			}
-		}
-		b.WriteString("\n")
-	}
+	plot.WriteAligned(&b, append([][]string{t.Header}, t.Rows...)) //nolint:errcheck // a strings.Builder never fails
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
@@ -218,7 +199,7 @@ func (t Table) WriteCSV(w io.Writer) error {
 }
 
 // Cell formats a float compactly for table cells.
-func cell(v float64) string {
+func Cell(v float64) string {
 	switch {
 	case v == 0:
 		return "0"

@@ -78,8 +78,8 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 				retention = s.BIPS() / base.BIPS()
 			}
 			t.Rows = append(t.Rows, []string{
-				cell(x), s.Controller, cell(s.BIPS()), cell(retention),
-				cell(s.MeanW), cell(s.OverJ), cell(s.OverTimeS),
+				Cell(x), s.Controller, Cell(s.BIPS()), Cell(retention),
+				Cell(s.MeanW), Cell(s.OverJ), Cell(s.OverTimeS),
 				fmt.Sprintf("%d", r.faults), fmt.Sprintf("%d", r.alerts),
 			})
 		}

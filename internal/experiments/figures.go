@@ -64,8 +64,8 @@ func F1PowerTrace(cfg Config) (Table, error) {
 			settleS = -1 // never settled within the window
 		}
 		return []string{
-			name, cell(meanPre), cell(peakPost), cell(settleS * 1e3),
-			cell(res.Summary.OverJ), cell(100 * res.Summary.OverTimeFrac()),
+			name, Cell(meanPre), Cell(peakPost), Cell(settleS * 1e3),
+			Cell(res.Summary.OverJ), Cell(100 * res.Summary.OverTimeFrac()),
 		}, nil
 	})
 	if err != nil {
@@ -156,7 +156,7 @@ func F2Overshoot(g Grid) Table {
 		worst := 0.0
 		for _, name := range cfg.Controllers {
 			s := runs[bench][name]
-			row = append(row, cell(s.OverJ))
+			row = append(row, Cell(s.OverJ))
 			if name != "od-rl" && s.OverJ > worst {
 				worst = s.OverJ
 			}
@@ -177,7 +177,7 @@ func F2Overshoot(g Grid) Table {
 		for _, bench := range cfg.Benchmarks {
 			sum += runs[bench][name].OverJ
 		}
-		totalRow = append(totalRow, cell(sum))
+		totalRow = append(totalRow, Cell(sum))
 		if name == "od-rl" {
 			odrlTotal = sum
 		} else if sum > worstTotal {
@@ -218,7 +218,7 @@ func F3ThroughputPerOverEnergy(g Grid) Table {
 	for _, bench := range cfg.Benchmarks {
 		row := []string{bench}
 		for _, name := range cfg.Controllers {
-			row = append(row, cell(runs[bench][name].ThroughputPerOverJ(floorJ)))
+			row = append(row, Cell(runs[bench][name].ThroughputPerOverJ(floorJ)))
 		}
 		ratios := []string{"-", "-"}
 		if _, ok := runs[bench]["steepest-drop"]; ok {
@@ -251,7 +251,7 @@ func F4EnergyEfficiency(g Grid) Table {
 		bestSOTA := 0.0
 		for _, name := range cfg.Controllers {
 			v := runs[bench][name].EnergyEff()
-			row = append(row, cell(v))
+			row = append(row, Cell(v))
 			if (name == "maxbips" || name == "steepest-drop" || name == "pid") && v > bestSOTA {
 				bestSOTA = v
 			}
@@ -287,7 +287,7 @@ func F4EnergyEfficiency(g Grid) Table {
 			}
 		}
 		if len(effs) > 0 {
-			geoRow = append(geoRow, cell(stats.GeoMean(effs)))
+			geoRow = append(geoRow, Cell(stats.GeoMean(effs)))
 		} else {
 			geoRow = append(geoRow, "-")
 		}

@@ -57,8 +57,8 @@ func F17Hetero(cfg Config) (Table, error) {
 		}
 		s := res.Summary
 		t.Rows = append(t.Rows, []string{
-			name, cell(s.BIPS()), cell(s.MeanW), cell(s.OverJ), cell(s.EnergyEff()),
-			cell(bigSum / float64(bigN)), cell(littleSum / float64(littleN)),
+			name, Cell(s.BIPS()), Cell(s.MeanW), Cell(s.OverJ), Cell(s.EnergyEff()),
+			Cell(bigSum / float64(bigN)), Cell(littleSum / float64(littleN)),
 		})
 	}
 	return t, nil

@@ -86,7 +86,7 @@ func F13Islands(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, cell(res.Summary.BIPS()), cell(res.Summary.EnergyEff()), cell(res.Summary.OverJ))
+			row = append(row, Cell(res.Summary.BIPS()), Cell(res.Summary.EnergyEff()), Cell(res.Summary.OverJ))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -54,10 +54,10 @@ func F19LearningDynamics(cfg Config) (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			name,
 			fmt.Sprintf("%d", s.Epochs),
-			cell(100 * s.ConvergedFrac),
+			Cell(100 * s.ConvergedFrac),
 			convP50,
-			cell(s.TDErrEMA), cell(s.Churn), cell(s.Coverage), cell(s.Epsilon),
-			cell(res.Summary.BIPS()), cell(res.Summary.OverJ),
+			Cell(s.TDErrEMA), Cell(s.Churn), Cell(s.Coverage), Cell(s.Epsilon),
+			Cell(res.Summary.BIPS()), Cell(res.Summary.OverJ),
 		})
 	}
 	return t, nil

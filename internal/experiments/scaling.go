@@ -144,7 +144,7 @@ func F5ControllerScaling(cfg Config) (Table, error) {
 	for _, n := range coreCounts {
 		budget := 1.4*float64(n) + power.Default().UncoreW
 		tel := syntheticTelemetry(n, cfg.Seed)
-		row := []string{fmt.Sprintf("%d", n), cell(budget)}
+		row := []string{fmt.Sprintf("%d", n), Cell(budget)}
 		var odrlUS, maxbipsUS, odrlW, maxbipsW float64
 		for _, name := range names {
 			env := sim.DefaultEnv(n)
@@ -157,7 +157,7 @@ func F5ControllerScaling(cfg Config) (Table, error) {
 			w := workPerEpoch(c, env.CadenceEpochs, tel, budget)
 			us := float64(timeDecide(c, tel, budget)) / 1e3
 			release(c)
-			row = append(row, cell(us))
+			row = append(row, Cell(us))
 			switch name {
 			case "od-rl":
 				odrlUS, odrlW = us, w
@@ -181,7 +181,7 @@ func F5ControllerScaling(cfg Config) (Table, error) {
 		if odrlUS > 0 {
 			speedup = maxbipsUS / odrlUS
 		}
-		row = append(row, cell(gatherUS), fmt.Sprintf("%.0fx", speedup),
+		row = append(row, Cell(gatherUS), fmt.Sprintf("%.0fx", speedup),
 			fmt.Sprintf("%.0f", odrlW), fmt.Sprintf("%.0f", maxbipsW), fmt.Sprintf("%.0fx", maxbipsW/odrlW))
 		t.Rows = append(t.Rows, row)
 	}

@@ -61,9 +61,9 @@ func F15Seeds(cfg Config) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			cell(stats.Mean(bips)), cell(stats.CI95(bips)),
-			cell(stats.Mean(over)), cell(stats.CI95(over)),
-			cell(stats.Mean(eff)), cell(stats.CI95(eff)),
+			Cell(stats.Mean(bips)), Cell(stats.CI95(bips)),
+			Cell(stats.Mean(over)), Cell(stats.CI95(over)),
+			Cell(stats.Mean(eff)), Cell(stats.CI95(eff)),
 		})
 	}
 	return t, nil

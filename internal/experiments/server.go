@@ -104,11 +104,11 @@ func F16Server(cfg Config) (Table, error) {
 		release(c)
 		t.Rows = append(t.Rows, []string{
 			name,
-			cell(float64(sys.Completed()) / cfg.MeasureS),
-			cell(sys.MeanLatencyS() * 1e3),
+			Cell(float64(sys.Completed()) / cfg.MeasureS),
+			Cell(sys.MeanLatencyS() * 1e3),
 			fmt.Sprintf("%d", sys.MaxQueued()),
-			cell(energy / cfg.MeasureS),
-			cell(overJ),
+			Cell(energy / cfg.MeasureS),
+			Cell(overJ),
 		})
 	}
 	return t, nil

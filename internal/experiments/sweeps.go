@@ -118,8 +118,8 @@ func F6Convergence(cfg Config) (Table, error) {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f-%.2f", r.fromS, r.toS),
-			cell(r.meanW), cell(r.overJ), cell(100 * r.overTimeS / windowS), cell(r.bips),
-			cell(100 * r.convFrac),
+			Cell(r.meanW), Cell(r.overJ), Cell(100 * r.overTimeS / windowS), Cell(r.bips),
+			Cell(100 * r.convFrac),
 		})
 	}
 	if lr != nil {
@@ -173,10 +173,10 @@ func F7BudgetSweep(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	for bi, b := range budgets {
-		row := []string{cell(b)}
+		row := []string{Cell(b)}
 		for ni := range names {
 			s := summaries[bi*nn+ni]
-			row = append(row, cell(s.BIPS()), cell(s.OverJ))
+			row = append(row, Cell(s.BIPS()), Cell(s.OverJ))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -226,10 +226,10 @@ func F8CoreScaling(cfg Config) (Table, error) {
 	}
 	for ci, n := range coreCounts {
 		budget := perCoreW*float64(n) + power.Default().UncoreW
-		row := []string{fmt.Sprintf("%d", n), cell(budget)}
+		row := []string{fmt.Sprintf("%d", n), Cell(budget)}
 		for ni := range names {
 			s := summaries[ci*nn+ni]
-			row = append(row, cell(s.BIPS()), cell(s.BIPS()/float64(n)))
+			row = append(row, Cell(s.BIPS()), Cell(s.BIPS()/float64(n)))
 		}
 		t.Rows = append(t.Rows, row)
 	}

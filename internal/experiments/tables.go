@@ -66,8 +66,8 @@ func T2Workloads(cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
-			name, cell(c.MeanCPI), cell(c.MeanMPKI), cell(c.MemBoundedness),
-			cell(c.MeanActivity), cell(c.PhaseRatePerS),
+			name, Cell(c.MeanCPI), Cell(c.MeanMPKI), Cell(c.MemBoundedness),
+			Cell(c.MeanActivity), Cell(c.PhaseRatePerS),
 		})
 	}
 	return t, nil

@@ -36,7 +36,7 @@ func F10Thermal(cfg Config) (Table, error) {
 	}
 
 	for _, b := range budgets {
-		row := []string{cell(b)}
+		row := []string{Cell(b)}
 		for _, name := range names {
 			opts := cfg.runOpts()
 			opts.BudgetW = b
@@ -44,7 +44,7 @@ func F10Thermal(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, cell(res.Summary.MaxTempK), cell(res.Summary.MeanW))
+			row = append(row, Cell(res.Summary.MaxTempK), Cell(res.Summary.MeanW))
 		}
 		t.Rows = append(t.Rows, row)
 	}

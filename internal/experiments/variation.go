@@ -40,7 +40,7 @@ func F11Variation(cfg Config) (Table, error) {
 	}
 
 	for _, sigma := range sigmas {
-		row := []string{cell(sigma)}
+		row := []string{Cell(sigma)}
 		for _, name := range names {
 			opts := cfg.runOpts()
 			if sigma > 0 {
@@ -53,7 +53,7 @@ func F11Variation(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, cell(res.Summary.OverJ), cell(res.Summary.EnergyEff()))
+			row = append(row, Cell(res.Summary.OverJ), Cell(res.Summary.EnergyEff()))
 		}
 		t.Rows = append(t.Rows, row)
 	}

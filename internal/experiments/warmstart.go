@@ -101,8 +101,8 @@ func F12WarmStart(cfg Config) (Table, error) {
 		wr := warmRows[i]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f-%.2f", cr.fromS, cr.toS),
-			cell(cr.bips), cell(cr.overJ), cell(100 * cr.convFrac),
-			cell(wr.bips), cell(wr.overJ), cell(100 * wr.convFrac),
+			Cell(cr.bips), Cell(cr.overJ), Cell(100 * cr.convFrac),
+			Cell(wr.bips), Cell(wr.overJ), Cell(100 * wr.convFrac),
 		})
 	}
 	return t, nil

@@ -295,7 +295,7 @@ type Chip struct {
 	corePowerW []float64
 	temps      []float64
 	instrDelta []float64
-	noiseBuf   []float64 // pre-drawn sensor noise for the whole epoch
+	noiseBuf   []float64 // the epoch's sensor noise: 3 per core, then the meter's
 
 	// Struct-of-arrays kernel state, built once in New. Levels are
 	// discrete, so everything level-indexed is precomputed: freqsHz and
@@ -598,20 +598,6 @@ func (c *Chip) MaxTempK() float64 {
 		return c.cfg.Thermal.AmbientK
 	}
 	return c.therm.MaxTemp()
-}
-
-// observed applies multiplicative sensor noise to a true value.
-//
-//odrl:hotpath
-func (c *Chip) observed(v float64) float64 {
-	if c.cfg.SensorNoise == 0 {
-		return v
-	}
-	o := v * (1 + c.cfg.SensorNoise*c.noise.NormFloat64())
-	if o < 0 {
-		o = 0
-	}
-	return o
 }
 
 // stepWorkers returns the goroutine count for this chip's per-core epoch
@@ -936,7 +922,7 @@ func (c *Chip) StepInto(dt float64, tel *Telemetry) {
 	noiseOn := c.cfg.SensorNoise != 0
 	if noiseOn {
 		if c.noiseBuf == nil {
-			c.noiseBuf = make([]float64, 3*n)
+			c.noiseBuf = make([]float64, 3*n+1)
 		}
 		c.noise.NormFill(c.noiseBuf)
 	}
@@ -989,7 +975,13 @@ func (c *Chip) StepInto(dt float64, tel *Telemetry) {
 
 	tel.TimeS = c.timeS
 	tel.TruePowerW = truePower
-	tel.ChipPowerW = c.observed(truePower)
+	tel.ChipPowerW = truePower
+	if noiseOn {
+		// The chip power meter reads through the batch's last variate.
+		if tel.ChipPowerW *= 1 + c.cfg.SensorNoise*c.noiseBuf[3*n]; tel.ChipPowerW < 0 {
+			tel.ChipPowerW = 0
+		}
+	}
 	// The sensor-read fault hook runs last, on the sequential path, so the
 	// faults it injects are independent of the worker count above.
 	if c.telFilter != nil {

@@ -72,7 +72,12 @@ func referenceStepInto(c *Chip, dt float64, tel *Telemetry) {
 
 	tel.TimeS = c.timeS
 	tel.TruePowerW = truePower
-	tel.ChipPowerW = c.observed(truePower)
+	tel.ChipPowerW = truePower
+	if sn := c.cfg.SensorNoise; sn != 0 {
+		if tel.ChipPowerW *= 1 + sn*c.noise.NormFloat64(); tel.ChipPowerW < 0 {
+			tel.ChipPowerW = 0
+		}
+	}
 	if c.telFilter != nil {
 		c.telFilter.FilterTelemetry(tel)
 	}

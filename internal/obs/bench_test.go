@@ -49,16 +49,16 @@ func BenchmarkObsCounterInc(b *testing.B) {
 	}
 }
 
-// BenchmarkObsHistogramObserve measures lock-free bucket recording.
-func BenchmarkObsHistogramObserve(b *testing.B) {
-	h, err := NewHistogram([]float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i % 1000000))
-	}
+// BenchmarkObsSketchObserve measures the registry sketch's recording path
+// (the tracer's decide-latency metric) with every benchmark goroutine
+// contending on its lock.
+func BenchmarkObsSketchObserve(b *testing.B) {
+	sk := NewRegistry().Sketch("bench")
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			sk.Observe(float64(i % 1000000))
+		}
+	})
 }
 
 // BenchmarkObsTracerSampled measures the full emit path (marshal + sink)

@@ -29,12 +29,7 @@ func TestRegistryConcurrentEmitters(t *testing.T) {
 				r.Counter("shared.ops").Inc()
 				r.Counter(fmt.Sprintf("own.%d", g)).Add(2)
 				r.Gauge("shared.gauge").Set(float64(i))
-				h, err := r.Histogram("shared.hist", []float64{1, 10, 100})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				h.Observe(float64(i % 128))
+				r.Sketch("shared.sketch").Observe(float64(i % 128))
 				if i%50 == 0 {
 					r.Snapshot()
 				}
@@ -52,16 +47,16 @@ func TestRegistryConcurrentEmitters(t *testing.T) {
 			t.Fatalf("own.%d = %d, want %d", g, got, 2*iters)
 		}
 	}
-	h := s.Histograms["shared.hist"]
-	if h.Count != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", h.Count, goroutines*iters)
+	sk := s.Sketches["shared.sketch"]
+	if sk.Count() != goroutines*iters {
+		t.Fatalf("sketch count = %d, want %d", sk.Count(), goroutines*iters)
 	}
-	var bucketTotal int64
-	for _, c := range h.Counts {
+	bucketTotal := sk.zero
+	for _, c := range sk.counts {
 		bucketTotal += c
 	}
-	if bucketTotal != h.Count {
-		t.Fatalf("bucket total %d != count %d", bucketTotal, h.Count)
+	if bucketTotal != sk.Count() {
+		t.Fatalf("bucket total %d != count %d", bucketTotal, sk.Count())
 	}
 }
 

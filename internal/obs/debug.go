@@ -25,7 +25,8 @@ type DebugServer struct {
 //
 // The server runs on its own mux so importing this package never pollutes
 // http.DefaultServeMux. Requests are served until Close; further surfaces
-// (the monitor's /debug/live and /debug/timeline) attach via Handle.
+// (the monitor's /debug/live and /debug/health, the session span ring's
+// /debug/timeline) attach via Handle.
 func StartDebug(addr string, reg *Registry) (*DebugServer, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("obs: nil registry")

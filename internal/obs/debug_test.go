@@ -11,6 +11,7 @@ func TestStartDebug(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("epochs").Add(42)
 	reg.Gauge("power_w").Set(88.5)
+	reg.Sketch("decide_ns").Observe(2000)
 
 	d, err := StartDebug("127.0.0.1:0", reg)
 	if err != nil {
@@ -33,6 +34,19 @@ func TestStartDebug(t *testing.T) {
 	}
 	if snap.Counters["epochs"] != 42 || snap.Gauges["power_w"] != 88.5 {
 		t.Errorf("snapshot = %+v", snap)
+	}
+	// A sketch reads as its summary.
+	var sketches struct {
+		Sketches map[string]struct {
+			Count int64   `json:"count"`
+			P99   float64 `json:"p99"`
+		} `json:"sketches"`
+	}
+	if err := json.Unmarshal(body, &sketches); err != nil {
+		t.Fatal(err)
+	}
+	if sk := sketches.Sketches["decide_ns"]; sk.Count != 1 || sk.P99 != 2000 {
+		t.Errorf("decide_ns sketch summary = %+v, want count 1, p99 2000\n%s", sk, body)
 	}
 
 	resp, err = http.Get("http://" + d.Addr() + "/debug/pprof/")

@@ -125,7 +125,7 @@ func ReadEpochsJSONL(data []byte) ([]obs.EpochEvent, error) {
 }
 
 // ValidateTraceJSON checks that data parses as the Chrome/Perfetto
-// trace-event format the monitor's timeline emits (displayTimeUnit +
+// trace-event format a span timeline emits (displayTimeUnit +
 // traceEvents array), returning the event count.
 func ValidateTraceJSON(data []byte) (int, error) {
 	var tf struct {

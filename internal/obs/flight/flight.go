@@ -99,9 +99,9 @@ func New(opt Options) *Recorder {
 	return &Recorder{opt: opt, timeline: monitor.NewTimeline(monitor.DefaultTimelineCap)}
 }
 
-// Timeline returns the recorder's span ring; the harness tees controller
-// phase spans into it alongside the monitor's timeline, and dumps export
-// it as the bundle's Perfetto slice.
+// Timeline returns the recorder's span ring: the session's one ring, which
+// the harness hands span-streaming controllers as Stack.SpanSink, dumps
+// export as the bundle's Perfetto slice, and -perfetto writes on exit.
 func (r *Recorder) Timeline() *monitor.Timeline { return r.timeline }
 
 // Wrap tees the recorder with next: obs.Tee(r, next). next may be nil.
@@ -115,7 +115,7 @@ func (r *Recorder) BeginRun(meta obs.RunMeta) obs.RunObserver {
 		rec:    r,
 		meta:   meta,
 		ring:   make([]frame, 0, r.opt.RingCap),
-		decide: monitor.NewSketch(),
+		decide: obs.NewSketch(),
 		dumped: map[string]bool{},
 	}
 	r.mu.Lock()
@@ -189,7 +189,7 @@ type flightRun struct {
 	alertN  int
 	faults  []obs.FaultEvent
 	faultN  int
-	decide  *monitor.Sketch
+	decide  *obs.Sketch
 	dumped  map[string]bool
 	done    bool
 }

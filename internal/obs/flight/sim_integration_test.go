@@ -44,7 +44,7 @@ func TestFaultyRunTriggersAlertDump(t *testing.T) {
 	})
 	opts.Monitor = mon
 	opts.Observer = rec            // teed with the monitor by sim
-	opts.SpanSink = rec.Timeline() // teed with the monitor timeline by sim
+	opts.SpanSink = rec.Timeline() // the run's one span ring
 
 	env, err := sim.EnvFor(opts)
 	if err != nil {

@@ -116,7 +116,7 @@ func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 		meta:     meta,
 		det:      l.opt.Detector,
 		islandOf: islandOf,
-		sketch:   monitor.NewSketch(),
+		sketch:   obs.NewSketch(),
 		tdSeries: monitor.NewSeries("learn.td_ema", monitor.DefaultSeriesCap),
 		chSeries: monitor.NewSeries("learn.churn", monitor.DefaultSeriesCap),
 		cvSeries: monitor.NewSeries("learn.converged_frac", monitor.DefaultSeriesCap),
@@ -177,7 +177,7 @@ type Run struct {
 	epsilon    float64
 
 	// Streaming |δ| distribution and bounded learning-curve series.
-	sketch   *monitor.Sketch
+	sketch   *obs.Sketch
 	tdSeries *monitor.Series
 	chSeries *monitor.Series
 	cvSeries *monitor.Series

@@ -88,15 +88,6 @@ func (c *CLI) WrapObserver(next obs.Observer) obs.Observer {
 	return c.rec.Wrap(next)
 }
 
-// SpanSink returns the recorder's timeline for the harness's span tee
-// (nil-safe, typed nil-free).
-func (c *CLI) SpanSink() obs.SpanSink {
-	if c == nil {
-		return nil
-	}
-	return c.rec.Timeline()
-}
-
 // RunID returns the session's run ID ("" when disabled).
 func (c *CLI) RunID() string {
 	if c == nil {

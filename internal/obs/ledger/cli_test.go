@@ -133,7 +133,7 @@ func TestStartCLIDisabled(t *testing.T) {
 	}
 	var c *CLI
 	// The nil session must be inert across the whole surface.
-	if c.WrapObserver(nil) != nil || c.SpanSink() != nil || c.RunID() != "" || c.Dir() != "" {
+	if c.WrapObserver(nil) != nil || c.Recorder() != nil || c.RunID() != "" || c.Dir() != "" {
 		t.Fatal("nil CLI not inert")
 	}
 	c.RecordScenario("T1", "hash", "v1", false)

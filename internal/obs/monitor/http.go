@@ -134,13 +134,13 @@ func (m *Monitor) LiveHandler() http.Handler {
 	})
 }
 
-// TimelineHandler returns the /debug/timeline surface: the controller
-// phase spans as Chrome/Perfetto trace-event JSON, loadable directly in
+// TimelineHandler returns the /debug/timeline surface: the phase spans in
+// tl as Chrome/Perfetto trace-event JSON, loadable directly in
 // ui.perfetto.dev or chrome://tracing.
-func (m *Monitor) TimelineHandler() http.Handler {
+func TimelineHandler(tl *Timeline) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		m.timeline.WriteTraceJSON(w) //nolint:errcheck // best-effort debug output
+		tl.WriteTraceJSON(w) //nolint:errcheck // best-effort debug output
 	})
 }
 

@@ -122,10 +122,10 @@ func TestPublishWithoutSubscribersIsFree(t *testing.T) {
 }
 
 func TestTimelineHandler(t *testing.T) {
-	m := New(Options{})
-	m.Timeline().RecordSpan("local", 100, 50)
+	tl := NewTimeline(16)
+	tl.RecordSpan("local", 100, 50)
 	rec := httptest.NewRecorder()
-	m.TimelineHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
+	TimelineHandler(tl).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
 	if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("status %d content-type %q", rec.Code, rec.Header().Get("Content-Type"))
 	}

@@ -3,11 +3,11 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/plot"
 )
 
 // maxKeptAlerts bounds the per-run alert list the summary retains; the
@@ -43,13 +43,12 @@ type Options struct {
 
 // Monitor is the run-health layer: an obs.Observer that feeds every run's
 // epoch stream into bounded time series, quantile sketches and the alert
-// engine, keeps a span timeline for Perfetto export, and serves live HTTP
-// views. It is safe for concurrent runs and never mutates what it
-// observes, so simulation results are bit-identical with or without it.
+// engine, and serves live HTTP views. It is safe for concurrent runs and
+// never mutates what it observes, so simulation results are bit-identical
+// with or without it.
 type Monitor struct {
-	opt      Options
-	timeline *Timeline
-	live     *liveHub
+	opt  Options
+	live *liveHub
 
 	mu   sync.Mutex
 	runs []*RunHealth // completed and active runs, in BeginRun order
@@ -68,11 +67,7 @@ type Monitor struct {
 
 // New builds a monitor.
 func New(opt Options) *Monitor {
-	m := &Monitor{
-		opt:      opt,
-		timeline: NewTimeline(DefaultTimelineCap),
-		live:     newLiveHub(),
-	}
+	m := &Monitor{opt: opt, live: newLiveHub()}
 	if r := opt.Registry; r != nil {
 		m.alertCtr = r.Counter("monitor.alerts_fired")
 		m.faultCtr = r.Counter("monitor.faults_seen")
@@ -87,10 +82,6 @@ func New(opt Options) *Monitor {
 	return m
 }
 
-// Timeline returns the monitor's phase-span timeline (the obs.SpanSink the
-// harness attaches to span-streaming controllers).
-func (m *Monitor) Timeline() *Timeline { return m.timeline }
-
 // RunHealth is one run's health record.
 type RunHealth struct {
 	ID   int
@@ -104,8 +95,8 @@ type RunHealth struct {
 	Alerts     []obs.AlertEvent
 	// Decide and Overshoot are the run's streaming sketches (decide
 	// latency in ns, per-epoch overshoot in W).
-	Decide    *Sketch
-	Overshoot *Sketch
+	Decide    *obs.Sketch
+	Overshoot *obs.Sketch
 	// Store holds the run's bounded time series.
 	Store *Store
 	// Done marks the run ended.
@@ -155,8 +146,8 @@ func (m *Monitor) beginRun(meta obs.RunMeta, alertTo obs.AlertObserver) *monitor
 	}
 	h := &RunHealth{
 		Meta:      meta,
-		Decide:    NewSketch(),
-		Overshoot: NewSketch(),
+		Decide:    obs.NewSketch(),
+		Overshoot: obs.NewSketch(),
 		Store:     NewStore(DefaultSeriesCap),
 	}
 	m.mu.Lock()
@@ -222,7 +213,7 @@ func (m *Monitor) WriteAlertSummary(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "\nrun-health summary:"); err != nil {
 		return err
 	}
-	if err := writeAligned(w, rows); err != nil {
+	if err := plot.WriteAligned(w, rows); err != nil {
 		return err
 	}
 	fired := false
@@ -251,32 +242,6 @@ func (m *Monitor) WriteAlertSummary(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeAligned pads each column to its widest cell (the sim table idiom,
-// duplicated here so obs/monitor does not depend on internal/sim).
-func writeAligned(w io.Writer, rows [][]string) error {
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-		}
-		b.WriteString("\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // monitorRun consumes one run's stream. It samples every epoch, so it is

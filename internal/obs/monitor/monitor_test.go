@@ -171,3 +171,34 @@ func TestWriteAlertSummaryEmpty(t *testing.T) {
 		t.Fatalf("summary with no runs wrote %q", buf.String())
 	}
 }
+
+// TestWriteAlertSummaryBytes pins the run-health summary's bytes at fixed
+// inputs: two runs of unequal name width, one fault, and default-rule
+// alerts on the first.
+func TestWriteAlertSummaryBytes(t *testing.T) {
+	const want = "\n" +
+		"run-health summary:\n" +
+		"run  controller     epochs  faults  alerts  decide p50(us)  p95(us)  p99(us)  max(us)  overshoot p99(W)\n" +
+		"1    odrl           40      1       1       21.5            37.2     37.2     40.0     4.500           \n" +
+		"2    steepest-drop  5       0       0       5.0             5.0      5.0      5.0      0.000           \n" +
+		"\n" +
+		"fired alerts:\n" +
+		"  run 1 (odrl) epoch 33 t=0.033s: sustained-overshoot — overshoot_frac_ema > 0.02 (value 0.04601, held 20 epochs)\n"
+	m := New(Options{})
+	ro := m.BeginRun(testMeta)
+	ro.(obs.FaultObserver).ObserveFault(&obs.FaultEvent{Epoch: 3, Kind: "dead_core", Core: 7})
+	feedEpochs(ro, 40, func(e int, ev *obs.EpochEvent) {
+		ev.DecideNs = int64(1000 * (e + 1))
+		if e >= 10 {
+			ev.PowerW, ev.OvershootW = 94.5, 4.5
+		}
+	})
+	feedEpochs(m.BeginRun(obs.RunMeta{Controller: "steepest-drop", BudgetW: 90, EpochS: 1e-3}), 5, nil)
+	var b bytes.Buffer
+	if err := m.WriteAlertSummary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -1,10 +1,10 @@
 // Package monitor is the streaming run-health layer on top of package obs:
-// bounded per-metric time series, O(1) quantile sketches, a declarative
-// alert-rules engine evaluating paper-claim invariants online, live HTTP
-// read surfaces (/metrics, /debug/live SSE, /debug/timeline Perfetto), and
-// an end-of-run alert summary. It observes simulation runs as a plain
-// obs.Observer and never influences them: simulation output is
-// bit-identical with monitoring on or off.
+// bounded per-metric time series, O(1) quantile sketches (obs.Sketch), a
+// declarative alert-rules engine evaluating paper-claim invariants online,
+// live HTTP read surfaces (/metrics, /debug/live SSE, /debug/timeline
+// Perfetto over the session's span ring), and an end-of-run alert summary.
+// It observes simulation runs as a plain obs.Observer and never influences
+// them: simulation output is bit-identical with monitoring on or off.
 package monitor
 
 import (

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// DefaultTimelineCap bounds the retained span count: 8192 spans × ~40 B is
-// a few hundred KB however long the run.
+// DefaultTimelineCap bounds the retained span count: 8192 spans × 32 B is
+// 256 KiB however long the process runs.
 const DefaultTimelineCap = 8192
 
 // Span is one recorded controller phase interval.
@@ -21,7 +21,9 @@ type Span struct {
 // Timeline is a bounded ring of controller phase spans, fed through
 // obs.SpanSink from any controller implementing ctrl.SpanStreamer, and
 // exported as Chrome/Perfetto trace-event JSON. When full it overwrites
-// the oldest spans, so the export always shows the most recent window.
+// the oldest spans, so the export always shows the most recent window. A
+// session holds one: the flight recorder's, or with the ledger off its
+// own (see package obs/session).
 type Timeline struct {
 	mu    sync.Mutex
 	ring  []Span

@@ -49,8 +49,9 @@ func promFloat(v float64) string {
 
 // WritePrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
-// samples, histograms as cumulative _bucket series with le labels plus
-// _sum and _count. Metric families are sorted by name so output is stable.
+// samples, sketches as histograms (cumulative _bucket series at the upper
+// edges of the sketch's non-empty buckets, then le="+Inf", _sum and
+// _count). Metric families are sorted by name so output is stable.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	names := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {
@@ -77,30 +78,24 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 
 	names = names[:0]
-	for name := range s.Histograms {
+	for name := range s.Sketches {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := s.Histograms[name]
+		sk := s.Sketches[name]
 		pn := PromName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
 			return err
 		}
-		// Exposition buckets are cumulative; the registry's are per-bucket.
-		var cum int64
-		for i, bound := range h.Bounds {
-			if i < len(h.Counts) {
-				cum += h.Counts[i]
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(bound), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count); err != nil {
+		if err := sk.cumulative(func(le float64, cum int64) error {
+			_, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(le), cum)
+			return err
+		}); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, promFloat(h.Sum), pn, h.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+			pn, sk.Count(), pn, promFloat(sk.Sum()), pn, sk.Count()); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestPromName(t *testing.T) {
@@ -74,13 +78,10 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("obs.trace.runs").Add(3)
 	r.Gauge("monitor.power_w").Set(88.5)
-	h, err := r.Histogram("obs.trace.decide_ns", []float64{1e3, 1e6})
-	if err != nil {
-		t.Fatal(err)
+	sk := r.Sketch("obs.trace.decide_ns")
+	for _, v := range []float64{500, 2000, 2000, 5e7, 2e12} { // 2e12 clamps to the last bucket
+		sk.Observe(v)
 	}
-	h.Observe(500)
-	h.Observe(2000)
-	h.Observe(5e7) // overflow
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
@@ -92,13 +93,86 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE obs_trace_runs counter\nobs_trace_runs 3\n",
 		"monitor_power_w 88.5",
-		`obs_trace_decide_ns_bucket{le="1000"} 1`,
-		`obs_trace_decide_ns_bucket{le="1e+06"} 2`,
-		`obs_trace_decide_ns_bucket{le="+Inf"} 3`,
-		"obs_trace_decide_ns_count 3",
+		"# TYPE obs_trace_decide_ns histogram\n",
+		`obs_trace_decide_ns_bucket{le="+Inf"} 5`,
+		"obs_trace_decide_ns_sum 2.0000500045e+12\n",
+		"obs_trace_decide_ns_count 5",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
+	}
+
+	// The finite le values rise and each counts the observations at or
+	// below it; the value clamped from above the ceiling only reaches +Inf.
+	var les []float64
+	var cums []int64
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, `obs_trace_decide_ns_bucket{le="`)
+		if !ok || strings.HasPrefix(rest, "+Inf") {
+			continue
+		}
+		le, cum, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.ParseInt(cum, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		les, cums = append(les, v), append(cums, n)
+	}
+	if want := []int64{1, 3, 4}; !slices.Equal(cums, want) {
+		t.Fatalf("cumulative counts %v at le %v, want %v", cums, les, want)
+	}
+	for i, v := range []float64{500, 2000, 5e7} {
+		if les[i] < v || les[i] > v*sketchGamma || (i > 0 && les[i] <= les[i-1]) {
+			t.Errorf("le %v: bucket %d does not hold %g at its upper edge", les, i, v)
+		}
+	}
+}
+
+// TestDecideExposition: the tracer's decide-latency sketch reaches /metrics
+// as a Prometheus histogram whose le values rise to +Inf, and the +Inf
+// count and _count are the number of sampled epochs.
+func TestDecideExposition(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(NewWriterSink(discard{}), TracerOptions{Every: 3, Registry: reg})
+	run := tr.BeginRun(RunMeta{Controller: "od-rl"})
+	sampled := 0
+	for e := 0; e < 100; e++ {
+		if run.ShouldSample(e) {
+			run.ObserveEpoch(&EpochEvent{Epoch: e, DecideNs: int64(1000 + 37*e*e)})
+			sampled++
+		}
+	}
+	run.End(metrics.Summary{})
+
+	var b strings.Builder
+	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	body := b.String()
+	checkExposition(t, body)
+	prev, last := math.Inf(-1), ""
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, `obs_trace_decide_ns_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, count, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v <= prev {
+			t.Fatalf("le %s does not rise above %g:\n%s", le, prev, body)
+		}
+		prev, last = v, count
+	}
+	want := strconv.Itoa(sampled)
+	if !math.IsInf(prev, 1) || last != want || !strings.Contains(body, "obs_trace_decide_ns_count "+want+"\n") {
+		t.Fatalf("want the buckets to end at le=\"+Inf\" with _count %s:\n%s", want, body)
 	}
 }

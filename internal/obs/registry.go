@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer for the
-// simulation harness: a metrics registry with atomic hot-path recording, a
-// structured JSONL epoch tracer with pluggable sinks and decimation,
-// span-style phase timers for controller profiling, and an HTTP debug
-// endpoint (registry snapshot + pprof) for long runs.
+// simulation harness: a metrics registry (atomic counters and gauges,
+// locked quantile sketches), a structured JSONL epoch tracer with pluggable
+// sinks and decimation, span-style phase timers for controller profiling,
+// and an HTTP debug endpoint (registry snapshot + pprof) for long runs.
 //
 // Everything here is designed so that the disabled path costs nothing: a
 // nil Observer in sim.Options is a single branch per epoch, and the no-op
@@ -10,9 +10,7 @@
 package obs
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -46,139 +44,36 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last set value (zero before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets. Bucket i holds values
-// v <= Bounds[i] (with earlier bounds excluded); one overflow bucket holds
-// everything above the last bound. Recording is lock-free.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	n      atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-// NewHistogram builds a histogram over the given strictly increasing upper
-// bucket bounds.
-func NewHistogram(bounds []float64) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("obs: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("obs: histogram bounds not strictly increasing at %d", i)
-		}
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-	return h, nil
+// SharedSketch is a Sketch that many goroutines may record into at once:
+// the registry's distribution metric, behind one mutex. Per-run sketches
+// stay plain Sketches, since their run is their only writer.
+type SharedSketch struct {
+	mu sync.Mutex
+	s  *Sketch
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: upper-inclusive
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+func (s *SharedSketch) Observe(v float64) {
+	s.mu.Lock()
+	s.s.Observe(v)
+	s.mu.Unlock()
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	// Counts has len(Bounds)+1 entries; the last is the overflow bucket.
-	Counts []int64 `json:"counts"`
-	Count  int64   `json:"count"`
-	Sum    float64 `json:"sum"`
-}
-
-// Mean returns the average observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the bucket holding the q·Count-th observation, assuming values
-// spread uniformly inside each bucket. The first bucket interpolates from
-// zero (bounds here are non-negative measurements: latencies, watts). A
-// rank landing in the overflow bucket returns the last finite bound — the
-// histogram cannot resolve beyond it, so the estimate saturates rather
-// than invent mass at +Inf. Empty histograms return 0; q outside [0,1] is
-// clamped.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	// rank is the 1-based index of the target observation.
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen float64
-	for i, c := range s.Counts {
-		if c <= 0 {
-			continue
-		}
-		if seen+float64(c) >= rank {
-			if i >= len(s.Bounds) {
-				// Overflow bucket: unbounded above, saturate at the last
-				// finite bound.
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			hi := s.Bounds[i]
-			if math.IsInf(hi, 1) {
-				// An explicit +Inf bound behaves like the overflow bucket.
-				if i == 0 {
-					return 0
-				}
-				return s.Bounds[i-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			frac := (rank - seen) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		seen += float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.n.Load(),
-		Sum:    math.Float64frombits(h.sum.Load()),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
+// snapshot returns a copy of the sketch's current state.
+func (s *SharedSketch) snapshot() *Sketch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.s.clone()
 }
 
 // Registry names and owns a process's metrics. Metric handles are
-// get-or-create and stable, so hot paths fetch them once and record through
-// atomics without touching the registry lock again.
+// get-or-create and stable, so hot paths fetch them once and record
+// without touching the registry lock again.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	sketches map[string]*SharedSketch
 }
 
 // NewRegistry returns an empty registry.
@@ -186,7 +81,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		sketches: make(map[string]*SharedSketch),
 	}
 }
 
@@ -224,34 +119,30 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use. Later calls return the existing histogram regardless of
-// bounds, so callers agree on shape by construction order.
-func (r *Registry) Histogram(name string, bounds []float64) (*Histogram, error) {
+// Sketch returns the named sketch, creating it on first use.
+func (r *Registry) Sketch(name string) *SharedSketch {
 	r.mu.RLock()
-	h := r.hists[name]
+	sk := r.sketches[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h, nil
-	}
-	nh, err := NewHistogram(bounds)
-	if err != nil {
-		return nil, err
+	if sk != nil {
+		return sk
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = nh
-		r.hists[name] = h
+	if sk = r.sketches[name]; sk == nil {
+		sk = &SharedSketch{s: NewSketch()}
+		r.sketches[name] = sk
 	}
-	return h, nil
+	return sk
 }
 
-// Snapshot is a point-in-time copy of every metric, shaped for JSON.
+// Snapshot is a point-in-time copy of every metric, shaped for JSON. A
+// sketch renders as its summary (see Sketch.MarshalJSON), so the JSON form
+// is for reading, not for decoding back into sketches.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters map[string]int64   `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
+	Sketches map[string]*Sketch `json:"sketches"`
 }
 
 // Snapshot copies the registry's current values.
@@ -259,9 +150,9 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters: make(map[string]int64, len(r.counters)),
+		Gauges:   make(map[string]float64, len(r.gauges)),
+		Sketches: make(map[string]*Sketch, len(r.sketches)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -269,8 +160,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.snapshot()
+	for name, sk := range r.sketches {
+		s.Sketches[name] = sk.snapshot()
 	}
 	return s
 }

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -23,12 +26,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("shared").Inc()
 				r.Counter(fmt.Sprintf("own.%d", g)).Add(2)
 				r.Gauge("gauge").Set(float64(i))
-				h, err := r.Histogram("hist", []float64{10, 100, 1000})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				h.Observe(float64(i))
+				r.Sketch("sketch").Observe(float64(i))
 				if i%100 == 0 {
 					r.Snapshot()
 				}
@@ -46,15 +44,18 @@ func TestRegistryConcurrent(t *testing.T) {
 			t.Errorf("own.%d = %d, want %d", g, got, 2*perG)
 		}
 	}
-	h := s.Histograms["hist"]
-	if h.Count != goroutines*perG {
-		t.Errorf("hist count = %d, want %d", h.Count, goroutines*perG)
+	sk := s.Sketches["sketch"]
+	if sk.Count() != goroutines*perG {
+		t.Errorf("sketch count = %d, want %d", sk.Count(), goroutines*perG)
 	}
-	// Sum of 16 × (0+1+…+999) accumulated via CAS must be exact: every
-	// addend is an integer small enough for float64.
+	// Sum of 16 × (0+1+…+999) must be exact in any interleaving: every
+	// partial sum is an integer small enough for float64.
 	want := float64(goroutines) * float64(perG-1) * float64(perG) / 2
-	if h.Sum != want {
-		t.Errorf("hist sum = %g, want %g", h.Sum, want)
+	if sk.Sum() != want {
+		t.Errorf("sketch sum = %g, want %g", sk.Sum(), want)
+	}
+	if sk.Min() != 0 || sk.Max() != perG-1 {
+		t.Errorf("sketch min/max = %g/%g, want 0/%d", sk.Min(), sk.Max(), perG-1)
 	}
 }
 
@@ -67,73 +68,60 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	}
 }
 
-// TestHistogramBounds pins the bucket semantics: bucket i is
-// upper-inclusive at Bounds[i]; values above the last bound land in the
-// overflow bucket.
+// TestHistogramBounds pins the Prometheus histogram a registry sketch
+// exposes: a lone observation is counted in exactly one finite le bucket,
+// then in +Inf. That le is the upper edge of the observation's sketch
+// bucket (the floor's, for values at or below it), so it lies within one
+// bucket ratio above the value.
 func TestHistogramBounds(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	cases := []struct {
-		v      float64
-		bucket int
-	}{
-		{-5, 0},
-		{0, 0},
-		{1, 0}, // exactly on the first bound: inclusive
-		{1.001, 1},
-		{10, 1}, // exactly on a middle bound
-		{10.5, 2},
-		{100, 2},   // exactly on the last bound
-		{100.1, 3}, // overflow
-		{1e12, 3},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("v=%g", tc.v), func(t *testing.T) {
-			h, err := NewHistogram(bounds)
+	for _, v := range []float64{-5, 0, 1, 1.001, 10, 10.5, 100, 100.1, 1e12} {
+		t.Run(fmt.Sprintf("v=%g", v), func(t *testing.T) {
+			r := NewRegistry()
+			r.Sketch("h").Observe(v)
+			var b strings.Builder
+			if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			var buckets []string
+			for _, line := range strings.Split(b.String(), "\n") {
+				if rest, ok := strings.CutPrefix(line, `h_bucket{le="`); ok {
+					buckets = append(buckets, rest)
+				}
+			}
+			if len(buckets) != 2 || buckets[1] != `+Inf"} 1` || !strings.HasSuffix(buckets[0], `"} 1`) {
+				t.Fatalf("buckets %q, want one finite le then +Inf, each counting 1", buckets)
+			}
+			le, err := strconv.ParseFloat(strings.TrimSuffix(buckets[0], `"} 1`), 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.Observe(tc.v)
-			s := h.snapshot()
-			for i, n := range s.Counts {
-				want := int64(0)
-				if i == tc.bucket {
-					want = 1
-				}
-				if n != want {
-					t.Errorf("bucket %d count = %d, want %d", i, n, want)
-				}
+			if lo := math.Max(v, sketchMinV); le < lo || le > lo*sketchGamma {
+				t.Fatalf("le %g, want in [%g, %g]", le, lo, lo*sketchGamma)
 			}
-			if s.Count != 1 || s.Sum != tc.v {
-				t.Errorf("count=%d sum=%g, want 1, %g", s.Count, s.Sum, tc.v)
+			if want := "h_sum " + promFloat(v) + "\nh_count 1\n"; !strings.Contains(b.String(), want) {
+				t.Fatalf("exposition lacks %q:\n%s", want, b.String())
 			}
 		})
 	}
 }
 
-func TestHistogramRejectsBadBounds(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-	if _, err := NewHistogram([]float64{1, 1}); err == nil {
-		t.Error("non-increasing bounds accepted")
-	}
-	if _, err := (&Registry{hists: map[string]*Histogram{}}).Histogram("h", []float64{2, 1}); err == nil {
-		t.Error("registry accepted decreasing bounds")
-	}
-}
-
+// TestHistogramSnapshotMean: a registry snapshot's sketch reports the mean
+// of what was observed (0 when empty), and is a copy that later
+// observations leave alone.
 func TestHistogramSnapshotMean(t *testing.T) {
-	h, err := NewHistogram([]float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := h.snapshot().Mean(); m != 0 {
+	r := NewRegistry()
+	sk := r.Sketch("h")
+	empty := r.Snapshot().Sketches["h"]
+	if m := empty.Mean(); m != 0 {
 		t.Errorf("empty mean = %g, want 0", m)
 	}
-	h.Observe(2)
-	h.Observe(4)
-	if m := h.snapshot().Mean(); m != 3 {
+	sk.Observe(2)
+	sk.Observe(4)
+	if m := r.Snapshot().Sketches["h"].Mean(); m != 3 {
 		t.Errorf("mean = %g, want 3", m)
+	}
+	if empty.Count() != 0 {
+		t.Errorf("an earlier snapshot counts %d observations made after it", empty.Count())
 	}
 }
 

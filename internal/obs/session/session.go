@@ -3,8 +3,9 @@
 // (Register), opens a Session after parsing (Flags.Start), hands
 // Session.Stack to every run it builds, and closes the session on exit.
 // The session owns the JSONL tracer, the debug HTTP server, the run-health
-// monitor, the learning-introspection layer and the run ledger with its
-// flight recorder.
+// monitor, the learning-introspection layer, the run ledger with its
+// flight recorder, and the one span ring that -perfetto and
+// /debug/timeline read.
 package session
 
 import (
@@ -69,7 +70,7 @@ func (f *Flags) Validate() error {
 type Session struct {
 	// Stack is what every run the command builds carries: the flight
 	// recorder teed with the tracer, the monitor, the learn layer and the
-	// recorder's span ring. Layers the flags left off are nil.
+	// session's span ring. Layers the flags left off are nil.
 	Stack sim.Stack
 	// Ledger is the run-record session (nil with -no-ledger). The command
 	// finishes it with the run's outcome.
@@ -78,6 +79,7 @@ type Session struct {
 	registry *obs.Registry
 	tracer   *obs.Tracer
 	debug    *obs.DebugServer
+	spans    *monitor.Timeline // nil when nothing reads spans
 	perfetto string
 }
 
@@ -94,7 +96,7 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 	case "":
 		if f.debugAddr != "" {
 			// A debug endpoint without a trace file still wants live
-			// counters and the decide-latency histogram in /debug/obs.
+			// counters and the decide-latency sketch in /debug/obs.
 			traceOut = io.Discard
 		}
 	case "-":
@@ -119,7 +121,8 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 		}
 		s.debug = d
 	}
-	if f.monitor || f.alertRules != "" || f.perfetto != "" {
+	monitorOn := f.monitor || f.alertRules != "" || f.perfetto != ""
+	if monitorOn {
 		var rules []monitor.Rule
 		if f.alertRules != "" {
 			file, err := os.Open(f.alertRules)
@@ -135,11 +138,23 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 		s.Stack.Monitor = monitor.New(monitor.Options{Rules: rules, Registry: s.registry})
 		if s.debug != nil {
 			s.debug.Handle("/debug/live", s.Stack.Monitor.LiveHandler())
-			s.debug.Handle("/debug/timeline", s.Stack.Monitor.TimelineHandler())
 			s.debug.Handle("/debug/health", s.Stack.Monitor.HealthHandler())
 		}
 	}
 	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger, stderr)
+	// The one span ring: the flight recorder's, or with the ledger off a
+	// ring of the session's own when the monitor's surfaces read it.
+	if rec := s.Ledger.Recorder(); rec != nil {
+		s.spans = rec.Timeline()
+	} else if monitorOn {
+		s.spans = monitor.NewTimeline(monitor.DefaultTimelineCap)
+	}
+	if s.spans != nil {
+		s.Stack.SpanSink = s.spans
+		if s.debug != nil && monitorOn {
+			s.debug.Handle("/debug/timeline", monitor.TimelineHandler(s.spans))
+		}
+	}
 	if f.learn || f.snapshotEvery > 0 {
 		opt := learn.Options{SnapshotEvery: f.snapshotEvery, Registry: s.registry}
 		if s.Ledger != nil {
@@ -153,21 +168,20 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 		}
 	}
 	s.Stack.Observer = s.Ledger.WrapObserver(s.Stack.Observer)
-	s.Stack.SpanSink = s.Ledger.SpanSink()
 	return s, nil
 }
 
 // WriteDecideQuantiles renders the decide-latency distribution the tracer
-// collected in its obs.trace.decide_ns histogram: p50/p95/p99 next to the
+// collected in its obs.trace.decide_ns sketch: p50/p95/p99 next to the
 // mean, since tail latency is what the real-time feasibility claim is
 // about. Writes nothing when no samples were traced.
 func (s *Session) WriteDecideQuantiles(w io.Writer) error {
-	h, ok := s.registry.Snapshot().Histograms["obs.trace.decide_ns"]
-	if !ok || h.Count == 0 {
+	sk, ok := s.registry.Snapshot().Sketches["obs.trace.decide_ns"]
+	if !ok || sk.Count() == 0 {
 		return nil
 	}
 	_, err := fmt.Fprintf(w, "\ndecide latency (us): p50 %.1f  p95 %.1f  p99 %.1f  mean %.1f  (n=%d)\n",
-		h.Quantile(0.50)/1e3, h.Quantile(0.95)/1e3, h.Quantile(0.99)/1e3, h.Mean()/1e3, h.Count)
+		sk.Quantile(0.50)/1e3, sk.Quantile(0.95)/1e3, sk.Quantile(0.99)/1e3, sk.Mean()/1e3, sk.Count())
 	return err
 }
 
@@ -178,13 +192,11 @@ func (s *Session) WriteDecideQuantiles(w io.Writer) error {
 // touched: the command finishes it with the run's outcome.
 func (s *Session) Close(stderr io.Writer) error {
 	var errs []error
-	if mon := s.Stack.Monitor; mon != nil {
-		if s.perfetto != "" {
-			errs = append(errs, writePerfetto(s.perfetto, mon.Timeline()))
-		}
-		if stderr != nil {
-			errs = append(errs, mon.WriteAlertSummary(stderr))
-		}
+	if s.perfetto != "" && s.spans != nil {
+		errs = append(errs, writePerfetto(s.perfetto, s.spans))
+	}
+	if mon := s.Stack.Monitor; mon != nil && stderr != nil {
+		errs = append(errs, mon.WriteAlertSummary(stderr))
 	}
 	if lrn := s.Stack.Learn; lrn != nil {
 		for _, r := range lrn.Runs() {
@@ -203,8 +215,8 @@ func (s *Session) Close(stderr io.Writer) error {
 	return errors.Join(errs...)
 }
 
-// writePerfetto exports the monitor's phase-span timeline as Chrome
-// trace-event JSON.
+// writePerfetto exports the session's span ring as Chrome trace-event
+// JSON.
 func writePerfetto(path string, tl *monitor.Timeline) error {
 	f, err := os.Create(path)
 	if err == nil {

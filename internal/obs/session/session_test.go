@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/ledger"
+	"repro/internal/obs/monitor"
 	"repro/internal/sim"
 )
 
@@ -139,11 +141,56 @@ func TestFullSession(t *testing.T) {
 	}
 }
 
+// TestOneSpanRing: a session holds at most one span ring, and it is what
+// every run's controller streams to. With the ledger on it is the flight
+// recorder's; with the ledger off the session makes its own only when the
+// monitor's surfaces or -perfetto read it.
+func TestOneSpanRing(t *testing.T) {
+	dir := t.TempDir()
+	ledgerDir := filepath.Join(dir, "ledger")
+	perfetto := filepath.Join(dir, "spans.json")
+	cases := []struct {
+		args []string
+		want string // "recorder", "own" or "none"
+	}{
+		{[]string{"-ledger", ledgerDir}, "recorder"},
+		{[]string{"-ledger", ledgerDir, "-monitor", "-perfetto", perfetto}, "recorder"},
+		{[]string{"-no-ledger"}, "none"},
+		{[]string{"-no-ledger", "-learn"}, "none"},
+		{[]string{"-no-ledger", "-monitor"}, "own"},
+		{[]string{"-no-ledger", "-perfetto", perfetto}, "own"},
+	}
+	for _, tc := range cases {
+		s, err := parse(t, tc.args...).Start("odrl", nil, io.Discard, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		switch tc.want {
+		case "recorder":
+			ok = s.Stack.SpanSink == obs.SpanSink(s.Ledger.Recorder().Timeline())
+		case "own":
+			_, ok = s.Stack.SpanSink.(*monitor.Timeline)
+			ok = ok && s.Ledger == nil
+		case "none":
+			ok = s.Stack.SpanSink == nil
+		}
+		if !ok {
+			t.Errorf("%v: span sink %T, want the %s ring", tc.args, s.Stack.SpanSink, tc.want)
+		}
+		if err := s.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Ledger.Finish(nil)
+	}
+}
+
 func TestStartFailures(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-trace-events", filepath.Join(dir, "missing", "t.jsonl")},
 		{"-alert-rules", filepath.Join(dir, "missing.json")},
+		{"-alert-rules", filepath.Join(dir, "missing.json"), "-perfetto", filepath.Join(dir, "spans.json")},
 		{"-debug-addr", "256.0.0.1:bad"},
 	} {
 		if _, err := parse(t, append(args, "-no-ledger")...).Start("odrl", nil, io.Discard, io.Discard); err == nil {

@@ -1,13 +1,18 @@
-package monitor
+package obs
 
-import "math"
+import (
+	"encoding/json"
+	"math"
+)
 
 // Sketch is a streaming quantile estimator over non-negative measurements
 // (latencies in ns, overshoot in W): a fixed array of geometric buckets
 // (ratio sketchGamma between bucket edges, ~9% relative error) plus exact
 // min/max/count/sum. Observe is O(1) — one log, one bucket increment —
 // and Quantile walks the fixed bucket array, so per-observation cost never
-// grows with the stream. The zero value is NOT ready; use NewSketch.
+// grows with the stream. The zero value is NOT ready; use NewSketch. A
+// Sketch is not safe for concurrent use: per-run sketches are written by
+// their run alone, and the registry's SharedSketch locks one.
 type Sketch struct {
 	counts []int64
 	zero   int64 // observations <= sketchMinV (incl. exact zeros)
@@ -131,4 +136,49 @@ func (s *Sketch) Quantile(q float64) float64 {
 		est = s.min
 	}
 	return est
+}
+
+// clone returns an independent copy of the sketch.
+func (s *Sketch) clone() *Sketch {
+	c := *s
+	c.counts = append([]int64(nil), s.counts...)
+	return &c
+}
+
+// cumulative calls f, in increasing order, with the upper edge of each
+// non-empty bucket and the count of observations at or below it: the
+// bucket series of the Prometheus histogram exposition. The zero bucket's
+// edge is the floor; the last bucket also holds values clamped from above
+// the ceiling, so it has no finite edge and only the total counts it.
+func (s *Sketch) cumulative(f func(le float64, cum int64) error) error {
+	cum := s.zero
+	if cum > 0 {
+		if err := f(sketchMinV, cum); err != nil {
+			return err
+		}
+	}
+	for i, c := range s.counts[:len(s.counts)-1] {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		if err := f(sketchMinV*math.Exp(float64(i+1)*sketchLnGamma), cum); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MarshalJSON renders the sketch as its summary: count, sum, min, max and
+// the p50, p95 and p99 estimates. The bucket array stays internal.
+func (s *Sketch) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count int64   `json:"count"`
+		Sum   float64 `json:"sum"`
+		Min   float64 `json:"min"`
+		Max   float64 `json:"max"`
+		P50   float64 `json:"p50"`
+		P95   float64 `json:"p95"`
+		P99   float64 `json:"p99"`
+	}{s.count, s.sum, s.Min(), s.Max(), s.Quantile(0.5), s.Quantile(0.95), s.Quantile(0.99)})
 }

@@ -29,32 +29,11 @@ func (p PhaseTime) Mean() time.Duration {
 }
 
 // SpanSink receives individual phase spans as they complete, for timeline
-// views (e.g. the monitor's Perfetto export). RecordSpan is called from
-// controller hot paths and must be cheap and concurrency-safe.
+// views (the session's span ring, which Perfetto exports read). RecordSpan
+// is called from controller hot paths and must be cheap and
+// concurrency-safe.
 type SpanSink interface {
 	RecordSpan(name string, startNs, durNs int64)
-}
-
-// TeeSpans fans one span stream out to two sinks — the harness uses it to
-// feed both the monitor's Perfetto timeline and the flight recorder's
-// post-mortem ring from a single controller sink slot. Nil arguments
-// collapse: with one sink it is returned directly (no wrapper cost), with
-// none the result is nil.
-func TeeSpans(a, b SpanSink) SpanSink {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return teeSpanSink{a: a, b: b}
-}
-
-type teeSpanSink struct{ a, b SpanSink }
-
-func (t teeSpanSink) RecordSpan(name string, startNs, durNs int64) {
-	t.a.RecordSpan(name, startNs, durNs)
-	t.b.RecordSpan(name, startNs, durNs)
 }
 
 // SpanTimer accumulates wall-clock time into named phases. Recording is a

@@ -263,7 +263,7 @@ type TracerOptions struct {
 	// sampled. Values below 1 default to 1 (sample every epoch).
 	Every int
 	// Registry, when set, receives aggregate tracer metrics: run and
-	// sample counters plus a decision-latency histogram.
+	// sample counters plus a decision-latency sketch.
 	Registry *Registry
 }
 
@@ -275,9 +275,9 @@ type Tracer struct {
 	every int
 	runs  atomic.Int64
 
-	runCtr     *Counter
-	sampleCtr  *Counter
-	decideHist *Histogram
+	runCtr    *Counter
+	sampleCtr *Counter
+	decide    *SharedSketch
 }
 
 // NewTracer builds a tracer over the sink.
@@ -289,11 +289,7 @@ func NewTracer(sink Sink, opt TracerOptions) *Tracer {
 	if r := opt.Registry; r != nil {
 		t.runCtr = r.Counter("obs.trace.runs")
 		t.sampleCtr = r.Counter("obs.trace.samples")
-		// Decision latency from sub-microsecond per-core loops up to
-		// multi-millisecond centralised sweeps.
-		t.decideHist, _ = r.Histogram("obs.trace.decide_ns", []float64{
-			1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
-		})
+		t.decide = r.Sketch("obs.trace.decide_ns")
 	}
 	return t
 }
@@ -354,8 +350,8 @@ func (r *runTracer) ObserveEpoch(ev *EpochEvent) {
 	if r.t.sampleCtr != nil {
 		r.t.sampleCtr.Inc()
 	}
-	if r.t.decideHist != nil {
-		r.t.decideHist.Observe(float64(ev.DecideNs))
+	if r.t.decide != nil {
+		r.t.decide.Observe(float64(ev.DecideNs))
 	}
 	r.t.emit(epochRec{Type: "epoch", Run: r.id, EpochEvent: *ev})
 	if ev.Learn != nil {

@@ -68,8 +68,8 @@ func TestTracerRoundTrip(t *testing.T) {
 	if s.Counters["obs.trace.runs"] != 1 || s.Counters["obs.trace.samples"] != 2 {
 		t.Errorf("registry counters = %v", s.Counters)
 	}
-	if h := s.Histograms["obs.trace.decide_ns"]; h.Count != 2 || h.Sum != 1234+987 {
-		t.Errorf("decide histogram = %+v", h)
+	if sk := s.Sketches["obs.trace.decide_ns"]; sk == nil || sk.Count() != 2 || sk.Sum() != 1234+987 {
+		t.Errorf("decide sketch = %+v", sk)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package plot renders time series as ASCII charts for terminal-first
-// workflows: power traces against budgets, learning curves, sweeps. It has
-// no styling dependencies and writes plain text suitable for logs and
-// EXPERIMENTS records.
+// workflows (power traces against budgets, learning curves, sweeps) and
+// rows as aligned text tables. It has no styling dependencies and writes
+// plain text suitable for logs and EXPERIMENTS records.
 package plot
 
 import (

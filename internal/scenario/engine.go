@@ -285,26 +285,14 @@ func runOne(spec Spec, opts sim.Options, controller string) (runOutcome, error) 
 	return runOutcome{s: res.Summary, faults: h.Faults, alerts: h.AlertCount}, nil
 }
 
-// cell formats a float compactly, matching experiments table cells.
-func cell(v float64) string {
-	switch {
-	case v == 0:
-		return "0"
-	case v >= 1000 || v < 0.01:
-		return fmt.Sprintf("%.3g", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
-}
-
 // summaryCells renders the deterministic summary columns every engine table
 // shares. Wall-clock metrics (controller compute time) are deliberately
 // excluded: engine tables must be byte-stable so cached and fresh runs
 // compare equal.
 func summaryCells(s metrics.Summary) []string {
 	return []string{
-		cell(s.BIPS()), cell(s.MeanW), cell(s.PeakW),
-		cell(s.OverJ), cell(100 * s.OverTimeFrac()), cell(s.EnergyEff()),
+		experiments.Cell(s.BIPS()), experiments.Cell(s.MeanW), experiments.Cell(s.PeakW),
+		experiments.Cell(s.OverJ), experiments.Cell(100 * s.OverTimeFrac()), experiments.Cell(s.EnergyEff()),
 	}
 }
 
@@ -382,7 +370,7 @@ func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
 		o := outcomes[i]
 		row := append([]string{
 			strconv.FormatUint(j.seed, 10), j.workload, j.controller,
-			strconv.Itoa(o.s.Cores), cell(o.s.BudgetW),
+			strconv.Itoa(o.s.Cores), experiments.Cell(o.s.BudgetW),
 		}, summaryCells(o.s)...)
 		if spec.monitored() {
 			row = append(row, strconv.Itoa(o.faults), strconv.Itoa(o.alerts))
@@ -452,7 +440,7 @@ func (e *Engine) sweepTable(spec Spec) (experiments.Table, error) {
 		o := outcomes[i]
 		row := append([]string{
 			formatSweepValue(j.value), j.controller,
-			strconv.Itoa(o.s.Cores), cell(o.s.BudgetW),
+			strconv.Itoa(o.s.Cores), experiments.Cell(o.s.BudgetW),
 		}, summaryCells(o.s)...)
 		if spec.monitored() {
 			row = append(row, strconv.Itoa(o.faults), strconv.Itoa(o.alerts))

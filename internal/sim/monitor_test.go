@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,13 +82,26 @@ func TestMonitorDoesNotChangeResults(t *testing.T) {
 }
 
 // TestMonitorObservesRun checks the monitor fills its health record from a
-// real run: every measurement epoch observed, sketches populated, spans
-// collected from the OD-RL controller's phase streamer.
+// real run: every measurement epoch observed, sketches populated. The
+// OD-RL controller's phase spans reach Stack.SpanSink, and only for the
+// run it is attached to.
 func TestMonitorObservesRun(t *testing.T) {
 	opts := monitorTestOpts()
 	mon := monitor.New(monitor.Options{})
+	spans := monitor.NewTimeline(monitor.DefaultTimelineCap)
 	opts.Monitor = mon
-	runWith(t, opts, "od-rl")
+	opts.SpanSink = spans
+	env, err := EnvFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewController("od-rl", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(opts, c); err != nil {
+		t.Fatal(err)
+	}
 
 	runs := mon.Runs()
 	if len(runs) != 1 {
@@ -107,16 +121,48 @@ func TestMonitorObservesRun(t *testing.T) {
 	if got, err := h.Store.Get("power_w"); err != nil || got.Epochs != measure {
 		t.Fatalf("power series: %v / %+v", err, got)
 	}
-	if mon.Timeline().Total() == 0 {
+	if spans.Total() == 0 {
 		t.Fatal("no phase spans streamed from the od-rl controller")
 	}
-	// Span streaming must detach at run end: stepping another run without
-	// the monitor must not grow this monitor's timeline.
-	before := mon.Timeline().Total()
-	plain := monitorTestOpts()
-	runWith(t, plain, "od-rl")
-	if after := mon.Timeline().Total(); after != before {
-		t.Fatalf("timeline grew %d→%d after an unmonitored run: sink not detached", before, after)
+	// Span streaming must detach at run end: running the same controller
+	// again without a sink must not grow the first run's ring.
+	before := spans.Total()
+	if _, err := Run(monitorTestOpts(), c); err != nil {
+		t.Fatal(err)
+	}
+	if after := spans.Total(); after != before {
+		t.Fatalf("span ring grew %d→%d in a run without it: sink not detached", before, after)
+	}
+}
+
+// TestRegistryDecideMatchesMonitor: a run traced every epoch into a
+// registry and watched by a monitor reports one decide-latency
+// distribution. The registry's sketch and the run's health sketch agree
+// exactly on count, p50, p95, p99 and mean.
+func TestRegistryDecideMatchesMonitor(t *testing.T) {
+	opts := monitorTestOpts()
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(obs.NewWriterSink(io.Discard), obs.TracerOptions{Every: 1, Registry: reg})
+	mon := monitor.New(monitor.Options{})
+	opts.Observer, opts.Monitor = tracer, mon
+	runWith(t, opts, "od-rl")
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := reg.Snapshot().Sketches["obs.trace.decide_ns"]
+	want := mon.Runs()[0].Decide
+	_, measure := opts.Epochs()
+	if got == nil || got.Count() != int64(measure) || want.Count() != int64(measure) {
+		t.Fatalf("registry sketch %v and monitor sketch (count %d), want %d observations each", got, want.Count(), measure)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if g, w := got.Quantile(q), want.Quantile(q); g != w {
+			t.Errorf("p%g: registry %g ns, monitor %g ns", 100*q, g, w)
+		}
+	}
+	if got.Mean() != want.Mean() {
+		t.Errorf("mean: registry %g ns, monitor %g ns", got.Mean(), want.Mean())
 	}
 }
 

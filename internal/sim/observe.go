@@ -18,8 +18,7 @@ type Stack struct {
 	Observer obs.Observer
 	// Monitor tees the run-health layer (time series, quantile sketches,
 	// alert rules, live HTTP views; see package obs/monitor) in after
-	// Observer, which takes its alerts, and streams controller phase spans
-	// into its timeline.
+	// Observer, which takes its alerts.
 	Monitor *monitor.Monitor
 	// Learn attaches the learning-introspection layer (see package
 	// obs/learn) to controllers that stream learning samples
@@ -27,9 +26,9 @@ type Stack struct {
 	// online convergence detection and optional policy snapshots.
 	// Controllers without learning stream nothing.
 	Learn *learn.Layer
-	// SpanSink additionally receives the controller's phase spans (teed
-	// with the monitor's timeline when both are present); the flight
-	// recorder's post-mortem ring attaches here.
+	// SpanSink receives the controller's phase spans: the session's one
+	// span ring (the flight recorder's post-mortem ring, or the session's
+	// own with the ledger off), which Perfetto exports read.
 	SpanSink obs.SpanSink
 }
 

@@ -195,20 +195,14 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	}
 
 	observer := opts.Observer
-	var spanSink obs.SpanSink
 	if mon := opts.Monitor; mon != nil {
 		// The monitor is teed in last, so its alerts follow the epoch they
-		// name; it also collects the controller's phase spans for the
-		// Perfetto timeline.
+		// name.
 		observer = mon.Wrap(observer)
-		spanSink = mon.Timeline()
 	}
-	// An extra sink (the flight recorder's post-mortem ring) tees with the
-	// monitor's timeline: one controller sink slot, both consumers.
-	spanSink = obs.TeeSpans(spanSink, opts.SpanSink)
-	if spanSink != nil {
+	if opts.SpanSink != nil {
 		if ss, ok := c.(ctrl.SpanStreamer); ok {
-			ss.SetSpanSink(spanSink)
+			ss.SetSpanSink(opts.SpanSink)
 			defer ss.SetSpanSink(nil)
 		}
 	}

@@ -3,7 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
-	"strings"
+
+	"repro/internal/plot"
 )
 
 // epsilonOverJ is the floor used when reporting throughput per
@@ -37,7 +38,7 @@ func WriteSummaryTable(w io.Writer, results []Result) error {
 			fmt.Sprintf("%.3f", s.CtrlTimeS*1e3),
 		})
 	}
-	return writeAligned(w, rows)
+	return plot.WriteAligned(w, rows)
 }
 
 // WriteCSV renders results as CSV with one row per result.
@@ -114,33 +115,5 @@ func WritePhaseTable(w io.Writer, results []Result) error {
 	if _, err := fmt.Fprintln(w, "\ncontroller decision-time phase breakdown:"); err != nil {
 		return err
 	}
-	return writeAligned(w, rows)
-}
-
-// writeAligned pads each column to its widest cell.
-func writeAligned(w io.Writer, rows [][]string) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-		}
-		b.WriteString("\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return plot.WriteAligned(w, rows)
 }
