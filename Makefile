@@ -59,15 +59,17 @@ test:
 # Determinism gate for the parallel execution layer: sequential (Workers=1)
 # and parallel (Workers=8) runs must produce byte-identical tables and
 # telemetry at every level (experiment fan-out, chip stepping, OD-RL).
-# The second leg reruns the goldens, the spec-parity harness and the rng
-# tests with GODEBUG=cpu.fma=off. On amd64 that flag changes only which
-# assembly math.Exp runs (FMA or plain, which differ in the last bit on
-# some arguments), so a table or golden that reproduces only on FMA hosts
-# fails here instead of on a contributor's machine.
+# The second leg reruns the goldens, the spec-parity harness, the rng
+# tests, the predictor's LUT-against-LeakageW oracle and the MaxBIPS and
+# SteepestDrop oracles with GODEBUG=cpu.fma=off. On amd64 that flag changes
+# only which assembly math.Exp runs (FMA or plain, which differ in the
+# last bit on some arguments), so a table or golden that reproduces only
+# on FMA hosts fails here instead of on a contributor's machine.
 test-determinism:
 	$(GO) test -run 'TestParallelDeterminism|TestStepParallelDeterminism|TestDecideParallelDeterminism' \
 		./internal/experiments/ ./internal/manycore/ ./internal/core/
-	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/scenario/ ./internal/rng/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/scenario/ ./internal/rng/ \
+		./internal/ctrl/ ./internal/baselines/
 
 # Scenario contract gate: the spec-parity harness (engine tables from
 # checked-in JSON specs byte-identical to the experiments goldens at -j1
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzRunRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/obs/ledger/
 	$(GO) test -run='^$$' -fuzz='^FuzzMaxBIPSMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/baselines/
+	$(GO) test -run='^$$' -fuzz='^FuzzSteepestDropMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/baselines/
 	$(GO) test -run='^$$' -fuzz='^FuzzNormFillMatches$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/rng/
 
 # Coverage gate: repo-wide statement coverage must stay at or above

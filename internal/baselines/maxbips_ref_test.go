@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/ctrl"
 	"repro/internal/manycore"
+	"repro/internal/rng"
 	"repro/internal/vf"
+	"repro/internal/workload"
 )
 
 // refMaxBIPS is MaxBIPS's original full-grid solve: every row of the DP
@@ -259,6 +261,16 @@ func FuzzMaxBIPSMatchesReference(f *testing.F) {
 	// costs about 2^63 buckets: the full grid's b+cost overflows there.
 	overflow := bytes.Repeat([]byte{7, 255, 128, 10, 60}, 63)
 	f.Add(append(overflow, 0, 6, 128, 10, 60), byte(255), byte(1), byte(0))
+	// No cores: the body's second solve, a budget step up, runs above the
+	// uncore floor.
+	f.Add([]byte{}, byte(1), byte(59), byte(3))
+	// 48 exactly tied cores: every bucket the DP reaches ties many ways.
+	tied := append([]byte{4, 90, 100, 30, 80}, bytes.Repeat([]byte{0x80, 0, 0, 0, 0}, 47)...)
+	f.Add(tied, byte(40), byte(7), byte(0))
+	f.Add(append(tied, 6, 70, 60, 90, 40, 0x80, 0, 0, 0, 0), byte(90), byte(3), byte(1))
+	// IPS readings of 1e300 beside ordinary ones, and an infinite one.
+	f.Add([]byte{4, 60, 5, 40, 60, 2, 50, 5, 10, 70, 6, 80, 100, 20, 90, 0x80, 0, 0, 0, 0, 5, 30, 5, 0, 50}, byte(20), byte(5), byte(0))
+	f.Add([]byte{4, 60, 1, 40, 60, 2, 50, 90, 10, 70, 6, 80, 100, 20, 90, 3, 40, 1, 0, 50}, byte(30), byte(2), byte(2))
 	f.Fuzz(func(t *testing.T, data []byte, budgetSel, stepSel, resSel byte) {
 		table := vf.Default()
 		p := predictor(t)
@@ -311,4 +323,129 @@ func FuzzMaxBIPSMatchesReference(f *testing.F) {
 			t.Fatalf("predicted IPS fell from %g to %g as the budget rose by %d buckets", lo, hi, stepSel)
 		}
 	})
+}
+
+// plainCells counts the source cells the plain windows hold, without the
+// bound's trim: row i's window runs from the cheapest total of cores
+// 0…i−1 to their dearest total, capped by the buckets the rest need.
+func plainCells(p ctrl.Predictor, tel *manycore.Telemetry, budgetW, resW float64) int {
+	buckets := int((budgetW - p.Power.UncoreW) / resW)
+	n, levels := len(tel.Cores), p.VF.Levels()
+	minCost, maxCost := make([]int, n), make([]int, n)
+	rest := 0
+	for i, ct := range tel.Cores {
+		minCost[i], maxCost[i] = buckets+1, 0
+		for l := 0; l < levels; l++ {
+			c := min(bucketCost(p, ct, l, resW), buckets+1)
+			minCost[i], maxCost[i] = min(minCost[i], c), max(maxCost[i], c)
+		}
+		rest += minCost[i]
+	}
+	cells, lo, hi := 0, 0, 0
+	for i := range tel.Cores {
+		cells += hi - lo + 1
+		rest -= minCost[i]
+		lo, hi = lo+minCost[i], min(hi+maxCost[i], buckets-rest)
+	}
+	return cells
+}
+
+// ferretChip64 is a seeded 64-core ferret chip on the default platform.
+func ferretChip64(t *testing.T) *manycore.Chip {
+	t.Helper()
+	sources := make([]workload.Source, 64)
+	base := rng.New(3)
+	for i := range sources {
+		src, err := workload.NewProcess(workload.MustPreset("ferret"), base.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[i] = src
+	}
+	chip, err := manycore.New(manycore.DefaultConfig(), sources, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
+}
+
+// TestMaxBIPSBoundTrimsWindows: on 64-core frames of a ferret chip that
+// MaxBIPS drives at 55 W, the bounded solve returns the full grid's
+// levels and relaxes at most a quarter of the source cells the plain
+// windows hold, so a bound that stops trimming fails here and not only in
+// a benchmark.
+func TestMaxBIPSBoundTrimsWindows(t *testing.T) {
+	const budget, resW = 55.0, 0.05
+	p := predictor(t)
+	chip := ferretChip64(t)
+	defer chip.Close()
+	m, err := NewMaxBIPS(p, 1, resW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refMaxBIPS{pred: p, resW: resW}
+	got, want := make([]int, 64), make([]int, 64)
+	for e := 0; e <= 400; e++ {
+		tel := chip.Step(1e-3)
+		relaxed := m.solve(&tel, budget, got)
+		if e >= 100 && e%25 == 0 {
+			ref.solve(&tel, budget, want)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("epoch %d core %d: level %d, full grid %d", e, i, got[i], want[i])
+				}
+			}
+			if plain := plainCells(p, &tel, budget, resW); 4*relaxed > plain {
+				t.Errorf("epoch %d: relaxed %d of the plain windows' %d cells, want at most a quarter", e, relaxed, plain)
+			}
+		}
+		for i, l := range got {
+			chip.SetLevel(i, l)
+		}
+	}
+}
+
+// TestMaxBIPSBoundFallsBack: a frame whose bound is not finite (an
+// infinite IPS reading, readings whose sum overflows, or a multiplier so
+// steep that λ·buckets overflows) keeps the plain windows and still
+// returns the full grid's levels.
+func TestMaxBIPSBoundFallsBack(t *testing.T) {
+	const budget, resW = 55.0, 0.05
+	p := predictor(t)
+	chip := ferretChip64(t)
+	defer chip.Close()
+	for e := 0; e < 150; e++ {
+		chip.Step(1e-3)
+	}
+	base := chip.Step(1e-3)
+	for _, tc := range []struct {
+		name  string
+		cores []int
+		ips   float64
+	}{
+		{"infinite", []int{17}, math.Inf(1)},
+		{"overflowing", []int{3, 9, 17, 25, 33, 40, 41, 50, 63}, math.MaxFloat64 / 8},
+		{"steep", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, 1e306},
+	} {
+		tel := base
+		tel.Cores = append([]manycore.CoreTelemetry(nil), base.Cores...)
+		for _, i := range tc.cores {
+			tel.Cores[i].IPS = tc.ips
+		}
+		m, err := NewMaxBIPS(p, 1, resW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := make([]int, 64), make([]int, 64)
+		relaxed := m.solve(&tel, budget, got)
+		(&refMaxBIPS{pred: p, resW: resW}).solve(&tel, budget, want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: core %d at level %d, full grid %d", tc.name, i, got[i], want[i])
+			}
+		}
+		if plain := plainCells(p, &tel, budget, resW); relaxed != plain {
+			t.Errorf("%s: relaxed %d cells, want the plain windows' %d", tc.name, relaxed, plain)
+		}
+	}
 }

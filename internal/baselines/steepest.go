@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/ctrl"
@@ -21,12 +20,15 @@ type SteepestDrop struct {
 	epoch int
 	last  []int
 
-	// scratch reused across decisions. A core has at most one pending
-	// demotion, so each owns one slot and the heap holds pointers into
-	// them.
-	power []float64
-	slots []demotion
-	heap  demotionHeap
+	// scratch reused across decisions: each core's predicted power per
+	// level and at its current level, and its pending demotion (a core has
+	// at most one): the power it sheds and its priority, power shed per
+	// throughput lost. The heap holds the cores with one pending.
+	levelW   []float64
+	power    []float64
+	shedW    []float64
+	priority []float64
+	heap     []int
 }
 
 // NewSteepestDrop builds the controller.
@@ -39,30 +41,6 @@ func NewSteepestDrop(pred ctrl.Predictor, cadence int) (*SteepestDrop, error) {
 
 // Name implements ctrl.Controller.
 func (s *SteepestDrop) Name() string { return "steepest-drop" }
-
-// demotion is a heap entry: demoting core from its current level saves
-// dPower watts and loses dIPS; priority is power saved per throughput lost.
-type demotion struct {
-	core     int
-	fromLvl  int
-	dPowerW  float64
-	dIPS     float64
-	priority float64
-}
-
-type demotionHeap []*demotion
-
-func (h demotionHeap) Len() int            { return len(h) }
-func (h demotionHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
-func (h demotionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *demotionHeap) Push(x interface{}) { *h = append(*h, x.(*demotion)) }
-func (h *demotionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // Decide implements ctrl.Controller.
 func (s *SteepestDrop) Decide(tel *manycore.Telemetry, budgetW float64, out []int) {
@@ -83,59 +61,70 @@ func (s *SteepestDrop) Decide(tel *manycore.Telemetry, budgetW float64, out []in
 //odrl:hotpath
 func (s *SteepestDrop) solve(tel *manycore.Telemetry, budgetW float64, out []int) {
 	n := len(tel.Cores)
-	top := s.pred.VF.Levels() - 1
-	if len(s.slots) < n {
+	levels := s.pred.VF.Levels()
+	if len(s.power) < n {
+		s.levelW = make([]float64, n*levels)
 		s.power = make([]float64, n)
-		s.slots = make([]demotion, n)
-		s.heap = make(demotionHeap, 0, n)
+		s.shedW = make([]float64, n)
+		s.priority = make([]float64, n)
+		s.heap = make([]int, 0, n)
 	}
 
 	// Start everything at the top and total up predicted power.
 	power := s.power[:n]
 	total := s.pred.Power.UncoreW
 	for i := 0; i < n; i++ {
-		out[i] = top
-		power[i] = s.pred.PowerAt(tel.Cores[i], top)
+		row := s.levelW[i*levels : (i+1)*levels]
+		s.pred.PowerLevels(tel.Cores[i], row)
+		out[i] = levels - 1
+		power[i] = row[levels-1]
 		total += power[i]
 	}
 
 	s.heap = s.heap[:0]
 	for i := 0; i < n; i++ {
-		if d := &s.slots[i]; s.nextDemotion(d, tel, i, out[i], power[i]) {
-			s.heap = append(s.heap, d)
+		if s.nextDemotion(tel, i, out[i], power[i]) {
+			s.heap = append(s.heap, i)
 		}
 	}
-	heap.Init(&s.heap)
+	for k := len(s.heap)/2 - 1; k >= 0; k-- {
+		siftDown(s.heap, s.priority, k)
+	}
 
-	for total > budgetW && s.heap.Len() > 0 {
-		d := heap.Pop(&s.heap).(*demotion)
-		out[d.core] = d.fromLvl - 1
-		power[d.core] -= d.dPowerW
-		total -= d.dPowerW
-		// The popped slot is out of the heap, so it takes the core's next
+	for total > budgetW && len(s.heap) > 0 {
+		i, last := s.heap[0], len(s.heap)-1
+		s.heap[0] = s.heap[last]
+		s.heap = s.heap[:last]
+		siftDown(s.heap, s.priority, 0)
+		out[i]--
+		power[i] -= s.shedW[i]
+		total -= s.shedW[i]
+		// The popped core is out of the heap, so it takes its next
 		// demotion.
-		if s.nextDemotion(d, tel, d.core, out[d.core], power[d.core]) {
-			heap.Push(&s.heap, d)
+		if s.nextDemotion(tel, i, out[i], power[i]) {
+			s.heap = append(s.heap, i)
+			siftUp(s.heap, s.priority, len(s.heap)-1)
 		}
 	}
 }
 
-// nextDemotion fills d with demoting core i one step from lvl, where it
-// draws powerW, and reports false when the core is already at the bottom.
+// nextDemotion sets core i's pending demotion one step down from lvl, where
+// it draws powerW, and reports false when the core is already at the
+// bottom.
 //
 //odrl:hotpath
-func (s *SteepestDrop) nextDemotion(d *demotion, tel *manycore.Telemetry, i, lvl int, powerW float64) bool {
+func (s *SteepestDrop) nextDemotion(tel *manycore.Telemetry, i, lvl int, powerW float64) bool {
 	if lvl == 0 {
 		return false
 	}
-	pLow := s.pred.PowerAt(tel.Cores[i], lvl-1)
-	dP := powerW - pLow
+	levels := s.pred.VF.Levels()
+	dP := powerW - s.levelW[i*levels+lvl-1]
 	dI := s.pred.IPSAt(tel.Cores[i], lvl) - s.pred.IPSAt(tel.Cores[i], lvl-1)
 	prio := dP * 1e12 // losing no throughput: infinitely good
 	if dI > 0 {
 		prio = dP / dI
 	}
-	*d = demotion{core: i, fromLvl: lvl, dPowerW: dP, dIPS: dI, priority: prio}
+	s.shedW[i], s.priority[i] = dP, prio
 	return true
 }
 

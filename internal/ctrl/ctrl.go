@@ -95,9 +95,12 @@ type PolicySnapshotter interface {
 // builds from performance counters. Its error on abrupt phase changes —
 // the telemetry describes the previous phase, not the next — is the
 // fundamental source of budget overshoot for prediction-based control.
+// Build one with NewPredictor, which builds the power.LUT over the VF
+// table's voltages that leakage is read from.
 type Predictor struct {
 	VF    *vf.Table
 	Power power.Params
+	leak  *power.LUT
 }
 
 // NewPredictor builds a predictor; both fields are required.
@@ -108,28 +111,53 @@ func NewPredictor(table *vf.Table, p power.Params) (Predictor, error) {
 	if err := p.Validate(); err != nil {
 		return Predictor{}, err
 	}
-	return Predictor{VF: table, Power: p}, nil
+	return Predictor{VF: table, Power: p, leak: power.NewLUT(p, table.VoltagesV())}, nil
 }
 
 // PowerAt estimates the core's power if moved to the given level, holding
 // its current phase. The observed power is split into a model-computed
 // leakage part and a residual dynamic part; dynamic scales with V²f,
-// leakage with the leakage model at the new voltage.
+// leakage with the leakage model at the new voltage. Leakage comes from
+// the LUT, bit-equal to power.Params.LeakageW at both voltages, so the
+// only transcendental call is the core's one temperature factor.
 func (p Predictor) PowerAt(ct manycore.CoreTelemetry, level int) float64 {
-	cur := p.VF.Point(ct.Level)
-	next := p.VF.Point(level)
+	factor, dynW := p.split(ct)
+	return p.scaleTo(ct.Level, level, factor, dynW)
+}
+
+// PowerLevels writes PowerAt(ct, l) into dst[l] for every l < len(dst),
+// bit-equal to calling PowerAt per level, from one temperature factor.
+func (p Predictor) PowerLevels(ct manycore.CoreTelemetry, dst []float64) {
+	factor, dynW := p.split(ct)
+	for l := range dst {
+		dst[l] = p.scaleTo(ct.Level, l, factor, dynW)
+	}
+}
+
+// split returns the core's leakage temperature factor and the dynamic
+// residual of its observed power: the reading less model leakage at the
+// current level, clamped at zero.
+func (p Predictor) split(ct manycore.CoreTelemetry) (factor, dynW float64) {
 	tempK := ct.TempK
 	if !(tempK > 0) { // negated comparison also catches NaN sensor readings
 		tempK = 300
 	}
-	leakCur := p.Power.LeakageW(cur.VoltageV, tempK)
-	dyn := ct.PowerW - leakCur
-	if !(dyn > 0) {
-		dyn = 0
+	factor = p.leak.TempFactor(tempK)
+	dynW = ct.PowerW - p.leak.LeakageWFrom(ct.Level, factor)
+	if !(dynW > 0) {
+		dynW = 0
 	}
+	return factor, dynW
+}
+
+// scaleTo finishes the prediction at level from split's results: dynamic
+// power scaled by the levels' V²f ratio plus leakage at the new voltage.
+func (p Predictor) scaleTo(from, level int, factor, dynW float64) float64 {
+	cur := p.VF.Point(from)
+	next := p.VF.Point(level)
 	scale := (next.VoltageV * next.VoltageV * next.FreqHz) /
 		(cur.VoltageV * cur.VoltageV * cur.FreqHz)
-	return dyn*scale + p.Power.LeakageW(next.VoltageV, tempK)
+	return dynW*scale + p.leak.LeakageWFrom(level, factor)
 }
 
 // IPSAt estimates the core's instruction throughput at the given level,
@@ -156,13 +184,4 @@ func (p Predictor) IPSAt(ct manycore.CoreTelemetry, level int) float64 {
 		return 0
 	}
 	return ips / denom
-}
-
-// MinChipPowerW returns a model-based lower bound for chip power with every
-// core at the bottom level and idle activity, used by controllers to detect
-// infeasible budgets.
-func (p Predictor) MinChipPowerW(cores int, tempK float64) float64 {
-	op := p.VF.Min()
-	perCore := p.Power.CoreW(op.VoltageV, op.FreqHz, 0.05, tempK)
-	return p.Power.UncoreW + float64(cores)*perCore
 }

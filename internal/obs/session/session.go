@@ -45,7 +45,7 @@ func Register(fs *flag.FlagSet, traceEvery int) *Flags {
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&f.monitor, "monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
 	fs.StringVar(&f.alertRules, "alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
-	fs.StringVar(&f.perfetto, "perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
+	fs.StringVar(&f.perfetto, "perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit")
 	fs.BoolVar(&f.learn, "learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit, and a learn.json report per learning run in the ledger record (odrl-obs -show)")
 	fs.IntVar(&f.snapshotEvery, "snapshot-every", 0, "record a content-addressed policy snapshot every N control epochs, plus the final policy, in the ledger record (implies -learn; 0 = none)")
 	fs.StringVar(&f.ledgerDir, "ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
@@ -121,7 +121,7 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 		}
 		s.debug = d
 	}
-	monitorOn := f.monitor || f.alertRules != "" || f.perfetto != ""
+	monitorOn := f.monitor || f.alertRules != ""
 	if monitorOn {
 		var rules []monitor.Rule
 		if f.alertRules != "" {
@@ -143,10 +143,11 @@ func (f *Flags) Start(tool string, args []string, stdout, stderr io.Writer) (*Se
 	}
 	s.Ledger = ledger.StartCLI(tool, args, ledger.ResolveDir(f.ledgerDir), f.noLedger, stderr)
 	// The one span ring: the flight recorder's, or with the ledger off a
-	// ring of the session's own when the monitor's surfaces read it.
+	// ring of the session's own when the monitor's surfaces or -perfetto
+	// read it.
 	if rec := s.Ledger.Recorder(); rec != nil {
 		s.spans = rec.Timeline()
-	} else if monitorOn {
+	} else if monitorOn || f.perfetto != "" {
 		s.spans = monitor.NewTimeline(monitor.DefaultTimelineCap)
 	}
 	if s.spans != nil {

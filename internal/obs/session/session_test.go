@@ -86,20 +86,7 @@ func TestFullSession(t *testing.T) {
 	if s.Stack.Observer == nil || s.Stack.Monitor == nil || s.Stack.Learn == nil || s.Stack.SpanSink == nil || s.Ledger == nil {
 		t.Fatalf("layer missing: %+v", s.Stack)
 	}
-	opts := sim.DefaultOptions()
-	opts.Cores, opts.WarmupS, opts.MeasureS = 16, 0.05, 0.1
-	opts.Stack = s.Stack
-	env, err := sim.EnvFor(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := sim.NewController("od-rl", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(opts, c); err != nil {
-		t.Fatal(err)
-	}
+	runODRL(t, s.Stack)
 	var quantiles, stderr bytes.Buffer
 	if err := s.WriteDecideQuantiles(&quantiles); err != nil || !strings.Contains(quantiles.String(), "p99") {
 		t.Fatalf("decide quantiles %q, err %v", quantiles.String(), err)
@@ -136,29 +123,37 @@ func TestFullSession(t *testing.T) {
 	if report.Summary.Meta.Controller != "od-rl" || report.Summary.Epochs == 0 || snaps < 2 {
 		t.Fatalf("learn artifacts: report %+v, %d snapshots (artifacts %+v)", report.Summary, snaps, recs[0].Artifacts)
 	}
-	if fi, err := os.Stat(perfetto); err != nil || fi.Size() == 0 {
-		t.Fatalf("perfetto file: %v", err)
+	if countSpans(t, perfetto) == 0 {
+		t.Fatal("perfetto file holds no spans")
 	}
 }
 
 // TestOneSpanRing: a session holds at most one span ring, and it is what
 // every run's controller streams to. With the ledger on it is the flight
 // recorder's; with the ledger off the session makes its own only when the
-// monitor's surfaces or -perfetto read it.
+// monitor's surfaces or -perfetto read it. Only -monitor and -alert-rules
+// attach a run-health monitor: -perfetto alone writes the spans of a run
+// without one.
 func TestOneSpanRing(t *testing.T) {
 	dir := t.TempDir()
 	ledgerDir := filepath.Join(dir, "ledger")
 	perfetto := filepath.Join(dir, "spans.json")
+	rules := filepath.Join(dir, "rules.json")
+	if err := os.WriteFile(rules, []byte("[]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		args []string
-		want string // "recorder", "own" or "none"
+		args    []string
+		want    string // "recorder", "own" or "none"
+		monitor bool
 	}{
-		{[]string{"-ledger", ledgerDir}, "recorder"},
-		{[]string{"-ledger", ledgerDir, "-monitor", "-perfetto", perfetto}, "recorder"},
-		{[]string{"-no-ledger"}, "none"},
-		{[]string{"-no-ledger", "-learn"}, "none"},
-		{[]string{"-no-ledger", "-monitor"}, "own"},
-		{[]string{"-no-ledger", "-perfetto", perfetto}, "own"},
+		{[]string{"-ledger", ledgerDir}, "recorder", false},
+		{[]string{"-ledger", ledgerDir, "-monitor", "-perfetto", perfetto}, "recorder", true},
+		{[]string{"-no-ledger"}, "none", false},
+		{[]string{"-no-ledger", "-learn"}, "none", false},
+		{[]string{"-no-ledger", "-monitor"}, "own", true},
+		{[]string{"-no-ledger", "-alert-rules", rules}, "own", true},
+		{[]string{"-no-ledger", "-perfetto", perfetto}, "own", false},
 	}
 	for _, tc := range cases {
 		s, err := parse(t, tc.args...).Start("odrl", nil, io.Discard, io.Discard)
@@ -178,11 +173,67 @@ func TestOneSpanRing(t *testing.T) {
 		if !ok {
 			t.Errorf("%v: span sink %T, want the %s ring", tc.args, s.Stack.SpanSink, tc.want)
 		}
-		if err := s.Close(nil); err != nil {
+		if got := s.Stack.Monitor != nil; got != tc.monitor {
+			t.Errorf("%v: monitor attached %v, want %v", tc.args, got, tc.monitor)
+		}
+		if tc.want == "own" && !tc.monitor {
+			runODRL(t, s.Stack)
+		}
+		var stderr bytes.Buffer
+		if err := s.Close(&stderr); err != nil {
 			t.Fatal(err)
+		}
+		if !tc.monitor && strings.Contains(stderr.String(), "run-health") {
+			t.Errorf("%v: no monitor, but stderr holds a run-health summary:\n%s", tc.args, stderr.String())
+		}
+		if tc.want == "own" && !tc.monitor && countSpans(t, perfetto) == 0 {
+			t.Errorf("%v: the run's spans did not reach the Perfetto file", tc.args)
 		}
 		s.Ledger.Finish(nil)
 	}
+}
+
+// runODRL runs a short 16-core od-rl simulation on stack.
+func runODRL(t *testing.T, stack sim.Stack) {
+	t.Helper()
+	opts := sim.DefaultOptions()
+	opts.Cores, opts.WarmupS, opts.MeasureS = 16, 0.05, 0.1
+	opts.Stack = stack
+	env, err := sim.EnvFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sim.NewController("od-rl", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(opts, c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countSpans counts the complete ("X") events of a Perfetto file.
+func countSpans(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			spans++
+		}
+	}
+	return spans
 }
 
 func TestStartFailures(t *testing.T) {

@@ -8,9 +8,9 @@ import "math"
 // per core per epoch.
 //
 // Bit-exactness contract: LeakageWAt(l, t), and LeakageWFrom(l, f) for
-// the factor f that TempFactors computes at t, return the exact float64
-// LeakageW(voltagesV[l], t) returns, for every level and temperature.
-// That holds because LeakageW computes
+// the factor f that TempFactor or TempFactors computes at t, return the
+// exact float64 LeakageW(voltagesV[l], t) returns, for every level and
+// temperature. That holds because LeakageW computes
 //
 //	v * ((LeakI0A * Pow(v/Vref, exp)) * Exp(coeff*(t-Tref)))
 //
@@ -52,13 +52,15 @@ func (l *LUT) Levels() int { return len(l.voltsV) }
 // Params.LeakageW at that level's voltage: the two halves below composed.
 // One Exp and two multiplies — the Pow is amortised into construction.
 func (l *LUT) LeakageWAt(level int, tempK float64) float64 {
-	return l.LeakageWFrom(level, l.tempFactor(tempK))
+	return l.LeakageWFrom(level, l.TempFactor(tempK))
 }
 
-// tempFactor is leakage's temperature factor, the Exp in LeakageW.
+// TempFactor is leakage's temperature factor at tempK, the Exp in
+// LeakageW: LeakageWFrom finishes any level's leakage from it, so a caller
+// that needs several levels at one temperature pays for one Exp.
 //
 //odrl:hotpath
-func (l *LUT) tempFactor(tempK float64) float64 {
+func (l *LUT) TempFactor(tempK float64) float64 {
 	return math.Exp(l.p.LeakTempCoeffPerK * (tempK - l.p.TrefK))
 }
 
@@ -72,7 +74,7 @@ func (l *LUT) tempFactor(tempK float64) float64 {
 func (l *LUT) TempFactors(dst, tempsK []float64) {
 	tempsK = tempsK[:len(dst)]
 	for i, t := range tempsK {
-		dst[i] = l.tempFactor(t)
+		dst[i] = l.TempFactor(t)
 	}
 }
 
@@ -95,7 +97,7 @@ func (l *LUT) LeakageWFrom(level int, factor float64) float64 {
 // reduces per-core leakage to a single indexed load.
 func (l *LUT) FixedTempLeakageW(tempK float64) []float64 {
 	out := make([]float64, len(l.voltsV))
-	f := l.tempFactor(tempK)
+	f := l.TempFactor(tempK)
 	for lev := range out {
 		out[lev] = l.LeakageWFrom(lev, f)
 	}
