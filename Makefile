@@ -12,9 +12,9 @@ FUZZTIME ?= 10s
 # noise does not. Raise it when coverage rises; never lower it to merge.
 COVER_FLOOR ?= 80.0
 
-.PHONY: ci lint lint-allows vet build bench-compile test test-determinism test-scenarios claims race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+.PHONY: ci lint lint-allows vet build bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
-ci: lint vet build bench-compile test test-determinism test-scenarios claims race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+ci: lint vet build bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
 # Formatting gate, then the five repo-specific invariant analyzers
 # (detrange, rngdiscipline, wallclock, hotpathalloc, globalstate):
@@ -85,6 +85,31 @@ test-scenarios:
 # Full fidelity (seeds 1–5) is `go run ./cmd/odrl-run -builtin CLAIMS`.
 claims:
 	$(GO) run ./cmd/odrl-run -builtin CLAIMS -quick -no-ledger
+
+# Full-fidelity reproduction gate. The goldens and spec parity run at quick
+# fidelity (at most 16 cores, 0.5 s windows); this target regenerates every
+# table at the default fidelity into a scratch directory and compares it
+# with the committed results/ that REPORT.md and the README quote. Every
+# CSV must match byte for byte, except that f5.csv compares only its
+# deterministic columns (cores, budget, noc-gather, both work columns and
+# work-ratio) and its notes: its latency columns are this host's wall clock.
+# A mismatch means full-fidelity output moved: regenerate REPORT.md and
+# results/ in the same change with
+# `go run ./cmd/odrl-bench -report REPORT.md -o results -no-ledger`.
+report-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/odrl-bench -o "$$dir" -no-ledger > /dev/null || exit 1; \
+	f5() { awk -F, '/^#/ { print; next } { print $$1 "," $$2 "," $$7 "," $$8 "," $$9 "," $$10 }' "$$1"; }; \
+	ok=1; \
+	for want in results/*.csv; do \
+		n=$${want##*/}; got="$$dir/$$n"; \
+		if [ "$$n" = f5.csv ]; then f5 "$$want" > "$$dir/f5.want"; f5 "$$got" > "$$dir/f5.got"; want="$$dir/f5.want"; got="$$dir/f5.got"; fi; \
+		cmp -s "$$want" "$$got" || { echo "report-check: full-fidelity $$n moved:"; diff "$$want" "$$got"; ok=0; }; \
+	done; \
+	for got in "$$dir"/*.csv; do \
+		[ -e "results/$${got##*/}" ] || { echo "report-check: $${got##*/} is missing from results/"; ok=0; }; \
+	done; \
+	[ $$ok = 1 ] && echo "report-check: every full-fidelity table matches results/"
 
 # Race hammer on the monitor's time-series store: concurrent HTTP-style
 # readers snapshotting while the epoch loop appends and decimates.

@@ -56,6 +56,7 @@ const tinySpecJSON = `{
 // before any simulation work, with a diagnostic on stderr.
 func TestRunExit2(t *testing.T) {
 	valid := writeSpec(t, "ok.json", tinySpecJSON)
+	ldir := t.TempDir()
 	cases := []struct {
 		name string
 		args []string
@@ -99,6 +100,11 @@ func TestRunExit2(t *testing.T) {
 			"seed 2 listed twice",
 		},
 		{
+			"sweep seed no seed can take",
+			[]string{"-ledger", ldir, writeSpec(t, "bad.json", `{"sweep": {"param": "seed", "values": [0, -3, 1.5]}}`)},
+			"sweep seed value 0 is not a whole number",
+		},
+		{
 			"trailing data",
 			[]string{writeSpec(t, "bad.json", `{} {}`)},
 			"trailing data",
@@ -122,6 +128,9 @@ func TestRunExit2(t *testing.T) {
 				t.Errorf("stderr %q missing %q", stderr.String(), tc.want)
 			}
 		})
+	}
+	if recs, errs := ledger.Read(ldir); len(recs) != 0 || len(errs) != 0 {
+		t.Errorf("a refused spec left %d ledger records (%v)", len(recs), errs)
 	}
 }
 

@@ -23,7 +23,7 @@ func runTable(t *testing.T, id string, workers int) Table {
 // layer: every fanned-out experiment must produce byte-identical tables at
 // Workers=1 (fully sequential) and Workers=8.
 func TestParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"F2", "F7", "F9", "F15"} {
+	for _, id := range []string{"F1", "F2", "F7", "F8", "F9", "F10", "F11", "F13", "F15", "F17", "F18", "F19"} {
 		t.Run(id, func(t *testing.T) {
 			seq := runTable(t, id, 1)
 			par := runTable(t, id, 8)

@@ -36,12 +36,13 @@ type Config struct {
 	// Quick shrinks run lengths for use inside unit tests and smoke runs;
 	// numbers remain directionally meaningful but noisier.
 	Quick bool
-	// Workers bounds the goroutines used to fan independent runs out
-	// concurrently (benchmark × controller sweeps, budget points, core
-	// counts, seeds) and to shard large chips' per-core loops: 0 uses one
-	// worker per CPU, 1 forces fully sequential execution. Every table is
-	// bit-identical for any worker count — runs derive their randomness
-	// from (Seed, run identity), never from scheduling order.
+	// Workers bounds the goroutines that fan an experiment's independent
+	// runs out through sim.RunJobs (every grid and sweep: benchmark ×
+	// controller, budget points, core counts, seeds, variants) and that
+	// shard large chips' per-core loops: 0 uses one worker per CPU, 1
+	// forces fully sequential execution. Every table is bit-identical for
+	// any worker count — runs derive their randomness from (Seed, run
+	// identity), never from scheduling order.
 	Workers int
 	// FaultPlan, when non-nil and non-zero, injects deterministic faults
 	// into every run (see package fault). F18 sweeps its own plans and
@@ -112,9 +113,8 @@ func (c Config) Normalized() Config {
 // runOpts returns the harness options every experiment run starts from:
 // the shared axes (platform size, budget, windows, seed, workers, fault
 // plan) and the observability stack filled from the experiment config.
-// Individual experiments override fields from there and build each run's
-// controller from the final options with sim.EnvFor, as every other run
-// path does.
+// Individual experiments override fields from there, and sim.RunJobs
+// builds each run's controller from the final options.
 func (c Config) runOpts() sim.Options {
 	opts := sim.DefaultOptions()
 	opts.Cores = c.Cores
@@ -128,9 +128,24 @@ func (c Config) runOpts() sim.Options {
 	return opts
 }
 
+// jobs returns one run per (point, controller) pair, point-major: job
+// p*len(names)+k runs names[k] on the run options set adjusts for point p.
+func (c Config) jobs(points int, names []string, set func(p int, j *sim.Job)) []sim.Job {
+	jobs := make([]sim.Job, 0, points*len(names))
+	for p := 0; p < points; p++ {
+		j := sim.Job{Options: c.runOpts()}
+		set(p, &j)
+		for _, name := range names {
+			j.Controller = name
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
 // release closes a controller a runner built itself once its runs are
 // done: an OD-RL controller on a large chip parks a worker pool between
-// epochs. Runs through sim.RunNamed need no call.
+// epochs. Runs through sim.RunJobs need no call.
 func release(c ctrl.Controller) {
 	if cl, ok := c.(io.Closer); ok {
 		cl.Close()

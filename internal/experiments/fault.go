@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/obs/monitor"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -35,25 +33,15 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 	// and both counts are deterministic: the fault stream is seeded, and
 	// the deterministic rule subset (no wall-clock decide-latency rules) is
 	// a pure function of the epoch stream.
-	type faultRun struct {
-		s      metrics.Summary
-		faults int
-		alerts int
-	}
-	runs, err := par.MapErr(cfg.Workers, len(intensities)*nn, func(i int) (faultRun, error) {
-		x, name := intensities[i/nn], names[i%nn]
-		opts := cfg.runOpts()
-		opts.FaultPlan = nil // this figure owns the plan axis
-		if x > 0 {
-			p := fault.Scaled(x)
-			opts.FaultPlan = &p
+	jobs := cfg.jobs(len(intensities), names, func(x int, j *sim.Job) {
+		j.FaultPlan = nil // this figure owns the plan axis
+		if intensities[x] > 0 {
+			p := fault.Scaled(intensities[x])
+			j.FaultPlan = &p
 		}
-		res, h, err := sim.RunMonitored(opts, name, monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS))
-		if err != nil {
-			return faultRun{}, err
-		}
-		return faultRun{s: res.Summary, faults: h.Faults, alerts: h.AlertCount}, nil
+		j.Rules = monitor.DeterministicDefaultRules(j.BudgetW, j.EpochS)
 	})
+	runs, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -71,8 +59,8 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 	for xi, x := range intensities {
 		for ni := range names {
 			r := runs[xi*nn+ni]
-			s := r.s
-			base := runs[ni].s // intensity 0 row for this controller
+			s := r.Summary
+			base := runs[ni].Summary // intensity 0 row for this controller
 			retention := 0.0
 			if base.BIPS() > 0 {
 				retention = s.BIPS() / base.BIPS()
@@ -80,7 +68,7 @@ func F18FaultIntensity(cfg Config) (Table, error) {
 			t.Rows = append(t.Rows, []string{
 				Cell(x), s.Controller, Cell(s.BIPS()), Cell(retention),
 				Cell(s.MeanW), Cell(s.OverJ), Cell(s.OverTimeS),
-				fmt.Sprintf("%d", r.faults), fmt.Sprintf("%d", r.alerts),
+				fmt.Sprintf("%d", r.Faults), fmt.Sprintf("%d", r.Alerts),
 			})
 		}
 	}

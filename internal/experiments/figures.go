@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -29,17 +28,16 @@ func F1PowerTrace(cfg Config) (Table, error) {
 		},
 	}
 
-	rows, err := par.MapErr(cfg.Workers, len(cfg.Controllers), func(ci int) ([]string, error) {
-		name := cfg.Controllers[ci]
-		opts := cfg.runOpts()
-		opts.BudgetW = 90
-		opts.BudgetSchedule = []sim.BudgetStep{{AtS: dropAt, BudgetW: 60}}
-		opts.TracePoints = 2000
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return nil, err
-		}
-
+	jobs := cfg.jobs(1, cfg.Controllers, func(_ int, j *sim.Job) {
+		j.BudgetW = 90
+		j.BudgetSchedule = []sim.BudgetStep{{AtS: dropAt, BudgetW: 60}}
+		j.TracePoints = 2000
+	})
+	results, err := sim.RunJobs(cfg.Workers, jobs)
+	if err != nil {
+		return Table{}, err
+	}
+	for i, res := range results {
 		var meanPre, peakPost, settleS float64
 		nPre := 0
 		settled := false
@@ -63,15 +61,11 @@ func F1PowerTrace(cfg Config) (Table, error) {
 		if !settled {
 			settleS = -1 // never settled within the window
 		}
-		return []string{
-			name, Cell(meanPre), Cell(peakPost), Cell(settleS * 1e3),
+		t.Rows = append(t.Rows, []string{
+			jobs[i].Controller, Cell(meanPre), Cell(peakPost), Cell(settleS * 1e3),
 			Cell(res.Summary.OverJ), Cell(100 * res.Summary.OverTimeFrac()),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
+		})
 	}
-	t.Rows = rows
 	return t, nil
 }
 
@@ -86,42 +80,27 @@ type Grid struct {
 	Summaries map[string]map[string]metrics.Summary
 }
 
-// RunGrid runs every controller on every benchmark, fanned out across
-// cfg.Workers goroutines. Each run derives its state purely from
-// (cfg.Seed, benchmark, controller), and results land in index-addressed
-// slots, so the grid is identical for any worker count.
+// RunGrid runs every controller on every benchmark through sim.RunJobs,
+// fanned out across cfg.Workers goroutines. Each run derives its state
+// purely from (cfg.Seed, benchmark, controller), so the grid is identical
+// for any worker count.
 func RunGrid(cfg Config) (Grid, error) {
 	cfg = cfg.Normalized()
-	type job struct{ bench, name string }
-	jobs := make([]job, 0, len(cfg.Benchmarks)*len(cfg.Controllers))
-	for _, bench := range cfg.Benchmarks {
-		for _, name := range cfg.Controllers {
-			jobs = append(jobs, job{bench, name})
-		}
-	}
-
-	summaries, err := par.MapErr(cfg.Workers, len(jobs), func(i int) (metrics.Summary, error) {
-		j := jobs[i]
-		opts := cfg.runOpts()
-		opts.Workload = j.bench
-		res, err := sim.RunNamed(opts, j.name)
-		if err != nil {
-			return metrics.Summary{}, fmt.Errorf("experiments: %s on %s: %w", j.name, j.bench, err)
-		}
-		return res.Summary, nil
+	jobs := cfg.jobs(len(cfg.Benchmarks), cfg.Controllers, func(b int, j *sim.Job) {
+		j.Workload = cfg.Benchmarks[b]
 	})
+	results, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
 		return Grid{}, err
 	}
-
 	out := make(map[string]map[string]metrics.Summary, len(cfg.Benchmarks))
 	for i, j := range jobs {
-		m := out[j.bench]
+		m := out[j.Workload]
 		if m == nil {
 			m = make(map[string]metrics.Summary, len(cfg.Controllers))
-			out[j.bench] = m
+			out[j.Workload] = m
 		}
-		m[j.name] = summaries[i]
+		m[j.Controller] = results[i].Summary
 	}
 	return Grid{Config: cfg, Summaries: out}, nil
 }

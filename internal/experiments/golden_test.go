@@ -20,7 +20,7 @@ func goldenConfig() Config {
 }
 
 // maskColumns replaces every cell of the named columns with "-". Wall-clock
-// columns (decision latency, speedup) are real measurements and cannot be
+// columns (decision latency) are real measurements and cannot be
 // golden-tested; the table's structure and its deterministic columns can.
 func maskColumns(t Table, cols ...string) Table {
 	masked := map[int]bool{}
@@ -117,15 +117,15 @@ func TestGoldenClaims(t *testing.T) {
 }
 
 // TestGoldenF5 pins F5's structure and modelled columns. The measured
-// latency and speedup columns are wall-clock and are masked out; the NoC
-// gather latency is modelled and must stay exact.
+// latency columns are wall-clock and are masked out; the NoC gather
+// latency is modelled and must stay exact.
 func TestGoldenF5(t *testing.T) {
 	tbl, err := F5ControllerScaling(goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl = maskColumns(tbl,
-		"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup")
+		"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)")
 	checkGolden(t, "f5", tbl)
 }
 

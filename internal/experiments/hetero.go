@@ -30,24 +30,21 @@ func F17Hetero(cfg Config) (Table, error) {
 		},
 	}
 
-	for _, name := range names {
-		opts := cfg.runOpts()
-		opts.BigLittle = true
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return Table{}, err
-		}
-
-		// Final-level means per class: big cores are the left half of
-		// each grid row (mirroring the assignment in sim.NewChip).
-		w, _, err := sim.GridFor(cfg.Cores)
-		if err != nil {
-			return Table{}, err
-		}
+	results, err := sim.RunJobs(cfg.Workers, cfg.jobs(1, names, func(_ int, j *sim.Job) { j.BigLittle = true }))
+	if err != nil {
+		return Table{}, err
+	}
+	// Final-level means per class: big cores are the left half of each grid
+	// row (mirroring the assignment in sim.NewChip).
+	w, _, err := sim.GridFor(cfg.Cores)
+	if err != nil {
+		return Table{}, err
+	}
+	for i, res := range results {
 		var bigSum, littleSum float64
 		var bigN, littleN int
-		for i, l := range res.FinalLevels {
-			if i%w < w/2 {
+		for c, l := range res.FinalLevels {
+			if c%w < w/2 {
 				bigSum += float64(l)
 				bigN++
 			} else {
@@ -57,7 +54,7 @@ func F17Hetero(cfg Config) (Table, error) {
 		}
 		s := res.Summary
 		t.Rows = append(t.Rows, []string{
-			name, Cell(s.BIPS()), Cell(s.MeanW), Cell(s.OverJ), Cell(s.EnergyEff()),
+			names[i], Cell(s.BIPS()), Cell(s.MeanW), Cell(s.OverJ), Cell(s.EnergyEff()),
 			Cell(bigSum / float64(bigN)), Cell(littleSum / float64(littleN)),
 		})
 	}

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/vf"
 )
 
 // F13Islands is an extension experiment: DVFS granularity. The same
@@ -37,6 +36,8 @@ func F13Islands(cfg Config) (Table, error) {
 	if cfg.Quick {
 		grans = []gran{{"per-core", 1, 1}, {"chip-wide", gw, gh}}
 	}
+	// Keep the granularities that tile the chosen grid.
+	grans = slices.DeleteFunc(grans, func(g gran) bool { return gw%g.iw != 0 || gh%g.ih != 0 })
 	names := []string{"od-rl", "od-rl-island", "greedy"}
 
 	t := Table{
@@ -54,38 +55,28 @@ func F13Islands(cfg Config) (Table, error) {
 		t.Header = append(t.Header, n+" BIPS", n+" BIPS/W", n+" over(J)")
 	}
 
-	for _, g := range grans {
-		if gw%g.iw != 0 || gh%g.ih != 0 {
-			continue // this granularity does not tile the chosen grid
+	jobs := cfg.jobs(len(grans), names, func(g int, j *sim.Job) {
+		j.IslandW, j.IslandH = grans[g].iw, grans[g].ih
+	})
+	for i := range jobs {
+		if jobs[i].Controller != "od-rl-island" {
+			continue
 		}
+		// One agent per island, which the factory cannot build.
+		iw, ih := jobs[i].IslandW, jobs[i].IslandH
+		jobs[i].Build = func(env sim.Env) (ctrl.Controller, error) {
+			ccfg := core.DefaultConfig()
+			ccfg.Seed = env.Seed
+			return core.NewIslands(gw, gh, iw, ih, env.VF, env.Power, ccfg)
+		}
+	}
+	results, err := sim.RunJobs(cfg.Workers, jobs)
+	if err != nil {
+		return Table{}, err
+	}
+	for gi, g := range grans {
 		row := []string{g.label}
-		for _, name := range names {
-			opts := cfg.runOpts()
-			opts.IslandW, opts.IslandH = g.iw, g.ih
-			var c ctrl.Controller
-			if name == "od-rl-island" {
-				ccfg := core.DefaultConfig()
-				ccfg.Seed = cfg.Seed
-				ic, err := core.NewIslands(gw, gh, g.iw, g.ih, vf.Default(), power.Default(), ccfg)
-				if err != nil {
-					return Table{}, err
-				}
-				c = ic
-			} else {
-				env, err := sim.EnvFor(opts)
-				if err != nil {
-					return Table{}, err
-				}
-				c, err = sim.NewController(name, env)
-				if err != nil {
-					return Table{}, err
-				}
-			}
-			res, err := sim.Run(opts, c)
-			release(c)
-			if err != nil {
-				return Table{}, err
-			}
+		for _, res := range results[gi*len(names) : (gi+1)*len(names)] {
 			row = append(row, Cell(res.Summary.BIPS()), Cell(res.Summary.EnergyEff()), Cell(res.Summary.OverJ))
 		}
 		t.Rows = append(t.Rows, row)

@@ -30,19 +30,22 @@ func F19LearningDynamics(cfg Config) (Table, error) {
 			"warmup is folded into the measured window so the table covers the whole learning transient",
 		},
 	}
-	for _, name := range names {
-		opts := cfg.runOpts()
-		// Learning dynamics want the whole run, so start cold and measure
-		// from epoch zero.
-		opts.MeasureS = opts.WarmupS + opts.MeasureS
-		opts.WarmupS = 0
-		lrn := learn.New(learn.Options{Detector: det})
-		opts.Learn = lrn
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return Table{}, err
-		}
-		runs := lrn.Runs()
+	// Learning dynamics want the whole run, so start cold and measure from
+	// epoch zero. Each run streams into a learn layer of its own.
+	jobs := cfg.jobs(1, names, func(_ int, j *sim.Job) {
+		j.MeasureS = j.WarmupS + j.MeasureS
+		j.WarmupS = 0
+	})
+	for i := range jobs {
+		jobs[i].Learn = learn.New(learn.Options{Detector: det})
+	}
+	results, err := sim.RunJobs(cfg.Workers, jobs)
+	if err != nil {
+		return Table{}, err
+	}
+	for i, res := range results {
+		name := jobs[i].Controller
+		runs := jobs[i].Learn.Runs()
 		if len(runs) != 1 {
 			return Table{}, fmt.Errorf("experiments: F19 controller %s streamed %d learn runs, want 1", name, len(runs))
 		}

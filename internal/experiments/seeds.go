@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -34,27 +32,22 @@ func F15Seeds(cfg Config) (Table, error) {
 		},
 	}
 
-	// Every (controller, seed) pair is an independent realisation; fan the
+	// Every (seed, controller) pair is an independent realisation; fan the
 	// full grid out across cfg.Workers and reduce per controller afterwards
 	// in seed order, so the CI arithmetic sees the same float sequence for
 	// any worker count.
-	summaries, err := par.MapErr(cfg.Workers, len(names)*nSeeds, func(i int) (metrics.Summary, error) {
-		name, s := names[i/nSeeds], i%nSeeds
-		opts := cfg.runOpts()
-		opts.Seed = cfg.Seed + uint64(s)*1000
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		return res.Summary, nil
+	jobs := cfg.jobs(nSeeds, names, func(s int, j *sim.Job) {
+		j.Seed = cfg.Seed + uint64(s)*1000
 	})
+	results, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
 		return Table{}, err
 	}
+	nn := len(names)
 	for ni, name := range names {
 		var bips, over, eff []float64
 		for s := 0; s < nSeeds; s++ {
-			sum := summaries[ni*nSeeds+s]
+			sum := results[s*nn+ni].Summary
 			bips = append(bips, sum.BIPS())
 			over = append(over, sum.OverJ)
 			eff = append(eff, sum.EnergyEff())

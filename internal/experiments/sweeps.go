@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/ctrl"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
-	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -157,25 +155,17 @@ func F7BudgetSweep(cfg Config) (Table, error) {
 	}
 
 	// The (budget × controller) grid is a set of independent runs; fan it
-	// out across cfg.Workers and assemble rows from index-addressed slots.
-	nn := len(names)
-	summaries, err := par.MapErr(cfg.Workers, len(budgets)*nn, func(i int) (metrics.Summary, error) {
-		b, name := budgets[i/nn], names[i%nn]
-		opts := cfg.runOpts()
-		opts.BudgetW = b
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		return res.Summary, nil
-	})
+	// out across cfg.Workers and assemble rows in job order.
+	jobs := cfg.jobs(len(budgets), names, func(b int, j *sim.Job) { j.BudgetW = budgets[b] })
+	results, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
 		return Table{}, err
 	}
+	nn := len(names)
 	for bi, b := range budgets {
 		row := []string{Cell(b)}
 		for ni := range names {
-			s := summaries[bi*nn+ni]
+			s := results[bi*nn+ni].Summary
 			row = append(row, Cell(s.BIPS()), Cell(s.OverJ))
 		}
 		t.Rows = append(t.Rows, row)
@@ -209,26 +199,19 @@ func F8CoreScaling(cfg Config) (Table, error) {
 
 	// Fan the (core count × controller) grid out across cfg.Workers; each
 	// run also shards its own per-core loops once the chip is large enough.
-	nn := len(names)
-	summaries, err := par.MapErr(cfg.Workers, len(coreCounts)*nn, func(i int) (metrics.Summary, error) {
-		n, name := coreCounts[i/nn], names[i%nn]
-		opts := cfg.runOpts()
-		opts.Cores = n
-		opts.BudgetW = perCoreW*float64(n) + power.Default().UncoreW
-		res, err := sim.RunNamed(opts, name)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		return res.Summary, nil
+	jobs := cfg.jobs(len(coreCounts), names, func(c int, j *sim.Job) {
+		j.Cores = coreCounts[c]
+		j.BudgetW = perCoreW*float64(j.Cores) + power.Default().UncoreW
 	})
+	results, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
 		return Table{}, err
 	}
+	nn := len(names)
 	for ci, n := range coreCounts {
-		budget := perCoreW*float64(n) + power.Default().UncoreW
-		row := []string{fmt.Sprintf("%d", n), Cell(budget)}
+		row := []string{fmt.Sprintf("%d", n), Cell(jobs[ci*nn].BudgetW)}
 		for ni := range names {
-			s := summaries[ci*nn+ni]
+			s := results[ci*nn+ni].Summary
 			row = append(row, Cell(s.BIPS()), Cell(s.BIPS()/float64(n)))
 		}
 		t.Rows = append(t.Rows, row)

@@ -35,15 +35,13 @@ func F10Thermal(cfg Config) (Table, error) {
 		t.Header = append(t.Header, n+" Tmax(K)", n+" mean(W)")
 	}
 
-	for _, b := range budgets {
+	results, err := sim.RunJobs(cfg.Workers, cfg.jobs(len(budgets), names, func(b int, j *sim.Job) { j.BudgetW = budgets[b] }))
+	if err != nil {
+		return Table{}, err
+	}
+	for bi, b := range budgets {
 		row := []string{Cell(b)}
-		for _, name := range names {
-			opts := cfg.runOpts()
-			opts.BudgetW = b
-			res, err := sim.RunNamed(opts, name)
-			if err != nil {
-				return Table{}, err
-			}
+		for _, res := range results[bi*len(names) : (bi+1)*len(names)] {
 			row = append(row, Cell(res.Summary.MaxTempK), Cell(res.Summary.MeanW))
 		}
 		t.Rows = append(t.Rows, row)

@@ -39,20 +39,21 @@ func F11Variation(cfg Config) (Table, error) {
 		t.Header = append(t.Header, n+" over(J)", n+" BIPS/W")
 	}
 
-	for _, sigma := range sigmas {
+	jobs := cfg.jobs(len(sigmas), names, func(x int, j *sim.Job) {
+		if sigmas[x] > 0 {
+			vp := variation.Default()
+			vp.LeakSigma = sigmas[x]
+			vp.Seed = cfg.Seed
+			j.Variation = &vp
+		}
+	})
+	results, err := sim.RunJobs(cfg.Workers, jobs)
+	if err != nil {
+		return Table{}, err
+	}
+	for xi, sigma := range sigmas {
 		row := []string{Cell(sigma)}
-		for _, name := range names {
-			opts := cfg.runOpts()
-			if sigma > 0 {
-				vp := variation.Default()
-				vp.LeakSigma = sigma
-				vp.Seed = cfg.Seed
-				opts.Variation = &vp
-			}
-			res, err := sim.RunNamed(opts, name)
-			if err != nil {
-				return Table{}, err
-			}
+		for _, res := range results[xi*len(names) : (xi+1)*len(names)] {
 			row = append(row, Cell(res.Summary.OverJ), Cell(res.Summary.EnergyEff()))
 		}
 		t.Rows = append(t.Rows, row)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs/monitor"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -249,40 +248,20 @@ func (s Spec) monitored() bool {
 	return len(s.AlertRules) > 0 || (s.FaultPlan != nil && !s.FaultPlan.Zero())
 }
 
-// rules returns the alert rules one run evaluates: the spec's own, or —
-// for fault runs without explicit rules — the deterministic claim-invariant
-// defaults, so the alerts column stays a pure function of the epoch stream.
-func (s Spec) rules(budgetW, epochS float64) []monitor.Rule {
-	if len(s.AlertRules) > 0 {
-		return s.AlertRules
+// job is one table run of controller on opts. A monitored spec gives the
+// run a run-health monitor of its own that evaluates the spec's alert
+// rules or, for fault runs without explicit rules, the deterministic
+// claim-invariant defaults, so the alerts column stays a pure function of
+// the epoch stream.
+func (s Spec) job(opts sim.Options, controller string) sim.Job {
+	j := sim.Job{Options: opts, Controller: controller}
+	switch {
+	case len(s.AlertRules) > 0:
+		j.Rules = s.AlertRules
+	case s.monitored():
+		j.Rules = monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS)
 	}
-	return monitor.DeterministicDefaultRules(budgetW, epochS)
-}
-
-// runOutcome is one finished run of a comparison or sweep table.
-type runOutcome struct {
-	s      metrics.Summary
-	faults int
-	alerts int
-}
-
-// runOne executes one (options × controller) run, with a per-run monitor
-// when the spec asks for one.
-func runOne(spec Spec, opts sim.Options, controller string) (runOutcome, error) {
-	var (
-		res sim.Result
-		h   monitor.RunHealth
-		err error
-	)
-	if spec.monitored() {
-		res, h, err = sim.RunMonitored(opts, controller, spec.rules(opts.BudgetW, opts.EpochS))
-	} else {
-		res, err = sim.RunNamed(opts, controller)
-	}
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("scenario: %s on %s: %w", controller, opts.Workload, err)
-	}
-	return runOutcome{s: res.Summary, faults: h.Faults, alerts: h.AlertCount}, nil
+	return j
 }
 
 // summaryCells renders the deterministic summary columns every engine table
@@ -327,57 +306,57 @@ func (s Spec) title(kind string) string {
 	return "declarative " + kind + " run"
 }
 
-// comparisonTable runs every (seed × workload × controller) combination and
-// emits one row per run. Rows land in index-addressed slots, so the table
-// is identical for any worker count.
-func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
-	seeds, workloads, controllers := spec.runAxes()
-	type job struct {
-		seed       uint64
-		workload   string
-		controller string
-	}
-	jobs := make([]job, 0, len(seeds)*len(workloads)*len(controllers))
-	for _, seed := range seeds {
-		for _, w := range workloads {
-			for _, c := range controllers {
-				jobs = append(jobs, job{seed, w, c})
-			}
-		}
-	}
-	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
-		j := jobs[i]
-		opts, err := spec.Options(j.seed, j.workload, e.Stack)
-		if err != nil {
-			return runOutcome{}, err
-		}
-		return runOne(spec, opts, j.controller)
-	})
+// runTable runs one job per row and renders the engine's table: each row
+// is its key cells, then the run's cores, budget and summary columns, and
+// the fault and alert counts when the spec is monitored. Rows follow the
+// jobs, so the table is identical for any worker count.
+func runTable(spec Spec, t experiments.Table, keys [][]string, jobs []sim.Job) (experiments.Table, error) {
+	results, err := sim.RunJobs(spec.Workers, jobs)
 	if err != nil {
-		return experiments.Table{}, err
+		return experiments.Table{}, fmt.Errorf("scenario: %w", err)
 	}
-
-	t := experiments.Table{
-		ID:     "RUN",
-		Title:  spec.title("comparison"),
-		Header: append([]string{"seed", "workload", "controller", "cores", "budget(W)"}, summaryHeader...),
-		Notes:  spec.tableNotes(),
-	}
+	t.Header = append(append(t.Header, "cores", "budget(W)"), summaryHeader...)
 	if spec.monitored() {
 		t.Header = append(t.Header, "faults", "alerts")
 	}
-	for i, j := range jobs {
-		o := outcomes[i]
-		row := append([]string{
-			strconv.FormatUint(j.seed, 10), j.workload, j.controller,
-			strconv.Itoa(o.s.Cores), experiments.Cell(o.s.BudgetW),
-		}, summaryCells(o.s)...)
+	t.Rows = make([][]string, len(results))
+	for i, res := range results {
+		s := res.Summary
+		row := append(make([]string, 0, len(t.Header)), keys[i]...)
+		row = append(row, strconv.Itoa(s.Cores), experiments.Cell(s.BudgetW))
+		row = append(row, summaryCells(s)...)
 		if spec.monitored() {
-			row = append(row, strconv.Itoa(o.faults), strconv.Itoa(o.alerts))
+			row = append(row, strconv.Itoa(res.Faults), strconv.Itoa(res.Alerts))
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[i] = row
 	}
 	return t, nil
+}
+
+// comparisonTable runs every (seed × workload × controller) combination and
+// emits one row per run.
+func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
+	seeds, workloads, controllers := spec.runAxes()
+	n := len(seeds) * len(workloads) * len(controllers)
+	jobs, keys := make([]sim.Job, 0, n), make([][]string, 0, n)
+	for _, seed := range seeds {
+		for _, w := range workloads {
+			opts, err := spec.Options(seed, w, e.Stack)
+			if err != nil {
+				return experiments.Table{}, err
+			}
+			for _, c := range controllers {
+				jobs = append(jobs, spec.job(opts, c))
+				keys = append(keys, []string{strconv.FormatUint(seed, 10), w, c})
+			}
+		}
+	}
+	return runTable(spec, experiments.Table{
+		ID:     "RUN",
+		Title:  spec.title("comparison"),
+		Header: []string{"seed", "workload", "controller"},
+		Notes:  spec.tableNotes(),
+	}, keys, jobs)
 }
 
 // formatSweepValue renders a sweep point exactly as given (shortest
@@ -404,48 +383,23 @@ func applySweep(opts *sim.Options, param string, v float64) {
 func (e *Engine) sweepTable(spec Spec) (experiments.Table, error) {
 	seeds, workloads, controllers := spec.runAxes()
 	sw := spec.Sweep
-	type job struct {
-		value      float64
-		controller string
-	}
-	jobs := make([]job, 0, len(sw.Values)*len(controllers))
+	n := len(sw.Values) * len(controllers)
+	jobs, keys := make([]sim.Job, 0, n), make([][]string, 0, n)
 	for _, v := range sw.Values {
-		for _, c := range controllers {
-			jobs = append(jobs, job{v, c})
-		}
-	}
-	outcomes, err := par.MapErr(spec.Workers, len(jobs), func(i int) (runOutcome, error) {
-		j := jobs[i]
 		opts, err := spec.Options(seeds[0], workloads[0], e.Stack)
 		if err != nil {
-			return runOutcome{}, err
+			return experiments.Table{}, err
 		}
-		applySweep(&opts, sw.Param, j.value)
-		return runOne(spec, opts, j.controller)
-	})
-	if err != nil {
-		return experiments.Table{}, err
+		applySweep(&opts, sw.Param, v)
+		for _, c := range controllers {
+			jobs = append(jobs, spec.job(opts, c))
+			keys = append(keys, []string{formatSweepValue(v), c})
+		}
 	}
-
-	t := experiments.Table{
+	return runTable(spec, experiments.Table{
 		ID:     "SWEEP",
 		Title:  spec.title("sweep (" + sw.Param + ")"),
-		Header: append([]string{sw.Param, "controller", "cores", "budget(W)"}, summaryHeader...),
+		Header: []string{sw.Param, "controller"},
 		Notes:  append(spec.tableNotes(), "workload "+workloads[0]),
-	}
-	if spec.monitored() {
-		t.Header = append(t.Header, "faults", "alerts")
-	}
-	for i, j := range jobs {
-		o := outcomes[i]
-		row := append([]string{
-			formatSweepValue(j.value), j.controller,
-			strconv.Itoa(o.s.Cores), experiments.Cell(o.s.BudgetW),
-		}, summaryCells(o.s)...)
-		if spec.monitored() {
-			row = append(row, strconv.Itoa(o.faults), strconv.Itoa(o.alerts))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	}, keys, jobs)
 }

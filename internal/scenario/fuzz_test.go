@@ -15,6 +15,7 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"experiment": "F1"}`))
 	f.Add([]byte(`{"sweep": {"param": "budget", "values": [40, 55, 70]}}`))
+	f.Add([]byte(`{"sweep": {"param": "seed", "values": [0, -3, 1.5]}}`))
 	f.Add([]byte(fullSpecJSON))
 	for _, id := range BuiltinIDs() {
 		if b, err := specFS.ReadFile("specs/" + strings.ToLower(id) + ".json"); err == nil {

@@ -26,8 +26,8 @@ func goldenSpec(t *testing.T, id string, workers int) Spec {
 }
 
 // maskColumns mirrors the experiments golden harness: wall-clock columns
-// (measured decision latency, speedup) cannot be snapshot-tested, so their
-// cells are blanked before comparison.
+// (measured decision latency) cannot be snapshot-tested, so their cells are
+// blanked before comparison.
 func maskColumns(t experiments.Table, cols ...string) experiments.Table {
 	masked := map[int]bool{}
 	for i, h := range t.Header {
@@ -61,7 +61,7 @@ func maskColumns(t experiments.Table, cols ...string) experiments.Table {
 func TestSpecGoldenParity(t *testing.T) {
 	// Wall-clock columns, masked as in the experiments harness.
 	masks := map[string][]string{
-		"F5": {"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)", "speedup"},
+		"F5": {"od-rl(µs)", "maxbips(µs)", "steepest-drop(µs)", "pid(µs)"},
 	}
 	for _, e := range experiments.All() {
 		id, mask := e.ID, masks[e.ID]

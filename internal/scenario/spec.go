@@ -51,7 +51,8 @@ type BudgetStep struct {
 type Sweep struct {
 	// Param is one of budget | cores | epoch | seed.
 	Param string `json:"param"`
-	// Values are the sweep points, in presentation order.
+	// Values are the sweep points, in presentation order, each listed
+	// once; seed and cores values are whole numbers in [1, 2^53].
 	Values []float64 `json:"values"`
 }
 
@@ -256,6 +257,15 @@ func (s Spec) Validate() error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("scenario: sweep value %d is not finite", i)
 			}
+			// A seed or a core count is a whole number: anything else would
+			// run a converted point under the value's own label. Budget and
+			// epoch values are checked when their run starts.
+			if (s.Sweep.Param == "seed" || s.Sweep.Param == "cores") && (v < 1 || v > 1<<53 || v != math.Trunc(v)) {
+				return fmt.Errorf("scenario: sweep %s value %g is not a whole number in [1, 2^53]", s.Sweep.Param, v)
+			}
+		}
+		if v, ok := repeated(s.Sweep.Values); ok {
+			return fmt.Errorf("scenario: sweep value %g listed twice", v)
 		}
 		if s.Sweep.Param == "seed" && len(s.Seeds) > 0 {
 			return fmt.Errorf("scenario: sweep over seed conflicts with an explicit seeds list")

@@ -97,6 +97,14 @@ func TestValidateRejections(t *testing.T) {
 		{"bad sweep param", Spec{Sweep: &Sweep{Param: "teapots", Values: []float64{1}}}, "unknown sweep param"},
 		{"empty sweep values", Spec{Sweep: &Sweep{Param: "budget"}}, "no values"},
 		{"nonfinite sweep value", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{inf()}}}, "not finite"},
+		{"zero sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{0}}}, "seed value 0 is not a whole number"},
+		{"negative sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{1, -3}}}, "seed value -3 is not a whole number"},
+		{"fractional sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{1.5}}}, "seed value 1.5 is not a whole number"},
+		{"sweep seed past 2^53", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{1<<53 + 2}}}, "not a whole number in [1, 2^53]"},
+		{"fractional sweep cores", Spec{Sweep: &Sweep{Param: "cores", Values: []float64{16, 2.5}}}, "cores value 2.5 is not a whole number"},
+		{"zero sweep cores", Spec{Sweep: &Sweep{Param: "cores", Values: []float64{0}}}, "cores value 0 is not a whole number"},
+		{"sweep value twice", Spec{Sweep: &Sweep{Param: "cores", Values: []float64{4, 16, 4}}}, "sweep value 4 listed twice"},
+		{"sweep budget twice", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{40, 40}}}, "sweep value 40 listed twice"},
 		{"sweep seed vs seeds", Spec{Seeds: []uint64{1}, Sweep: &Sweep{Param: "seed", Values: []float64{1}}}, "conflicts"},
 		{"sweep vs benchmarks", Spec{Benchmarks: []string{"canneal"}, Sweep: &Sweep{Param: "budget", Values: []float64{1}}}, "not benchmarks"},
 		{"sweep with two seeds", Spec{Seeds: []uint64{1, 2}, Sweep: &Sweep{Param: "budget", Values: []float64{1}}}, `sweep the "seed" param`},
@@ -134,6 +142,8 @@ func TestValidateAccepts(t *testing.T) {
 		`{"experiment": "F1"}`,
 		`{"experiment": "F1", "platform": "manycore-22nm"}`,
 		`{"sweep": {"param": "budget", "values": [40, 55]}}`,
+		`{"sweep": {"param": "seed", "values": [1, 9007199254740992]}}`,
+		`{"sweep": {"param": "cores", "values": [16, 4]}}`,
 		fullSpecJSON,
 	} {
 		if _, err := LoadBytes([]byte(src)); err != nil {

@@ -23,11 +23,11 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestRunNamedReleasesWorkers: a 128-core od-rl run with two workers
-// starts a worker pool in the chip and another in the controller. RunNamed
+// TestRunJobsReleasesWorkers: a 128-core od-rl run with two workers
+// starts a worker pool in the chip and another in the controller. RunJobs
 // must close both, so the goroutine count returns to its starting value.
 // GC is off for the test, so a pool's finalizer cannot stand in for Close.
-func TestRunNamedReleasesWorkers(t *testing.T) {
+func TestRunJobsReleasesWorkers(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	opts := DefaultOptions()
 	opts.Cores = 128
@@ -35,7 +35,7 @@ func TestRunNamedReleasesWorkers(t *testing.T) {
 	opts.WarmupS = 0.01
 	opts.MeasureS = 0.02
 	before := settledGoroutines()
-	if _, err := RunNamed(opts, "od-rl"); err != nil {
+	if _, err := RunJobs(1, []Job{{Options: opts, Controller: "od-rl"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := settledGoroutines(); got != before {

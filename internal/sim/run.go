@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/variation"
@@ -36,6 +37,9 @@ type Result struct {
 	Trace []TracePoint
 	// FinalLevels is the VF assignment at the end of the run.
 	FinalLevels []int
+	// Faults and Alerts count the injected fault events and the fired
+	// alerts of a job run with Rules (see Job); both are 0 otherwise.
+	Faults, Alerts int
 }
 
 // buildSources constructs per-core workload sources per the options.
@@ -163,7 +167,7 @@ func Run(opts Options, c ctrl.Controller) (Result, error) {
 	// The chip owns persistent shard workers that park between epochs;
 	// release them with the run. The controller is caller-owned (it may be
 	// inspected or reused after the run), so its pool is the caller's to
-	// close — RunNamed closes the controllers it builds itself.
+	// close — RunJobs closes the controllers it builds itself.
 	defer chip.Close()
 	cfg := chip.Config()
 
@@ -479,15 +483,63 @@ func EnvFor(opts Options) (Env, error) {
 	return env, nil
 }
 
-// RunNamed builds the named controller for opts (EnvFor, then
-// NewController), runs it, and closes it. The controller is single-run, so
-// its persistent worker pool, if it started one, is released with the run.
-func RunNamed(opts Options, name string) (Result, error) {
+// Job is one run of a table: its options, and the controller that runs
+// them.
+type Job struct {
+	Options
+	// Controller names the factory controller the job runs, and the job in
+	// errors.
+	Controller string
+	// Build, when set, builds the controller from the job's environment in
+	// place of the factory, for variants the factory cannot name.
+	Build func(Env) (ctrl.Controller, error)
+	// Rules, when set, give the run a run-health monitor of its own that
+	// evaluates them; Result.Faults and Result.Alerts report its counts.
+	// The run's monitor takes the monitor slot, and a session monitor
+	// already in Options.Monitor joins the observers it tees with, so it
+	// still sees the run and the run's alerts reach the session's flight
+	// recorder and tracer.
+	Rules []monitor.Rule
+}
+
+// RunJobs runs every job, fanned out across workers goroutines (0 uses one
+// per CPU), and returns the results in job order. Each run derives its
+// state from its own options, so the results are identical for any worker
+// count. Every job's controller is built for its options (EnvFor, then
+// Build or NewController) and closed with its run: it is single-run, so a
+// worker pool it started is released.
+func RunJobs(workers int, jobs []Job) ([]Result, error) {
+	return par.MapErr(workers, len(jobs), func(i int) (Result, error) {
+		j := &jobs[i]
+		res, err := j.run()
+		if err != nil {
+			return Result{}, fmt.Errorf("%s on %s: %w", j.Controller, j.Workload, err)
+		}
+		return res, nil
+	})
+}
+
+// run builds the job's controller, runs it and closes it.
+func (j *Job) run() (Result, error) {
+	opts := j.Options
+	var mon *monitor.Monitor
+	if len(j.Rules) > 0 {
+		mon = monitor.New(monitor.Options{Rules: j.Rules})
+		if session := opts.Monitor; session != nil {
+			opts.Observer = session.Wrap(opts.Observer)
+		}
+		opts.Monitor = mon
+	}
 	env, err := EnvFor(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := NewController(name, env)
+	var c ctrl.Controller
+	if j.Build != nil {
+		c, err = j.Build(env)
+	} else {
+		c, err = NewController(j.Controller, env)
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -495,38 +547,22 @@ func RunNamed(opts Options, name string) (Result, error) {
 	if cl, ok := c.(io.Closer); ok {
 		cl.Close()
 	}
-	return res, err
-}
-
-// RunMonitored is RunNamed with a run-health monitor of its own that
-// evaluates rules, and returns that run's health (fault and alert counts)
-// with the result. The run's monitor takes the monitor slot; a session
-// monitor already in opts.Monitor joins the observers it tees with, so it
-// still sees the run, and the run monitor's alerts reach the session's
-// flight recorder and tracer.
-func RunMonitored(opts Options, name string, rules []monitor.Rule) (Result, monitor.RunHealth, error) {
-	mon := monitor.New(monitor.Options{Rules: rules})
-	if session := opts.Monitor; session != nil {
-		opts.Observer = session.Wrap(opts.Observer)
-	}
-	opts.Monitor = mon
-	res, err := RunNamed(opts, name)
 	if err != nil {
-		return Result{}, monitor.RunHealth{}, err
+		return Result{}, err
 	}
-	return res, mon.Runs()[0], nil
+	if mon != nil {
+		h := mon.Runs()[0]
+		res.Faults, res.Alerts = h.Faults, h.AlertCount
+	}
+	return res, nil
 }
 
-// RunAll runs the same options against a list of controller names,
-// returning results in the given order.
+// RunAll runs the same options against a list of controller names, one
+// after another, returning results in the given order.
 func RunAll(opts Options, names []string) ([]Result, error) {
-	results := make([]Result, 0, len(names))
-	for _, name := range names {
-		res, err := RunNamed(opts, name)
-		if err != nil {
-			return nil, fmt.Errorf("sim: running %s: %w", name, err)
-		}
-		results = append(results, res)
+	jobs := make([]Job, len(names))
+	for i, name := range names {
+		jobs[i] = Job{Options: opts, Controller: name}
 	}
-	return results, nil
+	return RunJobs(1, jobs)
 }
