@@ -12,9 +12,9 @@ FUZZTIME ?= 10s
 # noise does not. Raise it when coverage rises; never lower it to merge.
 COVER_FLOOR ?= 80.0
 
-.PHONY: ci lint lint-allows vet build bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+.PHONY: ci lint lint-allows vet build inline-check bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
-ci: lint vet build bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
+ci: lint vet build inline-check bench-compile test test-determinism test-scenarios claims report-check race-monitor race-learn race-ledger race-par bench-obs bench-overhead bench-step-smoke obs-smoke fuzz-smoke cover
 
 # Formatting gate, then the five repo-specific invariant analyzers
 # (detrange, rngdiscipline, wallclock, hotpathalloc, globalstate):
@@ -43,6 +43,24 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Inlining gate for the epoch loop's call-free common path: the compiler
+# must inline workload.(*Process).Advance into the chip kernel and
+# manycore.(*Chip).SetLevel into the run loop. Both fast paths sit 1-4
+# cost units under the inliner's budget of 80, so an innocent edit to
+# either body can push it over and silently bring the calls back, and with
+# them the register spills the kernel loop sheds without them (about 15% of
+# kernel-1024 throughput). Fails naming each call that no longer inlines;
+# `go build -gcflags=-m=2 ./internal/workload/ ./internal/manycore/` prints
+# the costs.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/manycore/ ./internal/sim/ 2>&1) || { echo "$$out"; exit 1; }; \
+	ok=1; \
+	echo "$$out" | grep -Eq '^internal/manycore/manycore\.go:[0-9]+:[0-9]+: inlining call to workload\.\(\*Process\)\.Advance$$' || \
+		{ echo "inline-check: workload.(*Process).Advance is no longer inlined in internal/manycore/manycore.go"; ok=0; }; \
+	echo "$$out" | grep -Eq '^internal/sim/run\.go:[0-9]+:[0-9]+: inlining call to manycore\.\(\*Chip\)\.SetLevel$$' || \
+		{ echo "inline-check: manycore.(*Chip).SetLevel is no longer inlined in internal/sim/run.go"; ok=0; }; \
+	[ $$ok = 1 ] && echo "inline-check: Advance and SetLevel inline into the epoch loop"
 
 # The benchmark harness (benchmark/) is a nested module that root
 # `go build/test ./...` skips; build, vet and test it so a change to the

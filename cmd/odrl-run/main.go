@@ -142,7 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Workers = *workers
 	}
 	// Re-validate after overrides: cheap, and it keeps the invariant that
-	// nothing past this point runs an invalid spec.
+	// nothing past this point runs an invalid spec. No current override
+	// can make a valid spec invalid (Validate does not read Quick, and a
+	// negative -j exits 2 at flag parsing), so this guards overrides
+	// added later.
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 2

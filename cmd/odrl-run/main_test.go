@@ -110,12 +110,11 @@ func TestRunExit2(t *testing.T) {
 			"trailing data",
 		},
 		{
-			"quick override re-validated",
-			// Valid on its own, but -j introduces no issue; instead the
-			// spec becomes invalid only after the override is applied:
-			// sweep seed specs reject an explicit seeds list.
+			"experiment with a seeds list",
+			// An experiment runs at one seed, so a seeds list is refused
+			// when the spec loads, before any override applies.
 			[]string{writeSpec(t, "bad.json", `{"seeds": [1, 2], "experiment": "F1"}`)},
-			"experiment",
+			"experiment F1 takes a single seed",
 		},
 	}
 	for _, tc := range cases {

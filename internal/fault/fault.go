@@ -407,9 +407,7 @@ func (inj *Injector) FilterTelemetry(tel *manycore.Telemetry) {
 			tel.ChipPowerW = 0
 		}
 	}
-	for i := range tel.Cores {
-		inj.last[i] = tel.Cores[i]
-	}
+	copy(inj.last, tel.Cores)
 	inj.lastChip = tel.ChipPowerW
 	inj.haveLast = true
 }

@@ -290,6 +290,10 @@ type Chip struct {
 	// indepSources records that no source shares state with another (no
 	// WorkSource lanes), which is what licenses parallel stepping.
 	indepSources bool
+	// hooked is "actFilter installed or some core dead": the one flag
+	// SetLevel's inlined fast path tests before taking setLevelSlow.
+	// FailCore sets it; SetActuationFilter recomputes it.
+	hooked bool
 
 	// scratch buffers reused across epochs
 	corePowerW []float64
@@ -496,7 +500,25 @@ func (c *Chip) Level(core int) int { return c.levels[core] }
 // Out-of-range levels panic: emitting them is a controller bug that must
 // not be silently absorbed. Requests for dead cores are ignored, and an
 // installed ActuationFilter may rewrite the request (fault injection).
+//
+// The common case, an in-range level on a chip with no actuation filter
+// and no dead core, is the one store below, small enough to inline into
+// the run loop; everything else goes to setLevelSlow. Keep this body under
+// the inliner's budget: `make inline-check` fails when sim's call stops
+// inlining.
 func (c *Chip) SetLevel(core, level int) {
+	if uint(level) < uint(c.nLevels) && !c.hooked {
+		c.requested[core] = level
+		return
+	}
+	c.setLevelSlow(core, level)
+}
+
+// setLevelSlow is SetLevel's general path: the range check, the dead-core
+// ignore and the actuation filter with its clamp.
+//
+//go:noinline
+func (c *Chip) setLevelSlow(core, level int) {
 	if level < 0 || level >= c.cfg.VF.Levels() {
 		panic(fmt.Sprintf("manycore: level %d out of range [0,%d)", level, c.cfg.VF.Levels()))
 	}
@@ -520,7 +542,10 @@ func (c *Chip) SetTelemetryFilter(f TelemetryFilter) { c.telFilter = f }
 
 // SetActuationFilter installs (or, with nil, removes) the SetLevel fault
 // hook.
-func (c *Chip) SetActuationFilter(f ActuationFilter) { c.actFilter = f }
+func (c *Chip) SetActuationFilter(f ActuationFilter) {
+	c.actFilter = f
+	c.hooked = f != nil || c.dead != nil
+}
 
 // FailCore powers core i off permanently: it retires nothing, burns
 // nothing, reports all-zero telemetry with the Dead flag set, and ignores
@@ -529,6 +554,7 @@ func (c *Chip) FailCore(core int) {
 	if c.dead == nil {
 		c.dead = make([]bool, c.NumCores())
 	}
+	c.hooked = true
 	c.dead[core] = true
 	c.requested[core] = 0
 	c.levels[core] = 0
@@ -852,17 +878,21 @@ func (c *Chip) stepRange(lo, hi int, dt float64, tel *Telemetry, fuse bool) floa
 			}
 		}
 
-		cores[i] = CoreTelemetry{
-			Level:          lvl,
-			FreqHz:         freq,
-			VoltageV:       volts[lvl],
-			IPS:            obsIPS,
-			PowerW:         obsP,
-			TempK:          temp,
-			MemBoundedness: clamp01(obsMemB),
-			Instructions:   instr,
-			PhaseChanged:   changed,
-		}
+		// Field stores into the slot rather than a composite literal,
+		// which the compiler builds in a stack temporary and copies.
+		// Every field is written, Dead included, so a reused slot is
+		// overwritten in full.
+		ct := &cores[i]
+		ct.Level = lvl
+		ct.FreqHz = freq
+		ct.VoltageV = volts[lvl]
+		ct.IPS = obsIPS
+		ct.PowerW = obsP
+		ct.TempK = temp
+		ct.MemBoundedness = clamp01(obsMemB)
+		ct.Instructions = instr
+		ct.PhaseChanged = changed
+		ct.Dead = false
 	}
 	if fuse {
 		c.instrTotal = instrTotal

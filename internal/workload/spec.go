@@ -160,7 +160,24 @@ func (p *Process) PhaseIndex() int { return p.current }
 
 // Advance moves the process forward dt seconds, sampling phase transitions
 // as phase budgets expire. It returns the number of transitions taken.
+//
+// The common case, a step that ends inside the current phase, is the one
+// subtraction below, small enough for the epoch kernel to inline; it is
+// the arithmetic advance runs when its transition loop runs zero times.
+// Everything else (a negative or NaN dt, a NaN budget, an expiring phase)
+// goes to advance. Keep this body under the inliner's budget: `make
+// inline-check` fails when the kernel's call stops inlining.
 func (p *Process) Advance(dt float64) int {
+	if dt >= 0 && dt < p.remainingS {
+		p.remainingS -= dt
+		return 0
+	}
+	return p.advance(dt)
+}
+
+// advance is Advance's general path: the negative-dt panic, then one phase
+// transition per expired budget.
+func (p *Process) advance(dt float64) int {
 	if dt < 0 {
 		panic(fmt.Sprintf("workload: negative dt %g", dt))
 	}
