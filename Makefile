@@ -93,8 +93,9 @@ test-determinism:
 # checked-in JSON specs byte-identical to the experiments goldens at -j1
 # and -j4), the cache properties (hit-is-byte-identical, one-field
 # mutations change the hash, failures never memoised) and every CLI path
-# that reaches the engine: odrl-run's specs and sweeps, odrl-bench's
-# table and report modes, and odrl's -write-spec round trip.
+# that reaches the engine: odrl-run's specs, sweeps and the example specs
+# under examples/specs, odrl-bench's table and report modes, and odrl's
+# -write-spec round trip.
 test-scenarios:
 	$(GO) test -count=1 ./internal/scenario/ ./cmd/odrl-run/ ./cmd/odrl-bench/ ./cmd/odrl/
 

@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,7 +51,7 @@ const (
 
 // benchFlags carries the non-observability flags into the dispatch body.
 type benchFlags struct {
-	experiment, cacheDir, faultSpec   string
+	experiment, cacheDir              string
 	benchMon, benchLearn, benchFlight string
 	outDir, reportFile                string
 	quick                             bool
@@ -62,7 +61,8 @@ type benchFlags struct {
 }
 
 // run is the whole CLI behind a testable seam. Exit code 2 means the
-// invocation was malformed, 1 means a bench, an experiment or a claim
+// invocation was malformed, an override no run can start with included
+// (nothing was simulated), 1 means a bench, an experiment or a claim
 // failed.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-bench", flag.ContinueOnError)
@@ -92,16 +92,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl-bench:", err)
 		return 2
 	}
-	// Zero means "no override". A negative override is malformed: refuse
-	// it before the session opens, so it leaves no ledger record.
-	for _, name := range []string{"cores", "budget", "j"} {
-		if v, _ := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); v < 0 {
-			fmt.Fprintf(stderr, "odrl-bench: -%s %g: must not be negative\n", name, v)
+	if *experiment != "all" {
+		if _, err := experiments.ByID(*experiment); err != nil {
+			fmt.Fprintln(stderr, "odrl-bench:", err)
 			return 2
 		}
 	}
-	if *experiment != "all" {
-		if _, err := experiments.ByID(*experiment); err != nil {
+	bf := benchFlags{
+		experiment: *experiment, cacheDir: *cacheDir,
+		benchMon: *benchMon, benchLearn: *benchLearn, benchFlight: *benchFlight,
+		outDir: *outDir, reportFile: *reportFile, quick: *quick,
+		cores: *cores, workers: *workers, budget: *budget, seed: *seed,
+	}
+	// A table or report invocation whose specs cannot all start is
+	// malformed: refuse it before the session opens, so it leaves no
+	// ledger record. Bench modes run no spec.
+	var specs []scenario.Spec
+	if *benchMon == "" && *benchLearn == "" && *benchFlight == "" {
+		plan, err := fault.ParseSpec(*faultSpec)
+		if err == nil {
+			specs, err = bf.tableSpecs(plan)
+		}
+		if err != nil {
 			fmt.Fprintln(stderr, "odrl-bench:", err)
 			return 2
 		}
@@ -145,12 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl-bench:", err)
 		return 1
 	}
-	code, runErr := benchMain(stdout, stderr, sess, benchFlags{
-		experiment: *experiment, cacheDir: *cacheDir, faultSpec: *faultSpec,
-		benchMon: *benchMon, benchLearn: *benchLearn, benchFlight: *benchFlight,
-		outDir: *outDir, reportFile: *reportFile, quick: *quick,
-		cores: *cores, workers: *workers, budget: *budget, seed: *seed,
-	})
+	code, runErr := benchMain(stdout, stderr, sess, bf, specs)
 	if err := sess.Close(stderr); runErr == nil && err != nil {
 		code, runErr = 1, err
 	}
@@ -185,7 +192,7 @@ func emitBench(lcli *ledger.CLI, path, kind string, rep benchReport, points []le
 // modes build their own runs and never carry the session's stack: their
 // off legs must stay observer-free or a comparison measures a layer
 // against itself.
-func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (int, error) {
+func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags, specs []scenario.Spec) (int, error) {
 	lcli := sess.Ledger
 	overheads := []struct {
 		layer, path string
@@ -236,11 +243,6 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		}
 	}
 
-	plan, err := fault.ParseSpec(f.faultSpec)
-	if err != nil {
-		return 1, err
-	}
-
 	// Table and report runs go through the scenario engine: each
 	// experiment's checked-in spec, with the CLI flags folded in as spec
 	// overrides, so odrl-bench and odrl-run share one execution path and one
@@ -254,25 +256,6 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		}
 		engine.Cache = cache
 	}
-	specFor := func(id string) (scenario.Spec, error) {
-		spec, err := scenario.Builtin(id)
-		if err != nil {
-			return scenario.Spec{}, err
-		}
-		spec.Quick = f.quick
-		spec.Workers = f.workers
-		spec.FaultPlan = plan
-		if f.cores > 0 {
-			spec.Cores = f.cores
-		}
-		if f.budget > 0 {
-			spec.BudgetW = f.budget
-		}
-		if f.seed > 0 {
-			spec.Seeds = []uint64{f.seed}
-		}
-		return spec, nil
-	}
 
 	out, render := stdout, func(t experiments.Table, w io.Writer) error {
 		_, err := t.WriteTo(w)
@@ -280,6 +263,7 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 	}
 	var report *os.File
 	if f.reportFile != "" {
+		var err error
 		if report, err = os.Create(f.reportFile); err != nil {
 			return 1, err
 		}
@@ -294,12 +278,9 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 	// A failing claim verdict fails the invocation, but only after every
 	// table is written, so the report and CSVs show what failed.
 	var claimsErr error
-	runOne := func(id string) error {
+	runOne := func(spec scenario.Spec) error {
 		start := time.Now()
-		spec, err := specFor(id)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
+		id := spec.Experiment
 		tbl, info, err := engine.Run(spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
@@ -330,15 +311,8 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		return nil
 	}
 
-	ids := []string{f.experiment}
-	if f.experiment == "all" {
-		ids = ids[:0]
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-	for _, id := range ids {
-		if err := runOne(id); err != nil {
+	for _, spec := range specs {
+		if err := runOne(spec); err != nil {
 			return 1, err
 		}
 	}
@@ -352,4 +326,43 @@ func benchMain(stdout, stderr io.Writer, sess *session.Session, f benchFlags) (i
 		return 1, claimsErr
 	}
 	return 0, nil
+}
+
+// tableSpecs returns the checked-in spec of every experiment the
+// invocation runs (each registered one for "all") with the flags folded in:
+// -quick, -j and the fault plan, and a non-zero -cores, -budget or -seed as
+// written. Each spec must validate, so an override no run can start with
+// is refused before anything runs.
+func (f benchFlags) tableSpecs(plan *fault.Plan) ([]scenario.Spec, error) {
+	ids := []string{f.experiment}
+	if f.experiment == "all" {
+		ids = ids[:0]
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
+		}
+	}
+	specs := make([]scenario.Spec, len(ids))
+	for i, id := range ids {
+		spec, err := scenario.Builtin(id)
+		if err != nil {
+			return nil, err
+		}
+		spec.Quick = f.quick
+		spec.Workers = f.workers
+		spec.FaultPlan = plan
+		if f.cores != 0 {
+			spec.Cores = f.cores
+		}
+		if f.budget != 0 {
+			spec.BudgetW = f.budget
+		}
+		if f.seed != 0 {
+			spec.Seeds = []uint64{f.seed}
+		}
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		specs[i] = spec
+	}
+	return specs, nil
 }

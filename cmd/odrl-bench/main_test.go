@@ -41,21 +41,37 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 	}
 }
 
-// TestNegativeOverrideIsUsageError: a negative -j, -cores or -budget is
-// malformed input, refused with exit 2 before the session starts, so no
-// run record is left. (Zero means "no override".)
+// TestNegativeOverrideIsUsageError: an override no run can start with, a
+// negative -j, -cores or -budget or a non-finite -budget, is malformed
+// input: sim.Options.Validate refuses it through the spec before the
+// session starts (exit 2), so no run record is left. (Zero means "no
+// override".)
 func TestNegativeOverrideIsUsageError(t *testing.T) {
-	for _, flag := range []string{"-j", "-cores", "-budget"} {
-		t.Run(flag, func(t *testing.T) {
+	for _, tc := range []struct{ name, flag, value, want string }{
+		{"-j", "-j", "-4", "T1: sim: negative worker count -4"},
+		{"-cores", "-cores", "-4", "T1: sim: invalid core count -4"},
+		{"-budget", "-budget", "-4", "T1: sim: invalid budget -4 W"},
+		{"-budget NaN", "-budget", "NaN", "T1: sim: invalid budget NaN W"},
+		{"-budget +Inf", "-budget", "+Inf", "T1: sim: invalid budget +Inf W"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ledger")
-			code, _, stderr := runCLI("-experiment", "T1", "-quick", flag, "-4", "-ledger", dir)
-			if code != 2 || !strings.Contains(stderr, flag+" -4: must not be negative") {
-				t.Fatalf("exit %d, want 2 with a usage error\nstderr: %s", code, stderr)
+			code, _, stderr := runCLI("-experiment", "T1", "-quick", tc.flag, tc.value, "-ledger", dir)
+			if code != 2 || !strings.Contains(stderr, tc.want) {
+				t.Fatalf("exit %d, want 2 naming %q\nstderr: %s", code, tc.want, stderr)
 			}
 			if _, err := os.Stat(dir); !os.IsNotExist(err) {
 				t.Fatalf("rejected invocation touched the ledger directory (stat err %v)", err)
 			}
 		})
+	}
+	// Every spec of an "all" invocation is checked before the first runs.
+	dir := filepath.Join(t.TempDir(), "ledger")
+	if code, stdout, stderr := runCLI("-quick", "-budget", "NaN", "-ledger", dir); code != 2 || stdout != "" || !strings.Contains(stderr, "invalid budget NaN W") {
+		t.Fatalf("-experiment all: exit %d, want 2 with no output\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected invocation touched the ledger directory (stat err %v)", err)
 	}
 }
 

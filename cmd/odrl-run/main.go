@@ -36,8 +36,8 @@ func main() {
 
 // run is the whole CLI behind a testable seam: parse+validate flags and
 // spec, then dispatch. Exit code 2 means the invocation or spec was
-// malformed (nothing was simulated), 1 means a run itself or a claim
-// failed.
+// malformed, a spec with a run that cannot start included (nothing was
+// simulated), 1 means a run itself or a claim failed.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -63,14 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 2
 	}
-	// -j's default (-1) keeps the spec's worker count; a negative value
-	// the user set is malformed.
+	// -j's default (-1) keeps the spec's worker count.
 	workersSet := false
 	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "j" })
-	if workersSet && *workers < 0 {
-		fmt.Fprintf(stderr, "odrl-run: -j %d: must not be negative\n", *workers)
-		return 2
-	}
 
 	// Exactly one spec source; silently preferring one would make "which
 	// scenario did I just run?" unanswerable.
@@ -141,11 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if workersSet {
 		spec.Workers = *workers
 	}
-	// Re-validate after overrides: cheap, and it keeps the invariant that
-	// nothing past this point runs an invalid spec. No current override
-	// can make a valid spec invalid (Validate does not read Quick, and a
-	// negative -j exits 2 at flag parsing), so this guards overrides
-	// added later.
+	// Re-validate after overrides, so nothing past this point runs an
+	// invalid spec: -quick changes the windows and core count every run
+	// starts with, and -j its worker count.
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, "odrl-run:", err)
 		return 2

@@ -71,7 +71,7 @@ func TestRunExit2(t *testing.T) {
 		{"list with csv", []string{"-list", "-csv"}, "takes no other flags"},
 		{"list with cache", []string{"-list", "-cache", "d"}, "takes no other flags"},
 		{"unknown flag", []string{"-frobnicate", valid}, "flag provided but not defined"},
-		{"negative j", []string{"-j", "-5", valid}, "-j -5: must not be negative"},
+		{"negative j", []string{"-j", "-5", valid}, "sim: negative worker count -5"},
 		{"missing file", []string{filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
 		{"unknown builtin", []string{"-builtin", "F99"}, "no builtin spec"},
 		{
@@ -196,29 +196,79 @@ func TestRunQuickOverride(t *testing.T) {
 	}
 }
 
-// TestRunRunnerFailure: a spec that validates but fails inside the
-// simulation exits 1 (not 2) and caches nothing.
+// TestRunRunnerFailure: a valid spec whose execution fails exits 1, not
+// 2. A -cache path that is a regular file fails once execution begins,
+// when the engine opens its cache.
 func TestRunRunnerFailure(t *testing.T) {
-	path := writeSpec(t, "fail.json", `{
-	  "workload": "canneal",
-	  "controllers": ["pid"],
-	  "cores": 4,
-	  "warmup_s": 0.05,
-	  "measure_s": 0.1,
-	  "workers": 1,
-	  "sweep": {"param": "budget", "values": [-5]}
-	}`)
-	cacheDir := t.TempDir()
+	path := writeSpec(t, "spec.json", tinySpecJSON)
+	notDir := writeSpec(t, "cache", "")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cache", cacheDir, path}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-cache", notDir, "-no-ledger", path}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(stderr.String(), "scenario: creating cache dir") {
+		t.Errorf("stderr does not name the cache failure: %s", stderr.String())
 	}
-	if len(entries) != 0 {
-		t.Errorf("failed run left cache entries: %v", entries)
+}
+
+// TestRunRefusesRunsThatCannotStart: a spec with a run that cannot start,
+// a sweep point or a window shorter than one epoch, exits 2 before
+// anything simulates: no table, no ledger record and no post-mortem.
+// -dry-run refuses the same specs.
+func TestRunRefusesRunsThatCannotStart(t *testing.T) {
+	const base = `"workload": "canneal", "controllers": ["pid"], "cores": 4,
+	  "warmup_s": 0.05, "measure_s": 0.1, "workers": 1`
+	for _, tc := range []struct{ name, body, want string }{
+		{"budget sweep", `{` + base + `, "sweep": {"param": "budget", "values": [50, -5]}}`, "sim: invalid budget -5 W"},
+		{"epoch sweep", `{` + base + `, "sweep": {"param": "epoch", "values": [0.001, 0]}}`, "sim: invalid epoch 0 s"},
+		{"zero-epoch window", `{"workload": "canneal", "controllers": ["pid"], "cores": 4, "warmup_s": 0.05, "measure_s": 0.0004}`,
+			"sim: measurement window 0.0004 s rounds to 0 epochs"},
+	} {
+		path := writeSpec(t, "spec.json", tc.body)
+		for _, mode := range []string{"-ledger", "-dry-run"} {
+			t.Run(tc.name+" "+mode, func(t *testing.T) {
+				ldir := t.TempDir()
+				args := []string{"-ledger", ldir, path}
+				if mode == "-dry-run" {
+					args = append([]string{"-dry-run"}, args...)
+				}
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+					t.Fatalf("exit %d, want 2 with no output\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+				}
+				if !strings.Contains(stderr.String(), tc.want) {
+					t.Errorf("stderr %q does not name %q", stderr.String(), tc.want)
+				}
+				if entries, err := os.ReadDir(ldir); err != nil || len(entries) != 0 {
+					t.Errorf("a refused spec left %d ledger entries (%v)", len(entries), err)
+				}
+			})
+		}
+	}
+}
+
+// TestExampleSpecs: every example spec the README points users at passes
+// -dry-run and runs quick to a table.
+func TestExampleSpecs(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found (%v)", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-dry-run", path}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "hash: ") {
+				t.Fatalf("-dry-run: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+			}
+			stdout.Reset()
+			stderr.Reset()
+			if code := run([]string{"-quick", "-no-ledger", path}, &stdout, &stderr); code != 0 {
+				t.Fatalf("-quick: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+			}
+			if out := stdout.String(); !strings.HasPrefix(out, "== ") || strings.Count(out, "\n") < 3 {
+				t.Errorf("-quick printed no table:\n%s", out)
+			}
+		})
 	}
 }
 
@@ -349,13 +399,10 @@ func TestRunLedgerRecord(t *testing.T) {
 		t.Fatalf("-no-ledger still appended: %d -> %d", before, len(recs))
 	}
 
-	// A failing run is recorded with status=failed and the error text.
-	bad := writeSpec(t, "fail.json", `{
-	  "workload": "canneal", "controllers": ["pid"], "cores": 4,
-	  "warmup_s": 0.05, "measure_s": 0.1, "workers": 1,
-	  "sweep": {"param": "budget", "values": [-5]}
-	}`)
-	if code := run([]string{"-ledger", ldir, bad}, &stdout, &stderr); code != 1 {
+	// A failing run is recorded with status=failed and the error text. A
+	// -cache path that is a regular file fails once execution begins.
+	notDir := writeSpec(t, "cache", "")
+	if code := run([]string{"-ledger", ldir, "-cache", notDir, path}, &stdout, &stderr); code != 1 {
 		t.Fatalf("bad run exit = %d, stderr: %s", code, stderr.String())
 	}
 	recs, errs = ledger.Read(ldir)
@@ -363,7 +410,7 @@ func TestRunLedgerRecord(t *testing.T) {
 		t.Fatalf("after failure: records=%d errs=%v", len(recs), errs)
 	}
 	last := recs[len(recs)-1]
-	if last.Status != ledger.StatusFailed || last.Error == "" {
+	if last.Status != ledger.StatusFailed || !strings.Contains(last.Error, "scenario: creating cache dir") {
 		t.Fatalf("failed run record: status=%q error=%q", last.Status, last.Error)
 	}
 }

@@ -47,6 +47,10 @@ func TestInvalidSpecExit2(t *testing.T) {
 		{[]string{"-cores", "0"}, "-cores 0: must be positive"},
 		{[]string{"-budget", "0"}, "-budget 0: must be positive"},
 		{[]string{"-measure", "0"}, "-measure 0: must be positive"},
+		// Every run parameter is checked by sim.Options.Validate.
+		{[]string{"-measure", "0.0004"}, "sim: measurement window 0.0004 s rounds to 0 epochs"},
+		{[]string{"-budget", "NaN"}, "sim: invalid budget NaN W"},
+		{[]string{"-noise", "Inf"}, "sim: invalid sensor noise +Inf"},
 	} {
 		for _, mode := range []string{"-csv", "-write-spec"} {
 			dir := t.TempDir()

@@ -31,14 +31,11 @@ func F9Ablation(cfg Config) (Table, error) {
 	for _, name := range []string{"od-rl", "od-rl-norealloc"} {
 		jobs = append(jobs, sim.Job{Options: opts, Controller: name})
 	}
-	// variant adds an OD-RL controller built from a tweaked core config,
-	// seeded, sharded and watchdog-armed as the factory's od-rl is.
+	// variant adds an OD-RL controller built from the factory's od-rl
+	// config with a tweak.
 	variant := func(label string, tweak func(*core.Config)) {
 		jobs = append(jobs, sim.Job{Options: opts, Controller: label, Build: func(env sim.Env) (ctrl.Controller, error) {
-			c := core.DefaultConfig()
-			c.Seed = env.Seed
-			c.Workers = env.Workers
-			c.WatchdogEpochs = env.WatchdogEpochs
+			c := env.ODRLConfig()
 			tweak(&c)
 			return core.New(env.Cores, env.VF, env.Power, c)
 		}})

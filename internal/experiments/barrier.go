@@ -6,11 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/manycore"
-	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/thermal"
-	"repro/internal/vf"
 	"repro/internal/workload"
 )
 
@@ -62,37 +59,26 @@ func F14Barrier(cfg Config) (Table, error) {
 		for i := range sources {
 			sources[i] = app.Lane(i)
 		}
-		mcCfg := manycore.Config{
-			Width: w, Height: h,
-			VF:                 vf.Default(),
-			Power:              power.Default(),
-			Thermal:            thermal.Default(),
-			ThermalEnabled:     true,
-			SensorNoise:        0.02,
-			TransitionPenaltyS: 10e-6,
-		}
+		mcCfg := manycore.DefaultConfig()
+		mcCfg.Width, mcCfg.Height = w, h
 		chip, err := manycore.New(mcCfg, sources, base.Split())
 		if err != nil {
 			return Table{}, err
 		}
+		env := sim.DefaultEnv(cfg.Cores)
+		env.Seed = cfg.Seed
 		var c ctrl.Controller
 		if name == "od-rl-ema" {
 			// The churn fix motivated by this experiment: reallocate
 			// against EMA-smoothed power rather than the last sample.
-			ccfg := core.DefaultConfig()
-			ccfg.Seed = cfg.Seed
+			ccfg := env.ODRLConfig()
 			ccfg.ReallocEMA = 0.05
-			c, err = core.New(cfg.Cores, vf.Default(), power.Default(), ccfg)
-			if err != nil {
-				return Table{}, err
-			}
+			c, err = core.New(env.Cores, env.VF, env.Power, ccfg)
 		} else {
-			env := sim.DefaultEnv(cfg.Cores)
-			env.Seed = cfg.Seed
 			c, err = sim.NewController(name, env)
-			if err != nil {
-				return Table{}, err
-			}
+		}
+		if err != nil {
+			return Table{}, err
 		}
 
 		out := make([]int, cfg.Cores)

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/manycore"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func quickCfg() Config {
@@ -270,6 +273,45 @@ func TestF13Islands(t *testing.T) {
 	}
 	if tbl.Rows[0][0] != "per-core" || tbl.Rows[1][0] != "chip-wide" {
 		t.Fatalf("granularity labels wrong: %v", tbl.Rows)
+	}
+}
+
+// TestF13IslandAgentArmsWatchdog: F13's island agent is configured as the
+// factory's od-rl, so on a faulted run it arms the stale-telemetry
+// watchdog every other OD-RL in the table arms: once an island's readings
+// have repeated exactly for the watchdog's window, its cores fall back to
+// the lowest level.
+func TestF13IslandAgentArmsWatchdog(t *testing.T) {
+	opts := sim.DefaultOptions()
+	opts.Cores = 16
+	plan := fault.Scaled(0.5)
+	opts.FaultPlan = &plan
+	env, err := sim.EnvFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.WatchdogEpochs == 0 {
+		t.Fatal("a faulted run's environment arms no watchdog")
+	}
+	c, err := islandODRL(4, 4, 2, 2)(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release(c)
+	// Frozen readings: every core reports the same sample every epoch.
+	tel := manycore.Telemetry{EpochS: 1e-3, ChipPowerW: 28, TruePowerW: 28, Cores: make([]manycore.CoreTelemetry, 16)}
+	for i := range tel.Cores {
+		tel.Cores[i] = manycore.CoreTelemetry{Level: 4, IPS: 2e9, PowerW: 1.5, TempK: 330, MemBoundedness: 0.2}
+	}
+	out := make([]int, 16)
+	for e := 0; e <= env.WatchdogEpochs+5; e++ {
+		tel.TimeS = float64(e) * tel.EpochS
+		c.Decide(&tel, 40, out)
+	}
+	for i, l := range out {
+		if l != 0 {
+			t.Errorf("core %d at level %d after %d epochs of frozen readings, want the watchdog's level 0", i, l, env.WatchdogEpochs+6)
+		}
 	}
 }
 

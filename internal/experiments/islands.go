@@ -62,13 +62,7 @@ func F13Islands(cfg Config) (Table, error) {
 		if jobs[i].Controller != "od-rl-island" {
 			continue
 		}
-		// One agent per island, which the factory cannot build.
-		iw, ih := jobs[i].IslandW, jobs[i].IslandH
-		jobs[i].Build = func(env sim.Env) (ctrl.Controller, error) {
-			ccfg := core.DefaultConfig()
-			ccfg.Seed = env.Seed
-			return core.NewIslands(gw, gh, iw, ih, env.VF, env.Power, ccfg)
-		}
+		jobs[i].Build = islandODRL(gw, gh, jobs[i].IslandW, jobs[i].IslandH)
 	}
 	results, err := sim.RunJobs(cfg.Workers, jobs)
 	if err != nil {
@@ -82,4 +76,13 @@ func F13Islands(cfg Config) (Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// islandODRL builds F13's od-rl-island, one OD-RL agent per iw×ih island
+// of a gw×gh chip, which the factory cannot build. Its agents are
+// configured as the factory's od-rl is for the environment.
+func islandODRL(gw, gh, iw, ih int) func(sim.Env) (ctrl.Controller, error) {
+	return func(env sim.Env) (ctrl.Controller, error) {
+		return core.NewIslands(gw, gh, iw, ih, env.VF, env.Power, env.ODRLConfig())
+	}
 }

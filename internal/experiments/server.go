@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/manycore"
-	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/thermal"
 	"repro/internal/vf"
 	"repro/internal/workload"
 )
@@ -62,15 +60,8 @@ func F16Server(cfg Config) (Table, error) {
 		for i := range sources {
 			sources[i] = sys.Lane(i)
 		}
-		mcCfg := manycore.Config{
-			Width: w, Height: h,
-			VF:                 vf.Default(),
-			Power:              power.Default(),
-			Thermal:            thermal.Default(),
-			ThermalEnabled:     true,
-			SensorNoise:        0.02,
-			TransitionPenaltyS: 10e-6,
-		}
+		mcCfg := manycore.DefaultConfig()
+		mcCfg.Width, mcCfg.Height = w, h
 		chip, err := manycore.New(mcCfg, sources, base.Split())
 		if err != nil {
 			return Table{}, err

@@ -7,8 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
-	"repro/internal/power"
-	"repro/internal/vf"
+	"repro/internal/sim"
 )
 
 // F12WarmStart is an extension experiment: policy persistence. An OD-RL
@@ -27,9 +26,9 @@ func F12WarmStart(cfg Config) (Table, error) {
 	}
 
 	newODRL := func() (*core.Controller, error) {
-		c := core.DefaultConfig()
-		c.Seed = cfg.Seed
-		return core.New(cfg.Cores, vf.Default(), power.Default(), c)
+		env := sim.DefaultEnv(cfg.Cores)
+		env.Seed = cfg.Seed
+		return core.New(env.Cores, env.VF, env.Power, env.ODRLConfig())
 	}
 
 	// Train and save.

@@ -33,9 +33,10 @@ func MustDiscretizer(lo, hi float64, k int) Discretizer {
 // Buckets returns the bucket count.
 func (d Discretizer) Buckets() int { return d.k }
 
-// Bucket returns the bucket index for v, clamped into [0, k).
+// Bucket returns the bucket index for v, clamped into [0, k); NaN falls
+// in bucket 0.
 func (d Discretizer) Bucket(v float64) int {
-	if v <= d.lo {
+	if !(v > d.lo) {
 		return 0
 	}
 	if v >= d.hi {

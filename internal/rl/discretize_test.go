@@ -2,6 +2,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,14 @@ func TestDiscretizerBasics(t *testing.T) {
 	}
 	if d.Buckets() != 4 {
 		t.Fatal("Buckets() wrong")
+	}
+}
+
+// TestDiscretizerBucketNaN: NaN falls in bucket 0, inside [0, k), like
+// every value at or below the range.
+func TestDiscretizerBucketNaN(t *testing.T) {
+	if got := MustDiscretizer(-0.5, 0.5, 5).Bucket(math.NaN()); got != 0 {
+		t.Errorf("Bucket(NaN) = %d, want 0", got)
 	}
 }
 

@@ -167,13 +167,12 @@ func TestHashSingleFieldMutations(t *testing.T) {
 	}
 }
 
-// TestFailedRunNeverCached: a spec that validates but fails at run time
-// leaves the cache untouched, so the failure is re-attempted rather than
-// memoised.
+// TestFailedRunNeverCached: a run that fails leaves the cache untouched,
+// so the failure is re-attempted rather than memoised.
 func TestFailedRunNeverCached(t *testing.T) {
-	// Budget -5 passes spec validation (sweep values are only required to
-	// be finite — the axis domain is the runner's concern) and then fails
-	// inside sim.Run's option validation.
+	// Validate refuses a -5 W sweep point, so the engine's body past
+	// validation is driven directly: its run really starts, and fails in
+	// sim.Run's option validation.
 	failing := Spec{
 		Workload:    "canneal",
 		Controllers: []string{"pid"},
@@ -183,13 +182,16 @@ func TestFailedRunNeverCached(t *testing.T) {
 		Workers:     1,
 		Sweep:       &Sweep{Param: "budget", Values: []float64{-5}},
 	}
+	if err := failing.Validate(); err == nil {
+		t.Fatal("Validate accepted a -5 W budget")
+	}
 	cache, err := NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := &Engine{Cache: cache}
 	for attempt := 1; attempt <= 2; attempt++ {
-		_, info, err := eng.Run(failing)
+		_, info, err := eng.run(failing)
 		if err == nil {
 			t.Fatalf("attempt %d: failing spec ran without error", attempt)
 		}

@@ -47,6 +47,12 @@ func (e *Engine) Run(spec Spec) (experiments.Table, RunInfo, error) {
 	if err := spec.Validate(); err != nil {
 		return experiments.Table{}, RunInfo{}, err
 	}
+	return e.run(spec)
+}
+
+// run is Run past validation: the cache lookup, the execution and the
+// cache store.
+func (e *Engine) run(spec Spec) (experiments.Table, RunInfo, error) {
 	hash, err := spec.Hash()
 	if err != nil {
 		return experiments.Table{}, RunInfo{}, err
@@ -70,32 +76,29 @@ func (e *Engine) Run(spec Spec) (experiments.Table, RunInfo, error) {
 	return tbl, info, nil
 }
 
-// execute dispatches on the run kind. A grid experiment (F2–F4, CLAIMS)
+// execute dispatches on the run kind: a comparison or sweep runs its run
+// list, and an experiment its runner. A grid experiment (F2–F4, CLAIMS)
 // reduces the engine's grid for its axes at each of its seeds instead of
 // running its own.
 func (e *Engine) execute(spec Spec) (experiments.Table, error) {
-	switch {
-	case spec.Experiment != "":
-		cfg := spec.experimentConfig()
-		tbl, ok, err := experiments.ReduceGrids(spec.Experiment, cfg, func(seed uint64) (experiments.Grid, error) {
-			s := spec
-			s.Seeds = []uint64{seed}
-			return e.Grid(s)
-		})
-		if ok {
-			return tbl, err
-		}
-		runner, err := experiments.ByID(spec.Experiment)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		cfg.Stack = e.Stack
-		return runner(cfg)
-	case spec.Sweep != nil:
-		return e.sweepTable(spec)
-	default:
-		return e.comparisonTable(spec)
+	if spec.Experiment == "" {
+		return e.table(spec)
 	}
+	cfg := spec.experimentConfig()
+	tbl, ok, err := experiments.ReduceGrids(spec.Experiment, cfg, func(seed uint64) (experiments.Grid, error) {
+		s := spec
+		s.Seeds = []uint64{seed}
+		return e.Grid(s)
+	})
+	if ok {
+		return tbl, err
+	}
+	runner, err := experiments.ByID(spec.Experiment)
+	if err != nil {
+		return experiments.Table{}, err
+	}
+	cfg.Stack = e.Stack
+	return runner(cfg)
 }
 
 // Grid returns the (benchmark × controller) grid behind a grid experiment
@@ -108,6 +111,11 @@ func (e *Engine) Grid(spec Spec) (experiments.Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return experiments.Grid{}, err
 	}
+	return e.grid(spec)
+}
+
+// grid is Grid past validation.
+func (e *Engine) grid(spec Spec) (experiments.Grid, error) {
 	key, err := spec.gridKey()
 	if err != nil {
 		return experiments.Grid{}, err
@@ -194,26 +202,27 @@ func (s Spec) runAxes() (seeds []uint64, workloads, controllers []string) {
 
 // Options assembles the sim options for one run of the spec, reporting to
 // stack. A zero core count, budget, epoch or window takes sim's default, as
-// everywhere a spec is read.
+// everywhere a spec is read; any other value passes as written, for
+// sim.Options.Validate to judge.
 func (s Spec) Options(seed uint64, workloadName string, stack sim.Stack) (sim.Options, error) {
 	opts := sim.DefaultOptions()
 	opts.Stack = stack
 	opts.Workload = workloadName
 	opts.Seed = seed
 	opts.Workers = s.Workers
-	if s.Cores > 0 {
+	if s.Cores != 0 {
 		opts.Cores = s.Cores
 	}
-	if s.BudgetW > 0 {
+	if s.BudgetW != 0 {
 		opts.BudgetW = s.BudgetW
 	}
-	if s.EpochS > 0 {
+	if s.EpochS != 0 {
 		opts.EpochS = s.EpochS
 	}
-	if s.WarmupS > 0 {
+	if s.WarmupS != 0 {
 		opts.WarmupS = s.WarmupS
 	}
-	if s.MeasureS > 0 {
+	if s.MeasureS != 0 {
 		opts.MeasureS = s.MeasureS
 	}
 	if s.SensorNoise != nil {
@@ -306,59 +315,6 @@ func (s Spec) title(kind string) string {
 	return "declarative " + kind + " run"
 }
 
-// runTable runs one job per row and renders the engine's table: each row
-// is its key cells, then the run's cores, budget and summary columns, and
-// the fault and alert counts when the spec is monitored. Rows follow the
-// jobs, so the table is identical for any worker count.
-func runTable(spec Spec, t experiments.Table, keys [][]string, jobs []sim.Job) (experiments.Table, error) {
-	results, err := sim.RunJobs(spec.Workers, jobs)
-	if err != nil {
-		return experiments.Table{}, fmt.Errorf("scenario: %w", err)
-	}
-	t.Header = append(append(t.Header, "cores", "budget(W)"), summaryHeader...)
-	if spec.monitored() {
-		t.Header = append(t.Header, "faults", "alerts")
-	}
-	t.Rows = make([][]string, len(results))
-	for i, res := range results {
-		s := res.Summary
-		row := append(make([]string, 0, len(t.Header)), keys[i]...)
-		row = append(row, strconv.Itoa(s.Cores), experiments.Cell(s.BudgetW))
-		row = append(row, summaryCells(s)...)
-		if spec.monitored() {
-			row = append(row, strconv.Itoa(res.Faults), strconv.Itoa(res.Alerts))
-		}
-		t.Rows[i] = row
-	}
-	return t, nil
-}
-
-// comparisonTable runs every (seed × workload × controller) combination and
-// emits one row per run.
-func (e *Engine) comparisonTable(spec Spec) (experiments.Table, error) {
-	seeds, workloads, controllers := spec.runAxes()
-	n := len(seeds) * len(workloads) * len(controllers)
-	jobs, keys := make([]sim.Job, 0, n), make([][]string, 0, n)
-	for _, seed := range seeds {
-		for _, w := range workloads {
-			opts, err := spec.Options(seed, w, e.Stack)
-			if err != nil {
-				return experiments.Table{}, err
-			}
-			for _, c := range controllers {
-				jobs = append(jobs, spec.job(opts, c))
-				keys = append(keys, []string{strconv.FormatUint(seed, 10), w, c})
-			}
-		}
-	}
-	return runTable(spec, experiments.Table{
-		ID:     "RUN",
-		Title:  spec.title("comparison"),
-		Header: []string{"seed", "workload", "controller"},
-		Notes:  spec.tableNotes(),
-	}, keys, jobs)
-}
-
 // formatSweepValue renders a sweep point exactly as given (shortest
 // round-trippable form), so sweep rows are stable across encodings.
 func formatSweepValue(v float64) string {
@@ -379,27 +335,88 @@ func applySweep(opts *sim.Options, param string, v float64) {
 	}
 }
 
-// sweepTable runs every (value × controller) pair of the sweep axis.
-func (e *Engine) sweepTable(spec Spec) (experiments.Table, error) {
-	seeds, workloads, controllers := spec.runAxes()
-	sw := spec.Sweep
-	n := len(sw.Values) * len(controllers)
-	jobs, keys := make([]sim.Job, 0, n), make([][]string, 0, n)
-	for _, v := range sw.Values {
-		opts, err := spec.Options(seeds[0], workloads[0], e.Stack)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		applySweep(&opts, sw.Param, v)
-		for _, c := range controllers {
-			jobs = append(jobs, spec.job(opts, c))
-			keys = append(keys, []string{formatSweepValue(v), c})
+// point is one configuration of the spec's run list: the options its runs
+// share and the cells that key their table rows.
+type point struct {
+	opts sim.Options
+	key  []string
+}
+
+// points is the spec's run list, one point per configuration, reporting to
+// stack: each seed × workload of a comparison, or each value of a sweep, in
+// table order. The engine runs every point once per controller, point-major,
+// and Validate checks every point through sim.Options.Validate. An
+// experiment spec's points hold the shared axes its runner starts every
+// run from, one per seed × benchmark.
+func (s Spec) points(stack sim.Stack) ([]point, error) {
+	seeds, workloads, _ := s.runAxes()
+	var points []point
+	for _, seed := range seeds {
+		for _, w := range workloads {
+			opts, err := s.Options(seed, w, stack)
+			if err != nil {
+				return nil, err
+			}
+			if s.Sweep == nil {
+				points = append(points, point{opts, []string{strconv.FormatUint(seed, 10), w}})
+				continue
+			}
+			// A sweep runs one seed on one workload.
+			for _, v := range s.Sweep.Values {
+				p := point{opts, []string{formatSweepValue(v)}}
+				applySweep(&p.opts, s.Sweep.Param, v)
+				points = append(points, p)
+			}
 		}
 	}
-	return runTable(spec, experiments.Table{
-		ID:     "SWEEP",
-		Title:  spec.title("sweep (" + sw.Param + ")"),
-		Header: []string{sw.Param, "controller"},
-		Notes:  append(spec.tableNotes(), "workload "+workloads[0]),
-	}, keys, jobs)
+	return points, nil
+}
+
+// table runs a comparison or sweep spec's run list and renders the engine's
+// table, one row per run: its point's key cells and its controller, then
+// the run's cores, budget and summary columns, and the fault and alert
+// counts when the spec is monitored. Rows follow the run list, so the
+// table is identical for any worker count.
+func (e *Engine) table(spec Spec) (experiments.Table, error) {
+	points, err := spec.points(e.Stack)
+	if err != nil {
+		return experiments.Table{}, err
+	}
+	_, workloads, controllers := spec.runAxes()
+	jobs := make([]sim.Job, 0, len(points)*len(controllers))
+	for _, p := range points {
+		for _, c := range controllers {
+			jobs = append(jobs, spec.job(p.opts, c))
+		}
+	}
+	results, err := sim.RunJobs(spec.Workers, jobs)
+	if err != nil {
+		return experiments.Table{}, fmt.Errorf("scenario: %w", err)
+	}
+	t := experiments.Table{
+		ID:     "RUN",
+		Title:  spec.title("comparison"),
+		Header: []string{"seed", "workload"},
+		Notes:  spec.tableNotes(),
+	}
+	if sw := spec.Sweep; sw != nil {
+		t.ID, t.Title, t.Header = "SWEEP", spec.title("sweep ("+sw.Param+")"), []string{sw.Param}
+		t.Notes = append(t.Notes, "workload "+workloads[0])
+	}
+	t.Header = append(append(t.Header, "controller", "cores", "budget(W)"), summaryHeader...)
+	if spec.monitored() {
+		t.Header = append(t.Header, "faults", "alerts")
+	}
+	t.Rows = make([][]string, len(results))
+	for i, res := range results {
+		s := res.Summary
+		row := append(make([]string, 0, len(t.Header)), points[i/len(controllers)].key...)
+		row = append(row, jobs[i].Controller, strconv.Itoa(s.Cores), experiments.Cell(s.BudgetW))
+		row = append(row, summaryCells(s)...)
+		if spec.monitored() {
+			row = append(row, strconv.Itoa(res.Faults), strconv.Itoa(res.Alerts))
+		}
+		t.Rows[i] = row
+	}
+	return t, nil
 }

@@ -386,17 +386,21 @@ func TestEngineGridConcurrent(t *testing.T) {
 // TestFailedGridNotKept: a grid whose runs fail is not kept, so the next
 // call runs it again instead of replaying the failure.
 func TestFailedGridNotKept(t *testing.T) {
-	// A 10 µs window rounds to zero 1 ms epochs: the spec validates, and
-	// the run then fails its summary check.
+	// Validate refuses the unknown benchmark, so the engine's body past
+	// validation is driven directly: the canneal run starts and finishes,
+	// and the other fails in sim.Run's option validation.
 	spec := Spec{
-		Experiment: "F2", Cores: 4, WarmupS: 0.01, MeasureS: 1e-5,
-		Controllers: []string{"pid"}, Benchmarks: []string{"canneal"},
+		Experiment: "F2", Cores: 4, WarmupS: 0.01, MeasureS: 0.02, Workers: 1,
+		Controllers: []string{"pid"}, Benchmarks: []string{"canneal", "doom"},
+	}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted an unknown benchmark")
 	}
 	runs := &runCounter{}
 	eng := &Engine{Stack: sim.Stack{Observer: runs}}
 	for attempt := int64(1); attempt <= 2; attempt++ {
-		if _, err := eng.Grid(spec); err == nil {
-			t.Fatalf("attempt %d: a zero-epoch grid ran without error", attempt)
+		if _, err := eng.grid(spec); err == nil {
+			t.Fatalf("attempt %d: a grid with an unknown benchmark ran without error", attempt)
 		}
 		if got := runs.n.Load(); got != attempt {
 			t.Fatalf("attempt %d: %d runs started in all, want %d", attempt, got, attempt)

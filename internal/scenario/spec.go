@@ -29,7 +29,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs/monitor"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // EngineVersion stamps every canonical-spec hash. Bump it whenever engine
@@ -153,16 +152,6 @@ func knownController(name string) bool {
 	return slices.Contains(sim.ControllerNames(), name)
 }
 
-// validWorkload accepts a preset name or one of the harness-level
-// pseudo-workloads sim.Options understands.
-func validWorkload(name string) error {
-	if name == "mix" || name == "barrier" {
-		return nil
-	}
-	_, err := workload.Preset(name)
-	return err
-}
-
 // repeated returns the first entry of xs that an earlier entry repeats.
 func repeated[T comparable](xs []T) (T, bool) {
 	for i, x := range xs {
@@ -175,22 +164,13 @@ func repeated[T comparable](xs []T) (T, bool) {
 }
 
 // Validate reports the first invalid field, before any simulation runs.
+// It checks the spec's own rules: the run kind and what it admits, known
+// controllers, entries listed once, non-zero seeds, the shape of sweep
+// values and the alert rules. Every run parameter is sim's to check:
+// sim.Options.Validate sees each configuration the spec runs (see points),
+// once as written and, for a quick spec, again as it will run, so a spec
+// that validates starts every run it lists.
 func (s Spec) Validate() error {
-	if s.Platform != "" {
-		if _, err := config.PlatformPreset(s.Platform); err != nil {
-			return err
-		}
-	}
-	if s.Workload != "" {
-		if err := validWorkload(s.Workload); err != nil {
-			return err
-		}
-	}
-	for _, b := range s.Benchmarks {
-		if err := validWorkload(b); err != nil {
-			return err
-		}
-	}
 	for _, c := range s.Controllers {
 		if !knownController(c) {
 			return fmt.Errorf("scenario: unknown controller %q (have %v)", c, sim.ControllerNames())
@@ -207,38 +187,9 @@ func (s Spec) Validate() error {
 	if seed, ok := repeated(s.Seeds); ok {
 		return fmt.Errorf("scenario: seed %d listed twice", seed)
 	}
-	switch {
-	case s.Cores < 0:
-		return fmt.Errorf("scenario: negative core count %d", s.Cores)
-	case s.BudgetW < 0 || math.IsNaN(s.BudgetW) || math.IsInf(s.BudgetW, 0):
-		return fmt.Errorf("scenario: invalid budget %g W", s.BudgetW)
-	case s.EpochS < 0 || math.IsNaN(s.EpochS) || math.IsInf(s.EpochS, 0):
-		return fmt.Errorf("scenario: invalid epoch %g s", s.EpochS)
-	case s.WarmupS < 0 || math.IsNaN(s.WarmupS) || math.IsInf(s.WarmupS, 0):
-		return fmt.Errorf("scenario: invalid warmup %g s", s.WarmupS)
-	case s.MeasureS < 0 || math.IsNaN(s.MeasureS) || math.IsInf(s.MeasureS, 0):
-		return fmt.Errorf("scenario: invalid measurement window %g s", s.MeasureS)
-	case s.Workers < 0:
-		return fmt.Errorf("scenario: negative worker count %d", s.Workers)
-	}
-	if s.SensorNoise != nil && (*s.SensorNoise < 0 || math.IsNaN(*s.SensorNoise) || math.IsInf(*s.SensorNoise, 0)) {
-		return fmt.Errorf("scenario: invalid sensor noise %g", *s.SensorNoise)
-	}
 	for _, seed := range s.Seeds {
 		if seed == 0 {
 			return fmt.Errorf("scenario: seed 0 is reserved (it means \"default\" elsewhere); use an explicit non-zero seed")
-		}
-	}
-	prev := -1.0
-	for i, st := range s.BudgetSchedule {
-		if st.AtS < 0 || st.BudgetW <= 0 || math.IsNaN(st.AtS) || math.IsNaN(st.BudgetW) || st.AtS <= prev {
-			return fmt.Errorf("scenario: invalid budget step %d: %+v (steps must be strictly increasing with positive budgets)", i, st)
-		}
-		prev = st.AtS
-	}
-	if s.FaultPlan != nil {
-		if err := s.FaultPlan.Validate(); err != nil {
-			return err
 		}
 	}
 	for i := range s.AlertRules {
@@ -253,13 +204,10 @@ func (s Spec) Validate() error {
 		if len(s.Sweep.Values) == 0 {
 			return fmt.Errorf("scenario: sweep has no values")
 		}
-		for i, v := range s.Sweep.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("scenario: sweep value %d is not finite", i)
-			}
+		for _, v := range s.Sweep.Values {
 			// A seed or a core count is a whole number: anything else would
 			// run a converted point under the value's own label. Budget and
-			// epoch values are checked when their run starts.
+			// epoch points are run options, which sim checks.
 			if (s.Sweep.Param == "seed" || s.Sweep.Param == "cores") && (v < 1 || v > 1<<53 || v != math.Trunc(v)) {
 				return fmt.Errorf("scenario: sweep %s value %g is not a whole number in [1, 2^53]", s.Sweep.Param, v)
 			}
@@ -305,6 +253,32 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: experiment %s runs on the default platform; platform overrides apply to comparison and sweep runs", s.Experiment)
 		case len(s.Seeds) > 1:
 			return fmt.Errorf("scenario: experiment %s takes a single seed (got %d)", s.Experiment, len(s.Seeds))
+		}
+	}
+	written := s
+	written.Quick = false
+	if err := written.validatePoints(); err != nil {
+		return err
+	}
+	if s.Quick {
+		if err := s.validatePoints(); err != nil {
+			return fmt.Errorf("scenario: as a quick run: %w", err)
+		}
+	}
+	return nil
+}
+
+// validatePoints checks every configuration the spec runs through
+// sim.Options.Validate: once per point, not per controller, so the check
+// stays linear in the spec's size.
+func (s Spec) validatePoints() error {
+	points, err := s.points(sim.Stack{})
+	if err != nil {
+		return err
+	}
+	for _, p := range points {
+		if err := p.opts.Validate(); err != nil {
+			return err
 		}
 	}
 	return nil

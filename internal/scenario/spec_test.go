@@ -82,7 +82,7 @@ func TestValidateRejections(t *testing.T) {
 		{"controller twice", Spec{Controllers: []string{"od-rl", "maxbips", "od-rl"}}, `controller "od-rl" listed twice`},
 		{"benchmark twice", Spec{Benchmarks: []string{"canneal", "canneal"}}, `benchmark "canneal" listed twice`},
 		{"seed twice", Spec{Seeds: []uint64{3, 1, 3}}, "seed 3 listed twice"},
-		{"negative cores", Spec{Cores: -1}, "negative core count"},
+		{"negative cores", Spec{Cores: -1}, "invalid core count -1"},
 		{"negative budget", Spec{BudgetW: -5}, "invalid budget"},
 		{"negative epoch", Spec{EpochS: -1}, "invalid epoch"},
 		{"negative warmup", Spec{WarmupS: -1}, "invalid warmup"},
@@ -96,7 +96,18 @@ func TestValidateRejections(t *testing.T) {
 		{"bad alert rule", Spec{AlertRules: []monitor.Rule{{Name: "x", Metric: "nope", Op: ">"}}}, "alert rule 0"},
 		{"bad sweep param", Spec{Sweep: &Sweep{Param: "teapots", Values: []float64{1}}}, "unknown sweep param"},
 		{"empty sweep values", Spec{Sweep: &Sweep{Param: "budget"}}, "no values"},
-		{"nonfinite sweep value", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{inf()}}}, "not finite"},
+		{"nonfinite sweep value", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{inf()}}}, "invalid budget +Inf W"},
+		{"negative sweep budget", Spec{Sweep: &Sweep{Param: "budget", Values: []float64{50, -5}}}, "invalid budget -5 W"},
+		{"zero sweep epoch", Spec{Sweep: &Sweep{Param: "epoch", Values: []float64{0.001, 0}}}, "invalid epoch 0 s"},
+		{"NaN sweep cores", Spec{Sweep: &Sweep{Param: "cores", Values: []float64{math.NaN()}}}, "cores value NaN is not a whole number"},
+		{"NaN budget", Spec{BudgetW: math.NaN()}, "invalid budget NaN W"},
+		{"infinite warmup", Spec{WarmupS: inf()}, "invalid warmup +Inf s"},
+		{"NaN noise", Spec{SensorNoise: ptr(math.NaN())}, "invalid sensor noise NaN"},
+		{"NaN budget step", Spec{BudgetSchedule: []BudgetStep{{AtS: math.NaN(), BudgetW: 50}}}, "budget step 0"},
+		{"zero-epoch window", Spec{MeasureS: 0.0004}, "measurement window 0.0004 s rounds to 0 epochs"},
+		{"zero-epoch experiment window", Spec{Experiment: "F2", MeasureS: 1e-5}, "rounds to 0 epochs"},
+		{"zero-epoch window only when quick", Spec{EpochS: 2, Quick: true}, "as a quick run: sim: measurement window 0.5 s rounds to 0 epochs of 2 s"},
+		{"bad window hidden by quick", Spec{MeasureS: -1, Quick: true}, "invalid measurement window -1 s"},
 		{"zero sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{0}}}, "seed value 0 is not a whole number"},
 		{"negative sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{1, -3}}}, "seed value -3 is not a whole number"},
 		{"fractional sweep seed", Spec{Sweep: &Sweep{Param: "seed", Values: []float64{1.5}}}, "seed value 1.5 is not a whole number"},

@@ -46,6 +46,19 @@ func ControllerNames() []string {
 	return []string{"od-rl", "od-rl-norealloc", "maxbips", "steepest-drop", "pid", "greedy", "static"}
 }
 
+// ODRLConfig is the OD-RL configuration the factory builds od-rl from
+// for the environment: the default agent, seeded, sharded and
+// watchdog-armed as env says, reallocating at its decision cadence.
+// Variants the factory cannot name start from it.
+func (env Env) ODRLConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Seed = env.Seed
+	cfg.FineEpochsPerRealloc = env.CadenceEpochs
+	cfg.Workers = env.Workers
+	cfg.WatchdogEpochs = env.WatchdogEpochs
+	return cfg
+}
+
 // NewController builds a controller by name.
 func NewController(name string, env Env) (ctrl.Controller, error) {
 	if env.Cores <= 0 {
@@ -59,12 +72,8 @@ func NewController(name string, env Env) (ctrl.Controller, error) {
 	}
 	switch name {
 	case "od-rl", "od-rl-norealloc":
-		cfg := core.DefaultConfig()
-		cfg.Seed = env.Seed
-		cfg.FineEpochsPerRealloc = env.CadenceEpochs
+		cfg := env.ODRLConfig()
 		cfg.DisableRealloc = name == "od-rl-norealloc"
-		cfg.Workers = env.Workers
-		cfg.WatchdogEpochs = env.WatchdogEpochs
 		return core.New(env.Cores, env.VF, env.Power, cfg)
 	case "maxbips":
 		pred, err := ctrl.NewPredictor(env.VF, env.Power)

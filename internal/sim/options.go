@@ -98,25 +98,38 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate reports the first invalid option.
+// positive reports whether x is a finite number above zero; NaN is not.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports whether x is a finite number at or above zero; NaN
+// is not.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// Validate reports the first invalid option. It is the one check of a
+// run's parameters: Run refuses what it refuses before the first epoch,
+// and the scenario engine applies it to every run of a spec before any
+// of them starts.
 func (o Options) Validate() error {
 	switch {
 	case o.Cores <= 0:
 		return fmt.Errorf("sim: invalid core count %d", o.Cores)
-	case o.BudgetW <= 0:
+	case !positive(o.BudgetW):
 		return fmt.Errorf("sim: invalid budget %g W", o.BudgetW)
-	case o.EpochS <= 0:
+	case !positive(o.EpochS):
 		return fmt.Errorf("sim: invalid epoch %g s", o.EpochS)
-	case o.WarmupS < 0:
-		return fmt.Errorf("sim: negative warmup %g s", o.WarmupS)
-	case o.MeasureS <= 0:
+	case !nonNegative(o.WarmupS):
+		return fmt.Errorf("sim: invalid warmup %g s", o.WarmupS)
+	case !positive(o.MeasureS):
 		return fmt.Errorf("sim: invalid measurement window %g s", o.MeasureS)
-	case o.SensorNoise < 0:
-		return fmt.Errorf("sim: negative sensor noise %g", o.SensorNoise)
+	case !nonNegative(o.SensorNoise):
+		return fmt.Errorf("sim: invalid sensor noise %g", o.SensorNoise)
 	case o.TracePoints < 0:
 		return fmt.Errorf("sim: negative trace points %d", o.TracePoints)
 	case o.Workers < 0:
 		return fmt.Errorf("sim: negative worker count %d", o.Workers)
+	}
+	if _, measure := o.Epochs(); measure < 1 {
+		return fmt.Errorf("sim: measurement window %g s rounds to %d epochs of %g s; need at least 1", o.MeasureS, measure, o.EpochS)
 	}
 	if o.Workload != "mix" && o.Workload != "barrier" {
 		if _, err := workload.Preset(o.Workload); err != nil {
@@ -140,11 +153,11 @@ func (o Options) Validate() error {
 	}
 	prev := math.Inf(-1)
 	for i, s := range o.BudgetSchedule {
-		if s.AtS < 0 || s.BudgetW <= 0 {
+		if !nonNegative(s.AtS) || !positive(s.BudgetW) {
 			return fmt.Errorf("sim: invalid budget step %d: %+v", i, s)
 		}
 		if s.AtS <= prev {
-			return fmt.Errorf("sim: budget schedule not strictly increasing at step %d", i)
+			return fmt.Errorf("sim: budget step %d is not after step %d", i, i-1)
 		}
 		prev = s.AtS
 	}

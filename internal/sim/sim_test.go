@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/variation"
 )
 
@@ -45,6 +48,73 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.Validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
+	}
+}
+
+// epochCounter is an observer that counts the runs that begin and the
+// epochs they deliver.
+type epochCounter struct{ runs, epochs atomic.Int64 }
+
+func (c *epochCounter) BeginRun(obs.RunMeta) obs.RunObserver {
+	c.runs.Add(1)
+	return c
+}
+func (c *epochCounter) ShouldSample(int) bool        { return true }
+func (c *epochCounter) ObserveEpoch(*obs.EpochEvent) { c.epochs.Add(1) }
+func (c *epochCounter) End(metrics.Summary)          {}
+
+// TestRunJobsRefusesBeforeFirstEpoch: every non-finite run parameter and a
+// measurement window shorter than half an epoch fail Options.Validate, so
+// RunJobs returns the error before any run begins or any epoch runs.
+func TestRunJobsRefusesBeforeFirstEpoch(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		want   string
+	}{
+		{"NaN budget", func(o *Options) { o.BudgetW = nan }, "invalid budget NaN W"},
+		{"+Inf budget", func(o *Options) { o.BudgetW = inf }, "invalid budget +Inf W"},
+		{"-Inf budget", func(o *Options) { o.BudgetW = -inf }, "invalid budget -Inf W"},
+		{"NaN epoch", func(o *Options) { o.EpochS = nan }, "invalid epoch NaN s"},
+		{"+Inf epoch", func(o *Options) { o.EpochS = inf }, "invalid epoch +Inf s"},
+		{"NaN warmup", func(o *Options) { o.WarmupS = nan }, "invalid warmup NaN s"},
+		{"+Inf warmup", func(o *Options) { o.WarmupS = inf }, "invalid warmup +Inf s"},
+		{"NaN measure", func(o *Options) { o.MeasureS = nan }, "invalid measurement window NaN s"},
+		{"+Inf measure", func(o *Options) { o.MeasureS = inf }, "invalid measurement window +Inf s"},
+		{"NaN sensor noise", func(o *Options) { o.SensorNoise = nan }, "invalid sensor noise NaN"},
+		{"+Inf sensor noise", func(o *Options) { o.SensorNoise = inf }, "invalid sensor noise +Inf"},
+		{"NaN step time", func(o *Options) { o.BudgetSchedule = []BudgetStep{{AtS: nan, BudgetW: 50}} }, "invalid budget step 0"},
+		{"+Inf step time", func(o *Options) { o.BudgetSchedule = []BudgetStep{{AtS: inf, BudgetW: 50}} }, "invalid budget step 0"},
+		{"NaN step budget", func(o *Options) { o.BudgetSchedule = []BudgetStep{{AtS: 0.1, BudgetW: nan}} }, "invalid budget step 0"},
+		{"+Inf step budget", func(o *Options) { o.BudgetSchedule = []BudgetStep{{AtS: 0.1, BudgetW: inf}} }, "invalid budget step 0"},
+		{"zero-epoch window", func(o *Options) { o.MeasureS = 0.0004 }, "measurement window 0.0004 s rounds to 0 epochs of 0.001 s"},
+		{"window under half an epoch", func(o *Options) { o.EpochS, o.MeasureS = 0.01, 0.0049 }, "rounds to 0 epochs"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := shortOpts()
+			tc.mutate(&o)
+			counter := &epochCounter{}
+			o.Observer = counter
+			_, err := RunJobs(1, []Job{{Options: o, Controller: "pid"}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunJobs error %v, want one naming %q", err, tc.want)
+			}
+			if runs, epochs := counter.runs.Load(), counter.epochs.Load(); runs != 0 || epochs != 0 {
+				t.Errorf("a refused run began %d runs and observed %d epochs", runs, epochs)
+			}
+		})
+	}
+	// The counter does see a valid run: one run, every measured epoch.
+	o := shortOpts()
+	counter := &epochCounter{}
+	o.Observer = counter
+	if _, err := RunJobs(1, []Job{{Options: o, Controller: "pid"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, measure := o.Epochs(); counter.runs.Load() != 1 || counter.epochs.Load() != int64(measure) {
+		t.Errorf("valid run: %d runs, %d epochs; want 1 and %d", counter.runs.Load(), counter.epochs.Load(), measure)
 	}
 }
 
